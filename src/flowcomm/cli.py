@@ -4,7 +4,7 @@ Verbs: equiv, canon, commensurable, cover, chain, verify, trace-seq.
 Exit codes are a scripting contract: 0 = positive verdict or verified
 document, 1 = negative verdict or rejected document, 2 = usage or
 input error, 3 = a computational limit was hit (merge-step guard,
-factoring effort, intertwiner search bound).
+factoring effort).
 
 Matrices are written [[a,b],[c,d]] or a,b;c,d. Models are written
 suspension:[[a,b],[c,d]], surface:g=3, or orbifold:2,3,12. Emitted
@@ -14,6 +14,7 @@ byte-identical bytes.
 
 import argparse
 import json
+import re
 import sys
 
 from .commensurability import (
@@ -37,6 +38,7 @@ from .models import (
 )
 from .serialize import (
     decode_document,
+    digit_limit_message,
     dumps,
     encode_certificate,
     encode_chain,
@@ -50,6 +52,10 @@ class UsageError(Exception):
     """Bad command line or unparseable input; maps to exit code 2."""
 
 
+# decimal literals int() accepts; a ValueError on one is the digit limit
+_DIGITS_RE = re.compile(r"[+-]?[0-9]+(?:_[0-9]+)*")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -60,6 +66,8 @@ def _parse_int_entry(token):
     try:
         return int(token, 10)
     except ValueError:
+        if _DIGITS_RE.fullmatch(token):
+            raise UsageError(digit_limit_message()) from None
         raise UsageError(f"not an integer: {token!r}") from None
 
 
@@ -70,6 +78,8 @@ def _parse_matrix(text):
             value = json.loads(s)
         except json.JSONDecodeError:
             raise UsageError(f"malformed matrix: {text!r}") from None
+        except ValueError:
+            raise UsageError(digit_limit_message()) from None
         if (
             not isinstance(value, list)
             or len(value) != 2
@@ -271,7 +281,7 @@ def _add_effort_flags(sub):
         "--search-bound",
         type=int,
         default=DEFAULT_SEARCH_BOUND,
-        help="initial half-width of the intertwiner coefficient box",
+        help="half-width of the intertwiner coefficient box",
     )
     sub.add_argument(
         "--factor-effort",
@@ -318,7 +328,6 @@ def _build_parser():
     sub.add_argument("model_a")
     sub.add_argument("model_b")
     sub.add_argument("-o", "--output", help="write the document here instead of stdout")
-    _add_effort_flags(sub)
     sub.set_defaults(handler=_cmd_chain)
 
     sub = subs.add_parser("verify", help="re-check a certificate document from disk")

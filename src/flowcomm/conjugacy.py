@@ -8,12 +8,14 @@ R^r1 L^l1 ... R^rn L^ln with all exponents >= 1, where
 and the pair sequence is unique up to cyclic rotation. Two hyperbolic
 matrices are conjugate in SL2(Z) exactly when their canonical
 (lexicographically least) rotations agree, which turns the conjugacy
-problem into word comparison. The monoid of nonnegative det-1
-matrices is free on {R, L}, so factorization below is by peeling the
-dominant row.
+problem into word comparison. The word is read off the period of the
+continued fraction of the matrix's expanding fixed point (Katok and
+Ugarcovici, "Symbolic dynamics for the modular surface", 2007): each
+partial quotient is one whole R^k or L^k block, found by one integer
+division, so the work grows with the bit size of the matrix.
 """
 
-from collections import deque
+from math import isqrt
 from operator import index as _as_int
 
 from .errors import NotHyperbolic
@@ -33,14 +35,6 @@ __all__ = [
 
 R = Mat2(1, 1, 0, 1)
 L = Mat2(1, 0, 1, 1)
-_R_INV = Mat2(1, -1, 0, 1)
-_L_INV = Mat2(1, 0, -1, 1)
-
-# conjugation moves g, g^-1 used by the normalization search
-_MOVES = ((R, _R_INV), (_R_INV, R), (L, _L_INV), (_L_INV, L))
-
-_FALLBACK_DEPTH = 12
-_FALLBACK_BUDGET = 200_000
 
 
 class RLWord:
@@ -109,13 +103,16 @@ def evaluate_word(word):
     return result
 
 
+def _least_rotation(pairs):
+    return min(range(len(pairs)), key=lambda k: pairs[k:] + pairs[:k])
+
+
 def canonical_form(word):
     """Lexicographically least rotation of the pair sequence."""
     if not isinstance(word, RLWord):
         word = RLWord(word)
     pairs = word.pairs
-    n = len(pairs)
-    best = min(range(n), key=lambda k: pairs[k:] + pairs[:k])
+    best = _least_rotation(pairs)
     return RLWord(pairs[best:] + pairs[:best])
 
 
@@ -128,142 +125,60 @@ def _check_hyperbolic(m):
         )
 
 
-def _nonnegative_conjugate(m):
-    """Some W with det 1 such that W^-1 m W is nonnegative.
-
-    Greedy strict descent on the sum of absolute entries, then a
-    bounded breadth-first search when the greedy step stalls (it does
-    for matrices like (0 1; -1 t), where every single move grows the
-    entry sum although a nonnegative conjugate is one move away).
-    """
-    witness = Mat2.identity()
-    cur = m
-    while not cur.is_nonnegative():
-        best = None
-        cur_sum = cur.abs_sum()
-        for g, ginv in _MOVES:
-            cand = mat_mul(ginv, mat_mul(cur, g))
-            if cand.abs_sum() < cur_sum:
-                best = (cand, g)
-                break
-        if best is None:
-            break
-        cand, g = best
-        assert cand.abs_sum() < cur_sum  # loop variant
-        cur = cand
-        witness = mat_mul(witness, g)
-    if cur.is_nonnegative():
-        return witness, cur
-
-    seen = {cur}
-    queue = deque([(cur, witness, 0)])
-    budget = _FALLBACK_BUDGET
-    while queue:
-        node, wit, depth = queue.popleft()
-        if depth >= _FALLBACK_DEPTH:
-            continue
-        for g, ginv in _MOVES:
-            cand = mat_mul(ginv, mat_mul(node, g))
-            if cand in seen:
-                continue
-            wg = mat_mul(wit, g)
-            if cand.is_nonnegative():
-                return wg, cand
-            seen.add(cand)
-            queue.append((cand, wg, depth + 1))
-            budget -= 1
-            if budget <= 0:
-                raise ArithmeticError(f"no nonnegative conjugate of {m!r} found")
-    raise ArithmeticError(f"no nonnegative conjugate of {m!r} found")
-
-
-def _peel_cycle(m0):
-    """Letters of the peel-and-rotate orbit through a nonnegative matrix.
-
-    Each step factors off the dominant-row letter X and replaces the
-    matrix by X^-1 m X; the orbit of a nonnegative hyperbolic matrix
-    is purely periodic and the letters over one period spell its word
-    up to repetition.
-    """
-    letters = []
-    cur = m0
-    cap = m0.abs_sum() + 8
-    while True:
-        if cur.a >= cur.c and cur.b >= cur.d:
-            letters.append("R")
-            cur = mat_mul(_R_INV, mat_mul(cur, R))
-        elif cur.c >= cur.a and cur.d >= cur.b:
-            letters.append("L")
-            cur = mat_mul(_L_INV, mat_mul(cur, L))
-        else:
-            raise ArithmeticError(f"no dominant row in {cur!r}; not a word matrix")
-        if cur == m0:
-            return letters
-        if len(letters) > cap:
-            raise ArithmeticError(f"peel did not cycle within {cap} steps")
-
-
-def _letters_value(letters):
-    out = Mat2.identity()
-    for x in letters:
-        out = mat_mul(out, R if x == "R" else L)
-    return out
-
-
-def _letters_to_pairs(letters):
-    """Group a letter list starting with R and ending with L into pairs."""
-    pairs = []
-    i = 0
-    n = len(letters)
-    while i < n:
-        r = 0
-        while i < n and letters[i] == "R":
-            r += 1
-            i += 1
-        l = 0
-        while i < n and letters[i] == "L":
-            l += 1
-            i += 1
-        pairs.append((r, l))
-    return pairs
-
-
 def rl_word(m):
     """Canonical cyclic RL-word of a hyperbolic matrix, with witness.
 
     Returns (word, witness) where witness has det 1 and
     witness^-1 m witness == evaluate_word(word). Raises NotHyperbolic
     for det != 1 or trace <= 2.
+
+    Expands the expanding fixed point x = (p + sqrt(disc)) / q of m as
+    a continued fraction. Step i writes x_i = (a_i 1; 1 0) . x_{i+1}
+    with a_i = floor(x_i), so after an even number of steps
+    x = W . x_i with det W = 1. Once x_i is reduced (x_i > 1 and its
+    conjugate in (-1, 0)) the expansion is purely periodic, x_i is the
+    expanding fixed point of the period's value, and that value
+    generates the positive-trace stabiliser of x_i in SL2(Z), so
+    W^-1 m W is a power of it. Two consecutive quotients form one
+    (r, l) pair, since (r 1; 1 0)(l 1; 1 0) = R^r L^l.
     """
     _check_hyperbolic(m)
-    w0, m0 = _nonnegative_conjugate(m)
-    cycle = _peel_cycle(m0)
+    t = m.trace()
+    s = isqrt(t * t - 4)
+    # complete quotient (p + sqrt(disc)) / q; q * q_prev == disc - p * p
+    p, q, q_prev = m.a - m.d, 2 * m.c, 2 * m.b
 
-    # the cycle is one primitive period; recover the repetition count
-    value = _letters_value(cycle)
-    reps = 1
-    acc = value
-    while acc != m0:
-        acc = mat_mul(acc, value)
+    def step():
+        nonlocal p, q, q_prev
+        quo = (p + s + (q < 0)) // q  # floor, as sqrt(disc) is irrational
+        p_next = quo * q - p
+        p, q, q_prev = p_next, q_prev + quo * (p - p_next), q
+        return quo
+
+    witness = Mat2.identity()
+    parity = 0
+    while parity or not (p <= s and s - p < q <= s + p):
+        witness = mat_mul(witness, Mat2(step(), 1, 1, 0))
+        parity ^= 1
+    start = (p, q)
+    period = [step()]
+    while (p, q) != start:
+        period.append(step())
+    if len(period) % 2:  # an odd period closes with det -1
+        period += period
+    pairs = tuple(zip(period[::2], period[1::2]))
+
+    best = _least_rotation(pairs)
+    if best:
+        witness = mat_mul(witness, evaluate_word(pairs[:best]))
+    pairs = pairs[best:] + pairs[:best]
+    value = evaluate_word(pairs)
+    power, reps = value, 1
+    while power.trace() < t:
+        power = mat_mul(power, value)
         reps += 1
-        if reps > m0.abs_sum():
-            raise ArithmeticError("cycle value does not divide the matrix")
-    letters = cycle * reps
-
-    # rotate to the boundary that yields the least pair sequence
-    n = len(letters)
-    starts = [k for k in range(n) if letters[k] == "R" and letters[k - 1] == "L"]
-    if not starts:
-        raise NotHyperbolic(f"{m!r} is conjugate to a one-letter power")
-    best_pairs = None
-    best_k = None
-    for k in starts:
-        pairs = tuple(_letters_to_pairs(letters[k:] + letters[:k]))
-        if best_pairs is None or pairs < best_pairs:
-            best_pairs = pairs
-            best_k = k
-    witness = mat_mul(w0, _letters_value(letters[:best_k]))
-    return RLWord(best_pairs), witness
+    assert mat_mul(mat_mul(witness.inverse(), m), witness) == power
+    return RLWord(pairs * reps), witness
 
 
 def are_equivalent(a, b):

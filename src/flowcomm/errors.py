@@ -58,7 +58,3 @@ class StepLimitExceeded(ComputationLimit):
 
 class FactorizationLimit(ComputationLimit):
     """Factorization effort cap exceeded with a composite cofactor left."""
-
-
-class NoNonsingularIntertwiner(ComputationLimit):
-    """Every searched integer combination of the kernel basis was singular."""

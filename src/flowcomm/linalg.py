@@ -47,12 +47,6 @@ class Mat2:
     def trace(self):
         return self.a + self.d
 
-    def abs_sum(self):
-        return abs(self.a) + abs(self.b) + abs(self.c) + abs(self.d)
-
-    def is_nonnegative(self):
-        return self.a >= 0 and self.b >= 0 and self.c >= 0 and self.d >= 0
-
     def inverse(self):
         """Exact inverse; defined only for det = +-1."""
         det = self.det()

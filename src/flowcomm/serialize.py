@@ -10,11 +10,14 @@ sorted at dump time, making output byte-reproducible.
 
 Decoding is strict: unknown kinds, missing fields, native JSON
 numbers where strings are required, or malformed values raise
-DocumentError naming the offending field.
+DocumentError naming the offending field. So do integers longer than
+the interpreter's int/str conversion limit (sys.get_int_max_str_digits,
+4300 digits by default), which is kept as it is.
 """
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from . import __version__
@@ -45,6 +48,7 @@ __all__ = [
     "decode_document",
     "dumps",
     "loads",
+    "digit_limit_message",
 ]
 
 FORMAT_VERSION = "1"
@@ -56,6 +60,14 @@ _FRACTION_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
 _CITATION_TAGS = (GHYS_HASHIGUCHI, BIRKHOFF_SECTION_23N)
 
 
+def digit_limit_message():
+    """Why a well-formed decimal integer could not be converted."""
+    return (
+        f"integer has more than {sys.get_int_max_str_digits()} digits, "
+        "the interpreter's int/str conversion limit"
+    )
+
+
 def _encode_int(n):
     return str(int(n))
 
@@ -63,7 +75,10 @@ def _encode_int(n):
 def _decode_int(value, field):
     if not isinstance(value, str) or not _INT_RE.match(value):
         raise DocumentError(f"{field}: expected a decimal-string integer, got {value!r}")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise DocumentError(f"{field}: {digit_limit_message()}") from None
 
 
 def _encode_fraction(q):
@@ -73,7 +88,10 @@ def _encode_fraction(q):
 def _decode_fraction(value, field):
     if not isinstance(value, str) or not _FRACTION_RE.match(value):
         raise DocumentError(f"{field}: expected a 'p/q' rational string, got {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ValueError:
+        raise DocumentError(f"{field}: {digit_limit_message()}") from None
 
 
 def _encode_matrix(m):
@@ -356,6 +374,8 @@ def loads(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc
+    except ValueError:
+        raise DocumentError(digit_limit_message()) from None
     if not isinstance(doc, dict):
         raise DocumentError("document: expected a JSON object")
     return doc

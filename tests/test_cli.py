@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from flowcomm.cli import run
-from helpers import string_leaves_only
+from helpers import naive_pow, string_leaves_only
 
 A_JSON = "[[2,1],[1,1]]"
 A_SEMI = "2,1;1,1"
@@ -17,6 +17,9 @@ GENUS2 = "[[7,12],[4,7]]"
 # trace 2 above a semiprime of two nine-digit-plus primes: out of reach
 # for the default trial division, so a starved rho budget must exit 3
 HARD_TRACE = str(10000019 * 10000079 + 2)
+# one digit past the interpreter's int/str conversion limit
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+TOO_LONG = "1" + "0" * DIGIT_LIMIT
 
 
 def run_json(capsys, argv):
@@ -203,6 +206,54 @@ class TestChain:
         first = capsys.readouterr().out
         assert run(["chain", "surface:g=2", "surface:g=3"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_effort_flags_not_accepted(self, capsys):
+        for flag in ("--max-steps", "--search-bound", "--factor-effort"):
+            assert run(["chain", "surface:g=2", "orbifold:2,3,18", flag, "1"]) == 2
+        capsys.readouterr()
+
+    def test_large_power_suspension(self, capsys, tmp_path):
+        a, b, c, d = naive_pow((2, 1, 1, 1), 24)
+        path = tmp_path / "chain.json"
+        argv = ["chain", "surface:g=2", f"suspension:[[{a},{b}],[{c},{d}]]"]
+        assert run(argv + ["-o", str(path)]) == 0
+        assert run(["verify", str(path)]) == 0
+        capsys.readouterr()
+
+
+@pytest.mark.skipif(DIGIT_LIMIT == 0, reason="int/str digit limit disabled")
+class TestDigitLimit:
+    def _assert_named(self, err):
+        assert f"more than {DIGIT_LIMIT} digits" in err
+        assert TOO_LONG not in err
+        assert "Traceback" not in err
+
+    def test_json_matrix(self, capsys):
+        assert run(["canon", f"[[1,{TOO_LONG}],[0,1]]"]) == 2
+        self._assert_named(capsys.readouterr().err)
+
+    def test_semicolon_matrix(self, capsys):
+        assert run(["canon", f"1,{TOO_LONG};0,1"]) == 2
+        err = capsys.readouterr().err
+        self._assert_named(err)
+        assert "not an integer" not in err
+
+    def test_document_field(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        assert run(["cover", A_JSON, F7, "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["power_a"] = TOO_LONG
+        path.write_text(json.dumps(doc))
+        assert run(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        self._assert_named(err)
+        assert "power_a" in err
+
+    def test_document_native_number(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_text(f'{{"kind": {TOO_LONG}}}')
+        assert run(["verify", str(path)]) == 2
+        self._assert_named(capsys.readouterr().err)
 
 
 class TestTraceSeq:

@@ -126,6 +126,14 @@ class TestRlWord:
             word_c, _ = rl_word(conj(q, m))
             assert word_m == word_c
 
+    def test_huge_block(self):
+        n = 2**64
+        m = evaluate_word(((n, 1),))
+        for q in (Mat2.identity(), Mat2(1, 2**63, 0, 1), Mat2(1, 0, -(2**63), 1)):
+            word, witness = rl_word(conj(q, m))
+            assert word.pairs == ((n, 1),)
+            assert conj(witness, conj(q, m)) == m
+
     def test_rejects_non_hyperbolic(self):
         with pytest.raises(NotHyperbolic):
             rl_word(Mat2(1, 1, 0, 1))
@@ -146,6 +154,32 @@ class TestRlWord:
         """Evaluating a word and re-reading it recovers its rotation class."""
         word, _ = rl_word(evaluate_word(RLWord(pairs)))
         assert word == canonical_form(RLWord(pairs))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 2**64), st.integers(1, 2**64)),
+            min_size=1,
+            max_size=5,
+        ),
+        st.lists(
+            st.tuples(st.booleans(), st.integers(-(2**64), 2**64)),
+            max_size=6,
+        ),
+    )
+    def test_large_exponents_under_conjugation(self, pairs, moves):
+        """Words with exponents up to 2^64, conjugated by a random
+        product of elementary matrices, come back as their least
+        rotation with an exact det-1 witness."""
+        pairs = tuple(pairs)
+        q = Mat2.identity()
+        for upper, k in moves:
+            q = mat_mul(q, Mat2(1, k, 0, 1) if upper else Mat2(1, 0, k, 1))
+        m = conj(q, evaluate_word(pairs))
+        word, witness = rl_word(m)
+        assert word.pairs == min(pairs[k:] + pairs[:k] for k in range(len(pairs)))
+        assert witness.det() == 1
+        assert conj(witness, m) == evaluate_word(word)
 
 
 class TestAreEquivalent:

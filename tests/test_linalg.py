@@ -40,7 +40,6 @@ class TestMat2:
         assert m.entries() == (7, 12, 4, 7)
         assert m.det() == 1
         assert m.trace() == 14
-        assert m.abs_sum() == 30
 
     def test_mul_against_schoolbook(self):
         rng = random.Random(101)
