@@ -4,7 +4,8 @@ Verbs: equiv, canon, commensurable, cover, chain, verify, trace-seq.
 Exit codes are a scripting contract: 0 = positive verdict or verified
 document, 1 = negative verdict or rejected document, 2 = usage or
 input error, 3 = a computational limit was hit (merge-step guard,
-factoring effort).
+factoring effort, a trace-seq value past the interpreter's int/str
+digit limit).
 
 Matrices are written [[a,b],[c,d]] or a,b;c,d. Models are written
 suspension:[[a,b],[c,d]], surface:g=3, or orbifold:2,3,12. Emitted
@@ -19,7 +20,6 @@ import sys
 
 from .commensurability import (
     DEFAULT_MAX_STEPS,
-    DEFAULT_SEARCH_BOUND,
     TraceSequence,
     are_commensurable,
     verify_certificate,
@@ -211,7 +211,6 @@ def _run_commensurable(args):
         _parse_matrix(args.matrix_a),
         _parse_matrix(args.matrix_b),
         args.max_steps,
-        search_bound=args.search_bound,
         rho_budget=args.factor_effort,
     )
 
@@ -264,6 +263,10 @@ def _cmd_trace_seq(args):
     if args.count < 1:
         raise UsageError(f"count must be >= 1, got {args.count}")
     seq = TraceSequence(a.trace())
+    # traces increase, so this stops at the first one print cannot convert
+    bound = 10 ** sys.get_int_max_str_digits()  # 1 when the limit is off
+    if bound > 1 and any(seq[i] >= bound for i in range(1, args.count + 1)):
+        raise ComputationLimit(digit_limit_message())
     if not args.quiet:
         for i in range(1, args.count + 1):
             print(seq[i])
@@ -276,12 +279,6 @@ def _add_effort_flags(sub):
         type=int,
         default=DEFAULT_MAX_STEPS,
         help="bound on trace-table merge steps before giving up",
-    )
-    sub.add_argument(
-        "--search-bound",
-        type=int,
-        default=DEFAULT_SEARCH_BOUND,
-        help="half-width of the intertwiner coefficient box",
     )
     sub.add_argument(
         "--factor-effort",

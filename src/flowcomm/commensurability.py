@@ -13,6 +13,7 @@ re-checkable from scratch by verify_certificate.
 
 from operator import index as _as_int
 
+from .conjugacy import reduction_cycle
 from .errors import ExponentMismatch, NotHyperbolic, StepLimitExceeded
 from .factorint import (
     DEFAULT_RHO_BUDGET,
@@ -44,7 +45,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_STEPS = 10_000
-DEFAULT_SEARCH_BOUND = 32
 
 
 class TraceSequence:
@@ -196,66 +196,60 @@ def _normalize_input(m):
     raise NotHyperbolic(f"|trace| = {abs(t)} is not > 2")
 
 
-def _sign_normalized(m):
-    for e in m.entries():
-        if e > 0:
-            return m
-        if e < 0:
-            return -m
-    return m
+def _rank(p):
+    entries = p.entries()
+    sizes = tuple(abs(e) for e in entries)
+    return max(sizes), sum(sizes), sizes, entries
 
 
-def find_intertwiner(a1, b1, search_bound=DEFAULT_SEARCH_BOUND):
-    """Nonsingular integer P with a1 P = P b1, of least |det P| in a box.
+def find_intertwiner(a1, b1):
+    """Nonsingular integer P with a1 P = P b1, of least |det P|.
 
-    Minimizes |det| over the integer combinations x K1 + y K2 of the
-    kernel basis with 0 < max(|x|, |y|) <= search_bound. This is the
-    least |det| within the box only; a combination outside it can have
-    a smaller one. Every combination is nonsingular: a singular
-    nonzero P would have a rational eigenvector of a1, but t^2 - 4 is
-    never a square for t > 2. Ties are broken deterministically (least
-    max-entry, then lexicographic, after sign normalization) so the
-    result does not depend on the kernel basis the solver happened to
-    produce.
+    The solutions are P = x K1 + y K2 for a lattice basis (K1, K2), and
+    det P = f(x, y) = alpha x^2 + beta xy + gamma y^2 is an indefinite
+    form of discriminant disc > 0 with no zero (a singular nonzero P
+    would give a rational eigenvector of a1, but t^2 - 4 is never a
+    square for t > 2). Every value m of f at a primitive (x, y) with
+    |m| < sqrt(disc)/2 is the first coefficient of a reduced form in
+    the cycle of f, so it is met at a convergent within one period of
+    the continued fraction of the root (-beta + sqrt(disc)) / 2 alpha;
+    and min |f| <= sqrt(disc/5) (Korkine-Zolotarev), so the least |f|
+    over those convergents is the least |det| of every intertwiner.
+
+    Ties are broken deterministically (least max-entry, then sum, then
+    lexicographic, after sign normalization), so the result does not
+    depend on the kernel basis. The minimal (x, y) are the orbits of
+    those convergents under the period's automorph E (det 1,
+    eigenvalues lam > 1 and 1/lam, f(E v) = f(v)). Along an orbit each
+    entry of P is A lam^n + B lam^-n, whose absolute value falls, then
+    rises, and so does their maximum; so the walk from each minimal
+    convergent in both directions stops at the first strict rise, past
+    which no point ties the least max-entry.
     """
     k1, k2 = intertwiner_lattice(a1, b1)
-    # det(x K1 + y K2) is the quadratic form alpha x^2 + beta xy + gamma y^2
-    alpha = k1.det()
-    gamma = k2.det()
-    k12 = Mat2(k1.a + k2.a, k1.b + k2.b, k1.c + k2.c, k1.d + k2.d)
-    beta = k12.det() - alpha - gamma
 
-    bound = max(1, _as_int(search_bound))
-    best = None
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
-            if x == 0 and y == 0:
-                continue
-            det = alpha * x * x + beta * x * y + gamma * y * y
-            if best is None or abs(det) < abs(best[0]):
-                best = (det, [(x, y)])
-            elif abs(det) == abs(best[0]):
-                best[1].append((x, y))
+    def combine(x, y):
+        p = Mat2(*(x * e1 + y * e2 for e1, e2 in zip(k1.entries(), k2.entries())))
+        return p if p.entries() > (0, 0, 0, 0) else -p  # first nonzero entry > 0
 
-    candidates = set()
-    for x, y in best[1]:
-        p = Mat2(
-            x * k1.a + y * k2.a,
-            x * k1.b + y * k2.b,
-            x * k1.c + y * k2.c,
-            x * k1.d + y * k2.d,
-        )
-        candidates.add(_sign_normalized(p))
-
-    def _rank(p):
-        entries = p.entries()
-        return (
-            max(abs(e) for e in entries),
-            sum(abs(e) for e in entries),
-            tuple(abs(e) for e in entries),
-            entries,
-        )
-
+    alpha, gamma = k1.det(), k2.det()
+    beta = combine(1, 1).det() - alpha - gamma
+    w, period = reduction_cycle(-beta, 2 * alpha, -2 * gamma)
+    w_start, convergents = w, []
+    for quo in period:
+        w = mat_mul(w, Mat2(quo, 1, 1, 0))
+        convergents.append((w.a, w.c))
+    auto = mat_mul(w, w_start.inverse())
+    least = min(abs(combine(x, y).det()) for x, y in convergents)
+    candidates = []
+    for e in (auto, auto.inverse()):
+        for x, y in convergents:
+            p = step = combine(x, y)
+            while abs(p.det()) == least and _rank(step)[0] <= _rank(p)[0]:
+                candidates.append(step)
+                p = step
+                x, y = e.a * x + e.b * y, e.c * x + e.d * y
+                step = combine(x, y)
     return min(candidates, key=_rank)
 
 
@@ -271,7 +265,7 @@ def stabilization_exponent(a1, lat, k_max):
     raise ValueError(f"no return within k_max={k_max}; bound below the orbit size")
 
 
-def build_certificate(a, b, power_a, power_b, search_bound=DEFAULT_SEARCH_BOUND):
+def build_certificate(a, b, power_a, power_b):
     """Assemble the commensurability certificate for given exponents.
 
     Raises ExponentMismatch unless trace(a**power_a) == trace(b**power_b).
@@ -292,7 +286,7 @@ def build_certificate(a, b, power_a, power_b, search_bound=DEFAULT_SEARCH_BOUND)
         )
     a1 = mat_pow(a, power_a)
     b1 = mat_pow(b, power_b)
-    p = find_intertwiner(a1, b1, search_bound)
+    p = find_intertwiner(a1, b1)
     det_p = p.det()
     return CommensurabilityCertificate(
         base_a=a,
@@ -313,7 +307,6 @@ def are_commensurable(
     b,
     max_steps=DEFAULT_MAX_STEPS,
     *,
-    search_bound=DEFAULT_SEARCH_BOUND,
     trial_bound=DEFAULT_TRIAL_BOUND,
     rho_budget=DEFAULT_RHO_BUDGET,
 ):
@@ -350,7 +343,7 @@ def are_commensurable(
                 partial_a=tuple(seq_a[k] for k in range(1, i + 1)),
                 partial_b=tuple(seq_b[k] for k in range(1, j + 1)),
             )
-    certificate = build_certificate(a1, b1, i, j, search_bound)
+    certificate = build_certificate(a1, b1, i, j)
     return CommensurabilityVerdict(
         True, (i, j), sf_a, sf_b, certificate, squared_a, squared_b
     )

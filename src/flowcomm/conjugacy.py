@@ -27,6 +27,7 @@ __all__ = [
     "RLWord",
     "EquivalenceVerdict",
     "rl_word",
+    "reduction_cycle",
     "evaluate_word",
     "canonical_form",
     "are_equivalent",
@@ -125,28 +126,17 @@ def _check_hyperbolic(m):
         )
 
 
-def rl_word(m):
-    """Canonical cyclic RL-word of a hyperbolic matrix, with witness.
+def reduction_cycle(p, q, q_prev):
+    """Continued fraction of x = (p + sqrt(disc)) / q, disc = p^2 + q q_prev.
 
-    Returns (word, witness) where witness has det 1 and
-    witness^-1 m witness == evaluate_word(word). Raises NotHyperbolic
-    for det != 1 or trace <= 2.
-
-    Expands the expanding fixed point x = (p + sqrt(disc)) / q of m as
-    a continued fraction. Step i writes x_i = (a_i 1; 1 0) . x_{i+1}
-    with a_i = floor(x_i), so after an even number of steps
-    x = W . x_i with det W = 1. Once x_i is reduced (x_i > 1 and its
-    conjugate in (-1, 0)) the expansion is purely periodic, x_i is the
-    expanding fixed point of the period's value, and that value
-    generates the positive-trace stabiliser of x_i in SL2(Z), so
-    W^-1 m W is a power of it. Two consecutive quotients form one
-    (r, l) pair, since (r 1; 1 0)(l 1; 1 0) = R^r L^l.
+    Needs q != 0 and disc > 0 not a square. Returns (w, period): det w
+    is 1 and x = w . y (Moebius action) for the first reduced complete
+    quotient y (y > 1, conjugate in (-1, 0)) after an even number of
+    steps x_i = (a_i 1; 1 0) . x_{i+1}, a_i = floor(x_i); period is one
+    period of y's partial quotients, doubled when odd so that the
+    product of the (a 1; 1 0) over it has det 1.
     """
-    _check_hyperbolic(m)
-    t = m.trace()
-    s = isqrt(t * t - 4)
-    # complete quotient (p + sqrt(disc)) / q; q * q_prev == disc - p * p
-    p, q, q_prev = m.a - m.d, 2 * m.c, 2 * m.b
+    s = isqrt(p * p + q * q_prev)
 
     def step():
         nonlocal p, q, q_prev
@@ -155,10 +145,10 @@ def rl_word(m):
         p, q, q_prev = p_next, q_prev + quo * (p - p_next), q
         return quo
 
-    witness = Mat2.identity()
+    w = Mat2.identity()
     parity = 0
     while parity or not (p <= s and s - p < q <= s + p):
-        witness = mat_mul(witness, Mat2(step(), 1, 1, 0))
+        w = mat_mul(w, Mat2(step(), 1, 1, 0))
         parity ^= 1
     start = (p, q)
     period = [step()]
@@ -166,6 +156,26 @@ def rl_word(m):
         period.append(step())
     if len(period) % 2:  # an odd period closes with det -1
         period += period
+    return w, period
+
+
+def rl_word(m):
+    """Canonical cyclic RL-word of a hyperbolic matrix, with witness.
+
+    Returns (word, witness) where witness has det 1 and
+    witness^-1 m witness == evaluate_word(word). Raises NotHyperbolic
+    for det != 1 or trace <= 2.
+
+    Expands the expanding fixed point x = (a - d + sqrt(t^2 - 4)) / 2c
+    of m with reduction_cycle, which gives x = W . y with det W = 1
+    and y reduced. A reduced y has a purely periodic expansion, y is
+    the expanding fixed point of the period's value, and that value
+    generates the positive-trace stabiliser of y in SL2(Z), so
+    W^-1 m W is a power of it. Two consecutive quotients form one
+    (r, l) pair, since (r 1; 1 0)(l 1; 1 0) = R^r L^l.
+    """
+    _check_hyperbolic(m)
+    witness, period = reduction_cycle(m.a - m.d, 2 * m.c, 2 * m.b)
     pairs = tuple(zip(period[::2], period[1::2]))
 
     best = _least_rotation(pairs)
@@ -174,7 +184,7 @@ def rl_word(m):
     pairs = pairs[best:] + pairs[:best]
     value = evaluate_word(pairs)
     power, reps = value, 1
-    while power.trace() < t:
+    while power.trace() < m.trace():
         power = mat_mul(power, value)
         reps += 1
     assert mat_mul(mat_mul(witness.inverse(), m), witness) == power

@@ -55,8 +55,8 @@ FORMAT_VERSION = "1"
 CERTIFICATE_KIND = "commensurability-certificate"
 CHAIN_KIND = "chain-certificate"
 
-_INT_RE = re.compile(r"^-?[0-9]+$")
-_FRACTION_RE = re.compile(r"^-?[0-9]+(/[1-9][0-9]*)?$")
+_INT_RE = re.compile(r"-?[0-9]+")
+_FRACTION_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 _CITATION_TAGS = (GHYS_HASHIGUCHI, BIRKHOFF_SECTION_23N)
 
 
@@ -73,7 +73,7 @@ def _encode_int(n):
 
 
 def _decode_int(value, field):
-    if not isinstance(value, str) or not _INT_RE.match(value):
+    if not isinstance(value, str) or not _INT_RE.fullmatch(value):
         raise DocumentError(f"{field}: expected a decimal-string integer, got {value!r}")
     try:
         return int(value)
@@ -86,7 +86,7 @@ def _encode_fraction(q):
 
 
 def _decode_fraction(value, field):
-    if not isinstance(value, str) or not _FRACTION_RE.match(value):
+    if not isinstance(value, str) or not _FRACTION_RE.fullmatch(value):
         raise DocumentError(f"{field}: expected a 'p/q' rational string, got {value!r}")
     try:
         return Fraction(value)

@@ -101,3 +101,34 @@ def string_leaves_only(node):
     if isinstance(node, list):
         return all(string_leaves_only(v) for v in node)
     return isinstance(node, str)
+
+
+def intertwiner_rank(p):
+    """Tie-break key of an intertwiner: sign-normalized so the first
+    nonzero entry is positive, then least max-entry, sum, abs entries."""
+    if p <= (0, 0, 0, 0):
+        p = tuple(-e for e in p)
+    sizes = tuple(abs(e) for e in p)
+    return max(sizes), sum(sizes), sizes, p
+
+
+def box_intertwiner(a, b, bound):
+    """Least |det| and best-ranked nonzero P with a P = P b whose first
+    column lies in [-bound, bound]^2, as (|det P|, P).
+
+    The first column u fixes P: the first column of a P = P b reads
+    a u = b[0] u + b[2] v, so v = (a - b[0]) u / b[2] (b[2] != 0 for a
+    hyperbolic b) and P is integral exactly when b[2] divides it.
+    """
+    best = None
+    for p in range(-bound, bound + 1):
+        for r in range(-bound, bound + 1):
+            top = (a[0] - b[0]) * p + a[1] * r
+            bottom = a[2] * p + (a[3] - b[0]) * r
+            if (p, r) == (0, 0) or top % b[2] or bottom % b[2]:
+                continue
+            cand = (p, top // b[2], r, bottom // b[2])
+            key = (abs(det(cand)), intertwiner_rank(cand))
+            if best is None or key < best[0]:
+                best = (key, cand)
+    return best[0][0], best[1]

@@ -118,6 +118,13 @@ class TestCommensurable:
         assert run(argv) == 3
         assert "limit:" in capsys.readouterr().err
 
+    def test_search_bound_not_accepted(self, capsys):
+        for verb in ("commensurable", "cover"):
+            assert run([verb, A_JSON, F7, "--search-bound", "1"]) == 2
+            for flag in ("--max-steps", "--factor-effort"):
+                assert run([verb, A_JSON, F7, flag, "1000"]) == 0
+        capsys.readouterr()
+
 
 class TestCoverAndVerify:
     def test_round_trip(self, capsys, tmp_path):
@@ -147,6 +154,15 @@ class TestCoverAndVerify:
         assert run(["verify", str(path)]) == 1
         out = capsys.readouterr().out
         assert "rejected: intertwiner_det_matches" in out
+
+    def test_trailing_newline_field_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        assert run(["cover", A_JSON, F7, "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["power_a"] = "2\n"
+        path.write_text(json.dumps(doc))
+        assert run(["verify", str(path)]) == 2
+        assert "power_a" in capsys.readouterr().err
 
     def test_malformed_document_exits_two(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
@@ -254,6 +270,17 @@ class TestDigitLimit:
         path.write_text(f'{{"kind": {TOO_LONG}}}')
         assert run(["verify", str(path)]) == 2
         self._assert_named(capsys.readouterr().err)
+
+    def test_trace_seq_output(self, capsys):
+        # traces of A^i have about 0.418 i digits, so the last value is
+        # past the limit; nothing may be printed before the exit
+        count = str(DIGIT_LIMIT * 5 // 2)
+        assert run(["trace-seq", A_JSON, count]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        self._assert_named(captured.err)
+        assert run(["trace-seq", A_JSON, count, "--quiet"]) == 3
+        capsys.readouterr()
 
 
 class TestTraceSeq:

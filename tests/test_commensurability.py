@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcomm import (
     ExponentMismatch,
@@ -23,7 +25,16 @@ from flowcomm import (
     trace_power,
     verify_certificate,
 )
-from helpers import hyperbolic_corpus, replace_cert_field as replace
+from helpers import (
+    box_intertwiner,
+    hyperbolic_corpus,
+    intertwiner_rank,
+    inverse,
+    mul,
+    random_hyperbolic,
+    random_unimodular,
+    replace_cert_field as replace,
+)
 
 A = HyperbolicMatrix(2, 1, 1, 1)
 GENUS2 = HyperbolicMatrix(7, 12, 4, 7)
@@ -100,9 +111,44 @@ class TestFindIntertwiner:
             assert p.det() != 0
             assert mat_mul(a, p) == mat_mul(p, b)
 
-    def test_small_search_bound_still_finds(self):
-        p = find_intertwiner(mat_pow(A, 2), companion(7), search_bound=1)
-        assert p.det() != 0
+    def test_search_bound_refused(self):
+        with pytest.raises(TypeError):
+            find_intertwiner(mat_pow(A, 2), companion(7), search_bound=1)
+
+    def test_det_one_beyond_coefficient_32(self):
+        """A conjugate pair whose det-1 intertwiners all have kernel-basis
+        coefficients above 32: a coefficient box of radius 32 finds
+        det -7 at best."""
+        a, b = Mat2(5, 1, 4, 1), Mat2(-605, 2009, -184, 611)
+        p = find_intertwiner(a, b)
+        assert abs(p.det()) == 1
+        assert mat_mul(a, p) == mat_mul(p, b)
+        cert = are_commensurable(a, b).certificate
+        assert abs(cert.intertwiner_det) == 1
+        assert cert.index_over_a == 1
+        assert verify_certificate(cert) == (True, "ok")
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32), st.booleans(), st.booleans())
+    def test_least_det_against_box_oracle(self, seed, companion_pair, swap):
+        """Conjugated pairs, and same-trace pairs with the companion
+        matrix (often in another conjugacy class): the |det| is the
+        least in a box that contains the returned P, and no P in the
+        box ranks better."""
+        rng = random.Random(seed)
+        a = random_hyperbolic(rng, max_trace=30)
+        if companion_pair:
+            b = (0, 1, -1, a[0] + a[3])
+        else:
+            q = random_unimodular(rng, steps=rng.randint(1, 4))
+            b = mul(mul(inverse(q), a), q)
+        if swap:
+            a, b = b, a
+        p = find_intertwiner(Mat2(*a), Mat2(*b))
+        assert mat_mul(Mat2(*a), p) == mat_mul(p, Mat2(*b))
+        least, best = box_intertwiner(a, b, max(30, *map(abs, p.entries())))
+        assert abs(p.det()) == least
+        assert intertwiner_rank(p.entries()) <= intertwiner_rank(best)
 
     def test_deterministic(self):
         pairs = [(mat_pow(A, 2), companion(7)), (GENUS2, companion(14))]

@@ -109,6 +109,12 @@ class TestCertificateDocuments:
         with pytest.raises(DocumentError):
             decode_certificate(doc)
 
+    def test_trailing_newline_rejected(self):
+        doc = encode_certificate(sample_certificate())
+        doc["power_a"] = "2\n"
+        with pytest.raises(DocumentError, match="power_a"):
+            decode_certificate(doc)
+
     def test_bad_matrix_shape(self):
         doc = encode_certificate(sample_certificate())
         doc["intertwiner"] = [["1", "1", "0"], ["0", "1", "0"]]
@@ -181,6 +187,12 @@ class TestChainDocuments:
         doc = encode_chain(chain)
         doc["links"][0]["evidence"]["euler_source"] = "-1/0"
         with pytest.raises(DocumentError):
+            decode_chain(doc)
+
+    def test_fraction_trailing_newline_rejected(self):
+        doc = encode_chain(sample_chains()[2])
+        doc["links"][0]["evidence"]["euler_source"] = "-1/42\n"
+        with pytest.raises(DocumentError, match="euler_source"):
             decode_chain(doc)
 
     def test_mutated_documents_still_decode(self):
