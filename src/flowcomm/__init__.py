@@ -1,7 +1,7 @@
 """Exact decisions about suspension flows of hyperbolic torus
 automorphisms: topological equivalence (integer conjugacy via
 canonical RL words), topological commensurability (matching power
-traces, squarefree discriminant invariant, explicit covering
+traces, the square class of t^2 - 4 as invariant, explicit covering
 certificates), and almost-commensurability chains reaching the
 geodesic flows of hyperbolic surfaces and (2,3,n) triangle orbifolds.
 
@@ -10,13 +10,12 @@ rationals. Every positive decision is backed by a certificate that an
 independent verifier re-checks from scratch.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import (
     ComputationLimit,
     DocumentError,
     ExponentMismatch,
-    FactorizationLimit,
     FlowcommError,
     InvalidGenus,
     NotHyperbolic,
@@ -54,7 +53,6 @@ from .commensurability import (
     are_commensurable,
     build_certificate,
     find_intertwiner,
-    squarefree_part,
     stabilization_exponent,
     trace_power,
     verify_certificate,
@@ -91,7 +89,6 @@ __all__ = [
     "DocumentError",
     "ComputationLimit",
     "StepLimitExceeded",
-    "FactorizationLimit",
     "Mat2",
     "HyperbolicMatrix",
     "Lattice2",
@@ -114,7 +111,6 @@ __all__ = [
     "CommensurabilityCertificate",
     "CommensurabilityVerdict",
     "trace_power",
-    "squarefree_part",
     "are_commensurable",
     "find_intertwiner",
     "stabilization_exponent",

@@ -4,8 +4,8 @@ Verbs: equiv, canon, commensurable, cover, chain, verify, trace-seq.
 Exit codes are a scripting contract: 0 = positive verdict or verified
 document, 1 = negative verdict or rejected document, 2 = usage or
 input error, 3 = a computational limit was hit (merge-step guard,
-factoring effort, a trace-seq value past the interpreter's int/str
-digit limit).
+a document power past the verifier's bit budget, a trace-seq value
+past the interpreter's int/str digit limit).
 
 Matrices are written [[a,b],[c,d]] or a,b;c,d. Models are written
 suspension:[[a,b],[c,d]], surface:g=3, or orbifold:2,3,12. Emitted
@@ -26,7 +26,6 @@ from .commensurability import (
 )
 from .conjugacy import are_equivalent, rl_word
 from .errors import ComputationLimit, FlowcommError
-from .factorint import DEFAULT_RHO_BUDGET
 from .linalg import HyperbolicMatrix, Mat2
 from .models import (
     ChainCertificate,
@@ -42,6 +41,7 @@ from .serialize import (
     dumps,
     encode_certificate,
     encode_chain,
+    encode_int,
     loads,
 )
 
@@ -80,6 +80,8 @@ def _parse_matrix(text):
             raise UsageError(f"malformed matrix: {text!r}") from None
         except ValueError:
             raise UsageError(digit_limit_message()) from None
+        except RecursionError:
+            raise UsageError("malformed matrix: nested too deeply") from None
         if (
             not isinstance(value, list)
             or len(value) != 2
@@ -137,11 +139,11 @@ def _parse_model(text):
 
 
 def _encode_word(word):
-    return [[str(r), str(l)] for r, l in word.pairs]
+    return [[encode_int(r), encode_int(l)] for r, l in word.pairs]
 
 
 def _encode_matrix_strings(m):
-    return [[str(m.a), str(m.b)], [str(m.c), str(m.d)]]
+    return [[encode_int(m.a), encode_int(m.b)], [encode_int(m.c), encode_int(m.d)]]
 
 
 def _emit(args, text):
@@ -187,12 +189,12 @@ def _verdict_doc(verdict):
     doc = {
         "commensurable": verdict.commensurable,
         "minimal_exponents": (
-            [str(k) for k in verdict.minimal_exponents]
+            [encode_int(k) for k in verdict.minimal_exponents]
             if verdict.minimal_exponents is not None
             else None
         ),
-        "squarefree_a": str(verdict.squarefree_a),
-        "squarefree_b": str(verdict.squarefree_b),
+        "squarefree_a": encode_int(verdict.squarefree_a),
+        "squarefree_b": encode_int(verdict.squarefree_b),
         "squared_a": verdict.squared_a,
         "squared_b": verdict.squared_b,
     }
@@ -207,11 +209,10 @@ def _verdict_doc(verdict):
 
 
 def _run_commensurable(args):
+    if args.max_steps < 0:
+        raise UsageError(f"--max-steps must be >= 0, got {args.max_steps}")
     return are_commensurable(
-        _parse_matrix(args.matrix_a),
-        _parse_matrix(args.matrix_b),
-        args.max_steps,
-        rho_budget=args.factor_effort,
+        _parse_matrix(args.matrix_a), _parse_matrix(args.matrix_b), args.max_steps
     )
 
 
@@ -225,8 +226,8 @@ def _cmd_cover(args):
     verdict = _run_commensurable(args)
     if not verdict.commensurable:
         print(
-            "not commensurable: squarefree discriminant parts "
-            f"{verdict.squarefree_a} != {verdict.squarefree_b}",
+            "not commensurable: t_a^2 - 4 and t_b^2 - 4 lie in distinct "
+            "square classes",
             file=sys.stderr,
         )
         return 1
@@ -246,7 +247,7 @@ def _cmd_verify(args):
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {args.file!r}: {exc}") from None
     decoded = decode_document(loads(text))
     if isinstance(decoded, ChainCertificate):
@@ -273,18 +274,12 @@ def _cmd_trace_seq(args):
     return 0
 
 
-def _add_effort_flags(sub):
+def _add_max_steps(sub):
     sub.add_argument(
         "--max-steps",
         type=int,
         default=DEFAULT_MAX_STEPS,
         help="bound on trace-table merge steps before giving up",
-    )
-    sub.add_argument(
-        "--factor-effort",
-        type=int,
-        default=DEFAULT_RHO_BUDGET,
-        help="iteration budget for factoring squarefree parts",
     )
 
 
@@ -311,14 +306,14 @@ def _build_parser():
     sub = subs.add_parser("commensurable", help="decide commensurability of two suspensions")
     sub.add_argument("matrix_a")
     sub.add_argument("matrix_b")
-    _add_effort_flags(sub)
+    _add_max_steps(sub)
     sub.set_defaults(handler=_cmd_commensurable)
 
     sub = subs.add_parser("cover", help="emit a commensurability certificate document")
     sub.add_argument("matrix_a")
     sub.add_argument("matrix_b")
     sub.add_argument("-o", "--output", help="write the document here instead of stdout")
-    _add_effort_flags(sub)
+    _add_max_steps(sub)
     sub.set_defaults(handler=_cmd_cover)
 
     sub = subs.add_parser("chain", help="emit an almost-commensurability chain document")

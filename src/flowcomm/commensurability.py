@@ -3,23 +3,26 @@
 Two suspensions are commensurable exactly when some powers of their
 monodromies share a trace. Power traces satisfy the second-order
 recurrence t_{i+1} = t_1 t_i - t_{i-1} (t_0 = 2) and the discriminant
-identity t_i^2 - 4 = (t_1^2 - 4) u_i^2, so the squarefree part of
-t^2 - 4 is a complete commensurability invariant: equal parts
-guarantee a common power trace, distinct parts rule one out. Positive
-verdicts are backed by a CommensurabilityCertificate whose data (an
-integer intertwiner, the sublattice it spans, covering indices) is
-re-checkable from scratch by verify_certificate.
+identity t_i^2 - 4 = (t_1^2 - 4) u_i^2, so the square class of
+t^2 - 4 (its value up to square factors) is a complete
+commensurability invariant: one class guarantees a common power
+trace, distinct classes rule one out. D_a and D_b lie in one class
+exactly when D_a D_b is a perfect square, which one isqrt decides
+without factoring either. Positive verdicts are backed by a
+CommensurabilityCertificate whose data (an integer intertwiner, the
+sublattice it spans, covering indices) is re-checkable from scratch
+by verify_certificate.
 """
 
+from math import gcd, isqrt
 from operator import index as _as_int
 
 from .conjugacy import reduction_cycle
-from .errors import ExponentMismatch, NotHyperbolic, StepLimitExceeded
-from .factorint import (
-    DEFAULT_RHO_BUDGET,
-    DEFAULT_TRIAL_BOUND,
-    squarefree_discriminant,
-    squarefree_part,
+from .errors import (
+    ComputationLimit,
+    ExponentMismatch,
+    NotHyperbolic,
+    StepLimitExceeded,
 )
 from .linalg import (
     HyperbolicMatrix,
@@ -36,7 +39,6 @@ __all__ = [
     "CommensurabilityCertificate",
     "CommensurabilityVerdict",
     "trace_power",
-    "squarefree_part",
     "are_commensurable",
     "find_intertwiner",
     "stabilization_exponent",
@@ -45,6 +47,11 @@ __all__ = [
 ]
 
 DEFAULT_MAX_STEPS = 10_000
+
+# bits that verify_certificate lets a power of a document's base reach,
+# estimated as power * bit length of the base trace (the entries of
+# m**k have about k * log2(trace) bits)
+MAX_POWER_BITS = 2**20
 
 
 class TraceSequence:
@@ -148,6 +155,17 @@ class CommensurabilityCertificate:
 
 
 class CommensurabilityVerdict:
+    """Outcome of are_commensurable.
+
+    squarefree_a and squarefree_b represent the square classes of
+    D_a = t_a^2 - 4 and D_b = t_b^2 - 4 (traces after the squaring of
+    a trace < -2 input), and are equal exactly when the verdict is
+    positive. On a negative verdict they are D_a and D_b themselves;
+    on a positive one both are gcd(D_a, D_b), since D_a / gcd and
+    D_b / gcd are then squares. They are not the least (squarefree)
+    representatives, which would need factoring.
+    """
+
     __slots__ = (
         "commensurable",
         "minimal_exponents",
@@ -302,31 +320,27 @@ def build_certificate(a, b, power_a, power_b):
     )
 
 
-def are_commensurable(
-    a,
-    b,
-    max_steps=DEFAULT_MAX_STEPS,
-    *,
-    trial_bound=DEFAULT_TRIAL_BOUND,
-    rho_budget=DEFAULT_RHO_BUDGET,
-):
+def are_commensurable(a, b, max_steps=DEFAULT_MAX_STEPS):
     """Decide commensurability of the suspensions of a and b.
 
     Inputs need det 1 and |trace| > 2; a trace < -2 input is replaced
     by its square (flagged in the verdict). Negative verdicts rest on
-    distinct squarefree discriminant classes; positive ones merge the
-    two increasing trace sequences to their first common value, which
+    t_a^2 - 4 and t_b^2 - 4 lying in distinct square classes (their
+    product is not a perfect square); positive ones merge the two
+    increasing trace sequences to their first common value, which
     gives the unique componentwise-minimal exponent pair, and carry a
     full certificate.
     """
     a1, squared_a = _normalize_input(a)
     b1, squared_b = _normalize_input(b)
-    sf_a = squarefree_discriminant(a1.trace(), trial_bound, rho_budget)
-    sf_b = squarefree_discriminant(b1.trace(), trial_bound, rho_budget)
-    if sf_a != sf_b:
+    disc_a = a1.trace() ** 2 - 4
+    disc_b = b1.trace() ** 2 - 4
+    product = disc_a * disc_b
+    if isqrt(product) ** 2 != product:
         return CommensurabilityVerdict(
-            False, None, sf_a, sf_b, None, squared_a, squared_b
+            False, None, disc_a, disc_b, None, squared_a, squared_b
         )
+    shared = gcd(disc_a, disc_b)
     seq_a = TraceSequence(a1.trace())
     seq_b = TraceSequence(b1.trace())
     i, j = 1, 1
@@ -345,7 +359,7 @@ def are_commensurable(
             )
     certificate = build_certificate(a1, b1, i, j)
     return CommensurabilityVerdict(
-        True, (i, j), sf_a, sf_b, certificate, squared_a, squared_b
+        True, (i, j), shared, shared, certificate, squared_a, squared_b
     )
 
 
@@ -357,7 +371,8 @@ def verify_certificate(cert):
 
     Uses only the base matrix operations (powers, products, canonical
     lattice forms, lattice membership), none of the search machinery that
-    produced the certificate.
+    produced the certificate. Raises ComputationLimit, before any
+    power is formed, when a power would pass MAX_POWER_BITS.
     """
     try:
         HyperbolicMatrix.from_mat(cert.base_a)
@@ -369,6 +384,16 @@ def verify_certificate(cert):
         return False, "base_b_hyperbolic"
     if cert.power_a < 1 or cert.power_b < 1:
         return False, "powers_positive"
+    for name, base, power in (
+        ("power_a", cert.base_a, cert.power_a),
+        ("power_b", cert.base_b, cert.power_b),
+    ):
+        bits = power * base.trace().bit_length()
+        if bits > MAX_POWER_BITS:
+            raise ComputationLimit(
+                f"{name} asks for a power of about {bits} bits, past the "
+                f"verifier's budget of {MAX_POWER_BITS} bits"
+            )
     a1 = mat_pow(cert.base_a, cert.power_a)
     b1 = mat_pow(cert.base_b, cert.power_b)
     if a1.trace() != b1.trace():

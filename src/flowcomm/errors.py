@@ -54,7 +54,3 @@ class StepLimitExceeded(ComputationLimit):
         super().__init__(message)
         self.partial_a = tuple(partial_a)
         self.partial_b = tuple(partial_b)
-
-
-class FactorizationLimit(ComputationLimit):
-    """Factorization effort cap exceeded with a composite cofactor left."""

@@ -13,9 +13,9 @@ existence of the actual cover is likewise cited, the arithmetic is
 what gets verified.
 
 almost_commensurability_chain joins any two models: both endpoints
-are normalized to suspensions, which either share a squarefree
-discriminant class (one certificate link) or are bridged through
-the trace-t model suspensions and their orbifolds.
+are normalized to suspensions, which are either commensurable (one
+certificate link, decided by are_commensurable) or are bridged
+through the trace-t model suspensions and their orbifolds.
 """
 
 from dataclasses import dataclass
@@ -30,7 +30,6 @@ from .commensurability import (
     verify_certificate,
 )
 from .errors import InvalidGenus, NotHyperbolic
-from .factorint import squarefree_discriminant
 from .linalg import HyperbolicMatrix, Mat2, mat_mul
 
 __all__ = [
@@ -281,17 +280,15 @@ def _bridge_to(model, susp):
 def almost_commensurability_chain(m1, m2):
     """Chain of verified links between any two models.
 
-    Both endpoints normalize to suspensions. Equal squarefree
-    discriminant classes admit a direct certificate link; distinct
-    classes are bridged through the trace-t model suspensions and a
-    common cover of their orbifolds (certificates cannot cross a
-    discriminant class, the cover link is what does)."""
+    Both endpoints normalize to suspensions. Commensurable ones (t^2 - 4
+    in one square class) admit a direct certificate link; the others
+    are bridged through the trace-t model suspensions and a common
+    cover of their orbifolds (certificates cannot cross a square
+    class, the cover link is what does)."""
     susp1, head = _normalize_to_suspension(m1)
     susp2, tail = _normalize_to_suspension(m2)
-    sf1 = squarefree_discriminant(susp1.monodromy.trace())
-    sf2 = squarefree_discriminant(susp2.monodromy.trace())
-    if sf1 == sf2:
-        verdict = are_commensurable(susp1.monodromy, susp2.monodromy)
+    verdict = are_commensurable(susp1.monodromy, susp2.monodromy)
+    if verdict.commensurable:
         middle = [ChainLink(COMMENSURABILITY, susp1, susp2, verdict.certificate)]
         links = head + middle + _reversed_links(tail)
     else:

@@ -12,7 +12,8 @@ Decoding is strict: unknown kinds, missing fields, native JSON
 numbers where strings are required, or malformed values raise
 DocumentError naming the offending field. So do integers longer than
 the interpreter's int/str conversion limit (sys.get_int_max_str_digits,
-4300 digits by default), which is kept as it is.
+4300 digits by default), which is kept as it is; encoding an integer
+past that limit raises ComputationLimit.
 """
 
 import json
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from . import __version__
 from .commensurability import CommensurabilityCertificate
-from .errors import DocumentError
+from .errors import ComputationLimit, DocumentError
 from .linalg import Lattice2, Mat2
 from .models import (
     ALMOST_EQUIVALENCE,
@@ -49,6 +50,7 @@ __all__ = [
     "dumps",
     "loads",
     "digit_limit_message",
+    "encode_int",
 ]
 
 FORMAT_VERSION = "1"
@@ -68,8 +70,17 @@ def digit_limit_message():
     )
 
 
-def _encode_int(n):
-    return str(int(n))
+def _decimal(value):
+    """str(value), or ComputationLimit when the digit limit forbids it."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ComputationLimit(digit_limit_message()) from None
+
+
+def encode_int(n):
+    """Decimal string of an integer."""
+    return _decimal(int(n))
 
 
 def _decode_int(value, field):
@@ -82,7 +93,7 @@ def _decode_int(value, field):
 
 
 def _encode_fraction(q):
-    return str(Fraction(q))
+    return _decimal(Fraction(q))
 
 
 def _decode_fraction(value, field):
@@ -96,8 +107,8 @@ def _decode_fraction(value, field):
 
 def _encode_matrix(m):
     return [
-        [_encode_int(m.a), _encode_int(m.b)],
-        [_encode_int(m.c), _encode_int(m.d)],
+        [encode_int(m.a), encode_int(m.b)],
+        [encode_int(m.c), encode_int(m.d)],
     ]
 
 
@@ -119,9 +130,9 @@ def _decode_matrix(value, field):
 
 def _encode_lattice(lat):
     return {
-        "a": _encode_int(lat.a),
-        "b": _encode_int(lat.b),
-        "d": _encode_int(lat.d),
+        "a": encode_int(lat.a),
+        "b": encode_int(lat.b),
+        "d": encode_int(lat.d),
     }
 
 
@@ -150,14 +161,14 @@ def _certificate_body(cert):
     return {
         "base_a": _encode_matrix(cert.base_a),
         "base_b": _encode_matrix(cert.base_b),
-        "power_a": _encode_int(cert.power_a),
-        "power_b": _encode_int(cert.power_b),
+        "power_a": encode_int(cert.power_a),
+        "power_b": encode_int(cert.power_b),
         "intertwiner": _encode_matrix(cert.intertwiner),
-        "intertwiner_det": _encode_int(cert.intertwiner_det),
+        "intertwiner_det": encode_int(cert.intertwiner_det),
         "sublattice": _encode_lattice(cert.sublattice),
-        "stabilization": _encode_int(cert.stabilization),
-        "index_over_a": _encode_int(cert.index_over_a),
-        "index_over_b": _encode_int(cert.index_over_b),
+        "stabilization": encode_int(cert.stabilization),
+        "index_over_a": encode_int(cert.index_over_a),
+        "index_over_b": encode_int(cert.index_over_b),
     }
 
 
@@ -207,11 +218,11 @@ def _encode_model(model):
     if isinstance(model, Suspension):
         return {"type": "suspension", "monodromy": _encode_matrix(model.monodromy)}
     if isinstance(model, GeodesicSurface):
-        return {"type": "surface", "genus": _encode_int(model.genus)}
+        return {"type": "surface", "genus": encode_int(model.genus)}
     if isinstance(model, GeodesicOrbifold):
         return {
             "type": "orbifold",
-            "cone_orders": [_encode_int(k) for k in model.cone_orders],
+            "cone_orders": [encode_int(k) for k in model.cone_orders],
         }
     raise TypeError(f"not a model: {model!r}")
 
@@ -252,9 +263,9 @@ def _encode_evidence(evidence):
     if isinstance(evidence, GeodesicCommonCover):
         return {
             "type": "common-cover",
-            "cover_genus": _encode_int(evidence.cover_genus),
-            "degree_source": _encode_int(evidence.degree_source),
-            "degree_target": _encode_int(evidence.degree_target),
+            "cover_genus": encode_int(evidence.cover_genus),
+            "degree_source": encode_int(evidence.degree_source),
+            "degree_target": encode_int(evidence.degree_target),
             "euler_source": _encode_fraction(evidence.euler_source),
             "euler_target": _encode_fraction(evidence.euler_target),
             "euler_cover": _encode_fraction(evidence.euler_cover),
@@ -376,6 +387,8 @@ def loads(text):
         raise DocumentError(f"not valid JSON: {exc}") from exc
     except ValueError:
         raise DocumentError(digit_limit_message()) from None
+    except RecursionError:
+        raise DocumentError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise DocumentError("document: expected a JSON object")
     return doc

@@ -32,7 +32,6 @@ from flowcomm import (
     orbifold_euler_characteristic,
     orbifold_model_matrix,
     rl_word,
-    squarefree_part,
     stabilization_exponent,
     trace_power,
     verify_certificate,
@@ -41,9 +40,11 @@ from flowcomm import (
 from flowcomm.cli import run
 from helpers import (
     hyperbolic_corpus,
+    naive_pow,
     random_hyperbolic,
     random_unimodular,
     replace_cert_field,
+    trace,
 )
 
 A = HyperbolicMatrix(2, 1, 1, 1)
@@ -236,15 +237,21 @@ def test_criterion_4_discriminant_invariance():
     assert len(corpus) == 100
     assert max(m.trace() for m in corpus) > 10**5
 
+    # t_i^2 - 4 = (t_1^2 - 4) u_i^2 with u_0 = 0, u_1 = 1 and
+    # u_{i+1} = t_1 u_i - u_{i-1}, so every power lies in one square class
     for m in corpus:
-        parts = {
-            squarefree_part(trace_power(m, i) ** 2 - 4) for i in range(1, 11)
-        }
-        assert len(parts) == 1
+        t1 = m.trace()
+        disc = t1 * t1 - 4
+        u_prev, u = 0, 1
+        for i in range(1, 11):
+            t_i = trace(naive_pow(m.entries(), i))
+            assert t_i * t_i - 4 == disc * u * u
+            assert are_commensurable(m, mat_pow(m, i)).minimal_exponents == (i, 1)
+            u_prev, u = u, t1 * u - u_prev
 
     elapsed = time.monotonic() - start
     assert elapsed < 30
-    report(4, elapsed, "100 matrices with traces up to 1e6, powers 1..10, one class each")
+    report(4, elapsed, "100 matrices with traces up to 1e6, powers 1..10, D_i = D_1 u_i^2 each")
 
 
 def test_criterion_5_model_matrices():

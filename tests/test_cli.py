@@ -1,10 +1,15 @@
 """End-to-end tests for the command line interface."""
 
+import io
 import json
 import subprocess
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcomm.cli import run
 from helpers import naive_pow, string_leaves_only
@@ -14,8 +19,8 @@ A_SEMI = "2,1;1,1"
 F7 = "[[0,1],[-1,7]]"
 F47 = "[[0,1],[-1,47]]"
 GENUS2 = "[[7,12],[4,7]]"
-# trace 2 above a semiprime of two nine-digit-plus primes: out of reach
-# for the default trial division, so a starved rho budget must exit 3
+# trace 2 above a semiprime of two eight-digit primes, which the square
+# class test decides without splitting
 HARD_TRACE = str(10000019 * 10000079 + 2)
 # one digit past the interpreter's int/str conversion limit
 DIGIT_LIMIT = sys.get_int_max_str_digits()
@@ -40,6 +45,10 @@ class TestParsing:
             assert run(["canon", bad]) == 2
             err = capsys.readouterr().err
             assert "error:" in err
+
+    def test_deeply_nested_matrix(self, capsys):
+        assert run(["canon", "[" * 100000]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
 
     def test_non_hyperbolic_input(self, capsys):
         assert run(["canon", "[[1,1],[0,1]]"]) == 2
@@ -107,23 +116,23 @@ class TestCommensurable:
         assert run(["commensurable", A_JSON, F47, "--max-steps", "2"]) == 3
         assert "limit:" in capsys.readouterr().err
 
-    def test_factor_limit_exits_three(self, capsys):
-        argv = [
-            "commensurable",
-            A_JSON,
-            f"[[0,1],[-1,{HARD_TRACE}]]",
-            "--factor-effort",
-            "1",
-        ]
-        assert run(argv) == 3
-        assert "limit:" in capsys.readouterr().err
+    def test_hard_trace_decided(self, capsys):
+        argv = ["commensurable", A_JSON, f"[[0,1],[-1,{HARD_TRACE}]]"]
+        assert run(argv) in (0, 1)
+        assert "limit:" not in capsys.readouterr().err
+        assert run(argv + ["--factor-effort", "1"]) == 2
+        assert "--factor-effort" in capsys.readouterr().err
 
     def test_search_bound_not_accepted(self, capsys):
         for verb in ("commensurable", "cover"):
             assert run([verb, A_JSON, F7, "--search-bound", "1"]) == 2
-            for flag in ("--max-steps", "--factor-effort"):
-                assert run([verb, A_JSON, F7, flag, "1000"]) == 0
+            assert run([verb, A_JSON, F7, "--max-steps", "1000"]) == 0
         capsys.readouterr()
+
+    def test_negative_max_steps_exits_two(self, capsys):
+        for verb in ("commensurable", "cover"):
+            assert run([verb, A_JSON, F7, "--max-steps", "-1"]) == 2
+            assert "--max-steps" in capsys.readouterr().err
 
 
 class TestCoverAndVerify:
@@ -175,6 +184,30 @@ class TestCoverAndVerify:
     def test_missing_file_exits_two(self, capsys, tmp_path):
         assert run(["verify", str(tmp_path / "absent.json")]) == 2
         capsys.readouterr()
+
+    def test_non_utf8_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_bytes(b'{"kind": "\xff\xfe"}')
+        assert run(["verify", str(path)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    def test_deeply_nested_document_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_text("[" * 100000)
+        assert run(["verify", str(path)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_power_past_budget_exits_three(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        assert run(["cover", A_JSON, F7, "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["power_a"], doc["power_b"] = "2000000", "1000000"
+        path.write_text(json.dumps(doc))
+        start = time.monotonic()
+        assert run(["verify", str(path)]) == 3
+        assert time.monotonic() - start < 1
+        err = capsys.readouterr().err
+        assert "limit:" in err and "budget" in err and "power_a" in err
 
     def test_byte_identical_reruns(self, capsys):
         assert run(["cover", A_JSON, F7]) == 0
@@ -228,6 +261,13 @@ class TestChain:
             assert run(["chain", "surface:g=2", "orbifold:2,3,18", flag, "1"]) == 2
         capsys.readouterr()
 
+    def test_huge_orbifold(self, capsys, tmp_path):
+        path = tmp_path / "chain.json"
+        argv = ["chain", "orbifold:2,3," + "9" * 200, "surface:2", "-o", str(path)]
+        assert run(argv) == 0
+        assert run(["verify", str(path)]) == 0
+        capsys.readouterr()
+
     def test_large_power_suspension(self, capsys, tmp_path):
         a, b, c, d = naive_pow((2, 1, 1, 1), 24)
         path = tmp_path / "chain.json"
@@ -271,6 +311,15 @@ class TestDigitLimit:
         assert run(["verify", str(path)]) == 2
         self._assert_named(capsys.readouterr().err)
 
+    def test_verdict_output(self, capsys):
+        # t^2 - 4 has about twice the digits of t, and a negative verdict
+        # reports it
+        trace = "1" + "0" * (DIGIT_LIMIT // 2 + 1)
+        assert run(["commensurable", A_JSON, f"[[0,1],[-1,{trace}]]"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        self._assert_named(captured.err)
+
     def test_trace_seq_output(self, capsys):
         # traces of A^i have about 0.418 i digits, so the last value is
         # past the limit; nothing may be printed before the exit
@@ -292,6 +341,117 @@ class TestTraceSeq:
     def test_bad_count(self, capsys):
         assert run(["trace-seq", A_JSON, "0"]) == 2
         capsys.readouterr()
+
+
+def quiet_run(argv):
+    """run(argv) with its output discarded; exceptions propagate."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return run(argv)
+
+
+def leaf_paths(node, path=()):
+    """Paths of every dict value and list element of a JSON tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    out = []
+    for key, child in items:
+        out.append(path + (key,))
+        out.extend(leaf_paths(child, path + (key,)))
+    return out
+
+
+def emitted_document(tmp_path_factory, argv):
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    assert quiet_run(argv + ["-o", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    return {
+        "cover": emitted_document(tmp_path_factory, ["cover", A_JSON, F7]),
+        # crosses square classes, so it holds citation, certificate and
+        # common-cover links
+        "chain": emitted_document(tmp_path_factory, ["chain", "surface:g=2", "surface:g=3"]),
+    }
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+# replacement values: small or huge decimal strings (a power past the
+# verifier's budget exits 3 at once; a moderate one stays cheap), other
+# JSON types, and text
+FIELD_VALUES = st.one_of(
+    st.integers(-1000, 1000).map(str),
+    st.sampled_from(["0", "-1", "2000000", str(2**64), "1" + "0" * 5000, "2/3", "1/0"]),
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(max_size=12),
+    st.lists(st.integers(-5, 5).map(str), max_size=3),
+    st.dictionaries(st.sampled_from(["a", "b", "d", "type", "tag"]), st.just("1"), max_size=2),
+)
+
+MATRIX_TOKEN = st.one_of(
+    st.integers().map(str),
+    st.text(alphabet="0123456789-+_ []x,;", max_size=6),
+)
+MATRIX_TEXT = st.one_of(
+    st.text(max_size=30),
+    st.text(alphabet="[]0123456789,;- ", max_size=30),
+    st.tuples(*[MATRIX_TOKEN] * 4).map(lambda e: "[[%s,%s],[%s,%s]]" % e),
+    st.tuples(*[MATRIX_TOKEN] * 4).map(lambda e: "%s,%s;%s,%s" % e),
+)
+MODEL_TEXT = st.one_of(
+    st.text(max_size=30),
+    st.tuples(
+        st.sampled_from(["suspension:", "surface:", "surface:g=", "orbifold:", "ORBIFOLD:", "disk:", ""]),
+        st.one_of(MATRIX_TEXT, st.integers(-10, 10**6).map(str), st.text(alphabet="0123456789, ", max_size=12)),
+    ).map("".join),
+)
+
+
+class TestBoundaryFuzz:
+    """Any document or argument ends in exit 0, 1, 2 or 3, never in an
+    exception out of run()."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["cover", "chain"]),
+        pick=st.integers(min_value=0),
+        delete=st.booleans(),
+        value=FIELD_VALUES,
+    )
+    def test_mutated_document(self, documents, doc_path, kind, pick, delete, value):
+        doc = json.loads(json.dumps(documents[kind]))
+        paths = leaf_paths(doc)
+        path = paths[pick % len(paths)]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if delete:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        doc_path.write_text(json.dumps(doc))
+        assert quiet_run(["verify", str(doc_path)]) in (0, 1, 2, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=MATRIX_TEXT)
+    def test_matrix_argument(self, text):
+        assert quiet_run(["canon", text]) in (0, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(text=MODEL_TEXT)
+    def test_model_argument(self, text):
+        assert quiet_run(["chain", text, "surface:g=2"]) in (0, 2, 3)
 
 
 class TestConsoleScript:

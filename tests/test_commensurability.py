@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcomm import (
+    ComputationLimit,
     ExponentMismatch,
     HyperbolicMatrix,
     Mat2,
@@ -25,6 +26,7 @@ from flowcomm import (
     trace_power,
     verify_certificate,
 )
+from flowcomm.commensurability import MAX_POWER_BITS
 from helpers import (
     box_intertwiner,
     hyperbolic_corpus,
@@ -34,6 +36,7 @@ from helpers import (
     random_hyperbolic,
     random_unimodular,
     replace_cert_field as replace,
+    squarefree_oracle,
 )
 
 A = HyperbolicMatrix(2, 1, 1, 1)
@@ -235,7 +238,8 @@ class TestAreCommensurable:
         assert not verdict.commensurable
         assert verdict.minimal_exponents is None
         assert verdict.certificate is None
-        assert (verdict.squarefree_a, verdict.squarefree_b) == (5, 3)
+        # t^2 - 4 themselves on a negative verdict: 3^2 - 4 and 14^2 - 4
+        assert (verdict.squarefree_a, verdict.squarefree_b) == (5, 192)
 
     def test_self_commensurable(self):
         verdict = are_commensurable(A, A)
@@ -303,6 +307,61 @@ class TestAreCommensurable:
                             assert trace_power(a, ii) != trace_power(b, jj)
 
 
+class TestSquareClass:
+    """The verdict is positive exactly when t_a^2 - 4 and t_b^2 - 4 have
+    one squarefree part, and the reported representatives agree then."""
+
+    def test_agrees_with_oracle_on_traces_to_400(self):
+        part = {t: squarefree_oracle(t * t - 4) for t in range(3, 401)}
+        for ta in range(3, 401):
+            for tb in range(ta, 401):
+                verdict = are_commensurable(companion(ta), companion(tb))
+                assert verdict.commensurable == (part[ta] == part[tb]), (ta, tb)
+
+    def test_random_trace_pairs(self):
+        rng = random.Random(303)
+        for _ in range(80):
+            ta, tb = rng.randint(3, 10**5), rng.randint(3, 10**5)
+            same = squarefree_oracle(ta * ta - 4) == squarefree_oracle(tb * tb - 4)
+            assert are_commensurable(companion(ta), companion(tb)).commensurable == same
+
+    def test_representatives(self):
+        rng = random.Random(304)
+        for _ in range(60):
+            ta, tb = rng.randint(3, 2000), rng.randint(3, 2000)
+            da, db = ta * ta - 4, tb * tb - 4
+            verdict = are_commensurable(companion(ta), companion(tb))
+            if verdict.commensurable:
+                assert verdict.squarefree_a == verdict.squarefree_b
+                rep = verdict.squarefree_a
+                assert squarefree_oracle(rep) == squarefree_oracle(da)
+                assert da % rep == 0 and db % rep == 0
+            else:
+                assert (verdict.squarefree_a, verdict.squarefree_b) == (da, db)
+
+    def test_power_traces_share_class(self):
+        """Traces of powers keep the square class of t^2 - 4."""
+        for t in (3, 7, 14, 47):
+            for i in range(1, 8):
+                ti = trace_power(companion(t), i)
+                verdict = are_commensurable(companion(t), companion(ti))
+                assert verdict.minimal_exponents == (i, 1)
+                assert verdict.squarefree_a == verdict.squarefree_b == t * t - 4
+
+    def test_huge_trace_fast_path(self):
+        """A 90-plus digit power trace is placed in its class at once,
+        with no factoring of t^2 - 4."""
+        t = 47
+        seq = [2, t]
+        for _ in range(60):
+            seq.append(t * seq[-1] - seq[-2])
+        big = seq[-1]
+        assert big > 10**90
+        verdict = are_commensurable(companion(t), companion(big))
+        assert verdict.minimal_exponents == (61, 1)
+        assert not are_commensurable(companion(t), companion(big + 1)).commensurable
+
+
 class TestVerifyCertificate:
     def _good(self):
         return build_certificate(A, companion(7), 2, 1)
@@ -351,6 +410,16 @@ class TestVerifyCertificate:
         assert verify_certificate(bad) == (False, "power_traces_equal")
         bad = replace(self._good(), power_a=0)
         assert verify_certificate(bad) == (False, "powers_positive")
+
+    def test_power_budget(self):
+        # A has trace 3 (2 bits), so power_a = k asks for 2 k bits
+        for power_a, power_b in ((MAX_POWER_BITS // 2 + 1, 1), (2_000_000, 1_000_000)):
+            bad = replace(self._good(), power_a=power_a, power_b=power_b)
+            with pytest.raises(ComputationLimit, match=f"budget of {MAX_POWER_BITS} bits"):
+                verify_certificate(bad)
+        bad = replace(self._good(), power_b=MAX_POWER_BITS // 3 + 1)
+        with pytest.raises(ComputationLimit, match="power_b"):
+            verify_certificate(bad)
 
     def test_non_hyperbolic_base(self):
         bad = replace(self._good(), base_a=Mat2(1, 1, 0, 1))
