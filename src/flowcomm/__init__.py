@@ -1,16 +1,17 @@
 """Exact decisions about suspension flows of hyperbolic torus
 automorphisms: topological equivalence (integer conjugacy via
 canonical RL words), topological commensurability (matching power
-traces, the square class of t^2 - 4 as invariant, explicit covering
-certificates), and almost-commensurability chains reaching the
-geodesic flows of hyperbolic surfaces and (2,3,n) triangle orbifolds.
+traces, the square class of t^2 - 4 as invariant, the least common
+power by a Euclid on units, explicit covering certificates), and
+almost-commensurability chains reaching the geodesic flows of
+hyperbolic surfaces and (2,3,n) triangle orbifolds.
 
 All arithmetic is exact over arbitrary-precision integers and
 rationals. Every positive decision is backed by a certificate that an
 independent verifier re-checks from scratch.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .errors import (
     ComputationLimit,
@@ -21,7 +22,6 @@ from .errors import (
     NotHyperbolic,
     NotUnimodular,
     SingularBasis,
-    StepLimitExceeded,
     TraceMismatch,
 )
 from .linalg import (
@@ -49,12 +49,10 @@ from .conjugacy import (
 from .commensurability import (
     CommensurabilityCertificate,
     CommensurabilityVerdict,
-    TraceSequence,
     are_commensurable,
     build_certificate,
     find_intertwiner,
     stabilization_exponent,
-    trace_power,
     verify_certificate,
 )
 from .models import (
@@ -88,7 +86,6 @@ __all__ = [
     "ExponentMismatch",
     "DocumentError",
     "ComputationLimit",
-    "StepLimitExceeded",
     "Mat2",
     "HyperbolicMatrix",
     "Lattice2",
@@ -107,10 +104,8 @@ __all__ = [
     "rl_word",
     "are_equivalent",
     "brute_force_conjugator",
-    "TraceSequence",
     "CommensurabilityCertificate",
     "CommensurabilityVerdict",
-    "trace_power",
     "are_commensurable",
     "find_intertwiner",
     "stabilization_exponent",

@@ -3,9 +3,9 @@
 Verbs: equiv, canon, commensurable, cover, chain, verify, trace-seq.
 Exit codes are a scripting contract: 0 = positive verdict or verified
 document, 1 = negative verdict or rejected document, 2 = usage or
-input error, 3 = a computational limit was hit (merge-step guard,
-a document power past the verifier's bit budget, a trace-seq value
-past the interpreter's int/str digit limit).
+input error, 3 = a computational limit was hit (a certificate power,
+decided or read from a document, past the MAX_POWER_BITS budget; an
+output integer past the interpreter's int/str digit limit).
 
 Matrices are written [[a,b],[c,d]] or a,b;c,d. Models are written
 suspension:[[a,b],[c,d]], surface:g=3, or orbifold:2,3,12. Emitted
@@ -18,12 +18,7 @@ import json
 import re
 import sys
 
-from .commensurability import (
-    DEFAULT_MAX_STEPS,
-    TraceSequence,
-    are_commensurable,
-    verify_certificate,
-)
+from .commensurability import are_commensurable, verify_certificate
 from .conjugacy import are_equivalent, rl_word
 from .errors import ComputationLimit, FlowcommError
 from .linalg import HyperbolicMatrix, Mat2
@@ -148,8 +143,11 @@ def _encode_matrix_strings(m):
 
 def _emit(args, text):
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output!r}: {exc}") from None
     elif not args.quiet:
         sys.stdout.write(text)
 
@@ -209,11 +207,7 @@ def _verdict_doc(verdict):
 
 
 def _run_commensurable(args):
-    if args.max_steps < 0:
-        raise UsageError(f"--max-steps must be >= 0, got {args.max_steps}")
-    return are_commensurable(
-        _parse_matrix(args.matrix_a), _parse_matrix(args.matrix_b), args.max_steps
-    )
+    return are_commensurable(_parse_matrix(args.matrix_a), _parse_matrix(args.matrix_b))
 
 
 def _cmd_commensurable(args):
@@ -263,24 +257,22 @@ def _cmd_trace_seq(args):
     a = _parse_hyperbolic(args.matrix)
     if args.count < 1:
         raise UsageError(f"count must be >= 1, got {args.count}")
-    seq = TraceSequence(a.trace())
+    t = a.trace()
+
+    def traces():  # t_i = t t_{i-1} - t_{i-2}, t_0 = 2
+        prev, cur = 2, t
+        for _ in range(args.count):
+            yield cur
+            prev, cur = cur, t * cur - prev
+
     # traces increase, so this stops at the first one print cannot convert
     bound = 10 ** sys.get_int_max_str_digits()  # 1 when the limit is off
-    if bound > 1 and any(seq[i] >= bound for i in range(1, args.count + 1)):
+    if bound > 1 and any(v >= bound for v in traces()):
         raise ComputationLimit(digit_limit_message())
     if not args.quiet:
-        for i in range(1, args.count + 1):
-            print(seq[i])
+        for v in traces():
+            print(v)
     return 0
-
-
-def _add_max_steps(sub):
-    sub.add_argument(
-        "--max-steps",
-        type=int,
-        default=DEFAULT_MAX_STEPS,
-        help="bound on trace-table merge steps before giving up",
-    )
 
 
 def _build_parser():
@@ -306,14 +298,12 @@ def _build_parser():
     sub = subs.add_parser("commensurable", help="decide commensurability of two suspensions")
     sub.add_argument("matrix_a")
     sub.add_argument("matrix_b")
-    _add_max_steps(sub)
     sub.set_defaults(handler=_cmd_commensurable)
 
     sub = subs.add_parser("cover", help="emit a commensurability certificate document")
     sub.add_argument("matrix_a")
     sub.add_argument("matrix_b")
     sub.add_argument("-o", "--output", help="write the document here instead of stdout")
-    _add_max_steps(sub)
     sub.set_defaults(handler=_cmd_cover)
 
     sub = subs.add_parser("chain", help="emit an almost-commensurability chain document")

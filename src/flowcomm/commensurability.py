@@ -1,14 +1,16 @@
 """Commensurability of torus-automorphism suspensions, with certificates.
 
 Two suspensions are commensurable exactly when some powers of their
-monodromies share a trace. Power traces satisfy the second-order
-recurrence t_{i+1} = t_1 t_i - t_{i-1} (t_0 = 2) and the discriminant
+monodromies share a trace. Power traces satisfy the discriminant
 identity t_i^2 - 4 = (t_1^2 - 4) u_i^2, so the square class of
 t^2 - 4 (its value up to square factors) is a complete
 commensurability invariant: one class guarantees a common power
 trace, distinct classes rule one out. D_a and D_b lie in one class
 exactly when D_a D_b is a perfect square, which one isqrt decides
-without factoring either. Positive verdicts are backed by a
+without factoring either. In one class D_0 = gcd(D_a, D_b), and the
+expanding eigenvalues (t + u sqrt(D_0)) / 2 are units of the order of
+discriminant D_0, so the least common power is found by a Euclid on
+those units rather than a search. Positive verdicts are backed by a
 CommensurabilityCertificate whose data (an integer intertwiner, the
 sublattice it spans, covering indices) is re-checkable from scratch
 by verify_certificate.
@@ -18,12 +20,7 @@ from math import gcd, isqrt
 from operator import index as _as_int
 
 from .conjugacy import reduction_cycle
-from .errors import (
-    ComputationLimit,
-    ExponentMismatch,
-    NotHyperbolic,
-    StepLimitExceeded,
-)
+from .errors import ComputationLimit, ExponentMismatch, NotHyperbolic
 from .linalg import (
     HyperbolicMatrix,
     Mat2,
@@ -35,10 +32,8 @@ from .linalg import (
 )
 
 __all__ = [
-    "TraceSequence",
     "CommensurabilityCertificate",
     "CommensurabilityVerdict",
-    "trace_power",
     "are_commensurable",
     "find_intertwiner",
     "stabilization_exponent",
@@ -46,50 +41,10 @@ __all__ = [
     "verify_certificate",
 ]
 
-DEFAULT_MAX_STEPS = 10_000
-
-# bits that verify_certificate lets a power of a document's base reach,
+# bits that a certificate may ask a power of its base to reach,
 # estimated as power * bit length of the base trace (the entries of
 # m**k have about k * log2(trace) bits)
 MAX_POWER_BITS = 2**20
-
-
-class TraceSequence:
-    """Lazily extended traces of powers: t_0 = 2, t_1 = trace(A).
-
-    Strictly increasing from index 1 on whenever t_1 > 2.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, base_trace):
-        base_trace = _as_int(base_trace)
-        if base_trace <= 2:
-            raise ValueError(f"base trace must be > 2, got {base_trace}")
-        self._values = [2, base_trace]
-
-    def __getitem__(self, i):
-        i = _as_int(i)
-        if i < 0:
-            raise IndexError("negative power")
-        values = self._values
-        while len(values) <= i:
-            values.append(values[1] * values[-1] - values[-2])
-        return values[i]
-
-
-def trace_power(m, i):
-    """trace(m**i) via the trace recurrence, without forming the power."""
-    i = _as_int(i)
-    if i < 0:
-        raise ValueError("power must be >= 0")
-    if i == 0:
-        return 2
-    t = m.trace()
-    prev, cur = 2, t
-    for _ in range(i - 1):
-        prev, cur = cur, t * cur - prev
-    return cur
 
 
 class CommensurabilityCertificate:
@@ -283,10 +238,22 @@ def stabilization_exponent(a1, lat, k_max):
     raise ValueError(f"no return within k_max={k_max}; bound below the orbit size")
 
 
+def _check_power_bits(name, base, power):
+    """Raise ComputationLimit when base**power would pass MAX_POWER_BITS."""
+    bits = power * base.trace().bit_length()
+    if bits > MAX_POWER_BITS:
+        raise ComputationLimit(
+            f"{name} asks for a power of about {bits} bits, past the "
+            f"MAX_POWER_BITS budget of {MAX_POWER_BITS} bits"
+        )
+
+
 def build_certificate(a, b, power_a, power_b):
     """Assemble the commensurability certificate for given exponents.
 
-    Raises ExponentMismatch unless trace(a**power_a) == trace(b**power_b).
+    Raises ExponentMismatch unless trace(a**power_a) == trace(b**power_b),
+    and ComputationLimit, before any power is formed, on exactly the
+    powers verify_certificate would refuse to form.
     The stabilization exponent is 1 by theorem: with A1 = a**power_a
     and B1 = b**power_b, A1 P = P B1 and B1 Z^2 = Z^2 give
     A1 (P Z^2) = P B1 Z^2 = P Z^2, so A1 itself fixes the lattice.
@@ -297,13 +264,15 @@ def build_certificate(a, b, power_a, power_b):
     power_b = _as_int(power_b)
     if power_a < 1 or power_b < 1:
         raise ValueError("powers must be >= 1")
-    if trace_power(a, power_a) != trace_power(b, power_b):
-        raise ExponentMismatch(
-            f"trace(a^{power_a}) = {trace_power(a, power_a)} != "
-            f"trace(b^{power_b}) = {trace_power(b, power_b)}"
-        )
+    _check_power_bits("power_a", a, power_a)
+    _check_power_bits("power_b", b, power_b)
     a1 = mat_pow(a, power_a)
     b1 = mat_pow(b, power_b)
+    if a1.trace() != b1.trace():
+        raise ExponentMismatch(
+            f"trace(a^{power_a}) != trace(b^{power_b}): traces of "
+            f"{a1.trace().bit_length()} and {b1.trace().bit_length()} bits"
+        )
     p = find_intertwiner(a1, b1)
     det_p = p.det()
     return CommensurabilityCertificate(
@@ -320,16 +289,59 @@ def build_certificate(a, b, power_a, power_b):
     )
 
 
-def are_commensurable(a, b, max_steps=DEFAULT_MAX_STEPS):
+def _unit_mul(x, y, d0):
+    """Product of units (t + u sqrt(d0)) / 2 given as pairs (t, u)."""
+    (t1, u1), (t2, u2) = x, y
+    return (t1 * t2 + d0 * u1 * u2) // 2, (t1 * u2 + t2 * u1) // 2
+
+
+def _least_exponents(lam_a, lam_b, d0):
+    """Least (i, j) >= (1, 1) with lam_a**i == lam_b**j.
+
+    lam = (t, u) stands for (t + u sqrt(d0)) / 2, u = isqrt((t^2 - 4) / d0),
+    the expanding eigenvalue of a trace-t matrix: a unit of norm 1 in the
+    order of discriminant d0, where the units > 1 are the powers of one
+    fundamental unit. Euclid on their exponents: divide the larger unit
+    by the largest power of the smaller that does not pass it (found by
+    repeated squaring), carrying the exponent vector (x, y) of each
+    remainder lam_a**x * lam_b**y. For units >= 1, larger trace means
+    larger unit. The remainder 1 = (2, 0) has a primitive vector
+    (x, y) with lam_a**x == lam_b**-y, which is +-(i, -j).
+    """
+    big, small = (lam_a, (1, 0)), (lam_b, (0, 1))
+    if big[0][0] < small[0][0]:
+        big, small = small, big
+    while small[0] != (2, 0):
+        squares = [small]
+        while True:
+            unit, (x, y) = squares[-1]
+            square = _unit_mul(unit, unit, d0)
+            if square[0] > big[0][0]:
+                break
+            squares.append((square, (2 * x, 2 * y)))
+        rem, (rx, ry) = big
+        for (t, u), (x, y) in reversed(squares):
+            if t <= rem[0]:
+                rem, rx, ry = _unit_mul(rem, (t, -u), d0), rx - x, ry - y
+        big, small = small, (rem, (rx, ry))
+    x, y = small[1]
+    return abs(x), abs(y)
+
+
+def are_commensurable(a, b):
     """Decide commensurability of the suspensions of a and b.
 
     Inputs need det 1 and |trace| > 2; a trace < -2 input is replaced
     by its square (flagged in the verdict). Negative verdicts rest on
     t_a^2 - 4 and t_b^2 - 4 lying in distinct square classes (their
-    product is not a perfect square); positive ones merge the two
-    increasing trace sequences to their first common value, which
-    gives the unique componentwise-minimal exponent pair, and carry a
-    full certificate.
+    product is not a perfect square). Positive ones take the least
+    exponent pair (i, j) with trace(a**i) == trace(b**j), of which
+    every other such pair is a multiple, from a Euclid on the expanding
+    eigenvalues as units of the order of discriminant
+    gcd(t_a^2 - 4, t_b^2 - 4), after O(bits) unit products; and carry
+    a full certificate. Raises ComputationLimit when that certificate
+    needs a power past MAX_POWER_BITS, which verify_certificate would
+    refuse to form.
     """
     a1, squared_a = _normalize_input(a)
     b1, squared_b = _normalize_input(b)
@@ -341,22 +353,11 @@ def are_commensurable(a, b, max_steps=DEFAULT_MAX_STEPS):
             False, None, disc_a, disc_b, None, squared_a, squared_b
         )
     shared = gcd(disc_a, disc_b)
-    seq_a = TraceSequence(a1.trace())
-    seq_b = TraceSequence(b1.trace())
-    i, j = 1, 1
-    steps = 0
-    while seq_a[i] != seq_b[j]:
-        if seq_a[i] < seq_b[j]:
-            i += 1
-        else:
-            j += 1
-        steps += 1
-        if steps > max_steps:
-            raise StepLimitExceeded(
-                f"no common power trace within {max_steps} merge steps",
-                partial_a=tuple(seq_a[k] for k in range(1, i + 1)),
-                partial_b=tuple(seq_b[k] for k in range(1, j + 1)),
-            )
+    i, j = _least_exponents(
+        (a1.trace(), isqrt(disc_a // shared)),
+        (b1.trace(), isqrt(disc_b // shared)),
+        shared,
+    )
     certificate = build_certificate(a1, b1, i, j)
     return CommensurabilityVerdict(
         True, (i, j), shared, shared, certificate, squared_a, squared_b
@@ -384,16 +385,8 @@ def verify_certificate(cert):
         return False, "base_b_hyperbolic"
     if cert.power_a < 1 or cert.power_b < 1:
         return False, "powers_positive"
-    for name, base, power in (
-        ("power_a", cert.base_a, cert.power_a),
-        ("power_b", cert.base_b, cert.power_b),
-    ):
-        bits = power * base.trace().bit_length()
-        if bits > MAX_POWER_BITS:
-            raise ComputationLimit(
-                f"{name} asks for a power of about {bits} bits, past the "
-                f"verifier's budget of {MAX_POWER_BITS} bits"
-            )
+    _check_power_bits("power_a", cert.base_a, cert.power_a)
+    _check_power_bits("power_b", cert.base_b, cert.power_b)
     a1 = mat_pow(cert.base_a, cert.power_a)
     b1 = mat_pow(cert.base_b, cert.power_b)
     if a1.trace() != b1.trace():

@@ -40,17 +40,6 @@ class DocumentError(FlowcommError):
 
 
 class ComputationLimit(FlowcommError):
-    """A configured effort bound was exceeded before an answer was reached."""
-
-
-class StepLimitExceeded(ComputationLimit):
-    """Trace-sequence merge ran past max_steps.
-
-    Carries the partial trace tables computed so far as `partial_a`
-    and `partial_b`.
-    """
-
-    def __init__(self, message, partial_a=(), partial_b=()):
-        super().__init__(message)
-        self.partial_a = tuple(partial_a)
-        self.partial_b = tuple(partial_b)
+    """An answer would need work past a fixed size budget: a certificate
+    power past MAX_POWER_BITS, or an integer to print past the
+    interpreter's int/str digit limit."""

@@ -87,6 +87,23 @@ def squarefree_oracle(n):
     return out * n
 
 
+def merge_exponents(ta, tb):
+    """Least (i, j) >= (1, 1) with trace(A**i) == trace(B**j) for traces
+    ta, tb > 2, by merging the two strictly increasing power-trace
+    sequences t_0 = 2, t_1 = t, t_k = t t_(k-1) - t_(k-2). Raises after
+    10^5 steps (traces in distinct square classes never meet)."""
+    prev_a, cur_a, prev_b, cur_b = 2, ta, 2, tb
+    i = j = 1
+    for _ in range(10**5):
+        if cur_a == cur_b:
+            return i, j
+        if cur_a < cur_b:
+            prev_a, cur_a, i = cur_a, ta * cur_a - prev_a, i + 1
+        else:
+            prev_b, cur_b, j = cur_b, tb * cur_b - prev_b, j + 1
+    raise AssertionError("no common power trace within 10^5 steps")
+
+
 def replace_cert_field(cert, **changes):
     """Copy of a commensurability certificate with named fields swapped."""
     fields = {f: getattr(cert, f) for f in type(cert).__slots__}

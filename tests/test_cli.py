@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowcomm import Mat2, mat_pow
 from flowcomm.cli import run
-from helpers import naive_pow, string_leaves_only
+from helpers import hyperbolic_corpus, naive_pow, string_leaves_only
 
 A_JSON = "[[2,1],[1,1]]"
 A_SEMI = "2,1;1,1"
@@ -112,9 +113,18 @@ class TestCommensurable:
         assert code == 0
         assert doc["squared_a"] is True
 
-    def test_step_limit_exits_three(self, capsys):
-        assert run(["commensurable", A_JSON, F47, "--max-steps", "2"]) == 3
-        assert "limit:" in capsys.readouterr().err
+    def test_power_budget_exits_three(self, capsys):
+        """A^4001 and A^3999 first meet at A^(4001 * 3999): found at
+        once, but its certificate passes the power budget."""
+        a, b = (naive_pow((2, 1, 1, 1), n) for n in (4001, 3999))
+        for verb in ("commensurable", "cover"):
+            start = time.monotonic()
+            code = run([verb, "%d,%d;%d,%d" % a, "%d,%d;%d,%d" % b])
+            assert time.monotonic() - start < 1
+            assert code == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "limit:" in captured.err and "MAX_POWER_BITS" in captured.err
 
     def test_hard_trace_decided(self, capsys):
         argv = ["commensurable", A_JSON, f"[[0,1],[-1,{HARD_TRACE}]]"]
@@ -125,14 +135,10 @@ class TestCommensurable:
 
     def test_search_bound_not_accepted(self, capsys):
         for verb in ("commensurable", "cover"):
-            assert run([verb, A_JSON, F7, "--search-bound", "1"]) == 2
-            assert run([verb, A_JSON, F7, "--max-steps", "1000"]) == 0
-        capsys.readouterr()
-
-    def test_negative_max_steps_exits_two(self, capsys):
-        for verb in ("commensurable", "cover"):
-            assert run([verb, A_JSON, F7, "--max-steps", "-1"]) == 2
-            assert "--max-steps" in capsys.readouterr().err
+            for flag in ("--search-bound", "--max-steps"):
+                for value in ("1", "-1"):
+                    assert run([verb, A_JSON, F7, flag, value]) == 2
+                    assert flag in capsys.readouterr().err
 
 
 class TestCoverAndVerify:
@@ -184,6 +190,16 @@ class TestCoverAndVerify:
     def test_missing_file_exits_two(self, capsys, tmp_path):
         assert run(["verify", str(tmp_path / "absent.json")]) == 2
         capsys.readouterr()
+
+    def test_unwritable_output_exits_two(self, capsys, tmp_path):
+        for argv in (
+            ["cover", A_JSON, F7, "-o", str(tmp_path / "absent" / "c.json")],
+            ["chain", "surface:2", "surface:3", "-o", str(tmp_path)],
+        ):
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert "cannot write" in captured.err
+            assert "Traceback" not in captured.err and captured.out == ""
 
     def test_non_utf8_file_exits_two(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
@@ -334,13 +350,28 @@ class TestDigitLimit:
 
 class TestTraceSeq:
     def test_values(self, capsys):
-        assert run(["trace-seq", A_JSON, "5"]) == 0
+        assert run(["trace-seq", A_JSON, "6"]) == 0
         out = capsys.readouterr().out
-        assert out.split() == ["3", "7", "18", "47", "123"]
+        assert out.split() == ["3", "7", "18", "47", "123", "322"]
 
     def test_bad_count(self, capsys):
-        assert run(["trace-seq", A_JSON, "0"]) == 2
+        for count in ("0", "-1"):
+            assert run(["trace-seq", A_JSON, count]) == 2
         capsys.readouterr()
+
+    def test_rejects_small_base(self, capsys):
+        for m in ("[[1,1],[0,1]]", "[[0,1],[-1,2]]"):
+            assert run(["trace-seq", m, "3"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_matches_matrix_powers(self, capsys):
+        """Strictly increasing, and equal to the traces of the powers."""
+        for entries in hyperbolic_corpus(402, 10):
+            assert run(["trace-seq", "[[%d,%d],[%d,%d]]" % entries, "40"]) == 0
+            values = [int(v) for v in capsys.readouterr().out.split()]
+            m = Mat2(*entries)
+            assert values == [mat_pow(m, i).trace() for i in range(1, 41)]
+            assert all(x < y for x, y in zip(values, values[1:]))
 
 
 def quiet_run(argv):

@@ -1,6 +1,7 @@
 """Unit tests for commensurability decisions and their certificates."""
 
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,6 @@ from flowcomm import (
     HyperbolicMatrix,
     Mat2,
     NotHyperbolic,
-    StepLimitExceeded,
-    TraceSequence,
     are_commensurable,
     build_certificate,
     enumerate_sublattices,
@@ -23,7 +22,6 @@ from flowcomm import (
     mat_mul,
     mat_pow,
     stabilization_exponent,
-    trace_power,
     verify_certificate,
 )
 from flowcomm.commensurability import MAX_POWER_BITS
@@ -32,6 +30,7 @@ from helpers import (
     hyperbolic_corpus,
     intertwiner_rank,
     inverse,
+    merge_exponents,
     mul,
     random_hyperbolic,
     random_unimodular,
@@ -45,51 +44,6 @@ GENUS2 = HyperbolicMatrix(7, 12, 4, 7)
 
 def companion(t):
     return HyperbolicMatrix(0, 1, -1, t)
-
-
-class TestTraceSequence:
-    def test_frozen_prefix(self):
-        seq = TraceSequence(3)
-        assert [seq[i] for i in range(6)] == [2, 3, 7, 18, 47, 123]
-        assert seq[6] == 322
-
-    def test_matches_matrix_powers(self):
-        rng = random.Random(401)
-        for entries in hyperbolic_corpus(402, 10):
-            m = Mat2(*entries)
-            seq = TraceSequence(m.trace())
-            i = rng.randint(1, 40)
-            assert seq[i] == mat_pow(m, i).trace()
-
-    def test_strictly_increasing(self):
-        for t in (3, 5, 14, 47):
-            seq = TraceSequence(t)
-            for i in range(1, 30):
-                assert seq[i + 1] > seq[i]
-
-    def test_rejects_small_base(self):
-        with pytest.raises(ValueError):
-            TraceSequence(2)
-
-    def test_rejects_negative_index(self):
-        with pytest.raises(IndexError):
-            TraceSequence(3)[-1]
-
-
-class TestTracePower:
-    def test_boundary_cases(self):
-        assert trace_power(A, 0) == 2
-        assert trace_power(A, 1) == 3
-
-    def test_against_matrix_power(self):
-        for entries in hyperbolic_corpus(403, 15):
-            m = Mat2(*entries)
-            for i in range(0, 12):
-                assert trace_power(m, i) == mat_pow(m, i).trace()
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            trace_power(A, -1)
 
 
 class TestFindIntertwiner:
@@ -208,6 +162,23 @@ class TestBuildCertificate:
         with pytest.raises(ExponentMismatch):
             build_certificate(A, companion(7), 1, 1)
 
+    def test_mismatch_message_names_exponents_and_bits(self):
+        """Past the int/str digit limit the traces themselves could not
+        be printed; the message gives their bit lengths instead."""
+        with pytest.raises(ExponentMismatch) as info:
+            build_certificate(A, companion(7), 12000, 1)
+        message = str(info.value)
+        assert "a^12000" in message and "b^1" in message
+        assert f"{mat_pow(A, 12000).trace().bit_length()} and 3 bits" in message
+
+    def test_power_budget(self):
+        """Refused before any power is formed, as verify_certificate would."""
+        for power_a, power_b, name in ((MAX_POWER_BITS // 2 + 1, 1, "power_a"),
+                                       (1, MAX_POWER_BITS // 3 + 1, "power_b"),
+                                       (10**30, 10**30, "power_a")):
+            with pytest.raises(ComputationLimit, match=f"{name} .*MAX_POWER_BITS"):
+                build_certificate(A, companion(7), power_a, power_b)
+
     def test_rejects_nonpositive_powers(self):
         with pytest.raises(ValueError):
             build_certificate(A, A, 0, 1)
@@ -273,7 +244,7 @@ class TestAreCommensurable:
         assert verdict.commensurable
         # exponents refer to the squared replacement, trace 7
         i, j = verdict.minimal_exponents
-        assert trace_power(companion(7), i) == trace_power(A, j)
+        assert mat_pow(companion(7), i).trace() == mat_pow(A, j).trace()
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(NotHyperbolic):
@@ -283,14 +254,13 @@ class TestAreCommensurable:
         with pytest.raises(NotHyperbolic):
             are_commensurable(Mat2(0, 1, -1, 0), A)
 
-    def test_step_limit(self):
-        with pytest.raises(StepLimitExceeded) as info:
+    def test_far_common_power(self):
+        """A common power 12000 steps away, past any merge-step cap."""
+        verdict = are_commensurable(A, mat_pow(A, 12000))
+        assert verdict.minimal_exponents == (12000, 1)
+        assert verify_certificate(verdict.certificate) == (True, "ok")
+        with pytest.raises(TypeError):
             are_commensurable(A, companion(47), max_steps=2)
-        exc = info.value
-        seq = TraceSequence(3)
-        assert exc.partial_a[0] == 3
-        assert exc.partial_b[0] == 47
-        assert all(v == seq[i + 1] for i, v in enumerate(exc.partial_a))
 
     def test_minimality_of_exponents(self):
         """No componentwise-smaller exponent pair matches traces."""
@@ -304,7 +274,51 @@ class TestAreCommensurable:
                 for ii in range(1, i + 1):
                     for jj in range(1, j + 1):
                         if (ii, jj) != (i, j):
-                            assert trace_power(a, ii) != trace_power(b, jj)
+                            assert mat_pow(a, ii).trace() != mat_pow(b, jj).trace()
+
+
+class TestMinimalExponents:
+    """minimal_exponents against the plain-integer merge oracle."""
+
+    @staticmethod
+    def normalized_trace(m):
+        t = m.trace()
+        return t if t > 2 else t * t - 2  # a trace < -2 input is squared
+
+    def test_conjugated_powers(self):
+        rng = random.Random(411)
+        for entries in hyperbolic_corpus(412, 12, max_trace=20):
+            m = Mat2(*entries)
+            for _ in range(8):
+                p, q = rng.randint(1, 60), rng.randint(1, 60)
+                conj = Mat2(*random_unimodular(rng))
+                a = mat_pow(m, p)
+                b = mat_mul(mat_mul(conj.inverse(), mat_pow(m, q)), conj)
+                if rng.random() < 0.3:
+                    a = -a
+                verdict = are_commensurable(a, b)
+                expected = merge_exponents(self.normalized_trace(a), b.trace())
+                assert verdict.minimal_exponents == expected, (entries, p, q)
+
+    def test_companion_pairs_of_one_class(self):
+        pairs = []
+        for ta in range(3, 401):
+            for tb in range(ta + 1, 401):
+                product = (ta * ta - 4) * (tb * tb - 4)
+                if isqrt(product) ** 2 == product:
+                    pairs.append((ta, tb))
+        assert len(pairs) == 38
+        # traces of powers j < k <= 10 of one matrix meet at (k, j) / gcd(j, k)
+        for t in range(3, 41):
+            powers = [mat_pow(companion(t), k).trace() for k in range(1, 11)]
+            pairs += [(ta, tb) for x, ta in enumerate(powers) for tb in powers[x + 1 :]]
+        for ta, tb in pairs:
+            verdict = are_commensurable(companion(ta), companion(tb))
+            assert verdict.minimal_exponents == merge_exponents(ta, tb), (ta, tb)
+        # 3, 7, 18, 123 are the traces of e, e^2, e^3, e^5 for one unit e
+        assert are_commensurable(companion(7), companion(18)).minimal_exponents == (3, 2)
+        assert are_commensurable(companion(18), companion(123)).minimal_exponents == (5, 3)
+        assert are_commensurable(companion(11), companion(119)).minimal_exponents == (2, 1)
 
 
 class TestSquareClass:
@@ -343,7 +357,7 @@ class TestSquareClass:
         """Traces of powers keep the square class of t^2 - 4."""
         for t in (3, 7, 14, 47):
             for i in range(1, 8):
-                ti = trace_power(companion(t), i)
+                ti = mat_pow(companion(t), i).trace()
                 verdict = are_commensurable(companion(t), companion(ti))
                 assert verdict.minimal_exponents == (i, 1)
                 assert verdict.squarefree_a == verdict.squarefree_b == t * t - 4
