@@ -140,6 +140,11 @@ class TestCommensurable:
                     assert run([verb, A_JSON, F7, flag, value]) == 2
                     assert flag in capsys.readouterr().err
 
+    def test_negative_max_steps_exits_two(self, capsys):
+        for verb in ("commensurable", "cover"):
+            assert run([verb, A_JSON, F7, "--max-steps", "-1"]) == 2
+            assert "--max-steps" in capsys.readouterr().err
+
 
 class TestCoverAndVerify:
     def test_round_trip(self, capsys, tmp_path):

@@ -24,7 +24,8 @@ from flowcomm import (
     stabilization_exponent,
     verify_certificate,
 )
-from flowcomm.commensurability import MAX_POWER_BITS
+from flowcomm.cli import run
+from flowcomm.commensurability import MAX_POWER_BITS, _unit_mul
 from helpers import (
     box_intertwiner,
     hyperbolic_corpus,
@@ -44,6 +45,56 @@ GENUS2 = HyperbolicMatrix(7, 12, 4, 7)
 
 def companion(t):
     return HyperbolicMatrix(0, 1, -1, t)
+
+
+def unit_traces(t, n):
+    """Traces T_0..T_n of the powers of the unit (t + sqrt(t^2 - 4)) / 2,
+    formed with the unit product that are_commensurable's Euclid uses."""
+    d0, unit, power = t * t - 4, (t, 1), (2, 0)
+    out = [2]
+    for _ in range(n):
+        power = _unit_mul(power, unit, d0)
+        out.append(power[0])
+    return out
+
+
+class TestTraceSequence:
+    """The trace sequence t_i = trace(a**i), read off the eigenvalue units."""
+
+    def test_frozen_prefix(self):
+        assert unit_traces(3, 6) == [2, 3, 7, 18, 47, 123, 322]
+
+    def test_matches_matrix_powers(self):
+        rng = random.Random(401)
+        for entries in hyperbolic_corpus(402, 10):
+            m = Mat2(*entries)
+            i = rng.randint(1, 40)
+            assert unit_traces(m.trace(), i)[i] == mat_pow(m, i).trace()
+
+    def test_strictly_increasing(self):
+        """Larger power, larger trace: the order the Euclid compares by."""
+        for t in (3, 5, 14, 47):
+            seq = unit_traces(t, 30)
+            for i in range(1, 30):
+                assert seq[i + 1] > seq[i]
+
+    def test_rejects_negative_index(self, capsys):
+        """Every path that forms a power trace refuses a negative index."""
+        with pytest.raises(ValueError):
+            mat_pow(A, -1)
+        with pytest.raises(ValueError):
+            build_certificate(A, A, -1, 1)
+        assert run(["trace-seq", "[[2,1],[1,1]]", "-1"]) == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestTracePower:
+    def test_against_matrix_power(self):
+        for entries in hyperbolic_corpus(403, 15):
+            m = Mat2(*entries)
+            traces = unit_traces(m.trace(), 11)
+            for i in range(0, 12):
+                assert traces[i] == mat_pow(m, i).trace()
 
 
 class TestFindIntertwiner:
