@@ -5,7 +5,9 @@ Exit codes are a scripting contract: 0 = positive verdict or verified
 document, 1 = negative verdict or rejected document, 2 = usage or
 input error, 3 = a computational limit was hit (a certificate power,
 decided or read from a document, past the MAX_POWER_BITS budget; an
-output integer past the interpreter's int/str digit limit).
+output integer past the interpreter's int/str digit limit). An
+exception that no verb expects is a bug; it is reported as an
+"internal error" on stderr with exit 2, never as a traceback.
 
 Matrices are written [[a,b],[c,d]] or a,b;c,d. Models are written
 suspension:[[a,b],[c,d]], surface:g=3, or orbifold:2,3,12. Emitted
@@ -15,6 +17,7 @@ byte-identical bytes.
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -46,6 +49,9 @@ __all__ = ["main", "run", "UsageError"]
 class UsageError(Exception):
     """Bad command line or unparseable input; maps to exit code 2."""
 
+
+# stderr prefix of an exception no handler expected; tests fail on it
+INTERNAL_ERROR = "internal error"
 
 # decimal literals int() accepts; a ValueError on one is the digit limit
 _DIGITS_RE = re.compile(r"[+-]?[0-9]+(?:_[0-9]+)*")
@@ -344,6 +350,14 @@ def run(argv=None):
         return 2
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
+    except Exception as exc:  # a bug: no input may reach a traceback
+        tb = exc.__traceback__
+        while tb.tb_next is not None:  # the innermost frame raised it
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        where = f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name}"
+        print(f"{INTERNAL_ERROR}: {type(exc).__name__}: {exc} (at {where})", file=sys.stderr)
+        return 2
 
 
 def main():

@@ -13,7 +13,11 @@ discriminant D_0, so the least common power is found by a Euclid on
 those units rather than a search. Positive verdicts are backed by a
 CommensurabilityCertificate whose data (an integer intertwiner, the
 sublattice it spans, covering indices) is re-checkable from scratch
-by verify_certificate.
+by verify_certificate. No power of either input is formed on the way
+to a verdict: the intertwiner of a**i and b**j is found from a pair of
+matrices of the size of the inputs with the same integer solutions.
+Only verify_certificate, which re-checks the stated powers, forms
+them.
 """
 
 from math import gcd, isqrt
@@ -178,11 +182,15 @@ def _rank(p):
 def find_intertwiner(a1, b1):
     """Nonsingular integer P with a1 P = P b1, of least |det P|.
 
-    The solutions are P = x K1 + y K2 for a lattice basis (K1, K2), and
+    a1 and b1 are any integer pair of one trace t and one determinant
+    delta with t^2 - 4 delta not a square: two hyperbolic matrices of
+    one trace, such as a**i and b**j, or the input-size pair that
+    build_certificate takes in their place (see _certificate). The
+    solutions are P = x K1 + y K2 for a lattice basis (K1, K2), and
     det P = f(x, y) = alpha x^2 + beta xy + gamma y^2 is an indefinite
     form of discriminant disc > 0 with no zero (a singular nonzero P
-    would give a rational eigenvector of a1, but t^2 - 4 is never a
-    square for t > 2). Every value m of f at a primitive (x, y) with
+    would give a rational eigenvector of a1, but t^2 - 4 delta is not a
+    square). Every value m of f at a primitive (x, y) with
     |m| < sqrt(disc)/2 is the first coefficient of a reduced form in
     the cycle of f, so it is met at a convergent within one period of
     the continued fraction of the root (-beta + sqrt(disc)) / 2 alpha;
@@ -248,32 +256,50 @@ def _check_power_bits(name, base, power):
         )
 
 
-def build_certificate(a, b, power_a, power_b):
-    """Assemble the commensurability certificate for given exponents.
+def _shared_units(t_a, t_b):
+    """(D0, u_a, u_b) when t_a^2 - 4 and t_b^2 - 4 share a square class,
+    else None: D0 = gcd of the two, u = isqrt((t^2 - 4) / D0), so the
+    expanding eigenvalue of a trace-t matrix is (t + u sqrt(D0)) / 2."""
+    disc_a, disc_b = t_a * t_a - 4, t_b * t_b - 4
+    product = disc_a * disc_b
+    if isqrt(product) ** 2 != product:
+        return None
+    shared = gcd(disc_a, disc_b)
+    return shared, isqrt(disc_a // shared), isqrt(disc_b // shared)
 
-    Raises ExponentMismatch unless trace(a**power_a) == trace(b**power_b),
-    and ComputationLimit, before any power is formed, on exactly the
-    powers verify_certificate would refuse to form.
-    The stabilization exponent is 1 by theorem: with A1 = a**power_a
-    and B1 = b**power_b, A1 P = P B1 and B1 Z^2 = Z^2 give
-    A1 (P Z^2) = P B1 Z^2 = P Z^2, so A1 itself fixes the lattice.
+
+def _certificate(a, b, power_a, power_b, u_a, u_b):
+    """Certificate for a**power_a ~ b**power_b, formed at input size.
+
+    Precondition: lam_a**power_a == lam_b**power_b, where
+    lam = (t + u sqrt(D0)) / 2 is the expanding eigenvalue of each base
+    (see _shared_units). No power of a or b is formed: the intertwiner
+    is taken from X = 2 u_b a and Y = (u_b t_a - u_a t_b) I + 2 u_a b,
+    whose integer solutions P of X P = P Y are exactly those of
+    a**power_a P = P b**power_b.
+
+    Proof. On b's eigenvectors Y acts by
+    u_b t_a - u_a t_b + u_a (t_b +- u_b sqrt(D0)) = 2 u_b lam_a and
+    2 u_b / lam_a, as X does on a's; so X and Y share one spectrum of
+    two distinct irrational eigenvalues (and one trace, as
+    intertwiner_lattice needs), and their rational solutions form a
+    2-dimensional space. So do those of a**power_a P = P b**power_b,
+    for the same reason. If X P = P Y then a P = P c with
+    c = Y / (2 u_b) = r I + s b, r and s rational, which acts on b's
+    expanding and contracting eigenvectors by lam_a and 1/lam_a. So
+    c**power_a acts there as b**power_b does, by
+    lam_a**power_a = lam_b**power_b and its inverse, hence
+    c**power_a = b**power_b and a**power_a P = P c**power_a =
+    P b**power_b. The first space lies in the second and has the same
+    dimension, so the two are equal, and so are their integer points.
+    For a nonsingular P both say that P^-1 a P is the element c of Q[b]
+    whose eigenvalue on b's expanding eigenvector is lam_a.
     """
-    a = a if isinstance(a, HyperbolicMatrix) else HyperbolicMatrix.from_mat(a)
-    b = b if isinstance(b, HyperbolicMatrix) else HyperbolicMatrix.from_mat(b)
-    power_a = _as_int(power_a)
-    power_b = _as_int(power_b)
-    if power_a < 1 or power_b < 1:
-        raise ValueError("powers must be >= 1")
-    _check_power_bits("power_a", a, power_a)
-    _check_power_bits("power_b", b, power_b)
-    a1 = mat_pow(a, power_a)
-    b1 = mat_pow(b, power_b)
-    if a1.trace() != b1.trace():
-        raise ExponentMismatch(
-            f"trace(a^{power_a}) != trace(b^{power_b}): traces of "
-            f"{a1.trace().bit_length()} and {b1.trace().bit_length()} bits"
-        )
-    p = find_intertwiner(a1, b1)
+    t_a, t_b = a.trace(), b.trace()
+    x = Mat2(2 * u_b * a.a, 2 * u_b * a.b, 2 * u_b * a.c, 2 * u_b * a.d)
+    shift = u_b * t_a - u_a * t_b
+    y = Mat2(shift + 2 * u_a * b.a, 2 * u_a * b.b, 2 * u_a * b.c, shift + 2 * u_a * b.d)
+    p = find_intertwiner(x, y)
     det_p = p.det()
     return CommensurabilityCertificate(
         base_a=a,
@@ -286,6 +312,43 @@ def build_certificate(a, b, power_a, power_b):
         stabilization=1,
         index_over_a=power_a * abs(det_p),
         index_over_b=power_b,
+    )
+
+
+def build_certificate(a, b, power_a, power_b):
+    """Assemble the commensurability certificate for given exponents.
+
+    Raises ExponentMismatch unless trace(a**power_a) == trace(b**power_b),
+    and ComputationLimit, before any power is formed, on exactly the
+    powers verify_certificate would refuse to form. Equal power traces
+    mean lam_a**power_a == lam_b**power_b for the expanding eigenvalues,
+    which holds exactly when the square classes agree and
+    (power_a, power_b) is a multiple of the least exponents; that is
+    checked at input size, and the intertwiner is found at input size
+    too (see _certificate). Only the ExponentMismatch message forms the
+    powers, to name the bit lengths of their traces.
+    The stabilization exponent is 1 by theorem: with A1 = a**power_a
+    and B1 = b**power_b, A1 P = P B1 and B1 Z^2 = Z^2 give
+    A1 (P Z^2) = P B1 Z^2 = P Z^2, so A1 itself fixes the lattice.
+    """
+    a = a if isinstance(a, HyperbolicMatrix) else HyperbolicMatrix.from_mat(a)
+    b = b if isinstance(b, HyperbolicMatrix) else HyperbolicMatrix.from_mat(b)
+    power_a = _as_int(power_a)
+    power_b = _as_int(power_b)
+    if power_a < 1 or power_b < 1:
+        raise ValueError("powers must be >= 1")
+    _check_power_bits("power_a", a, power_a)
+    _check_power_bits("power_b", b, power_b)
+    units = _shared_units(a.trace(), b.trace())
+    if units is not None:
+        shared, u_a, u_b = units
+        i, j = _least_exponents((a.trace(), u_a), (b.trace(), u_b), shared)
+        if power_a * j == power_b * i:
+            return _certificate(a, b, power_a, power_b, u_a, u_b)
+    raise ExponentMismatch(
+        f"trace(a^{power_a}) != trace(b^{power_b}): traces of "
+        f"{mat_pow(a, power_a).trace().bit_length()} and "
+        f"{mat_pow(b, power_b).trace().bit_length()} bits"
     )
 
 
@@ -339,26 +402,23 @@ def are_commensurable(a, b):
     every other such pair is a multiple, from a Euclid on the expanding
     eigenvalues as units of the order of discriminant
     gcd(t_a^2 - 4, t_b^2 - 4), after O(bits) unit products; and carry
-    a full certificate. Raises ComputationLimit when that certificate
-    needs a power past MAX_POWER_BITS, which verify_certificate would
-    refuse to form.
+    a full certificate, built at input size from the Euclid's units.
+    Raises ComputationLimit when that certificate states a power past
+    MAX_POWER_BITS, which verify_certificate would refuse to form.
     """
     a1, squared_a = _normalize_input(a)
     b1, squared_b = _normalize_input(b)
-    disc_a = a1.trace() ** 2 - 4
-    disc_b = b1.trace() ** 2 - 4
-    product = disc_a * disc_b
-    if isqrt(product) ** 2 != product:
+    t_a, t_b = a1.trace(), b1.trace()
+    units = _shared_units(t_a, t_b)
+    if units is None:
         return CommensurabilityVerdict(
-            False, None, disc_a, disc_b, None, squared_a, squared_b
+            False, None, t_a * t_a - 4, t_b * t_b - 4, None, squared_a, squared_b
         )
-    shared = gcd(disc_a, disc_b)
-    i, j = _least_exponents(
-        (a1.trace(), isqrt(disc_a // shared)),
-        (b1.trace(), isqrt(disc_b // shared)),
-        shared,
-    )
-    certificate = build_certificate(a1, b1, i, j)
+    shared, u_a, u_b = units
+    i, j = _least_exponents((t_a, u_a), (t_b, u_b), shared)
+    _check_power_bits("power_a", a1, i)
+    _check_power_bits("power_b", b1, j)
+    certificate = _certificate(a1, b1, i, j, u_a, u_b)
     return CommensurabilityVerdict(
         True, (i, j), shared, shared, certificate, squared_a, squared_b
     )

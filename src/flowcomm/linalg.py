@@ -2,7 +2,9 @@
 
 Everything is arbitrary-precision (Python ints). Lattices of finite index
 in Z^2 are kept in a canonical Hermite form so that lattice equality is
-plain equality of the (a, b, d) triple.
+plain equality of the (a, b, d) triple. Powers come from one integer
+sequence by Cayley-Hamilton, not from matrix squaring; the decision
+path forms none (see commensurability).
 """
 
 from math import gcd
@@ -114,18 +116,34 @@ def mat_mul(x, y):
 
 
 def mat_pow(x, n):
-    """n-th power by binary exponentiation, n >= 0; x**0 is the identity."""
+    """n-th power, n >= 0; x**0 is the identity.
+
+    Cayley-Hamilton gives x^2 = t x - det(x) I (t the trace), so
+    x^n = U_n x - det(x) U_(n-1) I, where U_0 = 0, U_1 = 1 and
+    U_k = t U_(k-1) - det(x) U_(k-2). The pair (U_k, U_(k+1)) is doubled
+    along the bits of n:
+
+        U_(2k)   = U_k (2 U_(k+1) - t U_k)
+        U_(2k+1) = U_(k+1)^2 - det(x) U_k^2
+        U_(2k+2) = U_(k+1) (t U_(k+1) - 2 det(x) U_k)
+
+    which is three products of ladder-size integers per bit, where a
+    step of matrix squaring takes eight. The recurrence turns
+    det(x) U_(n-1) into t U_n - U_(n+1), so no division is needed.
+    """
     n = _as_int(n)
     if n < 0:
         raise ValueError("negative exponent; invert explicitly first")
-    result = Mat2.identity()
-    base = Mat2(x.a, x.b, x.c, x.d)
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        n >>= 1
-    return result
+    t, q = x.trace(), x.det()
+    u, v = 0, 1  # U_k, U_(k+1) for k = the bits of n read so far
+    for bit in bin(n)[2:]:
+        uu, vv = u * u, v * v
+        if bit == "1":
+            u, v = vv - q * uu, v * (t * v - 2 * q * u)
+        else:
+            u, v = u * (2 * v - t * u), vv - q * uu
+    shift = v - t * u
+    return Mat2(u * x.a + shift, u * x.b, u * x.c, u * x.d + shift)
 
 
 class Lattice2:

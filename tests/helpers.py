@@ -37,6 +37,17 @@ def naive_pow(m, n):
     return out
 
 
+def square_pow(m, n):
+    """m**n by repeated squaring of plain tuples, n >= 0."""
+    out = (1, 0, 0, 1)
+    while n:
+        if n & 1:
+            out = mul(out, m)
+        m = mul(m, m)
+        n >>= 1
+    return out
+
+
 def random_unimodular(rng, steps=6):
     m = (1, 0, 0, 1)
     for _ in range(steps):

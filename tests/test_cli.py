@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcomm import Mat2, mat_pow
-from flowcomm.cli import run
+from flowcomm import Mat2, cli, mat_pow
+from flowcomm.cli import INTERNAL_ERROR, run
 from helpers import hyperbolic_corpus, naive_pow, string_leaves_only
 
 A_JSON = "[[2,1],[1,1]]"
@@ -380,9 +380,13 @@ class TestTraceSeq:
 
 
 def quiet_run(argv):
-    """run(argv) with its output discarded; exceptions propagate."""
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        return run(argv)
+    """run(argv) with its output discarded. Fails when run() reports an
+    internal error, so its catch-all cannot hide a bug from the fuzzer."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = run(argv)
+    assert INTERNAL_ERROR not in err.getvalue(), err.getvalue()
+    return code
 
 
 def leaf_paths(node, path=()):
@@ -488,6 +492,33 @@ class TestBoundaryFuzz:
     @given(text=MODEL_TEXT)
     def test_model_argument(self, text):
         assert quiet_run(["chain", text, "surface:g=2"]) in (0, 2, 3)
+
+
+class TestCatchAll:
+    """An exception no verb expects is a bug: exit 2 with an internal
+    error message, which quiet_run (and so the fuzzer) refuses."""
+
+    @staticmethod
+    def plant(monkeypatch):
+        def broken(*args):
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(cli, "rl_word", broken)
+
+    def test_exits_two_without_traceback(self, monkeypatch, capsys):
+        self.plant(monkeypatch)
+        assert run(["canon", A_JSON]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{INTERNAL_ERROR}: RuntimeError: planted (at test_cli.py:")
+        assert captured.err.endswith(" in broken)\n")
+
+    def test_fuzz_guard_fails_on_it(self, monkeypatch):
+        self.plant(monkeypatch)
+        with pytest.raises(AssertionError, match="RuntimeError: planted"):
+            quiet_run(["canon", A_JSON])
+        monkeypatch.undo()
+        assert quiet_run(["canon", A_JSON]) == 0
 
 
 class TestConsoleScript:

@@ -1,7 +1,7 @@
 """Unit tests for commensurability decisions and their certificates."""
 
 import random
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +24,7 @@ from flowcomm import (
     stabilization_exponent,
     verify_certificate,
 )
+from flowcomm import commensurability, linalg
 from flowcomm.cli import run
 from flowcomm.commensurability import MAX_POWER_BITS, _unit_mul
 from helpers import (
@@ -222,6 +223,20 @@ class TestBuildCertificate:
         assert "a^12000" in message and "b^1" in message
         assert f"{mat_pow(A, 12000).trace().bit_length()} and 3 bits" in message
 
+    def test_exponent_mismatch_is_exact(self):
+        """A certificate exists exactly when the power traces agree."""
+        for a, b in ((A, companion(7)), (companion(7), A), (A, GENUS2), (companion(18), companion(7))):
+            for power_a in range(1, 7):
+                for power_b in range(1, 7):
+                    equal = mat_pow(a, power_a).trace() == mat_pow(b, power_b).trace()
+                    try:
+                        cert = build_certificate(a, b, power_a, power_b)
+                    except ExponentMismatch:
+                        assert not equal, (a, b, power_a, power_b)
+                    else:
+                        assert equal, (a, b, power_a, power_b)
+                        assert verify_certificate(cert) == (True, "ok")
+
     def test_power_budget(self):
         """Refused before any power is formed, as verify_certificate would."""
         for power_a, power_b, name in ((MAX_POWER_BITS // 2 + 1, 1, "power_a"),
@@ -370,6 +385,76 @@ class TestMinimalExponents:
         assert are_commensurable(companion(7), companion(18)).minimal_exponents == (3, 2)
         assert are_commensurable(companion(18), companion(123)).minimal_exponents == (5, 3)
         assert are_commensurable(companion(11), companion(119)).minimal_exponents == (2, 1)
+
+
+def input_size_pair(a, b):
+    """X = 2 u_b a and Y = (u_b t_a - u_a t_b) I + 2 u_a b for a
+    same-class pair, u = isqrt((t^2 - 4) / gcd(t_a^2 - 4, t_b^2 - 4))."""
+    disc_a, disc_b = a.trace() ** 2 - 4, b.trace() ** 2 - 4
+    d0 = gcd(disc_a, disc_b)
+    u_a, u_b = isqrt(disc_a // d0), isqrt(disc_b // d0)
+    assert u_a * u_a * d0 == disc_a and u_b * u_b * d0 == disc_b
+    shift = u_b * a.trace() - u_a * b.trace()
+    x = Mat2(*(2 * u_b * e for e in a.entries()))
+    y = Mat2(shift + 2 * u_a * b.a, 2 * u_a * b.b, 2 * u_a * b.c, shift + 2 * u_a * b.d)
+    return x, y
+
+
+class TestInputSizeIntertwiner:
+    """The decision takes its intertwiner from the input-size pair
+    (X, Y), whose integer solutions are those of a^i P = P b^j."""
+
+    def check(self, a, b):
+        verdict = are_commensurable(a, b)
+        i, j = verdict.minimal_exponents
+        x, y = input_size_pair(a, b)
+        p = find_intertwiner(x, y)
+        assert p == find_intertwiner(mat_pow(a, i), mat_pow(b, j)), (a, b)
+        assert p == verdict.certificate.intertwiner
+        assert mat_mul(x, p) == mat_mul(p, y)
+
+    def test_powers_of_a(self):
+        powers = [mat_pow(A, p) for p in range(1, 30)]
+        for a in powers:
+            for b in powers:
+                self.check(a, b)
+
+    def test_companions_of_one_class(self):
+        traces = range(3, 130)
+        pairs = 0
+        for ta in traces:
+            for tb in traces:
+                product = (ta * ta - 4) * (tb * tb - 4)
+                if isqrt(product) ** 2 == product:
+                    self.check(companion(ta), companion(tb))
+                    pairs += 1
+        assert pairs > len(traces)  # more than the pairs (t, t)
+
+    def test_conjugated_powers(self):
+        rng = random.Random(6)
+        for entries in hyperbolic_corpus(606, 12, max_trace=20):
+            m = Mat2(*entries)
+            for _ in range(5):
+                conj = Mat2(*random_unimodular(rng))
+                a = mat_pow(m, rng.randint(1, 12))
+                b = mat_mul(mat_mul(conj.inverse(), mat_pow(m, rng.randint(1, 12))), conj)
+                self.check(a, b)
+
+    def test_decision_forms_no_power(self, monkeypatch):
+        """With every mat_pow patched to raise, the decision still runs;
+        its certificate of A^600 vs A^599 verifies once it is restored."""
+        a, b = mat_pow(A, 600), mat_pow(A, 599)
+
+        def refuse(*args):
+            raise AssertionError("a power was formed")
+
+        with monkeypatch.context() as patch:
+            for module in (commensurability, linalg):
+                patch.setattr(module, "mat_pow", refuse)
+            verdict = are_commensurable(a, b)
+            assert build_certificate(A, companion(7), 4, 2).power_a == 4
+        assert verdict.minimal_exponents == (599, 600)
+        assert verify_certificate(verdict.certificate) == (True, "ok")
 
 
 class TestSquareClass:

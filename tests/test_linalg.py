@@ -19,7 +19,7 @@ from flowcomm import (
     mat_mul,
     mat_pow,
 )
-from helpers import mul, naive_pow, random_hyperbolic, random_unimodular
+from helpers import det, mul, naive_pow, random_hyperbolic, random_unimodular, square_pow
 
 
 def sigma(n):
@@ -90,6 +90,42 @@ class TestMat2:
         assert Mat2(1, 2, 3, 4) == Mat2(1, 2, 3, 4)
         assert Mat2(1, 2, 3, 4) != Mat2(1, 2, 3, 5)
         assert len({Mat2(1, 0, 0, 1), Mat2.identity()}) == 1
+
+
+class TestMatPow:
+    """mat_pow runs a Cayley-Hamilton ladder, so it is checked against
+    plain-tuple repeated multiplication and repeated squaring."""
+
+    # determinants 1, -1, 0 and others; traces of either sign and 0
+    MATRICES = [
+        (2, 1, 1, 1), (0, 1, -1, 7), (-3, 1, -1, 0), (1, 1, 0, 1), (-1, 0, 0, -1),
+        (0, 1, 1, 1), (1, 2, 1, 1), (0, 1, 1, -4),
+        (0, 0, 0, 0), (0, 1, 0, 0), (2, 4, 1, 2), (3, 0, 0, 0),
+        (2, 0, 0, 3), (1, 2, 3, 4), (-5, 3, 2, 7), (0, -2, 1, 0), (4, 0, 0, 4),
+    ]
+
+    def test_oracles_agree(self):
+        for x in self.MATRICES:
+            for n in range(20):
+                assert square_pow(x, n) == naive_pow(x, n)
+
+    def test_every_power_to_64(self):
+        assert {det(x) for x in self.MATRICES} >= {1, -1, 0, 2, -2, 6, -41}
+        for x in self.MATRICES:
+            for n in range(65):
+                assert mat_pow(Mat2(*x), n).entries() == square_pow(x, n), (x, n)
+
+    def test_seeded_large_powers(self):
+        rng = random.Random(6)
+        for _ in range(40):
+            x = tuple(rng.randint(-9, 9) for _ in range(4))
+            n = rng.choice([rng.randint(65, 300), rng.randint(300, 3000), 2 ** rng.randint(7, 11)])
+            assert mat_pow(Mat2(*x), n).entries() == square_pow(x, n), (x, n)
+
+    def test_operator_and_result_type(self):
+        a = HyperbolicMatrix(2, 1, 1, 1)
+        assert type(a ** 5) is Mat2
+        assert (a ** 5).entries() == square_pow((2, 1, 1, 1), 5)
 
 
 class TestHyperbolicMatrix:
