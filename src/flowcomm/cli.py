@@ -6,8 +6,9 @@ document, 1 = negative verdict or rejected document, 2 = usage or
 input error, 3 = a computational limit was hit (a certificate power,
 decided or read from a document, past the MAX_POWER_BITS budget; an
 output integer past the interpreter's int/str digit limit). An
-exception that no verb expects is a bug; it is reported as an
-"internal error" on stderr with exit 2, never as a traceback.
+exception that no verb expects is a bug; the console entry point
+(main) reports it as an "internal error" on stderr with exit 2, never
+as a traceback, while run() lets it propagate to an in-process caller.
 
 Matrices are written [[a,b],[c,d]] or a,b;c,d. Models are written
 suspension:[[a,b],[c,d]], surface:g=3, or orbifold:2,3,12. Emitted
@@ -50,7 +51,7 @@ class UsageError(Exception):
     """Bad command line or unparseable input; maps to exit code 2."""
 
 
-# stderr prefix of an exception no handler expected; tests fail on it
+# stderr prefix main() gives an exception no handler expected
 INTERNAL_ERROR = "internal error"
 
 # decimal literals int() accepts; a ValueError on one is the digit limit
@@ -350,18 +351,24 @@ def run(argv=None):
         return 2
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
-    except Exception as exc:  # a bug: no input may reach a traceback
+
+
+def main(argv=None):
+    """Console entry point: exit with run(argv)'s code. An exception
+    run() lets through is a bug; it exits 2 with an internal error
+    line, not a traceback. run() itself keeps raising it, so a test or
+    the benchmark that calls run() sees the crash, not an exit 2."""
+    try:
+        status = run(argv)
+    except Exception as exc:
         tb = exc.__traceback__
         while tb.tb_next is not None:  # the innermost frame raised it
             tb = tb.tb_next
         code = tb.tb_frame.f_code
         where = f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name}"
         print(f"{INTERNAL_ERROR}: {type(exc).__name__}: {exc} (at {where})", file=sys.stderr)
-        return 2
-
-
-def main():
-    sys.exit(run())
+        status = 2
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -292,10 +292,13 @@ def _column_kernel(rows):
 def intertwiner_lattice(a, b):
     """Basis (K1, K2) of the integer solutions P of a*P = P*b.
 
-    Requires trace(a) == trace(b) (else the only solution is 0 for
-    det-1 hyperbolic pairs and TraceMismatch is raised). The returned
-    basis is saturated: every integer solution is an integer
-    combination of K1 and K2.
+    a and b must share one trace t and one determinant delta, with
+    t^2 - 4 delta not a square (two hyperbolic matrices of one trace,
+    or the input-size pair of commensurability._certificate). Then the
+    solutions form a rank-2 lattice. Differing traces raise
+    TraceMismatch: for two such irreducible characteristic polynomials
+    the only solution is 0. The returned basis is saturated: every
+    integer solution is an integer combination of K1 and K2.
     """
     if a.trace() != b.trace():
         raise TraceMismatch(f"traces {a.trace()} and {b.trace()} differ")
@@ -309,7 +312,8 @@ def intertwiner_lattice(a, b):
     kernel = _column_kernel(rows)
     if len(kernel) != 2:
         raise ArithmeticError(
-            f"kernel rank {len(kernel)}, expected 2; inputs not both det-1 hyperbolic?"
+            f"kernel rank {len(kernel)}, expected 2; determinants differ"
+            " or t^2 - 4 det is a square?"
         )
     mats = []
     for vec in kernel:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcomm import Mat2, cli, mat_pow
-from flowcomm.cli import INTERNAL_ERROR, run
+from flowcomm.cli import INTERNAL_ERROR, main, run
 from helpers import hyperbolic_corpus, naive_pow, string_leaves_only
 
 A_JSON = "[[2,1],[1,1]]"
@@ -380,13 +380,9 @@ class TestTraceSeq:
 
 
 def quiet_run(argv):
-    """run(argv) with its output discarded. Fails when run() reports an
-    internal error, so its catch-all cannot hide a bug from the fuzzer."""
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        code = run(argv)
-    assert INTERNAL_ERROR not in err.getvalue(), err.getvalue()
-    return code
+    """run(argv) with its output discarded; exceptions propagate."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return run(argv)
 
 
 def leaf_paths(node, path=()):
@@ -495,30 +491,43 @@ class TestBoundaryFuzz:
 
 
 class TestCatchAll:
-    """An exception no verb expects is a bug: exit 2 with an internal
-    error message, which quiet_run (and so the fuzzer) refuses."""
+    """An exception no verb expects is a bug. main() turns it into exit 2
+    with an internal error line; run() raises it, so no in-process test
+    (the fuzzer, the exit-2 tests) can pass on a crash."""
 
     @staticmethod
-    def plant(monkeypatch):
+    def plant(monkeypatch, name):
         def broken(*args):
             raise RuntimeError("planted")
 
-        monkeypatch.setattr(cli, "rl_word", broken)
+        monkeypatch.setattr(cli, name, broken)
 
-    def test_exits_two_without_traceback(self, monkeypatch, capsys):
-        self.plant(monkeypatch)
-        assert run(["canon", A_JSON]) == 2
+    def test_main_exits_two_without_traceback(self, monkeypatch, capsys):
+        self.plant(monkeypatch, "rl_word")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["canon", A_JSON])
+        assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"{INTERNAL_ERROR}: RuntimeError: planted (at test_cli.py:")
         assert captured.err.endswith(" in broken)\n")
 
-    def test_fuzz_guard_fails_on_it(self, monkeypatch):
-        self.plant(monkeypatch)
-        with pytest.raises(AssertionError, match="RuntimeError: planted"):
-            quiet_run(["canon", A_JSON])
-        monkeypatch.undo()
-        assert quiet_run(["canon", A_JSON]) == 0
+    def test_main_passes_exit_codes_through(self, capsys):
+        for argv, code in ((["canon", A_JSON], 0), (["canon", "[[1,1],[0,1]]"], 2)):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == code
+        assert INTERNAL_ERROR not in capsys.readouterr().err
+
+    def test_run_raises_where_input_errors_exit_two(self, monkeypatch):
+        """The bad inputs of test_non_hyperbolic_input exit 2; a bug on
+        their path raises instead, so that test cannot pass on it."""
+        self.plant(monkeypatch, "_parse_matrix")
+        for argv in (["canon", "[[1,1],[0,1]]"], ["equiv", A_JSON, "[[1,0],[0,1]]"]):
+            with pytest.raises(RuntimeError, match="planted"):
+                run(argv)
+            with pytest.raises(RuntimeError, match="planted"):
+                quiet_run(argv)
 
 
 class TestConsoleScript:

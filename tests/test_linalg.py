@@ -104,16 +104,13 @@ class TestMatPow:
         (2, 0, 0, 3), (1, 2, 3, 4), (-5, 3, 2, 7), (0, -2, 1, 0), (4, 0, 0, 4),
     ]
 
-    def test_oracles_agree(self):
-        for x in self.MATRICES:
-            for n in range(20):
-                assert square_pow(x, n) == naive_pow(x, n)
-
     def test_every_power_to_64(self):
         assert {det(x) for x in self.MATRICES} >= {1, -1, 0, 2, -2, 6, -41}
         for x in self.MATRICES:
             for n in range(65):
                 assert mat_pow(Mat2(*x), n).entries() == square_pow(x, n), (x, n)
+                if n < 20:
+                    assert square_pow(x, n) == naive_pow(x, n), (x, n)
 
     def test_seeded_large_powers(self):
         rng = random.Random(6)
