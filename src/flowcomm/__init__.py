@@ -11,7 +11,7 @@ rationals. Every positive decision is backed by a certificate that an
 independent verifier re-checks from scratch.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .errors import (
     ComputationLimit,
@@ -28,7 +28,6 @@ from .linalg import (
     HyperbolicMatrix,
     Lattice2,
     Mat2,
-    enumerate_sublattices,
     hnf,
     intertwiner_lattice,
     lattice_image,
@@ -41,8 +40,6 @@ from .conjugacy import (
     EquivalenceVerdict,
     RLWord,
     are_equivalent,
-    brute_force_conjugator,
-    canonical_form,
     evaluate_word,
     rl_word,
 )
@@ -67,7 +64,6 @@ from .models import (
     GeodesicSurface,
     Suspension,
     almost_commensurability_chain,
-    common_cover_genus,
     genus_model_matrix,
     orbifold_common_cover,
     orbifold_euler_characteristic,
@@ -93,17 +89,14 @@ __all__ = [
     "mat_pow",
     "hnf",
     "lattice_image",
-    "enumerate_sublattices",
     "intertwiner_lattice",
     "R",
     "L",
     "RLWord",
     "EquivalenceVerdict",
     "evaluate_word",
-    "canonical_form",
     "rl_word",
     "are_equivalent",
-    "brute_force_conjugator",
     "CommensurabilityCertificate",
     "CommensurabilityVerdict",
     "are_commensurable",
@@ -124,7 +117,6 @@ __all__ = [
     "orbifold_model_matrix",
     "genus_model_matrix",
     "orbifold_euler_characteristic",
-    "common_cover_genus",
     "orbifold_common_cover",
     "almost_commensurability_chain",
     "verify_chain",

@@ -35,12 +35,14 @@ from .models import (
     verify_chain,
 )
 from .serialize import (
+    certificate_body,
     decode_document,
     digit_limit_message,
     dumps,
     encode_certificate,
     encode_chain,
     encode_int,
+    encode_matrix,
     loads,
 )
 
@@ -144,10 +146,6 @@ def _encode_word(word):
     return [[encode_int(r), encode_int(l)] for r, l in word.pairs]
 
 
-def _encode_matrix_strings(m):
-    return [[encode_int(m.a), encode_int(m.b)], [encode_int(m.c), encode_int(m.d)]]
-
-
 def _emit(args, text):
     if getattr(args, "output", None):
         try:
@@ -159,11 +157,6 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
-def _print_doc(args, doc):
-    if not args.quiet:
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def _cmd_equiv(args):
     a = _parse_hyperbolic(args.matrix_a)
     b = _parse_hyperbolic(args.matrix_b)
@@ -171,14 +164,14 @@ def _cmd_equiv(args):
     doc = {
         "equivalent": verdict.equivalent,
         "conjugator": (
-            _encode_matrix_strings(verdict.conjugator)
+            encode_matrix(verdict.conjugator)
             if verdict.conjugator is not None
             else None
         ),
         "canonical_a": _encode_word(verdict.canonical_a),
         "canonical_b": _encode_word(verdict.canonical_b),
     }
-    _print_doc(args, doc)
+    _emit(args, dumps(doc))
     return 0 if verdict.equivalent else 1
 
 
@@ -186,12 +179,12 @@ def _cmd_canon(args):
     a = _parse_hyperbolic(args.matrix)
     word, _ = rl_word(a)
     doc = {"canonical_word": _encode_word(word), "display": str(word)}
-    _print_doc(args, doc)
+    _emit(args, dumps(doc))
     return 0
 
 
 def _verdict_doc(verdict):
-    doc = {
+    return {
         "commensurable": verdict.commensurable,
         "minimal_exponents": (
             [encode_int(k) for k in verdict.minimal_exponents]
@@ -202,15 +195,12 @@ def _verdict_doc(verdict):
         "squarefree_b": encode_int(verdict.squarefree_b),
         "squared_a": verdict.squared_a,
         "squared_b": verdict.squared_b,
+        "certificate": (
+            certificate_body(verdict.certificate)
+            if verdict.certificate is not None
+            else None
+        ),
     }
-    if verdict.certificate is not None:
-        cert_doc = encode_certificate(verdict.certificate)
-        for header in ("format_version", "generator", "kind"):
-            del cert_doc[header]
-        doc["certificate"] = cert_doc
-    else:
-        doc["certificate"] = None
-    return doc
 
 
 def _run_commensurable(args):
@@ -219,7 +209,7 @@ def _run_commensurable(args):
 
 def _cmd_commensurable(args):
     verdict = _run_commensurable(args)
-    _print_doc(args, _verdict_doc(verdict))
+    _emit(args, dumps(_verdict_doc(verdict)))
     return 0 if verdict.commensurable else 1
 
 

@@ -20,6 +20,7 @@ Only verify_certificate, which re-checks the stated powers, forms
 them.
 """
 
+from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import index as _as_int
 
@@ -27,6 +28,7 @@ from .conjugacy import reduction_cycle
 from .errors import ComputationLimit, ExponentMismatch, NotHyperbolic
 from .linalg import (
     HyperbolicMatrix,
+    Lattice2,
     Mat2,
     hnf,
     intertwiner_lattice,
@@ -51,6 +53,7 @@ __all__ = [
 MAX_POWER_BITS = 2**20
 
 
+@dataclass(slots=True)
 class CommensurabilityCertificate:
     """Re-checkable witness that base_a**power_a and base_b**power_b
     generate a common finite cover.
@@ -61,51 +64,19 @@ class CommensurabilityCertificate:
     each suspension.
     """
 
-    __slots__ = (
-        "base_a",
-        "base_b",
-        "power_a",
-        "power_b",
-        "intertwiner",
-        "intertwiner_det",
-        "sublattice",
-        "stabilization",
-        "index_over_a",
-        "index_over_b",
-    )
-
-    def __init__(
-        self,
-        base_a,
-        base_b,
-        power_a,
-        power_b,
-        intertwiner,
-        intertwiner_det,
-        sublattice,
-        stabilization,
-        index_over_a,
-        index_over_b,
-    ):
-        self.base_a = base_a
-        self.base_b = base_b
-        self.power_a = _as_int(power_a)
-        self.power_b = _as_int(power_b)
-        self.intertwiner = intertwiner
-        self.intertwiner_det = _as_int(intertwiner_det)
-        self.sublattice = sublattice
-        self.stabilization = _as_int(stabilization)
-        self.index_over_a = _as_int(index_over_a)
-        self.index_over_b = _as_int(index_over_b)
-
-    def __eq__(self, other):
-        if not isinstance(other, CommensurabilityCertificate):
-            return NotImplemented
-        return all(
-            getattr(self, f) == getattr(other, f) for f in self.__slots__
-        )
+    base_a: Mat2
+    base_b: Mat2
+    power_a: int
+    power_b: int
+    intertwiner: Mat2
+    intertwiner_det: int
+    sublattice: Lattice2
+    stabilization: int
+    index_over_a: int
+    index_over_b: int
 
     def __repr__(self):
+        # short: the full entries could pass the int/str digit limit
         return (
             f"CommensurabilityCertificate(powers=({self.power_a}, {self.power_b}), "
             f"det={self.intertwiner_det}, indices=({self.index_over_a}, "
@@ -113,6 +84,7 @@ class CommensurabilityCertificate:
         )
 
 
+@dataclass(slots=True, eq=False)
 class CommensurabilityVerdict:
     """Outcome of are_commensurable.
 
@@ -125,40 +97,13 @@ class CommensurabilityVerdict:
     representatives, which would need factoring.
     """
 
-    __slots__ = (
-        "commensurable",
-        "minimal_exponents",
-        "squarefree_a",
-        "squarefree_b",
-        "certificate",
-        "squared_a",
-        "squared_b",
-    )
-
-    def __init__(
-        self,
-        commensurable,
-        minimal_exponents,
-        squarefree_a,
-        squarefree_b,
-        certificate,
-        squared_a=False,
-        squared_b=False,
-    ):
-        self.commensurable = commensurable
-        self.minimal_exponents = minimal_exponents
-        self.squarefree_a = squarefree_a
-        self.squarefree_b = squarefree_b
-        self.certificate = certificate
-        self.squared_a = squared_a
-        self.squared_b = squared_b
-
-    def __repr__(self):
-        return (
-            f"CommensurabilityVerdict(commensurable={self.commensurable}, "
-            f"minimal_exponents={self.minimal_exponents}, "
-            f"squarefree=({self.squarefree_a}, {self.squarefree_b}))"
-        )
+    commensurable: bool
+    minimal_exponents: tuple | None
+    squarefree_a: int
+    squarefree_b: int
+    certificate: CommensurabilityCertificate | None
+    squared_a: bool = False
+    squared_b: bool = False
 
 
 def _normalize_input(m):

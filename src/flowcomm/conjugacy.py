@@ -15,6 +15,7 @@ partial quotient is one whole R^k or L^k block, found by one integer
 division, so the work grows with the bit size of the matrix.
 """
 
+from dataclasses import dataclass
 from math import isqrt
 from operator import index as _as_int
 
@@ -29,9 +30,7 @@ __all__ = [
     "rl_word",
     "reduction_cycle",
     "evaluate_word",
-    "canonical_form",
     "are_equivalent",
-    "brute_force_conjugator",
 ]
 
 R = Mat2(1, 1, 0, 1)
@@ -71,6 +70,7 @@ class RLWord:
         return " ".join(f"R^{r} L^{l}" for r, l in self.pairs)
 
 
+@dataclass(slots=True, eq=False)
 class EquivalenceVerdict:
     """Outcome of a conjugacy decision.
 
@@ -78,19 +78,10 @@ class EquivalenceVerdict:
     otherwise conjugator is None and the canonical words differ.
     """
 
-    __slots__ = ("equivalent", "conjugator", "canonical_a", "canonical_b")
-
-    def __init__(self, equivalent, conjugator, canonical_a, canonical_b):
-        self.equivalent = equivalent
-        self.conjugator = conjugator
-        self.canonical_a = canonical_a
-        self.canonical_b = canonical_b
-
-    def __repr__(self):
-        return (
-            f"EquivalenceVerdict(equivalent={self.equivalent}, "
-            f"conjugator={self.conjugator!r})"
-        )
+    equivalent: bool
+    conjugator: Mat2 | None
+    canonical_a: RLWord
+    canonical_b: RLWord
 
 
 def evaluate_word(word):
@@ -106,15 +97,6 @@ def evaluate_word(word):
 
 def _least_rotation(pairs):
     return min(range(len(pairs)), key=lambda k: pairs[k:] + pairs[:k])
-
-
-def canonical_form(word):
-    """Lexicographically least rotation of the pair sequence."""
-    if not isinstance(word, RLWord):
-        word = RLWord(word)
-    pairs = word.pairs
-    best = _least_rotation(pairs)
-    return RLWord(pairs[best:] + pairs[:best])
 
 
 def _check_hyperbolic(m):
@@ -204,54 +186,3 @@ def are_equivalent(a, b):
     q = mat_mul(wit_a, wit_b.inverse())
     assert mat_mul(mat_mul(q.inverse(), a), q) == b
     return EquivalenceVerdict(True, q, word_a, word_b)
-
-
-def _spiral(bound):
-    yield 0
-    for v in range(1, bound + 1):
-        yield v
-        yield -v
-
-
-def _scan_conjugators(a, b, bound):
-    """First det-1 Q with max|entry| <= bound and A Q = Q B, else None."""
-    for qa in _spiral(bound):
-        for qb in _spiral(bound):
-            if qa == 0:
-                # det reduces to -qb*qc = 1
-                if qb not in (1, -1):
-                    continue
-                qc = -qb
-                for qd in _spiral(bound):
-                    q = Mat2(qa, qb, qc, qd)
-                    if mat_mul(a, q) == mat_mul(q, b):
-                        return q
-                continue
-            for qc in _spiral(bound):
-                num = 1 + qb * qc
-                if num % qa:
-                    continue
-                qd = num // qa
-                if abs(qd) > bound:
-                    continue
-                q = Mat2(qa, qb, qc, qd)
-                if mat_mul(a, q) == mat_mul(q, b):
-                    return q
-    return None
-
-
-def brute_force_conjugator(a, b, bound):
-    """Exhaustive conjugator search over entries in [-bound, bound].
-
-    Test oracle: returns some Q with det 1 and Q^-1 A Q = B, or None
-    if no such matrix exists within the bound. A quick small-bound
-    pass runs first so easy positives return fast.
-    """
-    bound = _as_int(bound)
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    quick = min(8, bound)
-    found = _scan_conjugators(a, b, quick)
-    if found is None and bound > quick:
-        found = _scan_conjugators(a, b, bound)
-    return found

@@ -21,7 +21,6 @@ __all__ = [
     "hnf",
     "lattice_image",
     "intertwiner_lattice",
-    "enumerate_sublattices",
 ]
 
 
@@ -229,23 +228,6 @@ def lattice_image(u, lat):
     if u.det() not in (1, -1):
         raise NotUnimodular(f"determinant {u.det()} is not +-1")
     return hnf(mat_mul(u, lat.basis()))
-
-
-def enumerate_sublattices(n):
-    """All sublattices of Z^2 of index n, sorted by (a, b, d).
-
-    There are sigma(n) of them, one for each (a | n, 0 <= b < a).
-    """
-    n = _as_int(n)
-    if n < 1:
-        raise ValueError(f"index must be positive, got {n}")
-    out = []
-    for a in range(1, n + 1):
-        if n % a == 0:
-            d = n // a
-            for b in range(a):
-                out.append(Lattice2(a, b, d))
-    return out
 
 
 def _column_kernel(rows):

@@ -46,7 +46,6 @@ __all__ = [
     "orbifold_model_matrix",
     "genus_model_matrix",
     "orbifold_euler_characteristic",
-    "common_cover_genus",
     "orbifold_common_cover",
     "almost_commensurability_chain",
     "verify_chain",
@@ -180,17 +179,6 @@ def orbifold_euler_characteristic(genus, cone_orders):
             raise ValueError(f"cone orders must be >= 2, got {order}")
         chi -= 1 - Fraction(1, order)
     return chi
-
-
-def common_cover_genus(g1, g2):
-    """Least common genus G = lcm(g1-1, g2-1) + 1 covering both
-    surfaces, with covering degrees (G-1)/(g_i-1)."""
-    g1 = _as_int(g1)
-    g2 = _as_int(g2)
-    if g1 <= 1 or g2 <= 1:
-        raise InvalidGenus(f"genera must be >= 2, got {g1}, {g2}")
-    shared = lcm(g1 - 1, g2 - 1)
-    return shared + 1, shared // (g1 - 1), shared // (g2 - 1)
 
 
 def orbifold_common_cover(source, target):

@@ -51,6 +51,8 @@ __all__ = [
     "loads",
     "digit_limit_message",
     "encode_int",
+    "encode_matrix",
+    "certificate_body",
 ]
 
 FORMAT_VERSION = "1"
@@ -105,7 +107,7 @@ def _decode_fraction(value, field):
         raise DocumentError(f"{field}: {digit_limit_message()}") from None
 
 
-def _encode_matrix(m):
+def encode_matrix(m):
     return [
         [encode_int(m.a), encode_int(m.b)],
         [encode_int(m.c), encode_int(m.d)],
@@ -157,66 +159,67 @@ def _get(doc, key, context="document"):
     return doc[key]
 
 
-def _certificate_body(cert):
-    return {
-        "base_a": _encode_matrix(cert.base_a),
-        "base_b": _encode_matrix(cert.base_b),
-        "power_a": encode_int(cert.power_a),
-        "power_b": encode_int(cert.power_b),
-        "intertwiner": _encode_matrix(cert.intertwiner),
-        "intertwiner_det": encode_int(cert.intertwiner_det),
-        "sublattice": _encode_lattice(cert.sublattice),
-        "stabilization": encode_int(cert.stabilization),
-        "index_over_a": encode_int(cert.index_over_a),
-        "index_over_b": encode_int(cert.index_over_b),
-    }
+# (name, encode, decode) of each field of a record; decoding walks the
+# table in order, so the first bad field is the one reported
+_CERTIFICATE_FIELDS = (
+    ("base_a", encode_matrix, _decode_matrix),
+    ("base_b", encode_matrix, _decode_matrix),
+    ("power_a", encode_int, _decode_int),
+    ("power_b", encode_int, _decode_int),
+    ("intertwiner", encode_matrix, _decode_matrix),
+    ("intertwiner_det", encode_int, _decode_int),
+    ("sublattice", _encode_lattice, _decode_lattice),
+    ("stabilization", encode_int, _decode_int),
+    ("index_over_a", encode_int, _decode_int),
+    ("index_over_b", encode_int, _decode_int),
+)
+_COMMON_COVER_FIELDS = (
+    ("cover_genus", encode_int, _decode_int),
+    ("degree_source", encode_int, _decode_int),
+    ("degree_target", encode_int, _decode_int),
+    ("euler_source", _encode_fraction, _decode_fraction),
+    ("euler_target", _encode_fraction, _decode_fraction),
+    ("euler_cover", _encode_fraction, _decode_fraction),
+)
 
 
-def _decode_certificate_body(doc, context):
-    return CommensurabilityCertificate(
-        base_a=_decode_matrix(_get(doc, "base_a", context), f"{context}.base_a"),
-        base_b=_decode_matrix(_get(doc, "base_b", context), f"{context}.base_b"),
-        power_a=_decode_int(_get(doc, "power_a", context), f"{context}.power_a"),
-        power_b=_decode_int(_get(doc, "power_b", context), f"{context}.power_b"),
-        intertwiner=_decode_matrix(
-            _get(doc, "intertwiner", context), f"{context}.intertwiner"
-        ),
-        intertwiner_det=_decode_int(
-            _get(doc, "intertwiner_det", context), f"{context}.intertwiner_det"
-        ),
-        sublattice=_decode_lattice(
-            _get(doc, "sublattice", context), f"{context}.sublattice"
-        ),
-        stabilization=_decode_int(
-            _get(doc, "stabilization", context), f"{context}.stabilization"
-        ),
-        index_over_a=_decode_int(
-            _get(doc, "index_over_a", context), f"{context}.index_over_a"
-        ),
-        index_over_b=_decode_int(
-            _get(doc, "index_over_b", context), f"{context}.index_over_b"
-        ),
+def _encode_fields(fields, record):
+    return {name: encode(getattr(record, name)) for name, encode, _ in fields}
+
+
+def _decode_fields(fields, cls, doc, context):
+    return cls(
+        **{
+            name: decode(_get(doc, name, context), f"{context}.{name}")
+            for name, _, decode in fields
+        }
     )
 
 
+def certificate_body(cert):
+    """The certificate's fields as a document object, without headers."""
+    return _encode_fields(_CERTIFICATE_FIELDS, cert)
+
+
 def encode_certificate(cert):
-    doc = {
+    return {
         "format_version": FORMAT_VERSION,
         "generator": f"flowcomm {__version__}",
         "kind": CERTIFICATE_KIND,
+        **certificate_body(cert),
     }
-    doc.update(_certificate_body(cert))
-    return doc
 
 
 def decode_certificate(doc):
     _check_header(doc, CERTIFICATE_KIND)
-    return _decode_certificate_body(doc, "certificate")
+    return _decode_fields(
+        _CERTIFICATE_FIELDS, CommensurabilityCertificate, doc, "certificate"
+    )
 
 
 def _encode_model(model):
     if isinstance(model, Suspension):
-        return {"type": "suspension", "monodromy": _encode_matrix(model.monodromy)}
+        return {"type": "suspension", "monodromy": encode_matrix(model.monodromy)}
     if isinstance(model, GeodesicSurface):
         return {"type": "surface", "genus": encode_int(model.genus)}
     if isinstance(model, GeodesicOrbifold):
@@ -257,19 +260,9 @@ def _encode_evidence(evidence):
     if isinstance(evidence, str):
         return {"type": "citation", "tag": evidence}
     if isinstance(evidence, CommensurabilityCertificate):
-        body = {"type": "certificate"}
-        body.update(_certificate_body(evidence))
-        return body
+        return {"type": "certificate", **certificate_body(evidence)}
     if isinstance(evidence, GeodesicCommonCover):
-        return {
-            "type": "common-cover",
-            "cover_genus": encode_int(evidence.cover_genus),
-            "degree_source": encode_int(evidence.degree_source),
-            "degree_target": encode_int(evidence.degree_target),
-            "euler_source": _encode_fraction(evidence.euler_source),
-            "euler_target": _encode_fraction(evidence.euler_target),
-            "euler_cover": _encode_fraction(evidence.euler_cover),
-        }
+        return {"type": "common-cover", **_encode_fields(_COMMON_COVER_FIELDS, evidence)}
     raise TypeError(f"not chain-link evidence: {evidence!r}")
 
 
@@ -281,26 +274,11 @@ def _decode_evidence(value, field):
             raise DocumentError(f"{field}.tag: unknown citation tag {tag!r}")
         return tag
     if kind == "certificate":
-        return _decode_certificate_body(value, field)
-    if kind == "common-cover":
-        return GeodesicCommonCover(
-            cover_genus=_decode_int(_get(value, "cover_genus", field), f"{field}.cover_genus"),
-            degree_source=_decode_int(
-                _get(value, "degree_source", field), f"{field}.degree_source"
-            ),
-            degree_target=_decode_int(
-                _get(value, "degree_target", field), f"{field}.degree_target"
-            ),
-            euler_source=_decode_fraction(
-                _get(value, "euler_source", field), f"{field}.euler_source"
-            ),
-            euler_target=_decode_fraction(
-                _get(value, "euler_target", field), f"{field}.euler_target"
-            ),
-            euler_cover=_decode_fraction(
-                _get(value, "euler_cover", field), f"{field}.euler_cover"
-            ),
+        return _decode_fields(
+            _CERTIFICATE_FIELDS, CommensurabilityCertificate, value, field
         )
+    if kind == "common-cover":
+        return _decode_fields(_COMMON_COVER_FIELDS, GeodesicCommonCover, value, field)
     raise DocumentError(f"{field}.type: unknown evidence type {kind!r}")
 
 

@@ -4,6 +4,7 @@ Matrices here are plain (a, b, c, d) tuples so the oracles share no
 code with the package under test.
 """
 
+import dataclasses
 import random
 
 
@@ -117,9 +118,7 @@ def merge_exponents(ta, tb):
 
 def replace_cert_field(cert, **changes):
     """Copy of a commensurability certificate with named fields swapped."""
-    fields = {f: getattr(cert, f) for f in type(cert).__slots__}
-    fields.update(changes)
-    return type(cert)(**fields)
+    return dataclasses.replace(cert, **changes)
 
 
 def string_leaves_only(node):
@@ -160,3 +159,49 @@ def box_intertwiner(a, b, bound):
             if best is None or key < best[0]:
                 best = (key, cand)
     return best[0][0], best[1]
+
+
+def canonical_form(pairs):
+    """Lexicographically least rotation of an (r, l) pair sequence."""
+    pairs = tuple(pairs)
+    return min(pairs[k:] + pairs[:k] for k in range(len(pairs)))
+
+
+def enumerate_sublattices(n):
+    """Hermite triples (a, b, d) of all sublattices of Z^2 of index n,
+    sorted: one for each a | n and 0 <= b < a, sigma(n) in all."""
+    if n < 1:
+        raise ValueError(f"index must be positive, got {n}")
+    return [(a, b, n // a) for a in range(1, n + 1) if n % a == 0 for b in range(a)]
+
+
+def _spiral(bound):
+    yield 0
+    for v in range(1, bound + 1):
+        yield v
+        yield -v
+
+
+def brute_force_conjugator(a, b, bound):
+    """First det-1 Q with max|entry| <= bound and a Q = Q b, else None.
+
+    Exhaustive over the box. With det Q = 1, qa != 0, qb and qc fix
+    qd = (1 + qb qc) / qa, and qa = 0 forces qc = -qb = -+1.
+    """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    for qa in _spiral(bound):
+        for qb in _spiral(bound):
+            if qa == 0 and qb not in (1, -1):
+                continue
+            for x in _spiral(bound):  # qd when qa = 0, else qc
+                if qa == 0:
+                    q = (0, qb, -qb, x)
+                else:
+                    num = 1 + qb * x
+                    if num % qa or abs(num // qa) > bound:
+                        continue
+                    q = (qa, qb, x, num // qa)
+                if mul(a, q) == mul(q, b):
+                    return q
+    return None

@@ -21,9 +21,7 @@ from flowcomm import (
     almost_commensurability_chain,
     are_commensurable,
     are_equivalent,
-    brute_force_conjugator,
     build_certificate,
-    enumerate_sublattices,
     genus_model_matrix,
     hnf,
     lattice_image,
@@ -38,6 +36,8 @@ from flowcomm import (
 )
 from flowcomm.cli import run
 from helpers import (
+    brute_force_conjugator,
+    enumerate_sublattices,
     hyperbolic_corpus,
     naive_pow,
     random_hyperbolic,
@@ -98,7 +98,7 @@ def test_criterion_1_equivalence_criterion():
 
     left, right = Mat2(3, 1, 2, 1), Mat2(3, 2, 1, 1)
     assert not are_equivalent(left, right).equivalent
-    assert brute_force_conjugator(left, right, 50) is None
+    assert brute_force_conjugator(left.entries(), right.entries(), 50) is None
 
     elapsed = time.monotonic() - start
     assert elapsed < 60
@@ -327,7 +327,8 @@ def test_criterion_7_lattice_layer():
     stabilizations = 0
     for m in matrices:
         for n in range(1, 13):
-            for lat in enumerate_sublattices(n):
+            for triple in enumerate_sublattices(n):
+                lat = Lattice2(*triple)
                 cur = lattice_image(m, lat)
                 period = 1
                 while cur != lat:

@@ -11,11 +11,11 @@ from flowcomm import (
     ComputationLimit,
     ExponentMismatch,
     HyperbolicMatrix,
+    Lattice2,
     Mat2,
     NotHyperbolic,
     are_commensurable,
     build_certificate,
-    enumerate_sublattices,
     find_intertwiner,
     hnf,
     lattice_image,
@@ -29,6 +29,7 @@ from flowcomm.cli import run
 from flowcomm.commensurability import MAX_POWER_BITS, _unit_mul
 from helpers import (
     box_intertwiner,
+    enumerate_sublattices,
     hyperbolic_corpus,
     intertwiner_rank,
     inverse,
@@ -173,7 +174,8 @@ class TestStabilizationExponent:
         for entries in hyperbolic_corpus(406, 8, max_trace=20):
             m = Mat2(*entries)
             for n in (2, 3, 4, 6):
-                for lat in enumerate_sublattices(n):
+                for triple in enumerate_sublattices(n):
+                    lat = Lattice2(*triple)
                     seen = [lat]
                     cur = lattice_image(m, lat)
                     while cur != lat:
@@ -183,7 +185,8 @@ class TestStabilizationExponent:
 
     def test_bound_too_small(self):
         m = Mat2(2, 1, 1, 1)
-        for lat in enumerate_sublattices(5):
+        for triple in enumerate_sublattices(5):
+            lat = Lattice2(*triple)
             k = stabilization_exponent(m, lat, 50)
             if k > 1:
                 with pytest.raises(ValueError):

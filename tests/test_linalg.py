@@ -12,14 +12,21 @@ from flowcomm import (
     NotUnimodular,
     SingularBasis,
     TraceMismatch,
-    enumerate_sublattices,
     hnf,
     intertwiner_lattice,
     lattice_image,
     mat_mul,
     mat_pow,
 )
-from helpers import det, mul, naive_pow, random_hyperbolic, random_unimodular, square_pow
+from helpers import (
+    det,
+    enumerate_sublattices,
+    mul,
+    naive_pow,
+    random_hyperbolic,
+    random_unimodular,
+    square_pow,
+)
 
 
 def sigma(n):
@@ -226,23 +233,27 @@ class TestHnf:
             assert hnf(mat_mul(m, u)) == hnf(m)
 
 
+def sublattices(n):
+    return [Lattice2(*triple) for triple in enumerate_sublattices(n)]
+
+
 class TestEnumerateSublattices:
     def test_counts_are_sigma(self):
         for n in range(1, 60):
             assert len(enumerate_sublattices(n)) == sigma(n)
 
     def test_index_one(self):
-        assert enumerate_sublattices(1) == [Lattice2(1, 0, 1)]
+        assert sublattices(1) == [Lattice2(1, 0, 1)]
 
     def test_distinct_and_correct_index(self):
         for n in (6, 12, 30):
-            lats = enumerate_sublattices(n)
+            lats = sublattices(n)
             assert len(set(lats)) == len(lats)
             assert all(lat.index == n for lat in lats)
+            assert all(hnf(lat.basis()) == lat for lat in lats)
 
     def test_sorted_by_triple(self):
-        lats = enumerate_sublattices(12)
-        triples = [(l.a, l.b, l.d) for l in lats]
+        triples = enumerate_sublattices(12)
         assert triples == sorted(triples)
 
     def test_rejects_nonpositive(self):
@@ -252,19 +263,17 @@ class TestEnumerateSublattices:
 
 class TestLatticeImage:
     def test_identity_fixes(self):
-        for lat in enumerate_sublattices(8):
+        for lat in sublattices(8):
             assert lattice_image(Mat2.identity(), lat) == lat
 
     def test_permutes_index_class(self):
         rng = random.Random(108)
         for n in (4, 6, 9):
-            lats = enumerate_sublattices(n)
+            lats = sublattices(n)
             for _ in range(20):
                 u = Mat2(*random_unimodular(rng))
                 images = [lattice_image(u, lat) for lat in lats]
-                assert sorted((l.a, l.b, l.d) for l in images) == [
-                    (l.a, l.b, l.d) for l in lats
-                ]
+                assert sorted((l.a, l.b, l.d) for l in images) == enumerate_sublattices(n)
 
     def test_composition(self):
         rng = random.Random(109)

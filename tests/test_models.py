@@ -21,7 +21,6 @@ from flowcomm import (
     NotHyperbolic,
     Suspension,
     almost_commensurability_chain,
-    common_cover_genus,
     genus_model_matrix,
     mat_mul,
     orbifold_common_cover,
@@ -113,27 +112,34 @@ class TestModels:
             orbifold_euler_characteristic(0, (1, 3, 7))
 
 
+def surface_cover(g1, g2):
+    cover = orbifold_common_cover(GeodesicSurface(g1), GeodesicSurface(g2))
+    return cover.cover_genus, cover.degree_source, cover.degree_target
+
+
 class TestCommonCoverGenus:
+    """Two surfaces: the least common cover has genus lcm(g1-1, g2-1) + 1."""
+
     def test_examples(self):
-        assert common_cover_genus(2, 3) == (3, 2, 1)
-        assert common_cover_genus(3, 5) == (5, 2, 1)
-        assert common_cover_genus(3, 4) == (7, 3, 2)
+        assert surface_cover(2, 3) == (3, 2, 1)
+        assert surface_cover(3, 5) == (5, 2, 1)
+        assert surface_cover(3, 4) == (7, 3, 2)
 
     def test_self_cover(self):
         for g in range(2, 10):
-            assert common_cover_genus(g, g) == (g, 1, 1)
+            assert surface_cover(g, g) == (g, 1, 1)
 
     def test_euler_consistency(self):
         for g1 in range(2, 12):
             for g2 in range(2, 12):
-                cover, d1, d2 = common_cover_genus(g1, g2)
+                cover, d1, d2 = surface_cover(g1, g2)
                 assert cover - 1 == lcm(g1 - 1, g2 - 1)
                 assert d1 * (2 - 2 * g1) == 2 - 2 * cover
                 assert d2 * (2 - 2 * g2) == 2 - 2 * cover
 
     def test_rejects_small_genus(self):
         with pytest.raises(InvalidGenus):
-            common_cover_genus(1, 2)
+            surface_cover(1, 2)
 
 
 class TestOrbifoldCommonCover:
@@ -150,9 +156,9 @@ class TestOrbifoldCommonCover:
 
     def test_surface_pair(self):
         cover = orbifold_common_cover(GeodesicSurface(3), GeodesicSurface(4))
-        genus, d1, d2 = common_cover_genus(3, 4)
-        assert cover.cover_genus == genus
-        assert (cover.degree_source, cover.degree_target) == (d1, d2)
+        assert cover.cover_genus == lcm(3 - 1, 4 - 1) + 1
+        assert (cover.degree_source, cover.degree_target) == (3, 2)
+        assert cover.euler_cover == Fraction(-12)
 
     def test_arithmetic_identity(self):
         for n1 in range(7, 20):

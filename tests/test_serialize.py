@@ -128,6 +128,53 @@ class TestCertificateDocuments:
             decode_certificate(doc)
 
 
+MATRIX = "expected a 2x2 matrix of decimal strings"
+INTEGER = "expected a decimal-string integer, got 7"
+LATTICE = "expected a lattice object"
+FRACTION = "expected a 'p/q' rational string, got 7"
+# every field of a certificate document and of a chain's common-cover
+# evidence (links[0] of the (2,3,7)-(2,3,12) chain), with the error a
+# native JSON number in it gives
+RECORD_FIELDS = [
+    ("certificate", "base_a", MATRIX),
+    ("certificate", "base_b", MATRIX),
+    ("certificate", "power_a", INTEGER),
+    ("certificate", "power_b", INTEGER),
+    ("certificate", "intertwiner", MATRIX),
+    ("certificate", "intertwiner_det", INTEGER),
+    ("certificate", "sublattice", LATTICE),
+    ("certificate", "stabilization", INTEGER),
+    ("certificate", "index_over_a", INTEGER),
+    ("certificate", "index_over_b", INTEGER),
+    ("links[0].evidence", "cover_genus", INTEGER),
+    ("links[0].evidence", "degree_source", INTEGER),
+    ("links[0].evidence", "degree_target", INTEGER),
+    ("links[0].evidence", "euler_source", FRACTION),
+    ("links[0].evidence", "euler_target", FRACTION),
+    ("links[0].evidence", "euler_cover", FRACTION),
+]
+
+
+@pytest.mark.parametrize("change", ["drop", "native"])
+@pytest.mark.parametrize("context, field, native_error", RECORD_FIELDS)
+def test_record_field_errors(context, field, native_error, change):
+    if context == "certificate":
+        doc = record = encode_certificate(sample_certificate())
+        decode = decode_certificate
+    else:
+        doc = encode_chain(sample_chains()[2])
+        record, decode = doc["links"][0]["evidence"], decode_chain
+    if change == "drop":
+        del record[field]
+        expected = f"{context}: missing field {field!r}"
+    else:
+        record[field] = 7
+        expected = f"{context}.{field}: {native_error}"
+    with pytest.raises(DocumentError) as excinfo:
+        decode(doc)
+    assert str(excinfo.value) == expected
+
+
 class TestChainDocuments:
     def test_round_trips(self):
         for chain in sample_chains():
