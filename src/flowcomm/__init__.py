@@ -4,14 +4,14 @@ canonical RL words), topological commensurability (matching power
 traces, the square class of t^2 - 4 as invariant, the least common
 power by a Euclid on units, explicit covering certificates), and
 almost-commensurability chains reaching the geodesic flows of
-hyperbolic surfaces and (2,3,n) triangle orbifolds.
+closed orientable hyperbolic 2-orbifolds, surfaces included.
 
 All arithmetic is exact over arbitrary-precision integers and
 rationals. Every positive decision is backed by a certificate that an
 independent verifier re-checks from scratch.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .errors import (
     ComputationLimit,
@@ -61,7 +61,6 @@ from .models import (
     ChainLink,
     GeodesicCommonCover,
     GeodesicOrbifold,
-    GeodesicSurface,
     Suspension,
     almost_commensurability_chain,
     genus_model_matrix,
@@ -109,7 +108,6 @@ __all__ = [
     "ALMOST_EQUIVALENCE",
     "COMMENSURABILITY",
     "Suspension",
-    "GeodesicSurface",
     "GeodesicOrbifold",
     "GeodesicCommonCover",
     "ChainLink",

@@ -11,7 +11,8 @@ exception that no verb expects is a bug; the console entry point
 as a traceback, while run() lets it propagate to an in-process caller.
 
 Matrices are written [[a,b],[c,d]] or a,b;c,d. Models are written
-suspension:[[a,b],[c,d]], surface:g=3, or orbifold:2,3,12. Emitted
+suspension:[[a,b],[c,d]], surface:g=3, or orbifold:[g=G,]n1,...,nk for
+the orbifold of genus G (default 0) with cone orders n1..nk. Emitted
 documents are deterministic: repeated identical invocations produce
 byte-identical bytes.
 """
@@ -29,7 +30,6 @@ from .linalg import HyperbolicMatrix, Mat2
 from .models import (
     ChainCertificate,
     GeodesicOrbifold,
-    GeodesicSurface,
     Suspension,
     almost_commensurability_chain,
     verify_chain,
@@ -123,23 +123,17 @@ def _parse_model(text):
     head = head.strip().lower()
     if head == "suspension":
         return Suspension(_parse_hyperbolic(rest))
-    if head == "surface":
-        body = rest.strip()
-        if body.startswith("g="):
-            body = body[2:]
-        return GeodesicSurface(_parse_int_entry(body))
-    if head == "orbifold":
-        parts = rest.split(",")
-        if len(parts) != 3:
-            raise UsageError(f"orbifold needs three cone orders: {rest.strip()!r}")
-        p, q, n = (_parse_int_entry(tok) for tok in parts)
-        if (p, q) != (2, 3):
-            raise UsageError(f"only (2,3,n) orbifolds are supported, got ({p},{q},{n})")
-        try:
-            return GeodesicOrbifold(n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    raise UsageError(f"unknown model type: {head!r}")
+    if head not in ("surface", "orbifold"):
+        raise UsageError(f"unknown model type: {head!r}")
+    parts = rest.split(",") if head == "orbifold" else [rest]
+    genus = 0
+    if head == "surface" or parts[0].strip().startswith("g="):
+        genus = _parse_int_entry(parts.pop(0).strip().removeprefix("g="))
+    orders = [_parse_int_entry(tok) for tok in parts]
+    try:
+        return GeodesicOrbifold(genus, orders)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _encode_word(word):

@@ -1,26 +1,27 @@
 """Model flows and almost-commensurability chains between them.
 
-Three families of models: suspensions of hyperbolic torus
-automorphisms, geodesic flows on closed hyperbolic surfaces of genus
-g >= 2, and geodesic flows on (2,3,n) triangle orbifolds with n >= 7.
-Each geodesic model has a designated monodromy matrix; passing to the
-suspension of that matrix is an almost-equivalence, recorded as a
-citation-tagged link and never recomputed (the geometry behind the
-tags is trusted, not rebuilt). Suspension-suspension links carry a
-full commensurability certificate. Geodesic-geodesic links carry
-common-cover degree and Euler-characteristic arithmetic; the
-existence of the actual cover is likewise cited, the arithmetic is
-what gets verified.
+Two families of models: suspensions of hyperbolic torus automorphisms,
+and geodesic flows on closed orientable hyperbolic 2-orbifolds, one
+signature (g; n_1, ..., n_k) with chi < 0, a surface being the case
+with no cone points. A surface and a (0; 2, 3, n) orbifold have a
+designated monodromy matrix; passing to the suspension of that matrix
+is an almost-equivalence, recorded as a citation-tagged link and never
+recomputed (the geometry behind the tags is trusted, not rebuilt).
+Suspension-suspension links carry a full commensurability certificate.
+Geodesic-geodesic links carry common-cover degree and
+Euler-characteristic arithmetic; the existence of the actual cover is
+likewise cited, the arithmetic is what gets verified.
 
 almost_commensurability_chain joins any two models: both endpoints
-are normalized to suspensions, which are either commensurable (one
+are normalized to suspensions (any other orbifold through a cover of
+its least covering surface), which are either commensurable (one
 certificate link, decided by are_commensurable) or are bridged
 through the trace-t model suspensions and their orbifolds.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import index as _as_int
 
 from .commensurability import (
@@ -36,7 +37,6 @@ __all__ = [
     "GHYS_HASHIGUCHI",
     "BIRKHOFF_SECTION_23N",
     "Suspension",
-    "GeodesicSurface",
     "GeodesicOrbifold",
     "GeodesicCommonCover",
     "ChainLink",
@@ -76,47 +76,36 @@ class Suspension:
 
 
 @dataclass(frozen=True)
-class GeodesicSurface:
-    """Geodesic flow on a closed hyperbolic surface."""
+class GeodesicOrbifold:
+    """Geodesic flow on the closed orientable hyperbolic 2-orbifold of
+    signature (genus; cone_orders), chi < 0; a surface has no cone
+    points. Cone orders are kept sorted."""
 
     genus: int
+    cone_orders: tuple = ()
 
     def __post_init__(self):
-        g = _as_int(self.genus)
-        if g <= 1:
-            raise InvalidGenus(f"genus must be >= 2, got {g}")
-        object.__setattr__(self, "genus", g)
+        object.__setattr__(self, "genus", _as_int(self.genus))
+        object.__setattr__(
+            self, "cone_orders", tuple(sorted(map(_as_int, self.cone_orders)))
+        )
+        if self.euler_characteristic() >= 0:
+            raise ValueError(
+                f"signature ({self.genus}; {', '.join(map(str, self.cone_orders))})"
+                " has chi >= 0, so it is not hyperbolic"
+            )
 
     def euler_characteristic(self):
-        return Fraction(2 - 2 * self.genus)
-
-
-@dataclass(frozen=True)
-class GeodesicOrbifold:
-    """Geodesic flow on the (2, 3, n) triangle orbifold, n >= 7."""
-
-    n: int
-
-    def __post_init__(self):
-        n = _as_int(self.n)
-        if n < 7:
-            raise ValueError(f"cone order n must be >= 7 for hyperbolicity, got {n}")
-        object.__setattr__(self, "n", n)
-
-    @property
-    def cone_orders(self):
-        return (2, 3, self.n)
-
-    def euler_characteristic(self):
-        return orbifold_euler_characteristic(0, self.cone_orders)
+        return orbifold_euler_characteristic(self.genus, self.cone_orders)
 
 
 @dataclass(frozen=True)
 class GeodesicCommonCover:
     """Degree and Euler-characteristic arithmetic for a common cover of
     two geodesic models. Existence of the covering surface is cited;
-    the recorded arithmetic (degree x chi = chi of cover, both sides)
-    is the machine-checked part."""
+    the recorded arithmetic (degree x chi = chi of cover, and each
+    degree a multiple of its side's cone orders) is the machine-checked
+    part."""
 
     cover_genus: int
     degree_source: int
@@ -182,53 +171,91 @@ def orbifold_euler_characteristic(genus, cone_orders):
 
 
 def orbifold_common_cover(source, target):
-    """Common-cover arithmetic for two geodesic models of the same
-    kind. The covering degree over a model with Euler characteristic
-    chi must be (2 - 2G)/chi; G is the least genus making both
-    degrees integral."""
+    """Least common surface cover of two geodesic models, as arithmetic.
+
+    Over a model with Euler characteristic chi, a genus-G surface cover
+    has degree d = (2 - 2G)/chi, and each cone point of order m has d/m
+    preimages (Riemann-Hurwitz), so d must be a multiple of the lcm of
+    the cone orders. G is the least genus meeting both conditions on
+    both sides. That such a cover exists is cited, not built: Edmonds,
+    Ewing and Kulkarni, "Torsion free subgroups of Fuchsian groups and
+    tessellations of surfaces", Invent. Math. 69 (1982). Its exact
+    statement, including any exceptional signatures, was not checked
+    against these conditions."""
     chi_s = source.euler_characteristic()
     chi_t = target.euler_characteristic()
-    # degree = (G - 1) * ratio with ratio = -2/chi, so G - 1 must
-    # clear both denominators
-    ratio_s = Fraction(-2) / chi_s
-    ratio_t = Fraction(-2) / chi_t
-    sheets = lcm(ratio_s.denominator, ratio_t.denominator)
+    # d = (G - 1) p/q with p/q = -2/chi in lowest terms, so m = lcm(orders)
+    # divides d exactly when G - 1 is a multiple of m q / gcd(p, m)
+    sheets = 1
+    for chi, model in ((chi_s, source), (chi_t, target)):
+        ratio, m = Fraction(-2) / chi, lcm(*model.cone_orders)
+        sheets = lcm(sheets, m * ratio.denominator // gcd(ratio.numerator, m))
     genus = sheets + 1
     return GeodesicCommonCover(
         cover_genus=genus,
-        degree_source=int(sheets * ratio_s),
-        degree_target=int(sheets * ratio_t),
+        degree_source=int(sheets * -2 / chi_s),
+        degree_target=int(sheets * -2 / chi_t),
         euler_source=chi_s,
         euler_target=chi_t,
         euler_cover=Fraction(2 - 2 * genus),
     )
 
 
+def _designated(model):
+    """(citation tag, monodromy) when the suspension of that monodromy
+    is a cited almost-equivalence of the model: a surface (GHYS) or a
+    (0; 2, 3, n) orbifold (Birkhoff section); None for any other model."""
+    if not isinstance(model, GeodesicOrbifold):
+        return None
+    orders = model.cone_orders
+    if not orders:
+        return GHYS_HASHIGUCHI, genus_model_matrix(model.genus)
+    if model.genus == 0 and len(orders) == 3 and orders[:2] == (2, 3):
+        return BIRKHOFF_SECTION_23N, orbifold_model_matrix(orders[2] - 4)
+    return None
+
+
 def _normalize_to_suspension(model):
-    """Links (possibly empty) from the model to its suspension."""
+    """Links (possibly empty) from the model to its suspension. A model
+    with no cited suspension goes through its least covering surface."""
     if isinstance(model, Suspension):
         return model, []
-    if isinstance(model, GeodesicSurface):
-        susp = Suspension(genus_model_matrix(model.genus))
-        return susp, [ChainLink(ALMOST_EQUIVALENCE, model, susp, GHYS_HASHIGUCHI)]
-    if isinstance(model, GeodesicOrbifold):
-        susp = Suspension(orbifold_model_matrix(model.n - 4))
-        return susp, [ChainLink(ALMOST_EQUIVALENCE, model, susp, BIRKHOFF_SECTION_23N)]
-    raise TypeError(f"not a model: {model!r}")
+    if not isinstance(model, GeodesicOrbifold):
+        raise TypeError(f"not a model: {model!r}")
+    designated = _designated(model)
+    if designated is None:
+        surface = GeodesicOrbifold(orbifold_common_cover(model, model).cover_genus)
+        cover = ChainLink(
+            COMMENSURABILITY, model, surface, orbifold_common_cover(model, surface)
+        )
+        susp, tail = _normalize_to_suspension(surface)
+        return susp, [cover] + tail
+    tag, monodromy = designated
+    susp = Suspension(monodromy)
+    return susp, [ChainLink(ALMOST_EQUIVALENCE, model, susp, tag)]
 
 
 def _reversed_links(links):
-    return [
-        ChainLink(link.kind, link.target, link.source, link.evidence)
-        for link in reversed(links)
-    ]
+    """The links walked backwards. Certificates and covers name their
+    source first, so they are rebuilt for the reversed direction."""
+    out = []
+    for link in reversed(links):
+        source, target, evidence = link.target, link.source, link.evidence
+        if isinstance(evidence, CommensurabilityCertificate):
+            evidence = build_certificate(
+                source.monodromy, target.monodromy, evidence.power_b, evidence.power_a
+            )
+        elif isinstance(evidence, GeodesicCommonCover):
+            evidence = orbifold_common_cover(source, target)
+        out.append(ChainLink(link.kind, source, target, evidence))
+    return out
 
 
-def _bridge_from(model, susp):
+def _bridge(model, susp):
     """Links from the model to the (2,3,t+4) orbifold of its trace,
     reusing the model itself when it already is that orbifold."""
     t = susp.monodromy.trace()
-    orbifold = GeodesicOrbifold(t + 4)
+    orbifold = GeodesicOrbifold(0, (2, 3, t + 4))
     if model == orbifold:
         return [], orbifold
     trace_susp = Suspension(orbifold_model_matrix(t))
@@ -240,28 +267,6 @@ def _bridge_from(model, susp):
     links.append(
         ChainLink(ALMOST_EQUIVALENCE, trace_susp, orbifold, BIRKHOFF_SECTION_23N)
     )
-    return links, orbifold
-
-
-def _bridge_to(model, susp):
-    """Mirror of _bridge_from: links from the orbifold to the model.
-
-    Certificates are direction-sensitive (base_a must be the link
-    source), so this builds its certificate outward rather than
-    reversing the one _bridge_from would build."""
-    t = susp.monodromy.trace()
-    orbifold = GeodesicOrbifold(t + 4)
-    if model == orbifold:
-        return [], orbifold
-    trace_susp = Suspension(orbifold_model_matrix(t))
-    links = [
-        ChainLink(ALMOST_EQUIVALENCE, orbifold, trace_susp, BIRKHOFF_SECTION_23N)
-    ]
-    if susp != trace_susp:
-        cert = build_certificate(trace_susp.monodromy, susp.monodromy, 1, 1)
-        links.append(ChainLink(COMMENSURABILITY, trace_susp, susp, cert))
-    _, head = _normalize_to_suspension(model)
-    links.extend(_reversed_links(head))
     return links, orbifold
 
 
@@ -280,26 +285,13 @@ def almost_commensurability_chain(m1, m2):
         middle = [ChainLink(COMMENSURABILITY, susp1, susp2, verdict.certificate)]
         links = head + middle + _reversed_links(tail)
     else:
-        left, orb1 = _bridge_from(m1, susp1)
-        right, orb2 = _bridge_to(m2, susp2)
+        left, orb1 = _bridge(m1, susp1)
+        right, orb2 = _bridge(m2, susp2)
         cover = ChainLink(
             COMMENSURABILITY, orb1, orb2, orbifold_common_cover(orb1, orb2)
         )
-        links = left + [cover] + right
+        links = left + [cover] + _reversed_links(right)
     return ChainCertificate(links=tuple(links), endpoints=(m1, m2))
-
-
-def _is_sanctioned_pair(geodesic, suspension, tag):
-    if isinstance(geodesic, GeodesicSurface):
-        return tag == GHYS_HASHIGUCHI and suspension.monodromy == genus_model_matrix(
-            geodesic.genus
-        )
-    if isinstance(geodesic, GeodesicOrbifold):
-        return (
-            tag == BIRKHOFF_SECTION_23N
-            and suspension.monodromy == orbifold_model_matrix(geodesic.n - 4)
-        )
-    return False
 
 
 def _verify_almost_equivalence(link):
@@ -308,7 +300,7 @@ def _verify_almost_equivalence(link):
         if isinstance(suspension, Suspension) and not isinstance(
             geodesic, Suspension
         ):
-            if _is_sanctioned_pair(geodesic, suspension, link.evidence):
+            if _designated(geodesic) == (link.evidence, suspension.monodromy):
                 return True, "ok"
             return False, "almost_equivalence_whitelist"
     return False, "almost_equivalence_endpoints"
@@ -326,9 +318,7 @@ def _verify_commensurability_link(link):
         if not ok:
             return False, f"certificate_invalid: {clause}"
         return True, "ok"
-    if type(source) is type(target) and isinstance(
-        source, (GeodesicSurface, GeodesicOrbifold)
-    ):
+    if isinstance(source, GeodesicOrbifold) and isinstance(target, GeodesicOrbifold):
         cover = link.evidence
         if not isinstance(cover, GeodesicCommonCover):
             return False, "cover_missing"
@@ -348,6 +338,11 @@ def _verify_commensurability_link(link):
             or cover.degree_target * cover.euler_target != cover.euler_cover
         ):
             return False, "cover_arithmetic"
+        if (
+            cover.degree_source % lcm(*source.cone_orders)
+            or cover.degree_target % lcm(*target.cone_orders)
+        ):
+            return False, "cover_cone_points"
         return True, "ok"
     return False, "commensurability_endpoints"
 

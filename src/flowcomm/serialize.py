@@ -6,7 +6,9 @@ integers survive round trips through any JSON tooling; rationals are
 "format_version" pinned to "1". The "generator" header records the
 producing tool and is ignored by verification, so regenerated
 documents differing only there still verify identically. Key order is
-sorted at dump time, making output byte-reproducible.
+sorted at dump time, making output byte-reproducible. A geodesic model
+with no cone points is a "surface" with its "genus"; any other is an
+"orbifold" with its sorted "cone_orders" and, when nonzero, its "genus".
 
 Decoding is strict: unknown kinds, missing fields, native JSON
 numbers where strings are required, or malformed values raise
@@ -33,7 +35,6 @@ from .models import (
     ChainLink,
     GeodesicCommonCover,
     GeodesicOrbifold,
-    GeodesicSurface,
     GHYS_HASHIGUCHI,
     Suspension,
 )
@@ -220,13 +221,14 @@ def decode_certificate(doc):
 def _encode_model(model):
     if isinstance(model, Suspension):
         return {"type": "suspension", "monodromy": encode_matrix(model.monodromy)}
-    if isinstance(model, GeodesicSurface):
-        return {"type": "surface", "genus": encode_int(model.genus)}
     if isinstance(model, GeodesicOrbifold):
-        return {
-            "type": "orbifold",
-            "cone_orders": [encode_int(k) for k in model.cone_orders],
-        }
+        if not model.cone_orders:
+            return {"type": "surface", "genus": encode_int(model.genus)}
+        orders = [encode_int(k) for k in model.cone_orders]
+        doc = {"type": "orbifold", "cone_orders": orders}
+        if model.genus:
+            doc["genus"] = encode_int(model.genus)
+        return doc
     raise TypeError(f"not a model: {model!r}")
 
 
@@ -236,19 +238,15 @@ def _decode_model(value, field):
         if kind == "suspension":
             return Suspension(_decode_matrix(_get(value, "monodromy", field), f"{field}.monodromy"))
         if kind == "surface":
-            return GeodesicSurface(_decode_int(_get(value, "genus", field), f"{field}.genus"))
+            return GeodesicOrbifold(_decode_int(_get(value, "genus", field), f"{field}.genus"))
         if kind == "orbifold":
             orders = _get(value, "cone_orders", field)
-            if not isinstance(orders, list) or len(orders) != 3:
-                raise DocumentError(f"{field}.cone_orders: expected three cone orders")
-            p, q, n = (
-                _decode_int(orders[i], f"{field}.cone_orders[{i}]") for i in range(3)
+            if not isinstance(orders, list) or not orders:
+                raise DocumentError(f"{field}.cone_orders: expected a nonempty list")
+            return GeodesicOrbifold(
+                _decode_int(value.get("genus", "0"), f"{field}.genus"),
+                [_decode_int(k, f"{field}.cone_orders[{i}]") for i, k in enumerate(orders)],
             )
-            if (p, q) != (2, 3):
-                raise DocumentError(
-                    f"{field}.cone_orders: only (2, 3, n) orbifolds are supported"
-                )
-            return GeodesicOrbifold(n)
     except DocumentError:
         raise
     except (ValueError, TypeError) as exc:

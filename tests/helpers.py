@@ -6,6 +6,7 @@ code with the package under test.
 
 import dataclasses
 import random
+from fractions import Fraction
 
 
 def mul(x, y):
@@ -205,3 +206,31 @@ def brute_force_conjugator(a, b, bound):
                 if mul(a, q) == mul(q, b):
                     return q
     return None
+
+
+def orbifold_chi(genus, orders):
+    """Euler characteristic 2 - 2 genus - sum(1 - 1/n) of the orbifold
+    (genus; orders)."""
+    return Fraction(2 - 2 * genus) - sum(1 - Fraction(1, n) for n in orders)
+
+
+def least_common_cover(sig_a, sig_b):
+    """(G, d_a, d_b) for the least genus G >= 2 with a surface cover of
+    both signatures (genus, orders), trying G = 2, 3, ... in turn.
+
+    A genus-G cover of degree d over an orbifold with Euler
+    characteristic chi has d chi = 2 - 2G (Riemann-Hurwitz), and each
+    cone order n divides d (a cone point of order n has d / n
+    preimages)."""
+    sides = [(orbifold_chi(*sig), sig[1]) for sig in (sig_a, sig_b)]
+    cover_genus = 2
+    while True:
+        degrees = []
+        for chi, orders in sides:
+            cover_chi = (2 - 2 * cover_genus) * chi.denominator
+            degree, rest = divmod(cover_chi, chi.numerator)
+            if rest == 0 and not any(degree % n for n in orders):
+                degrees.append(degree)
+        if len(degrees) == 2:
+            return (cover_genus, *degrees)
+        cover_genus += 1

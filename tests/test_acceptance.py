@@ -12,8 +12,8 @@ import time
 from fractions import Fraction
 
 from flowcomm import (
+    GeodesicCommonCover,
     GeodesicOrbifold,
-    GeodesicSurface,
     HyperbolicMatrix,
     Lattice2,
     Mat2,
@@ -39,6 +39,7 @@ from helpers import (
     brute_force_conjugator,
     enumerate_sublattices,
     hyperbolic_corpus,
+    least_common_cover,
     naive_pow,
     random_hyperbolic,
     random_unimodular,
@@ -276,20 +277,32 @@ def test_criterion_6_chains_for_all_pairs():
     rng = random.Random(435)
     models = (
         [Suspension(Mat2(*random_hyperbolic(rng))) for _ in range(20)]
-        + [GeodesicSurface(g) for g in range(2, 6)]
-        + [GeodesicOrbifold(n) for n in range(7, 13)]
+        + [GeodesicOrbifold(g) for g in range(2, 6)]
+        + [GeodesicOrbifold(0, (2, 3, n)) for n in range(7, 13)]
     )
     assert len(models) == 30
 
-    pairs = 0
+    pairs = covers = 0
     for x, m1 in enumerate(models):
         for m2 in models[x + 1 :]:
             chain = almost_commensurability_chain(m1, m2)
             assert verify_chain(chain) == (True, "ok")
             pairs += 1
+            for link in chain.links:
+                cover = link.evidence
+                if isinstance(cover, GeodesicCommonCover):
+                    ends = [(m.genus, m.cone_orders) for m in (link.source, link.target)]
+                    assert least_common_cover(*ends) == (
+                        cover.cover_genus,
+                        cover.degree_source,
+                        cover.degree_target,
+                    )
+                    covers += 1
     assert pairs == 435
 
-    chain = almost_commensurability_chain(GeodesicSurface(2), GeodesicOrbifold(18))
+    chain = almost_commensurability_chain(
+        GeodesicOrbifold(2), GeodesicOrbifold(0, (2, 3, 18))
+    )
     assert verify_chain(chain) == (True, "ok")
     via = Suspension(orbifold_model_matrix(14))
     assert any(
@@ -301,7 +314,12 @@ def test_criterion_6_chains_for_all_pairs():
 
     elapsed = time.monotonic() - start
     assert elapsed < 120
-    report(6, elapsed, "435 chains verified; genus-2 to (2,3,18) passes through trace 14")
+    report(
+        6,
+        elapsed,
+        f"435 chains verified, {covers} least common covers; "
+        "genus-2 to (2,3,18) passes through trace 14",
+    )
 
 
 def test_criterion_7_lattice_layer():

@@ -28,6 +28,35 @@ DIGIT_LIMIT = sys.get_int_max_str_digits()
 TOO_LONG = "1" + "0" * DIGIT_LIMIT
 
 
+# `chain orbifold:2,3,15 orbifold:2,3,7` as version 0.6.0 printed it
+DEGREE_TWENTY_CHAIN = """{
+  "endpoints": [
+    {"cone_orders": ["2", "3", "15"], "type": "orbifold"},
+    {"cone_orders": ["2", "3", "7"], "type": "orbifold"}
+  ],
+  "format_version": "1",
+  "generator": "flowcomm 0.6.0",
+  "kind": "chain-certificate",
+  "links": [
+    {
+      "evidence": {
+        "cover_genus": "2",
+        "degree_source": "20",
+        "degree_target": "84",
+        "euler_cover": "-2",
+        "euler_source": "-1/10",
+        "euler_target": "-1/42",
+        "type": "common-cover"
+      },
+      "kind": "commensurability",
+      "source": {"cone_orders": ["2", "3", "15"], "type": "orbifold"},
+      "target": {"cone_orders": ["2", "3", "7"], "type": "orbifold"}
+    }
+  ]
+}
+"""
+
+
 def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
@@ -258,9 +287,41 @@ class TestChain:
         assert len(doc["links"]) == 1
 
     def test_malformed_model(self, capsys):
-        for bad in ("surface:g=1", "orbifold:2,4,9", "orbifold:2,3", "disk:3", "surface:"):
+        for bad in (
+            "surface:g=1",
+            "orbifold:2,4,4",
+            "orbifold:2,3",
+            "orbifold:g=1",
+            "orbifold:1,5,7",
+            "orbifold:g=-1,2,3,7",
+            "orbifold:2,g=1,3",
+            "orbifold:",
+            "disk:3",
+            "surface:",
+        ):
             assert run(["chain", bad, "orbifold:2,3,9"]) == 2
         capsys.readouterr()
+
+    def test_general_signatures(self, capsys, tmp_path):
+        path = tmp_path / "chain.json"
+        for model in ("orbifold:2,4,5", "orbifold:g=1,2", "orbifold: g=2 , 5, 2"):
+            assert run(["chain", model, "surface:g=2", "-o", str(path)]) == 0
+            assert run(["verify", str(path)]) == 0
+        endpoint = json.loads(path.read_text())["endpoints"][0]
+        assert endpoint == {"type": "orbifold", "genus": "2", "cone_orders": ["2", "5"]}
+        capsys.readouterr()
+        assert run(["chain", "orbifold:7,3,2", "surface:2"]) == 0
+        first = capsys.readouterr().out
+        assert run(["chain", "orbifold:2,3,7", "surface:2"]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_cover_breaking_cone_points_rejected(self, capsys, tmp_path):
+        """A version-0.6.0 document: its genus-2 cover has degree 20 over
+        (2,3,15), which lcm(2, 3, 15) = 30 does not divide."""
+        path = tmp_path / "chain.json"
+        path.write_text(DEGREE_TWENTY_CHAIN)
+        assert run(["verify", str(path)]) == 1
+        assert capsys.readouterr().out == "rejected: link 0: cover_cone_points\n"
 
     def test_tampered_chain_rejected(self, capsys, tmp_path):
         path = tmp_path / "chain.json"
@@ -413,6 +474,11 @@ def documents(tmp_path_factory):
         # crosses square classes, so it holds citation, certificate and
         # common-cover links
         "chain": emitted_document(tmp_path_factory, ["chain", "surface:g=2", "surface:g=3"]),
+        # general signatures: cone_orders lists of other lengths, the
+        # optional genus key, and a surface-orbifold cover link
+        "general": emitted_document(
+            tmp_path_factory, ["chain", "orbifold:g=1,2,3", "orbifold:2,2,2,2,3"]
+        ),
     }
 
 
@@ -448,7 +514,9 @@ MATRIX_TEXT = st.one_of(
 MODEL_TEXT = st.one_of(
     st.text(max_size=30),
     st.tuples(
-        st.sampled_from(["suspension:", "surface:", "surface:g=", "orbifold:", "ORBIFOLD:", "disk:", ""]),
+        st.sampled_from(
+            ["suspension:", "surface:", "surface:g=", "orbifold:", "orbifold:g=", "ORBIFOLD:", "disk:", ""]
+        ),
         st.one_of(MATRIX_TEXT, st.integers(-10, 10**6).map(str), st.text(alphabet="0123456789, ", max_size=12)),
     ).map("".join),
 )
@@ -460,7 +528,7 @@ class TestBoundaryFuzz:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        kind=st.sampled_from(["cover", "chain"]),
+        kind=st.sampled_from(["cover", "chain", "general"]),
         pick=st.integers(min_value=0),
         delete=st.booleans(),
         value=FIELD_VALUES,

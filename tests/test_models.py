@@ -14,7 +14,6 @@ from flowcomm import (
     ChainLink,
     GeodesicCommonCover,
     GeodesicOrbifold,
-    GeodesicSurface,
     HyperbolicMatrix,
     InvalidGenus,
     Mat2,
@@ -28,8 +27,23 @@ from flowcomm import (
     orbifold_model_matrix,
     verify_chain,
 )
+from helpers import hyperbolic_corpus, least_common_cover
 
 A = HyperbolicMatrix(2, 1, 1, 1)
+
+
+def assert_least_covers(chain):
+    """Every cover link of the chain is the least common cover that the
+    plain-integer oracle finds, cone-point divisibility included."""
+    for link in chain.links:
+        cover = link.evidence
+        if isinstance(cover, GeodesicCommonCover):
+            expected = least_common_cover(
+                (link.source.genus, link.source.cone_orders),
+                (link.target.genus, link.target.cone_orders),
+            )
+            got = (cover.cover_genus, cover.degree_source, cover.degree_target)
+            assert got == expected, (link.source, link.target)
 
 
 def relink(link, **changes):
@@ -84,18 +98,33 @@ class TestModels:
             Suspension(A).euler_characteristic()
 
     def test_surface(self):
-        assert GeodesicSurface(2).euler_characteristic() == Fraction(-2)
-        assert GeodesicSurface(3).euler_characteristic() == Fraction(-4)
-        with pytest.raises(InvalidGenus):
-            GeodesicSurface(1)
+        """A surface is the signature with no cone points."""
+        assert GeodesicOrbifold(2) == GeodesicOrbifold(2, ())
+        assert GeodesicOrbifold(2).cone_orders == ()
+        assert GeodesicOrbifold(2).euler_characteristic() == Fraction(-2)
+        assert GeodesicOrbifold(3).euler_characteristic() == Fraction(-4)
+        for genus in (0, 1):
+            with pytest.raises(ValueError, match="not hyperbolic"):
+                GeodesicOrbifold(genus)
 
     def test_orbifold(self):
-        orb = GeodesicOrbifold(7)
+        orb = GeodesicOrbifold(0, (2, 3, 7))
         assert orb.cone_orders == (2, 3, 7)
         assert orb.euler_characteristic() == Fraction(-1, 42)
-        assert GeodesicOrbifold(12).euler_characteristic() == Fraction(-1, 12)
+        orb12 = GeodesicOrbifold(0, (2, 3, 12))
+        assert orb12.euler_characteristic() == Fraction(-1, 12)
+        assert GeodesicOrbifold(0, [7, 2, 3]) == orb
+        assert GeodesicOrbifold(1, (2,)).euler_characteristic() == Fraction(-1, 2)
+        four = GeodesicOrbifold(0, (2, 2, 2, 3))
+        assert four.euler_characteristic() == Fraction(-1, 6)
+        # the spherical and Euclidean signatures have chi >= 0
+        for orders in ((2, 3, 6), (2, 4, 4), (3, 3, 3), (2, 2, 2, 2), (2, 3, 5), (5, 7)):
+            with pytest.raises(ValueError, match="not hyperbolic"):
+                GeodesicOrbifold(0, orders)
         with pytest.raises(ValueError):
-            GeodesicOrbifold(6)
+            GeodesicOrbifold(0, (1, 5, 7))
+        with pytest.raises(ValueError):
+            GeodesicOrbifold(-1, (2, 3, 7))
 
     def test_orbifold_euler_formula(self):
         assert orbifold_euler_characteristic(0, (2, 3, 7)) == Fraction(-1, 42)
@@ -113,7 +142,7 @@ class TestModels:
 
 
 def surface_cover(g1, g2):
-    cover = orbifold_common_cover(GeodesicSurface(g1), GeodesicSurface(g2))
+    cover = orbifold_common_cover(GeodesicOrbifold(g1), GeodesicOrbifold(g2))
     return cover.cover_genus, cover.degree_source, cover.degree_target
 
 
@@ -138,24 +167,28 @@ class TestCommonCoverGenus:
                 assert d2 * (2 - 2 * g2) == 2 - 2 * cover
 
     def test_rejects_small_genus(self):
-        with pytest.raises(InvalidGenus):
+        with pytest.raises(ValueError, match="not hyperbolic"):
             surface_cover(1, 2)
 
 
 class TestOrbifoldCommonCover:
     def test_integer_ratio_pair(self):
-        cover = orbifold_common_cover(GeodesicOrbifold(12), GeodesicOrbifold(18))
+        cover = orbifold_common_cover(
+            GeodesicOrbifold(0, (2, 3, 12)), GeodesicOrbifold(0, (2, 3, 18))
+        )
         assert cover.cover_genus == 2
         assert (cover.degree_source, cover.degree_target) == (24, 18)
         assert cover.euler_cover == Fraction(-2)
 
     def test_fractional_ratio_pair(self):
-        cover = orbifold_common_cover(GeodesicOrbifold(7), GeodesicOrbifold(11))
+        cover = orbifold_common_cover(
+            GeodesicOrbifold(0, (2, 3, 7)), GeodesicOrbifold(0, (2, 3, 11))
+        )
         assert cover.cover_genus == 6
         assert (cover.degree_source, cover.degree_target) == (420, 132)
 
     def test_surface_pair(self):
-        cover = orbifold_common_cover(GeodesicSurface(3), GeodesicSurface(4))
+        cover = orbifold_common_cover(GeodesicOrbifold(3), GeodesicOrbifold(4))
         assert cover.cover_genus == lcm(3 - 1, 4 - 1) + 1
         assert (cover.degree_source, cover.degree_target) == (3, 2)
         assert cover.euler_cover == Fraction(-12)
@@ -164,7 +197,7 @@ class TestOrbifoldCommonCover:
         for n1 in range(7, 20):
             for n2 in range(7, 20):
                 cover = orbifold_common_cover(
-                    GeodesicOrbifold(n1), GeodesicOrbifold(n2)
+                    GeodesicOrbifold(0, (2, 3, n1)), GeodesicOrbifold(0, (2, 3, n2))
                 )
                 assert cover.cover_genus >= 2
                 assert (
@@ -175,9 +208,114 @@ class TestOrbifoldCommonCover:
                 )
 
 
+class TestConePointDivisibility:
+    def test_triangle_sweep(self):
+        """(2,3,n) for n in 7..200 against (2,3,7) and the genus-2
+        surface: each degree is a multiple of lcm(2, 3, n), at the least
+        genus that allows it."""
+        covers = 0
+        for n in range(7, 201):
+            for other in (GeodesicOrbifold(0, (2, 3, 7)), GeodesicOrbifold(2)):
+                chain = almost_commensurability_chain(
+                    GeodesicOrbifold(0, (2, 3, n)), other
+                )
+                assert_least_covers(chain)
+                covers += sum(
+                    isinstance(link.evidence, GeodesicCommonCover)
+                    for link in chain.links
+                )
+        assert covers > 300
+
+    def test_degree_twenty_over_2_3_15(self):
+        """lcm(2, 3, 15) = 30 does not divide 20, so the genus-2 cover
+        is refused; the least one has genus 4."""
+        source = GeodesicOrbifold(0, (2, 3, 15))
+        target = GeodesicOrbifold(0, (2, 3, 7))
+        cover = orbifold_common_cover(source, target)
+        assert (cover.cover_genus, cover.degree_source, cover.degree_target) == (
+            4,
+            60,
+            252,
+        )
+        bad = GeodesicCommonCover(
+            cover_genus=2,
+            degree_source=20,
+            degree_target=84,
+            euler_source=Fraction(-1, 10),
+            euler_target=Fraction(-1, 42),
+            euler_cover=Fraction(-2),
+        )
+        link = ChainLink(COMMENSURABILITY, source, target, bad)
+        chain = ChainCertificate(links=(link,), endpoints=(source, target))
+        assert verify_chain(chain) == (False, "link 0: cover_cone_points")
+
+
+# suspensions, surfaces, (2,3,n) and general signatures, among them genus
+# >= 1 with cone points and four or more cone points
+GENERAL_CORPUS = (
+    [Suspension(Mat2(*m)) for m in hyperbolic_corpus(30, 6)]
+    + [GeodesicOrbifold(g) for g in (2, 3, 4, 5)]
+    + [GeodesicOrbifold(0, (2, 3, n)) for n in (7, 8, 9, 12, 15, 18)]
+    + [
+        GeodesicOrbifold(genus, orders)
+        for genus, orders in (
+            (0, (2, 4, 5)),
+            (0, (2, 5, 5)),
+            (0, (3, 3, 4)),
+            (0, (7, 7, 7)),
+            (0, (2, 2, 2, 3)),
+            (0, (2, 2, 3, 3)),
+            (0, (2, 2, 2, 2, 2)),
+            (0, (2, 2, 2, 2, 3)),
+            (1, (2,)),
+            (1, (3,)),
+            (1, (2, 2, 4)),
+            (2, (3,)),
+            (2, (2, 5)),
+            (0, (4, 5, 6)),
+        )
+    ]
+)
+
+
+def _cited(model):
+    """A suspension, a surface or a (0; 2, 3, n) orbifold."""
+    if isinstance(model, Suspension) or not model.cone_orders:
+        return True
+    return (model.genus, len(model.cone_orders), model.cone_orders[:2]) == (0, 3, (2, 3))
+
+
+class TestGeneralSignatures:
+    def test_all_ordered_pairs(self):
+        """Every ordered pair gives a chain that verifies, whose covers
+        are the oracle's least ones; where neither end is a general
+        signature, no cover joins a surface to an orbifold."""
+        assert len(set(GENERAL_CORPUS)) == len(GENERAL_CORPUS) == 30
+        for m1 in GENERAL_CORPUS:
+            for m2 in GENERAL_CORPUS:
+                chain = almost_commensurability_chain(m1, m2)
+                assert verify_chain(chain) == (True, "ok"), (m1, m2)
+                assert_least_covers(chain)
+                if _cited(m1) and _cited(m2):
+                    for link in chain.links:
+                        if isinstance(link.evidence, GeodesicCommonCover):
+                            assert link.source.cone_orders and link.target.cone_orders
+
+    def test_general_model_goes_through_its_least_surface(self):
+        model = GeodesicOrbifold(1, (2,))
+        chain = almost_commensurability_chain(model, Suspension(genus_model_matrix(2)))
+        first, second = chain.links[:2]
+        assert (first.kind, first.target) == (COMMENSURABILITY, GeodesicOrbifold(2))
+        assert (first.evidence.degree_source, first.evidence.degree_target) == (4, 1)
+        assert (second.kind, second.evidence) == (ALMOST_EQUIVALENCE, GHYS_HASHIGUCHI)
+        assert len(chain.links) == 3
+
+
 class TestChainConstruction:
     def test_same_class_surface_to_orbifold(self):
-        chain = almost_commensurability_chain(GeodesicSurface(2), GeodesicOrbifold(18))
+        chain = almost_commensurability_chain(
+            GeodesicOrbifold(2), GeodesicOrbifold(0, (2, 3, 18))
+        )
         assert len(chain.links) == 3
         assert verify_chain(chain) == (True, "ok")
         middle = chain.links[1]
@@ -186,7 +324,9 @@ class TestChainConstruction:
         assert (middle.evidence.power_a, middle.evidence.power_b) == (1, 1)
 
     def test_suspension_to_orbifold(self):
-        chain = almost_commensurability_chain(Suspension(A), GeodesicOrbifold(11))
+        chain = almost_commensurability_chain(
+            Suspension(A), GeodesicOrbifold(0, (2, 3, 11))
+        )
         assert len(chain.links) == 2
         assert verify_chain(chain) == (True, "ok")
         cert = chain.links[0].evidence
@@ -199,13 +339,15 @@ class TestChainConstruction:
         assert chain.links[0].evidence.intertwiner == Mat2.identity()
 
     def test_cross_class_orbifolds_collapse_to_cover(self):
-        chain = almost_commensurability_chain(GeodesicOrbifold(7), GeodesicOrbifold(12))
+        chain = almost_commensurability_chain(
+            GeodesicOrbifold(0, (2, 3, 7)), GeodesicOrbifold(0, (2, 3, 12))
+        )
         assert len(chain.links) == 1
         assert isinstance(chain.links[0].evidence, GeodesicCommonCover)
         assert verify_chain(chain) == (True, "ok")
 
     def test_cross_class_surfaces(self):
-        chain = almost_commensurability_chain(GeodesicSurface(2), GeodesicSurface(3))
+        chain = almost_commensurability_chain(GeodesicOrbifold(2), GeodesicOrbifold(3))
         assert len(chain.links) == 7
         assert verify_chain(chain) == (True, "ok")
         kinds = [link.kind for link in chain.links]
@@ -220,7 +362,7 @@ class TestChainConstruction:
         ]
 
     def test_endpoints_recorded(self):
-        m1, m2 = GeodesicSurface(2), GeodesicOrbifold(7)
+        m1, m2 = GeodesicOrbifold(2), GeodesicOrbifold(0, (2, 3, 7))
         chain = almost_commensurability_chain(m1, m2)
         assert chain.endpoints == (m1, m2)
         assert chain.links[0].source == m1
@@ -229,9 +371,13 @@ class TestChainConstruction:
 
     def test_reversal_symmetry(self):
         pairs = [
-            (GeodesicSurface(2), GeodesicOrbifold(18)),
-            (GeodesicSurface(2), GeodesicSurface(3)),
-            (Suspension(A), GeodesicOrbifold(9)),
+            (GeodesicOrbifold(2), GeodesicOrbifold(0, (2, 3, 18))),
+            (GeodesicOrbifold(2), GeodesicOrbifold(3)),
+            (Suspension(A), GeodesicOrbifold(0, (2, 3, 9))),
+            (GeodesicOrbifold(1, (2,)), GeodesicOrbifold(3)),
+            (GeodesicOrbifold(0, (2, 4, 5)), GeodesicOrbifold(0, (2, 3, 9))),
+            (GeodesicOrbifold(0, (2, 2, 2, 3)), Suspension(A)),
+            (GeodesicOrbifold(2, (3,)), GeodesicOrbifold(0, (3, 3, 4))),
         ]
         for m1, m2 in pairs:
             forward = almost_commensurability_chain(m1, m2)
@@ -243,7 +389,9 @@ class TestChainConstruction:
 
 class TestVerifyChain:
     def _surface_chain(self):
-        return almost_commensurability_chain(GeodesicSurface(2), GeodesicOrbifold(18))
+        return almost_commensurability_chain(
+            GeodesicOrbifold(2), GeodesicOrbifold(0, (2, 3, 18))
+        )
 
     def test_empty_chain(self):
         chain = ChainCertificate(links=(), endpoints=(Suspension(A), Suspension(A)))
@@ -251,13 +399,14 @@ class TestVerifyChain:
 
     def test_endpoints_shape(self):
         base = self._surface_chain()
-        chain = ChainCertificate(links=base.links, endpoints=(GeodesicSurface(2),))
+        chain = ChainCertificate(links=base.links, endpoints=(GeodesicOrbifold(2),))
         assert verify_chain(chain) == (False, "endpoints_shape")
 
     def test_endpoints_match(self):
         base = self._surface_chain()
         chain = ChainCertificate(
-            links=base.links, endpoints=(GeodesicSurface(3), GeodesicOrbifold(18))
+            links=base.links,
+            endpoints=(GeodesicOrbifold(3), GeodesicOrbifold(0, (2, 3, 18))),
         )
         assert verify_chain(chain) == (False, "endpoints_match")
 
@@ -270,27 +419,29 @@ class TestVerifyChain:
 
     def test_retargeted_almost_equivalence(self):
         wrong = Suspension(orbifold_model_matrix(15))
-        link = ChainLink(ALMOST_EQUIVALENCE, GeodesicSurface(2), wrong, GHYS_HASHIGUCHI)
-        chain = ChainCertificate(links=(link,), endpoints=(GeodesicSurface(2), wrong))
+        link = ChainLink(
+            ALMOST_EQUIVALENCE, GeodesicOrbifold(2), wrong, GHYS_HASHIGUCHI
+        )
+        chain = ChainCertificate(links=(link,), endpoints=(GeodesicOrbifold(2), wrong))
         assert verify_chain(chain) == (False, "link 0: almost_equivalence_whitelist")
 
     def test_wrong_tag(self):
         susp = Suspension(genus_model_matrix(2))
         link = ChainLink(
-            ALMOST_EQUIVALENCE, GeodesicSurface(2), susp, BIRKHOFF_SECTION_23N
+            ALMOST_EQUIVALENCE, GeodesicOrbifold(2), susp, BIRKHOFF_SECTION_23N
         )
-        chain = ChainCertificate(links=(link,), endpoints=(GeodesicSurface(2), susp))
+        chain = ChainCertificate(links=(link,), endpoints=(GeodesicOrbifold(2), susp))
         assert verify_chain(chain) == (False, "link 0: almost_equivalence_whitelist")
 
     def test_almost_equivalence_needs_suspension(self):
         link = ChainLink(
             ALMOST_EQUIVALENCE,
-            GeodesicSurface(2),
-            GeodesicSurface(3),
+            GeodesicOrbifold(2),
+            GeodesicOrbifold(3),
             GHYS_HASHIGUCHI,
         )
         chain = ChainCertificate(
-            links=(link,), endpoints=(GeodesicSurface(2), GeodesicSurface(3))
+            links=(link,), endpoints=(GeodesicOrbifold(2), GeodesicOrbifold(3))
         )
         assert verify_chain(chain) == (False, "link 0: almost_equivalence_endpoints")
 
@@ -325,7 +476,9 @@ class TestVerifyChain:
         assert verify_chain(chain) == (False, "link 0: certificate_missing")
 
     def test_mutated_cover_arithmetic(self):
-        base = almost_commensurability_chain(GeodesicOrbifold(7), GeodesicOrbifold(12))
+        base = almost_commensurability_chain(
+            GeodesicOrbifold(0, (2, 3, 7)), GeodesicOrbifold(0, (2, 3, 12))
+        )
         cover = base.links[0].evidence
         mutated = GeodesicCommonCover(
             cover_genus=cover.cover_genus,
@@ -340,7 +493,9 @@ class TestVerifyChain:
         assert verify_chain(chain) == (False, "link 0: cover_arithmetic")
 
     def test_mutated_cover_genus(self):
-        base = almost_commensurability_chain(GeodesicOrbifold(7), GeodesicOrbifold(12))
+        base = almost_commensurability_chain(
+            GeodesicOrbifold(0, (2, 3, 7)), GeodesicOrbifold(0, (2, 3, 12))
+        )
         cover = base.links[0].evidence
         mutated = GeodesicCommonCover(
             cover_genus=cover.cover_genus + 1,
@@ -355,11 +510,19 @@ class TestVerifyChain:
         assert verify_chain(chain) == (False, "link 0: cover_euler_genus")
 
     def test_cover_between_mixed_kinds(self):
-        base = almost_commensurability_chain(GeodesicOrbifold(7), GeodesicOrbifold(12))
-        links = (relink(base.links[0], source=GeodesicSurface(2)),)
-        chain = ChainCertificate(
-            links=links, endpoints=(GeodesicSurface(2), GeodesicOrbifold(12))
-        )
+        """A surface and an orbifold may share a cover link, as long as
+        its arithmetic is theirs."""
+        surface, orbifold = GeodesicOrbifold(2), GeodesicOrbifold(0, (2, 3, 12))
+        cover = orbifold_common_cover(surface, orbifold)
+        link = ChainLink(COMMENSURABILITY, surface, orbifold, cover)
+        chain = ChainCertificate(links=(link,), endpoints=(surface, orbifold))
+        assert verify_chain(chain) == (True, "ok")
+        base = almost_commensurability_chain(GeodesicOrbifold(0, (2, 3, 7)), orbifold)
+        links = (relink(base.links[0], source=surface),)
+        chain = ChainCertificate(links=links, endpoints=(surface, orbifold))
+        assert verify_chain(chain) == (False, "link 0: cover_euler_endpoints")
+        link = ChainLink(COMMENSURABILITY, surface, Suspension(A), GHYS_HASHIGUCHI)
+        chain = ChainCertificate(links=(link,), endpoints=(surface, Suspension(A)))
         assert verify_chain(chain) == (False, "link 0: commensurability_endpoints")
 
     def test_unknown_kind(self):

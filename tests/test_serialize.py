@@ -7,11 +7,11 @@ import pytest
 from flowcomm import (
     DocumentError,
     GeodesicOrbifold,
-    GeodesicSurface,
     HyperbolicMatrix,
     Suspension,
     almost_commensurability_chain,
     are_commensurable,
+    verify_chain,
 )
 from flowcomm.serialize import (
     CERTIFICATE_KIND,
@@ -36,12 +36,14 @@ def sample_certificate():
 
 
 def sample_chains():
-    return [
-        almost_commensurability_chain(GeodesicSurface(2), GeodesicOrbifold(18)),
-        almost_commensurability_chain(GeodesicSurface(2), GeodesicSurface(3)),
-        almost_commensurability_chain(GeodesicOrbifold(7), GeodesicOrbifold(12)),
-        almost_commensurability_chain(Suspension(A), Suspension(A)),
+    pairs = [
+        (GeodesicOrbifold(2), GeodesicOrbifold(0, (2, 3, 18))),
+        (GeodesicOrbifold(2), GeodesicOrbifold(3)),
+        (GeodesicOrbifold(0, (2, 3, 7)), GeodesicOrbifold(0, (2, 3, 12))),
+        (Suspension(A), Suspension(A)),
+        (GeodesicOrbifold(1, (2, 3)), GeodesicOrbifold(0, (2, 2, 2, 3))),
     ]
+    return [almost_commensurability_chain(m1, m2) for m1, m2 in pairs]
 
 
 class TestCertificateDocuments:
@@ -186,7 +188,7 @@ class TestChainDocuments:
 
     def test_fractions_encoded_exactly(self):
         chain = almost_commensurability_chain(
-            GeodesicOrbifold(7), GeodesicOrbifold(12)
+            GeodesicOrbifold(0, (2, 3, 7)), GeodesicOrbifold(0, (2, 3, 12))
         )
         doc = encode_chain(chain)
         evidence = doc["links"][0]["evidence"]
@@ -216,9 +218,38 @@ class TestChainDocuments:
             decode_chain(doc)
 
     def test_non_23n_orbifold_rejected(self):
+        """Any hyperbolic signature decodes; a (2,5,18) orbifold has no
+        cited suspension, so the verifier rejects the Birkhoff link."""
         doc = encode_chain(sample_chains()[0])
-        doc["links"][-1]["target"]["cone_orders"] = ["2", "5", "18"]
-        with pytest.raises(DocumentError):
+        for model in (doc["links"][-1]["target"], doc["endpoints"][1]):
+            model["cone_orders"] = ["2", "5", "18"]
+        chain = decode_chain(doc)
+        assert chain.endpoints[1] == GeodesicOrbifold(0, (2, 5, 18))
+        assert verify_chain(chain) == (False, "link 2: almost_equivalence_whitelist")
+        for orders, message in (
+            ([], "expected a nonempty list"),
+            ("2,3,7", "expected a nonempty list"),
+            (["2", "3", "6"], "not hyperbolic"),
+            (["1", "3", "7"], "cone orders must be >= 2"),
+            (["2", 3, "7"], r"cone_orders\[1\]: expected a decimal-string"),
+        ):
+            doc["endpoints"][1]["cone_orders"] = orders
+            with pytest.raises(DocumentError, match=message):
+                decode_chain(doc)
+
+    def test_general_signature_fields(self):
+        """No cone points: a surface. Otherwise sorted cone orders, and a
+        genus only when it is not 0."""
+        doc = encode_chain(sample_chains()[4])
+        assert doc["endpoints"] == [
+            {"type": "orbifold", "genus": "1", "cone_orders": ["2", "3"]},
+            {"type": "orbifold", "cone_orders": ["2", "2", "2", "3"]},
+        ]
+        assert {"type": "surface", "genus": "2"} in [
+            link["target"] for link in doc["links"]
+        ]
+        doc["endpoints"][0]["genus"] = "-1"
+        with pytest.raises(DocumentError, match=r"endpoints\[0\]: genus must be >= 0"):
             decode_chain(doc)
 
     def test_endpoints_shape(self):
@@ -229,7 +260,7 @@ class TestChainDocuments:
 
     def test_bad_fraction_rejected(self):
         chain = almost_commensurability_chain(
-            GeodesicOrbifold(7), GeodesicOrbifold(12)
+            GeodesicOrbifold(0, (2, 3, 7)), GeodesicOrbifold(0, (2, 3, 12))
         )
         doc = encode_chain(chain)
         doc["links"][0]["evidence"]["euler_source"] = "-1/0"
@@ -245,8 +276,6 @@ class TestChainDocuments:
     def test_mutated_documents_still_decode(self):
         """Wrong values in well-formed fields decode fine; rejection is
         the verifier's job, not the parser's."""
-        from flowcomm import verify_chain
-
         doc = encode_chain(sample_chains()[0])
         doc["links"][0]["evidence"]["tag"] = "BIRKHOFF_SECTION_23N"
         chain = decode_chain(doc)
