@@ -12,14 +12,17 @@ Geodesic-geodesic links carry common-cover degree and
 Euler-characteristic arithmetic; the existence of the actual cover is
 likewise cited, the arithmetic is what gets verified.
 
-almost_commensurability_chain joins any two models: both endpoints
-are normalized to suspensions (any other orbifold through a cover of
-its least covering surface), which are either commensurable (one
-certificate link, decided by are_commensurable) or are bridged
-through the trace-t model suspensions and their orbifolds.
+almost_commensurability_chain joins any two models by one path of
+models, walked from m1 to m2: each endpoint's path runs to its
+suspension (any other orbifold through its least covering surface),
+and the two suspensions are either commensurable (one certificate
+link between them, decided by are_commensurable) or each path is
+bridged on through its trace-t model suspension to that trace's
+orbifold, and a cover joins the two orbifolds. Each link is formed
+once, from its two neighbours, in the direction it is walked.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index as _as_int
@@ -79,24 +82,28 @@ class Suspension:
 class GeodesicOrbifold:
     """Geodesic flow on the closed orientable hyperbolic 2-orbifold of
     signature (genus; cone_orders), chi < 0; a surface has no cone
-    points. Cone orders are kept sorted."""
+    points. Cone orders are kept sorted; chi is summed once, here, and
+    is no part of equality, hashing or the repr."""
 
     genus: int
     cone_orders: tuple = ()
+    _chi: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "genus", _as_int(self.genus))
         object.__setattr__(
             self, "cone_orders", tuple(sorted(map(_as_int, self.cone_orders)))
         )
-        if self.euler_characteristic() >= 0:
+        chi = orbifold_euler_characteristic(self.genus, self.cone_orders)
+        if chi >= 0:
             raise ValueError(
                 f"signature ({self.genus}; {', '.join(map(str, self.cone_orders))})"
                 " has chi >= 0, so it is not hyperbolic"
             )
+        object.__setattr__(self, "_chi", chi)
 
     def euler_characteristic(self):
-        return orbifold_euler_characteristic(self.genus, self.cone_orders)
+        return self._chi
 
 
 @dataclass(frozen=True)
@@ -215,82 +222,72 @@ def _designated(model):
     return None
 
 
-def _normalize_to_suspension(model):
-    """Links (possibly empty) from the model to its suspension. A model
-    with no cited suspension goes through its least covering surface."""
+def _path_to_suspension(model):
+    """Models from the model to its suspension: the model, its least
+    covering surface when it has no cited suspension, then that
+    suspension (a suspension is its own path)."""
     if isinstance(model, Suspension):
-        return model, []
+        return [model]
     if not isinstance(model, GeodesicOrbifold):
         raise TypeError(f"not a model: {model!r}")
     designated = _designated(model)
     if designated is None:
         surface = GeodesicOrbifold(orbifold_common_cover(model, model).cover_genus)
-        cover = ChainLink(
-            COMMENSURABILITY, model, surface, orbifold_common_cover(model, surface)
-        )
-        susp, tail = _normalize_to_suspension(surface)
-        return susp, [cover] + tail
-    tag, monodromy = designated
-    susp = Suspension(monodromy)
-    return susp, [ChainLink(ALMOST_EQUIVALENCE, model, susp, tag)]
+        return [model] + _path_to_suspension(surface)
+    return [model, Suspension(designated[1])]
 
 
-def _reversed_links(links):
-    """The links walked backwards. Certificates and covers name their
-    source first, so they are rebuilt for the reversed direction."""
-    out = []
-    for link in reversed(links):
-        source, target, evidence = link.target, link.source, link.evidence
-        if isinstance(evidence, CommensurabilityCertificate):
-            evidence = build_certificate(
-                source.monodromy, target.monodromy, evidence.power_b, evidence.power_a
-            )
-        elif isinstance(evidence, GeodesicCommonCover):
-            evidence = orbifold_common_cover(source, target)
-        out.append(ChainLink(link.kind, source, target, evidence))
-    return out
-
-
-def _bridge(model, susp):
-    """Links from the model to the (2,3,t+4) orbifold of its trace,
-    reusing the model itself when it already is that orbifold."""
-    t = susp.monodromy.trace()
+def _bridge(path):
+    """The path extended from its suspension to the trace-t suspension
+    and the (2,3,t+4) orbifold; a path starting at that orbifold is the
+    orbifold alone."""
+    t = path[-1].monodromy.trace()
     orbifold = GeodesicOrbifold(0, (2, 3, t + 4))
-    if model == orbifold:
-        return [], orbifold
+    if path[0] == orbifold:
+        return [orbifold]
     trace_susp = Suspension(orbifold_model_matrix(t))
-    _, head = _normalize_to_suspension(model)
-    links = list(head)
-    if susp != trace_susp:
-        cert = build_certificate(susp.monodromy, trace_susp.monodromy, 1, 1)
-        links.append(ChainLink(COMMENSURABILITY, susp, trace_susp, cert))
-    links.append(
-        ChainLink(ALMOST_EQUIVALENCE, trace_susp, orbifold, BIRKHOFF_SECTION_23N)
-    )
-    return links, orbifold
+    if path[-1] != trace_susp:
+        path = path + [trace_susp]
+    return path + [orbifold]
+
+
+def _link(source, target):
+    """The link from source to target, neighbours on a path: two
+    suspensions (on a bridge, so of one trace) get the certificate of
+    exponents (1, 1), two geodesic models their least common cover,
+    and a geodesic model and its suspension the citation tag."""
+    if isinstance(source, Suspension) and isinstance(target, Suspension):
+        cert = build_certificate(source.monodromy, target.monodromy, 1, 1)
+        return ChainLink(COMMENSURABILITY, source, target, cert)
+    if isinstance(source, GeodesicOrbifold) and isinstance(target, GeodesicOrbifold):
+        cover = orbifold_common_cover(source, target)
+        return ChainLink(COMMENSURABILITY, source, target, cover)
+    geodesic = target if isinstance(source, Suspension) else source
+    return ChainLink(ALMOST_EQUIVALENCE, source, target, _designated(geodesic)[0])
+
+
+def _links(path):
+    return [_link(source, target) for source, target in zip(path, path[1:])]
 
 
 def almost_commensurability_chain(m1, m2):
-    """Chain of verified links between any two models.
+    """Chain of verified links between any two models, built as one
+    path of models from m1 to m2, each link formed once from its two
+    neighbours in the direction it is walked.
 
-    Both endpoints normalize to suspensions. Commensurable ones (t^2 - 4
-    in one square class) admit a direct certificate link; the others
-    are bridged through the trace-t model suspensions and a common
-    cover of their orbifolds (certificates cannot cross a square
-    class, the cover link is what does)."""
-    susp1, head = _normalize_to_suspension(m1)
-    susp2, tail = _normalize_to_suspension(m2)
-    verdict = are_commensurable(susp1.monodromy, susp2.monodromy)
+    Each endpoint's path runs to its suspension. Commensurable
+    suspensions (t^2 - 4 in one square class) are joined by the
+    certificate are_commensurable decided; the others are bridged
+    through the trace-t model suspensions and a common cover of their
+    orbifolds (certificates cannot cross a square class, the cover link
+    is what does). The right half is m2's path reversed."""
+    left, right = _path_to_suspension(m1), _path_to_suspension(m2)
+    verdict = are_commensurable(left[-1].monodromy, right[-1].monodromy)
     if verdict.commensurable:
-        middle = [ChainLink(COMMENSURABILITY, susp1, susp2, verdict.certificate)]
-        links = head + middle + _reversed_links(tail)
+        middle = ChainLink(COMMENSURABILITY, left[-1], right[-1], verdict.certificate)
+        links = _links(left) + [middle] + _links(right[::-1])
     else:
-        left, orb1 = _bridge(m1, susp1)
-        right, orb2 = _bridge(m2, susp2)
-        cover = ChainLink(
-            COMMENSURABILITY, orb1, orb2, orbifold_common_cover(orb1, orb2)
-        )
-        links = left + [cover] + _reversed_links(right)
+        links = _links(_bridge(left) + _bridge(right)[::-1])
     return ChainCertificate(links=tuple(links), endpoints=(m1, m2))
 
 

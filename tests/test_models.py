@@ -1,10 +1,12 @@
 """Unit tests for flow models, common covers, and chain certificates."""
 
+import hashlib
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+import flowcomm.commensurability as commensurability
 from flowcomm import (
     ALMOST_EQUIVALENCE,
     BIRKHOFF_SECTION_23N,
@@ -12,6 +14,7 @@ from flowcomm import (
     GHYS_HASHIGUCHI,
     ChainCertificate,
     ChainLink,
+    CommensurabilityCertificate,
     GeodesicCommonCover,
     GeodesicOrbifold,
     HyperbolicMatrix,
@@ -27,6 +30,7 @@ from flowcomm import (
     orbifold_model_matrix,
     verify_chain,
 )
+from flowcomm.serialize import dumps, encode_chain
 from helpers import hyperbolic_corpus, least_common_cover
 
 A = HyperbolicMatrix(2, 1, 1, 1)
@@ -44,6 +48,24 @@ def assert_least_covers(chain):
             )
             got = (cover.cover_genus, cover.degree_source, cover.degree_target)
             assert got == expected, (link.source, link.target)
+
+
+def certificate_links(chain):
+    return sum(
+        isinstance(link.evidence, CommensurabilityCertificate) for link in chain.links
+    )
+
+
+def count_intertwiner_searches(monkeypatch):
+    """A one-item list counting find_intertwiner runs from here on."""
+    calls, search = [0], commensurability.find_intertwiner
+
+    def counted(*args):
+        calls[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(commensurability, "find_intertwiner", counted)
+    return calls
 
 
 def relink(link, **changes):
@@ -114,6 +136,9 @@ class TestModels:
         orb12 = GeodesicOrbifold(0, (2, 3, 12))
         assert orb12.euler_characteristic() == Fraction(-1, 12)
         assert GeodesicOrbifold(0, [7, 2, 3]) == orb
+        assert hash(GeodesicOrbifold(0, [7, 2, 3])) == hash(orb)
+        # the stored chi is no part of the signature's text
+        assert repr(orb) == "GeodesicOrbifold(genus=0, cone_orders=(2, 3, 7))"
         assert GeodesicOrbifold(1, (2,)).euler_characteristic() == Fraction(-1, 2)
         four = GeodesicOrbifold(0, (2, 2, 2, 3))
         assert four.euler_characteristic() == Fraction(-1, 6)
@@ -286,20 +311,38 @@ def _cited(model):
 
 
 class TestGeneralSignatures:
-    def test_all_ordered_pairs(self):
-        """Every ordered pair gives a chain that verifies, whose covers
-        are the oracle's least ones; where neither end is a general
+    def test_all_ordered_pairs(self, monkeypatch):
+        """Every ordered pair gives a chain that verifies, built with
+        one intertwiner search per certificate link, whose covers are
+        the oracle's least ones; where neither end is a general
         signature, no cover joins a surface to an orbifold."""
         assert len(set(GENERAL_CORPUS)) == len(GENERAL_CORPUS) == 30
+        calls = count_intertwiner_searches(monkeypatch)
         for m1 in GENERAL_CORPUS:
             for m2 in GENERAL_CORPUS:
+                calls[0] = 0
                 chain = almost_commensurability_chain(m1, m2)
+                assert calls[0] == certificate_links(chain), (m1, m2)
                 assert verify_chain(chain) == (True, "ok"), (m1, m2)
                 assert_least_covers(chain)
                 if _cited(m1) and _cited(m2):
                     for link in chain.links:
                         if isinstance(link.evidence, GeodesicCommonCover):
                             assert link.source.cone_orders and link.target.cone_orders
+
+    def test_chain_bytes_pinned(self):
+        """The chain documents of all 900 ordered pairs, without the
+        generator header, hash to the value recorded for version 0.7.0;
+        a deliberate change to chain bytes updates this digest."""
+        digest = hashlib.sha256()
+        for m1 in GENERAL_CORPUS:
+            for m2 in GENERAL_CORPUS:
+                doc = encode_chain(almost_commensurability_chain(m1, m2))
+                del doc["generator"]
+                digest.update(dumps(doc).encode())
+        assert digest.hexdigest() == (
+            "263d91f2e660b0bf4964706c47f34edf285aefd28f0f5986525aabce607b4ec6"
+        )
 
     def test_general_model_goes_through_its_least_surface(self):
         model = GeodesicOrbifold(1, (2,))
@@ -384,7 +427,18 @@ class TestChainConstruction:
             backward = almost_commensurability_chain(m2, m1)
             assert verify_chain(forward) == (True, "ok")
             assert verify_chain(backward) == (True, "ok")
-            assert len(forward.links) == len(backward.links)
+            assert [(link.source, link.target) for link in backward.links] == [
+                (link.target, link.source) for link in reversed(forward.links)
+            ]
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_each_certificate_built_once(self, monkeypatch, n):
+        """Genus 2 and A^n lie in different square classes: one
+        certificate on each bridge, and no search beyond them."""
+        calls = count_intertwiner_searches(monkeypatch)
+        chain = almost_commensurability_chain(GeodesicOrbifold(2), Suspension(A**n))
+        assert certificate_links(chain) == 2
+        assert calls[0] == 2
 
 
 class TestVerifyChain:
