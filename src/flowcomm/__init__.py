@@ -11,12 +11,11 @@ rationals. Every positive decision is backed by a certificate that an
 independent verifier re-checks from scratch.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .errors import (
     ComputationLimit,
     DocumentError,
-    ExponentMismatch,
     FlowcommError,
     InvalidGenus,
     NotHyperbolic,
@@ -47,7 +46,6 @@ from .commensurability import (
     CommensurabilityCertificate,
     CommensurabilityVerdict,
     are_commensurable,
-    build_certificate,
     find_intertwiner,
     stabilization_exponent,
     verify_certificate,
@@ -78,7 +76,6 @@ __all__ = [
     "SingularBasis",
     "NotUnimodular",
     "TraceMismatch",
-    "ExponentMismatch",
     "DocumentError",
     "ComputationLimit",
     "Mat2",
@@ -101,7 +98,6 @@ __all__ = [
     "are_commensurable",
     "find_intertwiner",
     "stabilization_exponent",
-    "build_certificate",
     "verify_certificate",
     "GHYS_HASHIGUCHI",
     "BIRKHOFF_SECTION_23N",

@@ -25,7 +25,7 @@ from math import gcd, isqrt
 from operator import index as _as_int
 
 from .conjugacy import reduction_cycle
-from .errors import ComputationLimit, ExponentMismatch, NotHyperbolic
+from .errors import ComputationLimit, NotHyperbolic
 from .linalg import (
     HyperbolicMatrix,
     Lattice2,
@@ -43,7 +43,6 @@ __all__ = [
     "are_commensurable",
     "find_intertwiner",
     "stabilization_exponent",
-    "build_certificate",
     "verify_certificate",
 ]
 
@@ -130,8 +129,8 @@ def find_intertwiner(a1, b1):
     a1 and b1 are any integer pair of one trace t and one determinant
     delta with t^2 - 4 delta not a square: two hyperbolic matrices of
     one trace, such as a**i and b**j, or the input-size pair that
-    build_certificate takes in their place (see _certificate). The
-    solutions are P = x K1 + y K2 for a lattice basis (K1, K2), and
+    _certificate takes in their place. The solutions are
+    P = x K1 + y K2 for a lattice basis (K1, K2), and
     det P = f(x, y) = alpha x^2 + beta xy + gamma y^2 is an indefinite
     form of discriminant disc > 0 with no zero (a singular nonzero P
     would give a rational eigenvector of a1, but t^2 - 4 delta is not a
@@ -239,6 +238,10 @@ def _certificate(a, b, power_a, power_b, u_a, u_b):
     dimension, so the two are equal, and so are their integer points.
     For a nonsingular P both say that P^-1 a P is the element c of Q[b]
     whose eigenvalue on b's expanding eigenvector is lam_a.
+
+    The stabilization exponent is 1 by theorem: with A1 = a**power_a
+    and B1 = b**power_b, A1 P = P B1 and B1 Z^2 = Z^2 give
+    A1 (P Z^2) = P B1 Z^2 = P Z^2, so A1 itself fixes the lattice.
     """
     t_a, t_b = a.trace(), b.trace()
     x = Mat2(2 * u_b * a.a, 2 * u_b * a.b, 2 * u_b * a.c, 2 * u_b * a.d)
@@ -257,43 +260,6 @@ def _certificate(a, b, power_a, power_b, u_a, u_b):
         stabilization=1,
         index_over_a=power_a * abs(det_p),
         index_over_b=power_b,
-    )
-
-
-def build_certificate(a, b, power_a, power_b):
-    """Assemble the commensurability certificate for given exponents.
-
-    Raises ExponentMismatch unless trace(a**power_a) == trace(b**power_b),
-    and ComputationLimit, before any power is formed, on exactly the
-    powers verify_certificate would refuse to form. Equal power traces
-    mean lam_a**power_a == lam_b**power_b for the expanding eigenvalues,
-    which holds exactly when the square classes agree and
-    (power_a, power_b) is a multiple of the least exponents; that is
-    checked at input size, and the intertwiner is found at input size
-    too (see _certificate). Only the ExponentMismatch message forms the
-    powers, to name the bit lengths of their traces.
-    The stabilization exponent is 1 by theorem: with A1 = a**power_a
-    and B1 = b**power_b, A1 P = P B1 and B1 Z^2 = Z^2 give
-    A1 (P Z^2) = P B1 Z^2 = P Z^2, so A1 itself fixes the lattice.
-    """
-    a = a if isinstance(a, HyperbolicMatrix) else HyperbolicMatrix.from_mat(a)
-    b = b if isinstance(b, HyperbolicMatrix) else HyperbolicMatrix.from_mat(b)
-    power_a = _as_int(power_a)
-    power_b = _as_int(power_b)
-    if power_a < 1 or power_b < 1:
-        raise ValueError("powers must be >= 1")
-    _check_power_bits("power_a", a, power_a)
-    _check_power_bits("power_b", b, power_b)
-    units = _shared_units(a.trace(), b.trace())
-    if units is not None:
-        shared, u_a, u_b = units
-        i, j = _least_exponents((a.trace(), u_a), (b.trace(), u_b), shared)
-        if power_a * j == power_b * i:
-            return _certificate(a, b, power_a, power_b, u_a, u_b)
-    raise ExponentMismatch(
-        f"trace(a^{power_a}) != trace(b^{power_b}): traces of "
-        f"{mat_pow(a, power_a).trace().bit_length()} and "
-        f"{mat_pow(b, power_b).trace().bit_length()} bits"
     )
 
 
@@ -408,7 +374,7 @@ def verify_certificate(cert):
     if cert.stabilization < 1:
         return False, "stabilization_positive"
     # the intertwining identity already makes a1 fix the lattice (see
-    # build_certificate), so 1 is the only minimal exponent
+    # _certificate), so 1 is the only minimal exponent
     if cert.stabilization != 1:
         return False, "stabilization_minimal"
     # det a1 = 1, so a1 L inside L means a1 L = L

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from math import isqrt
 from operator import index as _as_int
 
-from .errors import NotHyperbolic
-from .linalg import Mat2, mat_mul
+from .linalg import HyperbolicMatrix, Mat2, mat_mul
 
 __all__ = [
     "R",
@@ -99,15 +98,6 @@ def _least_rotation(pairs):
     return min(range(len(pairs)), key=lambda k: pairs[k:] + pairs[:k])
 
 
-def _check_hyperbolic(m):
-    if m.det() != 1:
-        raise NotHyperbolic(f"determinant is {m.det()}, need 1")
-    if m.trace() <= 2:
-        raise NotHyperbolic(
-            f"trace {m.trace()} is not > 2 (square negative-trace inputs first)"
-        )
-
-
 def reduction_cycle(p, q, q_prev):
     """Continued fraction of x = (p + sqrt(disc)) / q, disc = p^2 + q q_prev.
 
@@ -156,7 +146,7 @@ def rl_word(m):
     W^-1 m W is a power of it. Two consecutive quotients form one
     (r, l) pair, since (r 1; 1 0)(l 1; 1 0) = R^r L^l.
     """
-    _check_hyperbolic(m)
+    HyperbolicMatrix.from_mat(m)
     witness, period = reduction_cycle(m.a - m.d, 2 * m.c, 2 * m.b)
     pairs = tuple(zip(period[::2], period[1::2]))
 

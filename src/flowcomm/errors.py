@@ -31,10 +31,6 @@ class TraceMismatch(FlowcommError):
     """Intertwiner equation requires equal traces."""
 
 
-class ExponentMismatch(FlowcommError):
-    """Certificate exponents do not equalize the power traces."""
-
-
 class DocumentError(FlowcommError):
     """Malformed or unsupported certificate document."""
 

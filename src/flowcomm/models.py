@@ -30,7 +30,6 @@ from operator import index as _as_int
 from .commensurability import (
     CommensurabilityCertificate,
     are_commensurable,
-    build_certificate,
     verify_certificate,
 )
 from .errors import InvalidGenus, NotHyperbolic
@@ -253,11 +252,12 @@ def _bridge(path):
 
 def _link(source, target):
     """The link from source to target, neighbours on a path: two
-    suspensions (on a bridge, so of one trace) get the certificate of
-    exponents (1, 1), two geodesic models their least common cover,
-    and a geodesic model and its suspension the citation tag."""
+    suspensions (on a bridge, so of one trace) get are_commensurable's
+    certificate, of least exponents (1, 1); two geodesic models their
+    least common cover; and a geodesic model and its suspension the
+    citation tag."""
     if isinstance(source, Suspension) and isinstance(target, Suspension):
-        cert = build_certificate(source.monodromy, target.monodromy, 1, 1)
+        cert = are_commensurable(source.monodromy, target.monodromy).certificate
         return ChainLink(COMMENSURABILITY, source, target, cert)
     if isinstance(source, GeodesicOrbifold) and isinstance(target, GeodesicOrbifold):
         cover = orbifold_common_cover(source, target)

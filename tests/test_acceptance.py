@@ -21,7 +21,6 @@ from flowcomm import (
     almost_commensurability_chain,
     are_commensurable,
     are_equivalent,
-    build_certificate,
     genus_model_matrix,
     hnf,
     lattice_image,
@@ -200,7 +199,7 @@ def test_criterion_3_certificates():
             if not verdict.commensurable:
                 continue
             i, j = verdict.minimal_exponents
-            cert = build_certificate(a, b, i, j)
+            cert = verdict.certificate
             assert verify_certificate(cert) == (True, "ok")
             p = cert.intertwiner
             assert mat_mul(mat_pow(a, i), p) == mat_mul(p, mat_pow(b, j))

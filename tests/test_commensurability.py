@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from flowcomm import (
     ComputationLimit,
-    ExponentMismatch,
     HyperbolicMatrix,
     Lattice2,
     Mat2,
     NotHyperbolic,
     are_commensurable,
-    build_certificate,
     find_intertwiner,
     hnf,
     lattice_image,
@@ -84,8 +82,6 @@ class TestTraceSequence:
         """Every path that forms a power trace refuses a negative index."""
         with pytest.raises(ValueError):
             mat_pow(A, -1)
-        with pytest.raises(ValueError):
-            build_certificate(A, A, -1, 1)
         assert run(["trace-seq", "[[2,1],[1,1]]", "-1"]) == 2
         assert capsys.readouterr().out == ""
 
@@ -198,7 +194,8 @@ class TestStabilizationExponent:
 
 class TestBuildCertificate:
     def test_worked_pair(self):
-        cert = build_certificate(A, companion(7), 2, 1)
+        cert = are_commensurable(A, companion(7)).certificate
+        assert (cert.power_a, cert.power_b) == (2, 1)
         assert cert.intertwiner == Mat2(1, 1, -2, 1)
         assert cert.intertwiner_det == 3
         assert (cert.sublattice.a, cert.sublattice.b, cert.sublattice.d) == (3, 1, 1)
@@ -207,54 +204,41 @@ class TestBuildCertificate:
         assert cert.index_over_b == 1
 
     def test_genus_two_pair(self):
-        cert = build_certificate(GENUS2, companion(14), 1, 1)
+        cert = are_commensurable(GENUS2, companion(14)).certificate
+        assert (cert.power_a, cert.power_b) == (1, 1)
         assert abs(cert.intertwiner_det) == 4
         assert cert.stabilization == 1
         assert cert.index_over_a == 4
         assert cert.index_over_b == 1
 
-    def test_rejects_trace_mismatch(self):
-        with pytest.raises(ExponentMismatch):
-            build_certificate(A, companion(7), 1, 1)
-
-    def test_mismatch_message_names_exponents_and_bits(self):
-        """Past the int/str digit limit the traces themselves could not
-        be printed; the message gives their bit lengths instead."""
-        with pytest.raises(ExponentMismatch) as info:
-            build_certificate(A, companion(7), 12000, 1)
-        message = str(info.value)
-        assert "a^12000" in message and "b^1" in message
-        assert f"{mat_pow(A, 12000).trace().bit_length()} and 3 bits" in message
-
-    def test_exponent_mismatch_is_exact(self):
-        """A certificate exists exactly when the power traces agree."""
-        for a, b in ((A, companion(7)), (companion(7), A), (A, GENUS2), (companion(18), companion(7))):
+    def test_verify_accepts_exactly_multiples_of_least_exponents(self):
+        """The least certificate restated at other powers verifies exactly
+        when the power traces agree, that is at multiples of the least
+        exponents; across square classes there is no certificate."""
+        accepted = 0
+        for a, b in ((A, companion(7)), (companion(7), A), (companion(18), companion(7))):
+            cert = are_commensurable(a, b).certificate
+            det = abs(cert.intertwiner_det)
             for power_a in range(1, 7):
                 for power_b in range(1, 7):
+                    restated = replace(
+                        cert,
+                        power_a=power_a,
+                        power_b=power_b,
+                        index_over_a=power_a * det,
+                        index_over_b=power_b,
+                    )
                     equal = mat_pow(a, power_a).trace() == mat_pow(b, power_b).trace()
-                    try:
-                        cert = build_certificate(a, b, power_a, power_b)
-                    except ExponentMismatch:
-                        assert not equal, (a, b, power_a, power_b)
-                    else:
-                        assert equal, (a, b, power_a, power_b)
-                        assert verify_certificate(cert) == (True, "ok")
-
-    def test_power_budget(self):
-        """Refused before any power is formed, as verify_certificate would."""
-        for power_a, power_b, name in ((MAX_POWER_BITS // 2 + 1, 1, "power_a"),
-                                       (1, MAX_POWER_BITS // 3 + 1, "power_b"),
-                                       (10**30, 10**30, "power_a")):
-            with pytest.raises(ComputationLimit, match=f"{name} .*MAX_POWER_BITS"):
-                build_certificate(A, companion(7), power_a, power_b)
-
-    def test_rejects_nonpositive_powers(self):
-        with pytest.raises(ValueError):
-            build_certificate(A, A, 0, 1)
+                    expected = (True, "ok") if equal else (False, "power_traces_equal")
+                    assert verify_certificate(restated) == expected, (a, b, power_a, power_b)
+                    accepted += equal
+        assert accepted == 8
+        assert not are_commensurable(A, GENUS2).commensurable
 
     def test_stabilization_always_one_for_built_certs(self):
         """The spanned lattice is invariant under the stated power of a
-        by construction; build_certificate recomputes and must agree."""
+        by construction, so every certificate are_commensurable builds
+        states 1."""
         corpus = [Mat2(*e) for e in hyperbolic_corpus(407, 12)]
         for a in corpus:
             for b in corpus:
@@ -455,7 +439,6 @@ class TestInputSizeIntertwiner:
             for module in (commensurability, linalg):
                 patch.setattr(module, "mat_pow", refuse)
             verdict = are_commensurable(a, b)
-            assert build_certificate(A, companion(7), 4, 2).power_a == 4
         assert verdict.minimal_exponents == (599, 600)
         assert verify_certificate(verdict.certificate) == (True, "ok")
 
@@ -517,7 +500,7 @@ class TestSquareClass:
 
 class TestVerifyCertificate:
     def _good(self):
-        return build_certificate(A, companion(7), 2, 1)
+        return are_commensurable(A, companion(7)).certificate
 
     def test_accepts_built_certificates(self):
         corpus = [Mat2(*e) for e in hyperbolic_corpus(410, 10)]
