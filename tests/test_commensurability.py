@@ -235,6 +235,81 @@ class TestBuildCertificate:
         assert accepted == 8
         assert not are_commensurable(A, GENUS2).commensurable
 
+    def test_rejects_trace_mismatch(self):
+        """The worked pair's power traces differ at (1, 1), so its
+        certificate restated there is refused; across square classes
+        no certificate is built at all."""
+        cert = are_commensurable(A, companion(7)).certificate
+        restated = replace(cert, power_a=1, index_over_a=abs(cert.intertwiner_det))
+        assert verify_certificate(restated) == (False, "power_traces_equal")
+        verdict = are_commensurable(A, GENUS2)
+        assert verdict.certificate is None and verdict.minimal_exponents is None
+
+    def test_mismatch_message_names_exponents_and_bits(self):
+        """Past the int/str digit limit the power traces could not be
+        printed: a mismatch there is a clause, and a power past the
+        budget is refused by a message that names the exponent and the
+        bit lengths instead of any trace."""
+        cert = are_commensurable(A, companion(7)).certificate
+        restated = replace(cert, power_a=12000, index_over_a=12000 * 3)
+        assert mat_pow(A, 12000).trace().bit_length() * 0.30103 > 4300
+        assert verify_certificate(restated) == (False, "power_traces_equal")
+        power_b = MAX_POWER_BITS // 3 + 1
+        with pytest.raises(ComputationLimit) as info:
+            verify_certificate(replace(cert, power_b=power_b))
+        message = str(info.value)
+        assert "power_b" in message
+        assert f"about {power_b * 3} bits" in message
+        assert f"budget of {MAX_POWER_BITS} bits" in message
+
+    def test_exponent_mismatch_is_exact(self):
+        """A certificate exists exactly when some power traces agree, and
+        the pairs that agree are exactly the multiples of its least
+        exponents."""
+        for a, b in ((A, companion(7)), (companion(7), A), (A, GENUS2), (companion(18), companion(7))):
+            verdict = are_commensurable(a, b)
+            agreeing = 0
+            for power_a in range(1, 7):
+                for power_b in range(1, 7):
+                    equal = mat_pow(a, power_a).trace() == mat_pow(b, power_b).trace()
+                    if not verdict.commensurable:
+                        assert not equal, (a, b, power_a, power_b)
+                        continue
+                    i, j = verdict.minimal_exponents
+                    multiple = power_a % i == 0 and power_a // i * j == power_b
+                    assert equal == multiple, (a, b, power_a, power_b)
+                    agreeing += equal
+            assert (verdict.certificate is not None) == verdict.commensurable
+            assert verdict.commensurable == (agreeing > 0)
+
+    def test_power_budget(self):
+        """A certificate whose least powers pass the budget is refused
+        before any power is formed, as verify_certificate would refuse it."""
+        pairs = (
+            (mat_pow(A, 900), mat_pow(A, 899)),
+            (mat_pow(A, 899), mat_pow(A, 900)),
+        )
+
+        def refuse(*args):
+            raise AssertionError("a power was formed")
+
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (commensurability, linalg):
+                patch.setattr(module, "mat_pow", refuse)
+            for a, b in pairs:
+                with pytest.raises(ComputationLimit, match=f"power_a .*MAX_POWER_BITS budget of {MAX_POWER_BITS} bits"):
+                    are_commensurable(a, b)
+        assert are_commensurable(mat_pow(A, 300), mat_pow(A, 299)).minimal_exponents == (299, 300)
+
+    def test_rejects_nonpositive_powers(self):
+        """Built certificates state positive powers; a zero or negative
+        power on either side is the powers_positive clause."""
+        cert = are_commensurable(A, A).certificate
+        assert (cert.power_a, cert.power_b) == (1, 1)
+        for power_a, power_b in ((0, 1), (1, 0), (-1, 1), (1, -2)):
+            bad = replace(cert, power_a=power_a, power_b=power_b)
+            assert verify_certificate(bad) == (False, "powers_positive")
+
     def test_stabilization_always_one_for_built_certs(self):
         """The spanned lattice is invariant under the stated power of a
         by construction, so every certificate are_commensurable builds
