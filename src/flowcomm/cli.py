@@ -3,9 +3,9 @@
 Verbs: equiv, canon, commensurable, cover, chain, verify, trace-seq.
 Exit codes are a scripting contract: 0 = positive verdict or verified
 document, 1 = negative verdict or rejected document, 2 = usage or
-input error, 3 = a computational limit was hit (a certificate power,
-decided or read from a document, past the MAX_POWER_BITS budget; an
-output integer past the interpreter's int/str digit limit). An
+input error, 3 = a computational limit was hit (an output integer past
+the interpreter's int/str digit limit; no decision or verification
+forms a power, so none has a budget). An
 exception that no verb expects is a bug; the console entry point
 (main) reports it as an "internal error" on stderr with exit 2, never
 as a traceback, while run() lets it propagate to an in-process caller.

@@ -13,11 +13,11 @@ discriminant D_0, so the least common power is found by a Euclid on
 those units rather than a search. Positive verdicts are backed by a
 CommensurabilityCertificate whose data (an integer intertwiner, the
 sublattice it spans, covering indices) is re-checkable from scratch
-by verify_certificate. No power of either input is formed on the way
-to a verdict: the intertwiner of a**i and b**j is found from a pair of
-matrices of the size of the inputs with the same integer solutions.
-Only verify_certificate, which re-checks the stated powers, forms
-them.
+by verify_certificate. No power of either input is formed, by the
+decision or by the verifier: both work on a pair of matrices of the
+size of the inputs with the intertwiners of a**i and b**j, and the
+verifier tests lam_a**i == lam_b**j by a Euclid on units guided by the
+stated exponents.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,7 @@ from math import gcd, isqrt
 from operator import index as _as_int
 
 from .conjugacy import reduction_cycle
-from .errors import ComputationLimit, NotHyperbolic
+from .errors import NotHyperbolic
 from .linalg import (
     HyperbolicMatrix,
     Lattice2,
@@ -34,7 +34,6 @@ from .linalg import (
     intertwiner_lattice,
     lattice_image,
     mat_mul,
-    mat_pow,
 )
 
 __all__ = [
@@ -45,11 +44,6 @@ __all__ = [
     "stabilization_exponent",
     "verify_certificate",
 ]
-
-# bits that a certificate may ask a power of its base to reach,
-# estimated as power * bit length of the base trace (the entries of
-# m**k have about k * log2(trace) bits)
-MAX_POWER_BITS = 2**20
 
 
 @dataclass(slots=True)
@@ -129,7 +123,7 @@ def find_intertwiner(a1, b1):
     a1 and b1 are any integer pair of one trace t and one determinant
     delta with t^2 - 4 delta not a square: two hyperbolic matrices of
     one trace, such as a**i and b**j, or the input-size pair that
-    _certificate takes in their place. The solutions are
+    are_commensurable takes in their place. The solutions are
     P = x K1 + y K2 for a lattice basis (K1, K2), and
     det P = f(x, y) = alpha x^2 + beta xy + gamma y^2 is an indefinite
     form of discriminant disc > 0 with no zero (a singular nonzero P
@@ -190,16 +184,6 @@ def stabilization_exponent(a1, lat, k_max):
     raise ValueError(f"no return within k_max={k_max}; bound below the orbit size")
 
 
-def _check_power_bits(name, base, power):
-    """Raise ComputationLimit when base**power would pass MAX_POWER_BITS."""
-    bits = power * base.trace().bit_length()
-    if bits > MAX_POWER_BITS:
-        raise ComputationLimit(
-            f"{name} asks for a power of about {bits} bits, past the "
-            f"MAX_POWER_BITS budget of {MAX_POWER_BITS} bits"
-        )
-
-
 def _shared_units(t_a, t_b):
     """(D0, u_a, u_b) when t_a^2 - 4 and t_b^2 - 4 share a square class,
     else None: D0 = gcd of the two, u = isqrt((t^2 - 4) / D0), so the
@@ -212,55 +196,33 @@ def _shared_units(t_a, t_b):
     return shared, isqrt(disc_a // shared), isqrt(disc_b // shared)
 
 
-def _certificate(a, b, power_a, power_b, u_a, u_b):
-    """Certificate for a**power_a ~ b**power_b, formed at input size.
+def _input_size_pair(a, b, u_a, u_b):
+    """X = 2 u_b a and Y = (u_b t_a - u_a t_b) I + 2 u_a b.
 
-    Precondition: lam_a**power_a == lam_b**power_b, where
-    lam = (t + u sqrt(D0)) / 2 is the expanding eigenvalue of each base
-    (see _shared_units). No power of a or b is formed: the intertwiner
-    is taken from X = 2 u_b a and Y = (u_b t_a - u_a t_b) I + 2 u_a b,
-    whose integer solutions P of X P = P Y are exactly those of
-    a**power_a P = P b**power_b.
+    When lam_a**i == lam_b**j, where lam = (t + u sqrt(D0)) / 2 is the
+    expanding eigenvalue of each base (see _shared_units), the integer
+    solutions P of X P = P Y are exactly those of a**i P = P b**j.
 
     Proof. On b's eigenvectors Y acts by
     u_b t_a - u_a t_b + u_a (t_b +- u_b sqrt(D0)) = 2 u_b lam_a and
     2 u_b / lam_a, as X does on a's; so X and Y share one spectrum of
     two distinct irrational eigenvalues (and one trace, as
     intertwiner_lattice needs), and their rational solutions form a
-    2-dimensional space. So do those of a**power_a P = P b**power_b,
-    for the same reason. If X P = P Y then a P = P c with
-    c = Y / (2 u_b) = r I + s b, r and s rational, which acts on b's
-    expanding and contracting eigenvectors by lam_a and 1/lam_a. So
-    c**power_a acts there as b**power_b does, by
-    lam_a**power_a = lam_b**power_b and its inverse, hence
-    c**power_a = b**power_b and a**power_a P = P c**power_a =
-    P b**power_b. The first space lies in the second and has the same
-    dimension, so the two are equal, and so are their integer points.
-    For a nonsingular P both say that P^-1 a P is the element c of Q[b]
-    whose eigenvalue on b's expanding eigenvector is lam_a.
-
-    The stabilization exponent is 1 by theorem: with A1 = a**power_a
-    and B1 = b**power_b, A1 P = P B1 and B1 Z^2 = Z^2 give
-    A1 (P Z^2) = P B1 Z^2 = P Z^2, so A1 itself fixes the lattice.
+    2-dimensional space. So do those of a**i P = P b**j, for the same
+    reason. If X P = P Y then a P = P c with c = Y / (2 u_b) = r I + s b,
+    r and s rational, which acts on b's expanding and contracting
+    eigenvectors by lam_a and 1/lam_a. So c**i acts there as b**j does,
+    by lam_a**i = lam_b**j and its inverse, hence c**i = b**j and
+    a**i P = P c**i = P b**j. The first space lies in the second and
+    has the same dimension, so the two are equal, and so are their
+    integer points. For a nonsingular P both say that P^-1 a P is the
+    element c of Q[b] whose eigenvalue on b's expanding eigenvector is
+    lam_a.
     """
-    t_a, t_b = a.trace(), b.trace()
     x = Mat2(2 * u_b * a.a, 2 * u_b * a.b, 2 * u_b * a.c, 2 * u_b * a.d)
-    shift = u_b * t_a - u_a * t_b
+    shift = u_b * a.trace() - u_a * b.trace()
     y = Mat2(shift + 2 * u_a * b.a, 2 * u_a * b.b, 2 * u_a * b.c, shift + 2 * u_a * b.d)
-    p = find_intertwiner(x, y)
-    det_p = p.det()
-    return CommensurabilityCertificate(
-        base_a=a,
-        base_b=b,
-        power_a=power_a,
-        power_b=power_b,
-        intertwiner=p,
-        intertwiner_det=det_p,
-        sublattice=hnf(p),
-        stabilization=1,
-        index_over_a=power_a * abs(det_p),
-        index_over_b=power_b,
-    )
+    return x, y
 
 
 def _unit_mul(x, y, d0):
@@ -313,9 +275,8 @@ def are_commensurable(a, b):
     every other such pair is a multiple, from a Euclid on the expanding
     eigenvalues as units of the order of discriminant
     gcd(t_a^2 - 4, t_b^2 - 4), after O(bits) unit products; and carry
-    a full certificate, built at input size from the Euclid's units.
-    Raises ComputationLimit when that certificate states a power past
-    MAX_POWER_BITS, which verify_certificate would refuse to form.
+    a full certificate, whose intertwiner comes from the input-size
+    pair, so that no power of a or b is formed.
     """
     a1, squared_a = _normalize_input(a)
     b1, squared_b = _normalize_input(b)
@@ -327,43 +288,89 @@ def are_commensurable(a, b):
         )
     shared, u_a, u_b = units
     i, j = _least_exponents((t_a, u_a), (t_b, u_b), shared)
-    _check_power_bits("power_a", a1, i)
-    _check_power_bits("power_b", b1, j)
-    certificate = _certificate(a1, b1, i, j, u_a, u_b)
+    p = find_intertwiner(*_input_size_pair(a1, b1, u_a, u_b))
+    certificate = CommensurabilityCertificate(
+        base_a=a1,
+        base_b=b1,
+        power_a=i,
+        power_b=j,
+        intertwiner=p,
+        intertwiner_det=p.det(),
+        sublattice=hnf(p),
+        stabilization=1,  # by theorem, see verify_certificate
+        index_over_a=i * abs(p.det()),
+        index_over_b=j,
+    )
     return CommensurabilityVerdict(
         True, (i, j), shared, shared, certificate, squared_a, squared_b
     )
 
 
-_CLAUSES_OK = (True, "ok")
+def _powers_meet(lam_a, lam_b, d0, power_a, power_b):
+    """lam_a**power_a == lam_b**power_b for units > 1 as in
+    _least_exponents, by a Euclid on the units that the exponents guide.
+
+    With g = gcd(power_a, power_b), the powers meet exactly when
+    lam_a = eta**(power_b / g) and lam_b = eta**(power_a / g) for a unit
+    eta. The unit of exponent e is divided by the q-th power of the unit
+    of exponent f <= e, q = e // f, leaving eta**(e - q f) if they meet:
+    so a partial power past the dividend, or a remainder not in
+    (1, divisor) while e - q f > 0, rejects; at e - q f = 0 the
+    remainder, lam_a**x lam_b**y for a primitive (x, y) with
+    x power_b + y power_a = 0, is 1 = (2, 0) exactly when they meet. The
+    units strictly decrease, so the steps are bounded by their bits.
+    """
+    g = gcd(power_a, power_b)
+    big, small = (lam_a, power_b // g), (lam_b, power_a // g)
+    if big[1] < small[1]:
+        big, small = small, big
+    while True:
+        (unit, e), (divisor, f) = big, small
+        q, r = divmod(e, f)
+        power = divisor
+        for bit in bin(q)[3:]:  # repeated squaring; partial powers increase
+            if power[0] > unit[0]:
+                return False
+            power = _unit_mul(power, power, d0)
+            if bit == "1":
+                power = _unit_mul(power, divisor, d0)
+        if power[0] > unit[0]:
+            return False
+        rem = _unit_mul(unit, (power[0], -power[1]), d0)  # >= 1, as power <= unit
+        if r == 0:
+            return rem == (2, 0)
+        if not 2 < rem[0] < divisor[0]:
+            return False
+        big, small = small, (rem, r)
 
 
 def verify_certificate(cert):
     """Re-check a certificate from scratch; (True, "ok") or (False, clause).
 
-    Uses only the base matrix operations (powers, products, canonical
-    lattice forms, lattice membership), none of the search machinery that
-    produced the certificate. Raises ComputationLimit, before any
-    power is formed, when a power would pass MAX_POWER_BITS.
+    Uses only unit and matrix products and canonical lattice forms, none
+    of the search machinery that produced the certificate, and forms no
+    power: power_traces_equal is _powers_meet, and intertwining_identity
+    is X P = P Y on the input-size pair, which has the solutions of
+    a**i P = P b**j once the power traces agree. So the work is
+    polynomial in the certificate's bit size, whatever its powers.
     """
-    try:
-        HyperbolicMatrix.from_mat(cert.base_a)
-    except NotHyperbolic:
-        return False, "base_a_hyperbolic"
-    try:
-        HyperbolicMatrix.from_mat(cert.base_b)
-    except NotHyperbolic:
-        return False, "base_b_hyperbolic"
+    for name, base in (("base_a", cert.base_a), ("base_b", cert.base_b)):
+        try:
+            HyperbolicMatrix.from_mat(base)
+        except NotHyperbolic:
+            return False, f"{name}_hyperbolic"
     if cert.power_a < 1 or cert.power_b < 1:
         return False, "powers_positive"
-    _check_power_bits("power_a", cert.base_a, cert.power_a)
-    _check_power_bits("power_b", cert.base_b, cert.power_b)
-    a1 = mat_pow(cert.base_a, cert.power_a)
-    b1 = mat_pow(cert.base_b, cert.power_b)
-    if a1.trace() != b1.trace():
+    t_a, t_b = cert.base_a.trace(), cert.base_b.trace()
+    units = _shared_units(t_a, t_b)  # distinct classes share no power trace
+    if units is None:
         return False, "power_traces_equal"
+    shared, u_a, u_b = units
+    if not _powers_meet((t_a, u_a), (t_b, u_b), shared, cert.power_a, cert.power_b):
+        return False, "power_traces_equal"
+    x, y = _input_size_pair(cert.base_a, cert.base_b, u_a, u_b)
     p = cert.intertwiner
-    if mat_mul(a1, p) != mat_mul(p, b1):
+    if mat_mul(x, p) != mat_mul(p, y):
         return False, "intertwining_identity"
     if p.det() == 0:
         return False, "intertwiner_nonsingular"
@@ -373,19 +380,12 @@ def verify_certificate(cert):
         return False, "sublattice_matches_intertwiner"
     if cert.stabilization < 1:
         return False, "stabilization_positive"
-    # the intertwining identity already makes a1 fix the lattice (see
-    # _certificate), so 1 is the only minimal exponent
+    # A1 P = P B1 and B1 Z^2 = Z^2 (A1, B1 the stated powers) give
+    # A1 (P Z^2) = P Z^2, so 1 is the only minimal exponent
     if cert.stabilization != 1:
         return False, "stabilization_minimal"
-    # det a1 = 1, so a1 L inside L means a1 L = L
-    image = mat_mul(a1, cert.sublattice.basis())
-    if not (
-        cert.sublattice.contains(image.a, image.c)
-        and cert.sublattice.contains(image.b, image.d)
-    ):
-        return False, "lattice_stabilized"
     if cert.index_over_a != cert.power_a * abs(p.det()):
         return False, "index_over_a"
     if cert.index_over_b != cert.power_b:
         return False, "index_over_b"
-    return _CLAUSES_OK
+    return True, "ok"

@@ -36,6 +36,5 @@ class DocumentError(FlowcommError):
 
 
 class ComputationLimit(FlowcommError):
-    """An answer would need work past a fixed size budget: a certificate
-    power past MAX_POWER_BITS, or an integer to print past the
-    interpreter's int/str digit limit."""
+    """An integer to print would pass the interpreter's int/str digit
+    limit."""

@@ -3,8 +3,8 @@
 Everything is arbitrary-precision (Python ints). Lattices of finite index
 in Z^2 are kept in a canonical Hermite form so that lattice equality is
 plain equality of the (a, b, d) triple. Powers come from one integer
-sequence by Cayley-Hamilton, not from matrix squaring; the decision
-path forms none (see commensurability).
+sequence by Cayley-Hamilton, not from matrix squaring; no decision or
+verification forms one (see commensurability).
 """
 
 from math import gcd
@@ -276,7 +276,7 @@ def intertwiner_lattice(a, b):
 
     a and b must share one trace t and one determinant delta, with
     t^2 - 4 delta not a square (two hyperbolic matrices of one trace,
-    or the input-size pair of commensurability._certificate). Then the
+    or the pair that commensurability._input_size_pair forms). Then the
     solutions form a rank-2 lattice. Differing traces raise
     TraceMismatch: for two such irreducible characteristic polynomials
     the only solution is 0. The returned basis is saturated: every

@@ -117,6 +117,62 @@ def merge_exponents(ta, tb):
     raise AssertionError("no common power trace within 10^5 steps")
 
 
+def _lattice_within(basis, vectors):
+    """True when every vector lies in the lattice spanned by the columns
+    of a nonsingular basis: adj(basis) v is then divisible by det."""
+    n = det(basis)
+    return all(
+        (basis[3] * x - basis[1] * y) % n == 0 and (basis[0] * y - basis[2] * x) % n == 0
+        for x, y in vectors
+    )
+
+
+def _columns(m):
+    return ((m[0], m[2]), (m[1], m[3]))
+
+
+def reference_verify(fields):
+    """(ok, clause) for a commensurability certificate given as plain
+    values in field order: base_a, base_b, power_a, power_b,
+    intertwiner, intertwiner_det, sublattice (a, b, d), stabilization,
+    index_over_a, index_over_b; matrices as (a, b, c, d).
+
+    The check that forms a**i and b**j and tests a**i P = P b**j and
+    a**i L = L on them, as flowcomm 0.8.0 did, so its time grows with
+    the stated powers. Sublattice equality is mutual containment, not a
+    Hermite form. Precondition: the powers are small enough to form.
+    """
+    base_a, base_b, power_a, power_b, p, det_p, (la, lb, ld), stab, index_a, index_b = fields
+    for name, m in (("base_a", base_a), ("base_b", base_b)):
+        if det(m) != 1 or trace(m) <= 2:
+            return False, f"{name}_hyperbolic"
+    if power_a < 1 or power_b < 1:
+        return False, "powers_positive"
+    a1, b1 = square_pow(base_a, power_a), square_pow(base_b, power_b)
+    if trace(a1) != trace(b1):
+        return False, "power_traces_equal"
+    if mul(a1, p) != mul(p, b1):
+        return False, "intertwining_identity"
+    if det(p) == 0:
+        return False, "intertwiner_nonsingular"
+    if det_p != det(p):
+        return False, "intertwiner_det_matches"
+    lattice = (la, lb, 0, ld)
+    if not (_lattice_within(lattice, _columns(p)) and _lattice_within(p, _columns(lattice))):
+        return False, "sublattice_matches_intertwiner"
+    if stab < 1:
+        return False, "stabilization_positive"
+    if stab != 1:
+        return False, "stabilization_minimal"
+    if not _lattice_within(lattice, _columns(mul(a1, lattice))):
+        return False, "lattice_stabilized"
+    if index_a != power_a * abs(det(p)):
+        return False, "index_over_a"
+    if index_b != power_b:
+        return False, "index_over_b"
+    return True, "ok"
+
+
 def replace_cert_field(cert, **changes):
     """Copy of a commensurability certificate with named fields swapped."""
     return dataclasses.replace(cert, **changes)

@@ -142,18 +142,21 @@ class TestCommensurable:
         assert code == 0
         assert doc["squared_a"] is True
 
-    def test_power_budget_exits_three(self, capsys):
+    def test_far_common_power_exits_zero(self, capsys):
         """A^4001 and A^3999 first meet at A^(4001 * 3999): found at
-        once, but its certificate passes the power budget."""
+        once, with a certificate whose stated powers have millions of
+        bits, though no power is formed."""
         a, b = (naive_pow((2, 1, 1, 1), n) for n in (4001, 3999))
         for verb in ("commensurable", "cover"):
             start = time.monotonic()
             code = run([verb, "%d,%d;%d,%d" % a, "%d,%d;%d,%d" % b])
             assert time.monotonic() - start < 1
-            assert code == 3
+            assert code == 0
             captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "limit:" in captured.err and "MAX_POWER_BITS" in captured.err
+            assert captured.err == ""
+            doc = json.loads(captured.out)
+            cert = doc["certificate"] if verb == "commensurable" else doc
+            assert (cert["power_a"], cert["power_b"]) == ("3999", "4001")
 
     def test_hard_trace_decided(self, capsys):
         argv = ["commensurable", A_JSON, f"[[0,1],[-1,{HARD_TRACE}]]"]
@@ -247,17 +250,26 @@ class TestCoverAndVerify:
         assert run(["verify", str(path)]) == 2
         assert "nested too deeply" in capsys.readouterr().err
 
-    def test_power_past_budget_exits_three(self, capsys, tmp_path):
+    def test_powers_past_old_budget(self, capsys, tmp_path):
+        """A^870 against A^869, whose certificate states powers past the
+        2^20-bit budget of 0.8.0, is covered and verified; a document
+        whose powers have thousands of digits is rejected at once."""
         path = tmp_path / "cert.json"
+        a, b = (naive_pow((2, 1, 1, 1), n) for n in (870, 869))
+        assert run(["cover", "%d,%d;%d,%d" % a, "%d,%d;%d,%d" % b, "-o", str(path)]) == 0
+        assert json.loads(path.read_text())["power_a"] == "869"
+        assert run(["verify", str(path)]) == 0
+        assert capsys.readouterr().out == "verified\n"
         assert run(["cover", A_JSON, F7, "-o", str(path)]) == 0
         doc = json.loads(path.read_text())
-        doc["power_a"], doc["power_b"] = "2000000", "1000000"
-        path.write_text(json.dumps(doc))
-        start = time.monotonic()
-        assert run(["verify", str(path)]) == 3
-        assert time.monotonic() - start < 1
-        err = capsys.readouterr().err
-        assert "limit:" in err and "budget" in err and "power_a" in err
+        for power_a, power_b in (("2000001", "1000000"), ("1" + "0" * 4000, "1" + "0" * 3999 + "1")):
+            doc["power_a"], doc["power_b"] = power_a, power_b
+            path.write_text(json.dumps(doc))
+            start = time.monotonic()
+            assert run(["verify", str(path)]) == 1
+            assert time.monotonic() - start < 1
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("rejected: power_traces_equal\n", "")
 
     def test_byte_identical_reruns(self, capsys):
         assert run(["cover", A_JSON, F7]) == 0
@@ -487,9 +499,9 @@ def doc_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "doc.json"
 
 
-# replacement values: small or huge decimal strings (a power past the
-# verifier's budget exits 3 at once; a moderate one stays cheap), other
-# JSON types, and text
+# replacement values: small or huge decimal strings (the verifier forms
+# no power, so a power of any size is checked at once), other JSON
+# types, and text
 FIELD_VALUES = st.one_of(
     st.integers(-1000, 1000).map(str),
     st.sampled_from(["0", "-1", "2000000", str(2**64), "1" + "0" * 5000, "2/3", "1/0"]),
@@ -523,8 +535,8 @@ MODEL_TEXT = st.one_of(
 
 
 class TestBoundaryFuzz:
-    """Any document or argument ends in exit 0, 1, 2 or 3, never in an
-    exception out of run()."""
+    """Any document or argument ends in exit 0, 1, 2 or 3 (verify, which
+    prints no integer, in 0, 1 or 2), never in an exception out of run()."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -545,7 +557,7 @@ class TestBoundaryFuzz:
         else:
             parent[path[-1]] = value
         doc_path.write_text(json.dumps(doc))
-        assert quiet_run(["verify", str(doc_path)]) in (0, 1, 2, 3)
+        assert quiet_run(["verify", str(doc_path)]) in (0, 1, 2)
 
     @settings(max_examples=150, deadline=None)
     @given(text=MATRIX_TEXT)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcomm import (
-    ComputationLimit,
     HyperbolicMatrix,
     Lattice2,
     Mat2,
@@ -24,7 +23,7 @@ from flowcomm import (
 )
 from flowcomm import commensurability, linalg
 from flowcomm.cli import run
-from flowcomm.commensurability import MAX_POWER_BITS, _unit_mul
+from flowcomm.commensurability import _unit_mul
 from helpers import (
     box_intertwiner,
     enumerate_sublattices,
@@ -35,6 +34,7 @@ from helpers import (
     mul,
     random_hyperbolic,
     random_unimodular,
+    reference_verify,
     replace_cert_field as replace,
     squarefree_oracle,
 )
@@ -245,22 +245,16 @@ class TestBuildCertificate:
         verdict = are_commensurable(A, GENUS2)
         assert verdict.certificate is None and verdict.minimal_exponents is None
 
-    def test_mismatch_message_names_exponents_and_bits(self):
+    def test_mismatch_past_digit_limit_is_a_clause(self):
         """Past the int/str digit limit the power traces could not be
-        printed: a mismatch there is a clause, and a power past the
-        budget is refused by a message that names the exponent and the
-        bit lengths instead of any trace."""
+        printed: a mismatch there is a clause, and so is one whose
+        power trace would have millions of bits."""
         cert = are_commensurable(A, companion(7)).certificate
         restated = replace(cert, power_a=12000, index_over_a=12000 * 3)
         assert mat_pow(A, 12000).trace().bit_length() * 0.30103 > 4300
         assert verify_certificate(restated) == (False, "power_traces_equal")
-        power_b = MAX_POWER_BITS // 3 + 1
-        with pytest.raises(ComputationLimit) as info:
-            verify_certificate(replace(cert, power_b=power_b))
-        message = str(info.value)
-        assert "power_b" in message
-        assert f"about {power_b * 3} bits" in message
-        assert f"budget of {MAX_POWER_BITS} bits" in message
+        restated = replace(cert, power_b=2**20 // 3 + 1)
+        assert verify_certificate(restated) == (False, "power_traces_equal")
 
     def test_exponent_mismatch_is_exact(self):
         """A certificate exists exactly when some power traces agree, and
@@ -282,9 +276,10 @@ class TestBuildCertificate:
             assert (verdict.certificate is not None) == verdict.commensurable
             assert verdict.commensurable == (agreeing > 0)
 
-    def test_power_budget(self):
-        """A certificate whose least powers pass the budget is refused
-        before any power is formed, as verify_certificate would refuse it."""
+    def test_no_power_formed_past_old_budget(self):
+        """Least powers of millions of bits (past the 2^20-bit budget of
+        0.8.0) are decided and verified with every mat_pow patched to
+        raise: neither the decision nor the verifier forms a power."""
         pairs = (
             (mat_pow(A, 900), mat_pow(A, 899)),
             (mat_pow(A, 899), mat_pow(A, 900)),
@@ -295,10 +290,12 @@ class TestBuildCertificate:
 
         with pytest.MonkeyPatch.context() as patch:
             for module in (commensurability, linalg):
-                patch.setattr(module, "mat_pow", refuse)
+                patch.setattr(module, "mat_pow", refuse, raising=False)
             for a, b in pairs:
-                with pytest.raises(ComputationLimit, match=f"power_a .*MAX_POWER_BITS budget of {MAX_POWER_BITS} bits"):
-                    are_commensurable(a, b)
+                verdict = are_commensurable(a, b)
+                i, j = verdict.minimal_exponents
+                assert {i, j} == {899, 900} and i * a.trace().bit_length() > 2**20
+                assert verify_certificate(verdict.certificate) == (True, "ok")
         assert are_commensurable(mat_pow(A, 300), mat_pow(A, 299)).minimal_exponents == (299, 300)
 
     def test_rejects_nonpositive_powers(self):
@@ -512,7 +509,7 @@ class TestInputSizeIntertwiner:
 
         with monkeypatch.context() as patch:
             for module in (commensurability, linalg):
-                patch.setattr(module, "mat_pow", refuse)
+                patch.setattr(module, "mat_pow", refuse, raising=False)
             verdict = are_commensurable(a, b)
         assert verdict.minimal_exponents == (599, 600)
         assert verify_certificate(verdict.certificate) == (True, "ok")
@@ -622,15 +619,28 @@ class TestVerifyCertificate:
         bad = replace(self._good(), power_a=0)
         assert verify_certificate(bad) == (False, "powers_positive")
 
-    def test_power_budget(self):
-        # A has trace 3 (2 bits), so power_a = k asks for 2 k bits
-        for power_a, power_b in ((MAX_POWER_BITS // 2 + 1, 1), (2_000_000, 1_000_000)):
+    def test_huge_powers_at_input_size(self):
+        """Stated powers of thousands of digits are checked at once, with
+        no power formed: mismatched ones are power_traces_equal, matched
+        ones go on to the index clauses, and the certificate restated at
+        a huge multiple of its least exponents verifies."""
+        big = 10**4000
+        for power_a, power_b in (
+            (2**19 + 1, 1),
+            (2_000_001, 1_000_000),
+            (big + 1, big),
+            (big, big + 1),
+            (1, big),
+            (big, 1),
+        ):
             bad = replace(self._good(), power_a=power_a, power_b=power_b)
-            with pytest.raises(ComputationLimit, match=f"budget of {MAX_POWER_BITS} bits"):
-                verify_certificate(bad)
-        bad = replace(self._good(), power_b=MAX_POWER_BITS // 3 + 1)
-        with pytest.raises(ComputationLimit, match="power_b"):
-            verify_certificate(bad)
+            assert verify_certificate(bad) == (False, "power_traces_equal")
+        bad = replace(self._good(), power_a=2_000_000, power_b=1_000_000)
+        assert verify_certificate(bad) == (False, "index_over_a")
+        good = self._good()  # least exponents (2, 1), |det P| = 3
+        restated = replace(good, power_a=2 * big, power_b=big, index_over_a=6 * big, index_over_b=big)
+        assert verify_certificate(restated) == (True, "ok")
+        assert verify_certificate(replace(restated, power_a=2 * big + 2)) == (False, "power_traces_equal")
 
     def test_non_hyperbolic_base(self):
         bad = replace(self._good(), base_a=Mat2(1, 1, 0, 1))
@@ -649,3 +659,78 @@ class TestVerifyCertificate:
         ok, clause = verify_certificate(bad)
         assert not ok
         assert clause == "intertwiner_nonsingular"
+
+
+def plain_fields(cert):
+    """A certificate's fields as the plain values reference_verify takes."""
+    lat = cert.sublattice
+    return (
+        cert.base_a.entries(),
+        cert.base_b.entries(),
+        cert.power_a,
+        cert.power_b,
+        cert.intertwiner.entries(),
+        cert.intertwiner_det,
+        (lat.a, lat.b, lat.d),
+        cert.stabilization,
+        cert.index_over_a,
+        cert.index_over_b,
+    )
+
+
+INTEGER_FIELDS = ("power_a", "power_b", "intertwiner_det", "stabilization", "index_over_a", "index_over_b")
+
+
+def one_field_mutations(cert):
+    """The certificate and each copy with one field changed: an integer
+    field shifted by -2, -1, +1, +2 or +7, or doubled; one intertwiner
+    entry bumped; the intertwiner negated."""
+    yield cert
+    for name in INTEGER_FIELDS:
+        value = getattr(cert, name)
+        for new in (value - 2, value - 1, value + 1, value + 2, value + 7, 2 * value):
+            yield replace(cert, **{name: new})
+    entries = cert.intertwiner.entries()
+    for k in range(4):
+        bumped = list(entries)
+        bumped[k] += 1
+        yield replace(cert, intertwiner=Mat2(*bumped))
+    yield replace(cert, intertwiner=-cert.intertwiner)
+
+
+class TestReferenceAgreement:
+    """verify_certificate, which forms no power, gives the clause of the
+    reference verifier that forms a**i and b**j on every certificate of
+    the corpus and every one-field mutation of each. The corpus: A^p
+    against A^q for p, q <= 24, seeded conjugated powers, and companions
+    of trace 3..59; its powers stay far inside the 2^20-bit budget that
+    0.8.0 set, so the reference forms them at once."""
+
+    @staticmethod
+    def corpus():
+        powers = [mat_pow(A, p) for p in range(1, 25)]
+        pairs = [(a, b) for a in powers for b in powers]
+        rng = random.Random(1111)
+        for entries in hyperbolic_corpus(1112, 12, max_trace=20):
+            m = Mat2(*entries)
+            for _ in range(8):
+                conj = Mat2(*random_unimodular(rng))
+                b = mat_mul(mat_mul(conj.inverse(), mat_pow(m, rng.randint(1, 12))), conj)
+                pairs.append((mat_pow(m, rng.randint(1, 12)), b))
+        pairs += [(companion(ta), companion(tb)) for ta in range(3, 60) for tb in range(3, 60)]
+        for a, b in pairs:
+            verdict = are_commensurable(a, b)
+            if verdict.commensurable:
+                yield verdict.certificate
+
+    def test_agrees_with_reference(self):
+        certificates = cases = accepted = 0
+        for cert in self.corpus():
+            certificates += 1
+            for doc in one_field_mutations(cert):
+                expected = reference_verify(plain_fields(doc))
+                assert verify_certificate(doc) == expected, doc
+                cases += 1
+                accepted += expected[0]
+        assert certificates > 700 and cases == 42 * certificates
+        assert certificates < accepted < cases // 2
