@@ -11,17 +11,13 @@ rationals. Every positive decision is backed by a certificate that an
 independent verifier re-checks from scratch.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .errors import (
     ComputationLimit,
     DocumentError,
     FlowcommError,
-    InvalidGenus,
     NotHyperbolic,
-    NotUnimodular,
-    SingularBasis,
-    TraceMismatch,
 )
 from .linalg import (
     HyperbolicMatrix,
@@ -31,7 +27,6 @@ from .linalg import (
     intertwiner_lattice,
     lattice_image,
     mat_mul,
-    mat_pow,
 )
 from .conjugacy import (
     L,
@@ -40,6 +35,7 @@ from .conjugacy import (
     RLWord,
     are_equivalent,
     evaluate_word,
+    reduction_cycle,
     rl_word,
 )
 from .commensurability import (
@@ -72,17 +68,12 @@ __all__ = [
     "__version__",
     "FlowcommError",
     "NotHyperbolic",
-    "InvalidGenus",
-    "SingularBasis",
-    "NotUnimodular",
-    "TraceMismatch",
     "DocumentError",
     "ComputationLimit",
     "Mat2",
     "HyperbolicMatrix",
     "Lattice2",
     "mat_mul",
-    "mat_pow",
     "hnf",
     "lattice_image",
     "intertwiner_lattice",
@@ -92,6 +83,7 @@ __all__ = [
     "EquivalenceVerdict",
     "evaluate_word",
     "rl_word",
+    "reduction_cycle",
     "are_equivalent",
     "CommensurabilityCertificate",
     "CommensurabilityVerdict",

@@ -1,9 +1,11 @@
 """Exception types shared across the package.
 
-Input and contract violations derive from FlowcommError directly;
-resource exhaustion derives from ComputationLimit so callers (and the
-CLI exit-code mapping) can tell "the answer is no" apart from "the
-computation gave up".
+FlowcommError is the base of the errors a verb reports: NotHyperbolic
+(an input matrix is not hyperbolic), DocumentError (a certificate
+document is malformed or unsupported) and ComputationLimit (an integer
+to print would pass the interpreter's int/str digit limit). A wrong
+argument to a lower-level function, one that no verb passes (a singular
+basis, a genus below 2, traces that differ), raises ValueError.
 """
 
 
@@ -13,22 +15,6 @@ class FlowcommError(Exception):
 
 class NotHyperbolic(FlowcommError):
     """Matrix is not hyperbolic: det != 1 or trace <= 2."""
-
-
-class InvalidGenus(FlowcommError):
-    """Surface genus below 2."""
-
-
-class SingularBasis(FlowcommError):
-    """Basis matrix has determinant zero, spans no finite-index lattice."""
-
-
-class NotUnimodular(FlowcommError):
-    """Matrix determinant is not +-1."""
-
-
-class TraceMismatch(FlowcommError):
-    """Intertwiner equation requires equal traces."""
 
 
 class DocumentError(FlowcommError):

@@ -2,22 +2,22 @@
 
 Everything is arbitrary-precision (Python ints). Lattices of finite index
 in Z^2 are kept in a canonical Hermite form so that lattice equality is
-plain equality of the (a, b, d) triple. Powers come from one integer
-sequence by Cayley-Hamilton, not from matrix squaring; no decision or
-verification forms one (see commensurability).
+plain equality of the (a, b, d) triple. No decision or verification
+forms a matrix power (see commensurability), so none is offered. A wrong
+argument (a singular basis, a determinant other than +-1, traces that
+differ) raises ValueError.
 """
 
 from math import gcd
 from operator import index as _as_int
 
-from .errors import NotHyperbolic, NotUnimodular, SingularBasis, TraceMismatch
+from .errors import NotHyperbolic
 
 __all__ = [
     "Mat2",
     "HyperbolicMatrix",
     "Lattice2",
     "mat_mul",
-    "mat_pow",
     "hnf",
     "lattice_image",
     "intertwiner_lattice",
@@ -55,15 +55,7 @@ class Mat2:
             return Mat2(self.d, -self.b, -self.c, self.a)
         if det == -1:
             return Mat2(-self.d, self.b, self.c, -self.a)
-        raise NotUnimodular(f"determinant {det} is not +-1")
-
-    def __mul__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return mat_mul(self, other)
-
-    def __pow__(self, n):
-        return mat_pow(self, n)
+        raise ValueError(f"determinant {det} is not +-1")
 
     def __neg__(self):
         return Mat2(-self.a, -self.b, -self.c, -self.d)
@@ -83,8 +75,8 @@ class Mat2:
 class HyperbolicMatrix(Mat2):
     """Mat2 restricted to det = 1 and trace > 2.
 
-    Products and powers fall back to plain Mat2; rewrap with from_mat
-    when the result is known to stay hyperbolic.
+    mat_mul returns a plain Mat2; rewrap with from_mat when the result
+    is known to stay hyperbolic.
     """
 
     __slots__ = ()
@@ -114,37 +106,6 @@ def mat_mul(x, y):
     )
 
 
-def mat_pow(x, n):
-    """n-th power, n >= 0; x**0 is the identity.
-
-    Cayley-Hamilton gives x^2 = t x - det(x) I (t the trace), so
-    x^n = U_n x - det(x) U_(n-1) I, where U_0 = 0, U_1 = 1 and
-    U_k = t U_(k-1) - det(x) U_(k-2). The pair (U_k, U_(k+1)) is doubled
-    along the bits of n:
-
-        U_(2k)   = U_k (2 U_(k+1) - t U_k)
-        U_(2k+1) = U_(k+1)^2 - det(x) U_k^2
-        U_(2k+2) = U_(k+1) (t U_(k+1) - 2 det(x) U_k)
-
-    which is three products of ladder-size integers per bit, where a
-    step of matrix squaring takes eight. The recurrence turns
-    det(x) U_(n-1) into t U_n - U_(n+1), so no division is needed.
-    """
-    n = _as_int(n)
-    if n < 0:
-        raise ValueError("negative exponent; invert explicitly first")
-    t, q = x.trace(), x.det()
-    u, v = 0, 1  # U_k, U_(k+1) for k = the bits of n read so far
-    for bit in bin(n)[2:]:
-        uu, vv = u * u, v * v
-        if bit == "1":
-            u, v = vv - q * uu, v * (t * v - 2 * q * u)
-        else:
-            u, v = u * (2 * v - t * u), vv - q * uu
-    shift = v - t * u
-    return Mat2(u * x.a + shift, u * x.b, u * x.c, u * x.d + shift)
-
-
 class Lattice2:
     """Finite-index sublattice of Z^2 in canonical Hermite form.
 
@@ -171,12 +132,6 @@ class Lattice2:
     def basis(self):
         """Canonical basis as a Mat2 whose columns are (a,0) and (b,d)."""
         return Mat2(self.a, self.b, 0, self.d)
-
-    def contains(self, x, y):
-        """Membership of the vector (x, y)."""
-        if y % self.d:
-            return False
-        return (x - (y // self.d) * self.b) % self.a == 0
 
     def __eq__(self, other):
         if not isinstance(other, Lattice2):
@@ -207,12 +162,12 @@ def _xgcd(x, y):
 def hnf(basis):
     """Canonical form of the lattice spanned by the columns of basis.
 
-    The index of the result equals |det basis|. Raises SingularBasis
-    when det = 0.
+    The index of the result equals |det basis|. Raises ValueError when
+    det = 0.
     """
     det = basis.det()
     if det == 0:
-        raise SingularBasis(f"{basis!r} has determinant 0")
+        raise ValueError(f"{basis!r} has determinant 0")
     # columns u = (basis.a, basis.c), v = (basis.b, basis.d)
     g, s, t = _xgcd(basis.c, basis.d)
     # combine columns so the second has bottom entry g and the first bottom 0
@@ -226,7 +181,7 @@ def hnf(basis):
 def lattice_image(u, lat):
     """Image of a lattice under a unimodular matrix u (det = +-1)."""
     if u.det() not in (1, -1):
-        raise NotUnimodular(f"determinant {u.det()} is not +-1")
+        raise ValueError(f"determinant {u.det()} is not +-1")
     return hnf(mat_mul(u, lat.basis()))
 
 
@@ -278,12 +233,13 @@ def intertwiner_lattice(a, b):
     t^2 - 4 delta not a square (two hyperbolic matrices of one trace,
     or the pair that commensurability._input_size_pair forms). Then the
     solutions form a rank-2 lattice. Differing traces raise
-    TraceMismatch: for two such irreducible characteristic polynomials
-    the only solution is 0. The returned basis is saturated: every
+    ValueError: for two such irreducible characteristic polynomials
+    the only solution is 0. So does any other pair whose solutions do
+    not have rank 2. The returned basis is saturated: every
     integer solution is an integer combination of K1 and K2.
     """
     if a.trace() != b.trace():
-        raise TraceMismatch(f"traces {a.trace()} and {b.trace()} differ")
+        raise ValueError(f"traces {a.trace()} and {b.trace()} differ")
     # flatten P = (p, q; r, s); rows are the entries of a*P - P*b
     rows = [
         (a.a - b.a, -b.c, a.b, 0),
@@ -293,7 +249,7 @@ def intertwiner_lattice(a, b):
     ]
     kernel = _column_kernel(rows)
     if len(kernel) != 2:
-        raise ArithmeticError(
+        raise ValueError(
             f"kernel rank {len(kernel)}, expected 2; determinants differ"
             " or t^2 - 4 det is a square?"
         )

@@ -32,7 +32,7 @@ from .commensurability import (
     are_commensurable,
     verify_certificate,
 )
-from .errors import InvalidGenus, NotHyperbolic
+from .errors import NotHyperbolic
 from .linalg import HyperbolicMatrix, Mat2, mat_mul
 
 __all__ = [
@@ -72,9 +72,6 @@ class Suspension:
             object.__setattr__(
                 self, "monodromy", HyperbolicMatrix.from_mat(self.monodromy)
             )
-
-    def euler_characteristic(self):
-        raise TypeError("suspensions carry no base-orbifold Euler characteristic")
 
 
 @dataclass(frozen=True)
@@ -157,7 +154,7 @@ def genus_model_matrix(g):
     equivalent to the genus-g geodesic flow; det 1, trace 4g^2 - 2."""
     g = _as_int(g)
     if g <= 1:
-        raise InvalidGenus(f"genus must be >= 2, got {g}")
+        raise ValueError(f"genus must be >= 2, got {g}")
     root = Mat2(g, g + 1, g - 1, g)
     return HyperbolicMatrix.from_mat(mat_mul(root, root))
 

@@ -17,11 +17,10 @@ from flowcomm import (
     hnf,
     lattice_image,
     mat_mul,
-    mat_pow,
     stabilization_exponent,
     verify_certificate,
 )
-from flowcomm import commensurability, linalg
+from flowcomm import commensurability, conjugacy, linalg
 from flowcomm.cli import run
 from flowcomm.commensurability import _unit_mul
 from helpers import (
@@ -36,6 +35,7 @@ from helpers import (
     random_unimodular,
     reference_verify,
     replace_cert_field as replace,
+    square_pow,
     squarefree_oracle,
 )
 
@@ -45,6 +45,31 @@ GENUS2 = HyperbolicMatrix(7, 12, 4, 7)
 
 def companion(t):
     return HyperbolicMatrix(0, 1, -1, t)
+
+
+def power(m, n):
+    """m**n, formed by the plain-tuple oracle."""
+    return Mat2(*square_pow(m.entries(), n))
+
+
+def entry_bits(*mats):
+    return max(abs(e).bit_length() for m in mats for e in m.entries())
+
+
+def record_product_bits(patch):
+    """Wrap mat_mul as bound in commensurability and in conjugacy (whose
+    reduction_cycle find_intertwiner runs); returns the list that the
+    entry bits of every product formed through them are appended to."""
+    bits = []
+
+    def recording(x, y):
+        product = linalg.mat_mul(x, y)
+        bits.append(entry_bits(product))
+        return product
+
+    for module in (commensurability, conjugacy):
+        patch.setattr(module, "mat_mul", recording)
+    return bits
 
 
 def unit_traces(t, n):
@@ -69,7 +94,7 @@ class TestTraceSequence:
         for entries in hyperbolic_corpus(402, 10):
             m = Mat2(*entries)
             i = rng.randint(1, 40)
-            assert unit_traces(m.trace(), i)[i] == mat_pow(m, i).trace()
+            assert unit_traces(m.trace(), i)[i] == power(m, i).trace()
 
     def test_strictly_increasing(self):
         """Larger power, larger trace: the order the Euclid compares by."""
@@ -79,9 +104,7 @@ class TestTraceSequence:
                 assert seq[i + 1] > seq[i]
 
     def test_rejects_negative_index(self, capsys):
-        """Every path that forms a power trace refuses a negative index."""
-        with pytest.raises(ValueError):
-            mat_pow(A, -1)
+        """trace-seq refuses a negative index."""
         assert run(["trace-seq", "[[2,1],[1,1]]", "-1"]) == 2
         assert capsys.readouterr().out == ""
 
@@ -92,7 +115,7 @@ class TestTracePower:
             m = Mat2(*entries)
             traces = unit_traces(m.trace(), 11)
             for i in range(0, 12):
-                assert traces[i] == mat_pow(m, i).trace()
+                assert traces[i] == power(m, i).trace()
 
 
 class TestFindIntertwiner:
@@ -101,7 +124,7 @@ class TestFindIntertwiner:
         assert find_intertwiner(GENUS2, GENUS2) == Mat2.identity()
 
     def test_worked_cross_class_pair(self):
-        p = find_intertwiner(mat_pow(A, 2), companion(7))
+        p = find_intertwiner(power(A, 2), companion(7))
         assert p == Mat2(1, 1, -2, 1)
         assert p.det() == 3
 
@@ -119,7 +142,7 @@ class TestFindIntertwiner:
 
     def test_search_bound_refused(self):
         with pytest.raises(TypeError):
-            find_intertwiner(mat_pow(A, 2), companion(7), search_bound=1)
+            find_intertwiner(power(A, 2), companion(7), search_bound=1)
 
     def test_det_one_beyond_coefficient_32(self):
         """A conjugate pair whose det-1 intertwiners all have kernel-basis
@@ -157,7 +180,7 @@ class TestFindIntertwiner:
         assert intertwiner_rank(p.entries()) <= intertwiner_rank(best)
 
     def test_deterministic(self):
-        pairs = [(mat_pow(A, 2), companion(7)), (GENUS2, companion(14))]
+        pairs = [(power(A, 2), companion(7)), (GENUS2, companion(14))]
         for a1, b1 in pairs:
             assert find_intertwiner(a1, b1) == find_intertwiner(a1, b1)
 
@@ -228,7 +251,7 @@ class TestBuildCertificate:
                         index_over_a=power_a * det,
                         index_over_b=power_b,
                     )
-                    equal = mat_pow(a, power_a).trace() == mat_pow(b, power_b).trace()
+                    equal = power(a, power_a).trace() == power(b, power_b).trace()
                     expected = (True, "ok") if equal else (False, "power_traces_equal")
                     assert verify_certificate(restated) == expected, (a, b, power_a, power_b)
                     accepted += equal
@@ -251,7 +274,7 @@ class TestBuildCertificate:
         power trace would have millions of bits."""
         cert = are_commensurable(A, companion(7)).certificate
         restated = replace(cert, power_a=12000, index_over_a=12000 * 3)
-        assert mat_pow(A, 12000).trace().bit_length() * 0.30103 > 4300
+        assert power(A, 12000).trace().bit_length() * 0.30103 > 4300
         assert verify_certificate(restated) == (False, "power_traces_equal")
         restated = replace(cert, power_b=2**20 // 3 + 1)
         assert verify_certificate(restated) == (False, "power_traces_equal")
@@ -265,7 +288,7 @@ class TestBuildCertificate:
             agreeing = 0
             for power_a in range(1, 7):
                 for power_b in range(1, 7):
-                    equal = mat_pow(a, power_a).trace() == mat_pow(b, power_b).trace()
+                    equal = power(a, power_a).trace() == power(b, power_b).trace()
                     if not verdict.commensurable:
                         assert not equal, (a, b, power_a, power_b)
                         continue
@@ -278,25 +301,23 @@ class TestBuildCertificate:
 
     def test_no_power_formed_past_old_budget(self):
         """Least powers of millions of bits (past the 2^20-bit budget of
-        0.8.0) are decided and verified with every mat_pow patched to
-        raise: neither the decision nor the verifier forms a power."""
+        0.8.0) are decided and verified with every product below 4 times
+        the input's entry bits: neither the decision nor the verifier
+        forms a power, whose entries would have about 10^6 bits."""
         pairs = (
-            (mat_pow(A, 900), mat_pow(A, 899)),
-            (mat_pow(A, 899), mat_pow(A, 900)),
+            (power(A, 900), power(A, 899)),
+            (power(A, 899), power(A, 900)),
         )
-
-        def refuse(*args):
-            raise AssertionError("a power was formed")
-
         with pytest.MonkeyPatch.context() as patch:
-            for module in (commensurability, linalg):
-                patch.setattr(module, "mat_pow", refuse, raising=False)
+            bits = record_product_bits(patch)
             for a, b in pairs:
+                bits.clear()
                 verdict = are_commensurable(a, b)
                 i, j = verdict.minimal_exponents
                 assert {i, j} == {899, 900} and i * a.trace().bit_length() > 2**20
                 assert verify_certificate(verdict.certificate) == (True, "ok")
-        assert are_commensurable(mat_pow(A, 300), mat_pow(A, 299)).minimal_exponents == (299, 300)
+                assert bits and max(bits) < 4 * entry_bits(a, b), max(bits)
+        assert are_commensurable(power(A, 300), power(A, 299)).minimal_exponents == (299, 300)
 
     def test_rejects_nonpositive_powers(self):
         """Built certificates state positive powers; a zero or negative
@@ -346,7 +367,7 @@ class TestAreCommensurable:
 
     def test_power_absorption(self):
         for n in range(2, 7):
-            verdict = are_commensurable(mat_pow(A, n), A)
+            verdict = are_commensurable(power(A, n), A)
             assert verdict.commensurable
             assert verdict.minimal_exponents == (1, n)
 
@@ -369,7 +390,7 @@ class TestAreCommensurable:
         assert verdict.commensurable
         # exponents refer to the squared replacement, trace 7
         i, j = verdict.minimal_exponents
-        assert mat_pow(companion(7), i).trace() == mat_pow(A, j).trace()
+        assert power(companion(7), i).trace() == power(A, j).trace()
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(NotHyperbolic):
@@ -381,7 +402,7 @@ class TestAreCommensurable:
 
     def test_far_common_power(self):
         """A common power 12000 steps away, past any merge-step cap."""
-        verdict = are_commensurable(A, mat_pow(A, 12000))
+        verdict = are_commensurable(A, power(A, 12000))
         assert verdict.minimal_exponents == (12000, 1)
         assert verify_certificate(verdict.certificate) == (True, "ok")
         with pytest.raises(TypeError):
@@ -399,7 +420,7 @@ class TestAreCommensurable:
                 for ii in range(1, i + 1):
                     for jj in range(1, j + 1):
                         if (ii, jj) != (i, j):
-                            assert mat_pow(a, ii).trace() != mat_pow(b, jj).trace()
+                            assert power(a, ii).trace() != power(b, jj).trace()
 
 
 class TestMinimalExponents:
@@ -417,8 +438,8 @@ class TestMinimalExponents:
             for _ in range(8):
                 p, q = rng.randint(1, 60), rng.randint(1, 60)
                 conj = Mat2(*random_unimodular(rng))
-                a = mat_pow(m, p)
-                b = mat_mul(mat_mul(conj.inverse(), mat_pow(m, q)), conj)
+                a = power(m, p)
+                b = mat_mul(mat_mul(conj.inverse(), power(m, q)), conj)
                 if rng.random() < 0.3:
                     a = -a
                 verdict = are_commensurable(a, b)
@@ -435,7 +456,7 @@ class TestMinimalExponents:
         assert len(pairs) == 38
         # traces of powers j < k <= 10 of one matrix meet at (k, j) / gcd(j, k)
         for t in range(3, 41):
-            powers = [mat_pow(companion(t), k).trace() for k in range(1, 11)]
+            powers = [power(companion(t), k).trace() for k in range(1, 11)]
             pairs += [(ta, tb) for x, ta in enumerate(powers) for tb in powers[x + 1 :]]
         for ta, tb in pairs:
             verdict = are_commensurable(companion(ta), companion(tb))
@@ -468,12 +489,12 @@ class TestInputSizeIntertwiner:
         i, j = verdict.minimal_exponents
         x, y = input_size_pair(a, b)
         p = find_intertwiner(x, y)
-        assert p == find_intertwiner(mat_pow(a, i), mat_pow(b, j)), (a, b)
+        assert p == find_intertwiner(power(a, i), power(b, j)), (a, b)
         assert p == verdict.certificate.intertwiner
         assert mat_mul(x, p) == mat_mul(p, y)
 
     def test_powers_of_a(self):
-        powers = [mat_pow(A, p) for p in range(1, 30)]
+        powers = [power(A, p) for p in range(1, 30)]
         for a in powers:
             for b in powers:
                 self.check(a, b)
@@ -495,22 +516,18 @@ class TestInputSizeIntertwiner:
             m = Mat2(*entries)
             for _ in range(5):
                 conj = Mat2(*random_unimodular(rng))
-                a = mat_pow(m, rng.randint(1, 12))
-                b = mat_mul(mat_mul(conj.inverse(), mat_pow(m, rng.randint(1, 12))), conj)
+                a = power(m, rng.randint(1, 12))
+                b = mat_mul(mat_mul(conj.inverse(), power(m, rng.randint(1, 12))), conj)
                 self.check(a, b)
 
     def test_decision_forms_no_power(self, monkeypatch):
-        """With every mat_pow patched to raise, the decision still runs;
-        its certificate of A^600 vs A^599 verifies once it is restored."""
-        a, b = mat_pow(A, 600), mat_pow(A, 599)
-
-        def refuse(*args):
-            raise AssertionError("a power was formed")
-
+        """Every product the decision forms on A^600 vs A^599 stays below
+        4 times the input's entry bits; its certificate verifies."""
+        a, b = power(A, 600), power(A, 599)
         with monkeypatch.context() as patch:
-            for module in (commensurability, linalg):
-                patch.setattr(module, "mat_pow", refuse, raising=False)
+            bits = record_product_bits(patch)
             verdict = are_commensurable(a, b)
+        assert bits and max(bits) < 4 * entry_bits(a, b), max(bits)
         assert verdict.minimal_exponents == (599, 600)
         assert verify_certificate(verdict.certificate) == (True, "ok")
 
@@ -551,7 +568,7 @@ class TestSquareClass:
         """Traces of powers keep the square class of t^2 - 4."""
         for t in (3, 7, 14, 47):
             for i in range(1, 8):
-                ti = mat_pow(companion(t), i).trace()
+                ti = power(companion(t), i).trace()
                 verdict = are_commensurable(companion(t), companion(ti))
                 assert verdict.minimal_exponents == (i, 1)
                 assert verdict.squarefree_a == verdict.squarefree_b == t * t - 4
@@ -708,15 +725,15 @@ class TestReferenceAgreement:
 
     @staticmethod
     def corpus():
-        powers = [mat_pow(A, p) for p in range(1, 25)]
+        powers = [power(A, p) for p in range(1, 25)]
         pairs = [(a, b) for a in powers for b in powers]
         rng = random.Random(1111)
         for entries in hyperbolic_corpus(1112, 12, max_trace=20):
             m = Mat2(*entries)
             for _ in range(8):
                 conj = Mat2(*random_unimodular(rng))
-                b = mat_mul(mat_mul(conj.inverse(), mat_pow(m, rng.randint(1, 12))), conj)
-                pairs.append((mat_pow(m, rng.randint(1, 12)), b))
+                b = mat_mul(mat_mul(conj.inverse(), power(m, rng.randint(1, 12))), conj)
+                pairs.append((power(m, rng.randint(1, 12)), b))
         pairs += [(companion(ta), companion(tb)) for ta in range(3, 60) for tb in range(3, 60)]
         for a, b in pairs:
             verdict = are_commensurable(a, b)

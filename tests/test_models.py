@@ -18,7 +18,6 @@ from flowcomm import (
     GeodesicCommonCover,
     GeodesicOrbifold,
     HyperbolicMatrix,
-    InvalidGenus,
     Mat2,
     NotHyperbolic,
     Suspension,
@@ -31,7 +30,7 @@ from flowcomm import (
     verify_chain,
 )
 from flowcomm.serialize import dumps, encode_chain
-from helpers import hyperbolic_corpus, least_common_cover
+from helpers import hyperbolic_corpus, least_common_cover, square_pow
 
 A = HyperbolicMatrix(2, 1, 1, 1)
 
@@ -90,7 +89,7 @@ class TestModelMatrices:
             assert genus_model_matrix(g).trace() == 4 * g * g - 2
 
     def test_genus_rejected(self):
-        with pytest.raises(InvalidGenus):
+        with pytest.raises(ValueError):
             genus_model_matrix(1)
 
     def test_orbifold_matrix(self):
@@ -114,10 +113,6 @@ class TestModels:
     def test_suspension_rejects_bad_monodromy(self):
         with pytest.raises(NotHyperbolic):
             Suspension(Mat2(1, 1, 0, 1))
-
-    def test_suspension_has_no_euler(self):
-        with pytest.raises(TypeError):
-            Suspension(A).euler_characteristic()
 
     def test_surface(self):
         """A surface is the signature with no cone points."""
@@ -436,7 +431,7 @@ class TestChainConstruction:
         """Genus 2 and A^n lie in different square classes: one
         certificate on each bridge, and no search beyond them."""
         calls = count_intertwiner_searches(monkeypatch)
-        chain = almost_commensurability_chain(GeodesicOrbifold(2), Suspension(A**n))
+        chain = almost_commensurability_chain(GeodesicOrbifold(2), Suspension(Mat2(*square_pow(A.entries(), n))))
         assert certificate_links(chain) == 2
         assert calls[0] == 2
 
