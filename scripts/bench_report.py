@@ -28,9 +28,10 @@ HOSTILE = 10**4000
 # run inside each checkout's interpreter; prints one JSON object
 TIMER = r"""
 import json, sys, time
-from dataclasses import replace
 sys.path.insert(0, "src")
-from flowcomm import ComputationLimit, Mat2, are_commensurable, verify_certificate
+from flowcomm import (
+    CommensurabilityCertificate, ComputationLimit, Mat2, are_commensurable, verify_certificate,
+)
 
 repeats, ladder, hostile = int(sys.argv[1]), json.loads(sys.argv[2]), int(sys.argv[3])
 
@@ -75,7 +76,13 @@ for p in ladder:
     assert clause == (True, "ok"), clause
     rows.append({"p": p, "are_commensurable_ms": decide_ms, "verify_certificate_ms": verify_ms})
 cert = are_commensurable(a, Mat2(0, 1, -1, 7)).certificate
-doc = replace(cert, power_a=hostile + 1, power_b=hostile)
+# through the constructor, which every checkout's certificate takes by name
+doc = CommensurabilityCertificate(
+    base_a=cert.base_a, base_b=cert.base_b, power_a=hostile + 1, power_b=hostile,
+    intertwiner=cert.intertwiner, intertwiner_det=cert.intertwiner_det,
+    sublattice=cert.sublattice, stabilization=cert.stabilization,
+    index_over_a=cert.index_over_a, index_over_b=cert.index_over_b,
+)
 hostile_ms, result = best(lambda: verify_certificate(doc))
 print(json.dumps({"rows": rows, "hostile_ms": hostile_ms, "hostile_result": result}))
 """
@@ -163,14 +170,17 @@ def each_run(path, metrics):
 
 
 def trace(compare, parent_path, change_path):
-    picked = ("cli.run.total_s", "cli.run.self_s", "commensurability.are_commensurable.total_s",
+    picked = ("interp_floor_s", "import_s",
+              "cli.run.total_s", "cli.run.self_s", "commensurability.are_commensurable.total_s",
               "commensurability.find_intertwiner.total_s",
               "commensurability.verify_certificate.calls",
               "commensurability.verify_certificate.total_s",
               "commensurability.verify_certificate.self_s", "linalg.mat_mul.calls")
     out = {}
     for side, path in (("parent", parent_path), ("change", change_path)):
-        (values,) = [v for by_seed in compare.load_runs(path).values() for v in by_seed.values()]
+        ((workload, by_seed),) = compare.load_runs(path).items()
+        (values,) = by_seed.values()
+        out["workload"] = workload
         out[side] = {m: round(values[m], 5) for m in picked if m in values}
     return out
 
@@ -193,25 +203,31 @@ def main(argv=None):
         "hardware": args.hardware,
         "functions": functions(args.parent, args.change),
         "benchmark": {
-            "what": "perfbench/run.py --workload all --seconds 30 --trace 0, one run per "
-                    "seed and side, parent and change alternately (the parent first on odd "
-                    "seeds), classified by perfbench/compare.py",
+            "what": "perfbench/run.py --workload W --seconds 30 --trace 0 for each workload "
+                    "W, one run per seed and side, parent and change alternately (the parent "
+                    "first on odd seeds), classified by perfbench/compare.py",
             "claimed": args.claimed,
             "rows": benchmark(compare, *args.runs),
         },
     }
     if args.fresh:
-        shown = ("check_tail_ms", "check_ops_per_s", "check_p50_ms", "decide_tail_ms")
+        fresh_rows = benchmark(compare, *args.fresh)
+        shown = list(dict.fromkeys(row["metric"] for row in fresh_rows))
         report["benchmark"]["fresh_seed"] = {
-            "what": "runs on a seed not used while building the change, in file order",
+            "what": "runs on seeds not used while building the change, classified as above, "
+                    "and the end-to-end metrics of every run in file order",
+            "rows": fresh_rows,
             "parent": each_run(args.fresh[0], shown),
             "change": each_run(args.fresh[1], shown),
         }
     if args.trace:
+        traced = trace(compare, *args.trace)
         report["trace"] = {
-            "what": "perfbench/run.py --workload bit-ladder --seconds 30 --trace 1, one run per "
-                    "side; per-pass figures (seconds are per pass of the workload)",
-            **trace(compare, *args.trace),
+            "what": f"perfbench/run.py --workload {traced.pop('workload')} --seconds 30 "
+                    "--trace 1, one run per side; per-pass figures (seconds are per pass of "
+                    "the workload), and setup_s split into interpreter floor and import (raw "
+                    "CPU seconds, not scaled)",
+            **traced,
         }
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=1)

@@ -20,7 +20,6 @@ verifier tests lam_a**i == lam_b**j by a Euclid on units guided by the
 stated exponents.
 """
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import index as _as_int
 
@@ -30,6 +29,7 @@ from .linalg import (
     HyperbolicMatrix,
     Lattice2,
     Mat2,
+    _Record,
     hnf,
     intertwiner_lattice,
     lattice_image,
@@ -46,27 +46,53 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True)
-class CommensurabilityCertificate:
+class CommensurabilityCertificate(_Record):
     """Re-checkable witness that base_a**power_a and base_b**power_b
     generate a common finite cover.
 
     intertwiner P satisfies A1 P = P B1 (A1, B1 the stated powers);
     sublattice is the canonical form of the lattice P spans, fixed by
     A1**stabilization; the two indices describe the common cover over
-    each suspension.
+    each suspension. Compared field by field, and not hashable.
     """
 
-    base_a: Mat2
-    base_b: Mat2
-    power_a: int
-    power_b: int
-    intertwiner: Mat2
-    intertwiner_det: int
-    sublattice: Lattice2
-    stabilization: int
-    index_over_a: int
-    index_over_b: int
+    __slots__ = _fields = (
+        "base_a",
+        "base_b",
+        "power_a",
+        "power_b",
+        "intertwiner",
+        "intertwiner_det",
+        "sublattice",
+        "stabilization",
+        "index_over_a",
+        "index_over_b",
+    )
+    __hash__ = None
+
+    def __init__(
+        self,
+        base_a: Mat2,
+        base_b: Mat2,
+        power_a: int,
+        power_b: int,
+        intertwiner: Mat2,
+        intertwiner_det: int,
+        sublattice: Lattice2,
+        stabilization: int,
+        index_over_a: int,
+        index_over_b: int,
+    ):
+        self.base_a = base_a
+        self.base_b = base_b
+        self.power_a = power_a
+        self.power_b = power_b
+        self.intertwiner = intertwiner
+        self.intertwiner_det = intertwiner_det
+        self.sublattice = sublattice
+        self.stabilization = stabilization
+        self.index_over_a = index_over_a
+        self.index_over_b = index_over_b
 
     def __repr__(self):
         # short: the full entries could pass the int/str digit limit
@@ -77,9 +103,8 @@ class CommensurabilityCertificate:
         )
 
 
-@dataclass(slots=True, eq=False)
-class CommensurabilityVerdict:
-    """Outcome of are_commensurable.
+class CommensurabilityVerdict(_Record):
+    """Outcome of are_commensurable, compared by identity.
 
     squarefree_a and squarefree_b represent the square classes of
     D_a = t_a^2 - 4 and D_b = t_b^2 - 4 (traces after the squaring of
@@ -90,13 +115,35 @@ class CommensurabilityVerdict:
     representatives, which would need factoring.
     """
 
-    commensurable: bool
-    minimal_exponents: tuple | None
-    squarefree_a: int
-    squarefree_b: int
-    certificate: CommensurabilityCertificate | None
-    squared_a: bool = False
-    squared_b: bool = False
+    __slots__ = _fields = (
+        "commensurable",
+        "minimal_exponents",
+        "squarefree_a",
+        "squarefree_b",
+        "certificate",
+        "squared_a",
+        "squared_b",
+    )
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        commensurable: bool,
+        minimal_exponents: tuple | None,
+        squarefree_a: int,
+        squarefree_b: int,
+        certificate: CommensurabilityCertificate | None,
+        squared_a: bool = False,
+        squared_b: bool = False,
+    ):
+        self.commensurable = commensurable
+        self.minimal_exponents = minimal_exponents
+        self.squarefree_a = squarefree_a
+        self.squarefree_b = squarefree_b
+        self.certificate = certificate
+        self.squared_a = squared_a
+        self.squared_b = squared_b
 
 
 def _normalize_input(m):

@@ -15,11 +15,10 @@ partial quotient is one whole R^k or L^k block, found by one integer
 division, so the work grows with the bit size of the matrix.
 """
 
-from dataclasses import dataclass
 from math import isqrt
 from operator import index as _as_int
 
-from .linalg import HyperbolicMatrix, Mat2, mat_mul
+from .linalg import HyperbolicMatrix, Mat2, _Record, mat_mul
 
 __all__ = [
     "R",
@@ -69,18 +68,28 @@ class RLWord:
         return " ".join(f"R^{r} L^{l}" for r, l in self.pairs)
 
 
-@dataclass(slots=True, eq=False)
-class EquivalenceVerdict:
-    """Outcome of a conjugacy decision.
+class EquivalenceVerdict(_Record):
+    """Outcome of a conjugacy decision, compared by identity.
 
     If equivalent, `conjugator` Q has det 1 and Q^-1 A Q = B;
     otherwise conjugator is None and the canonical words differ.
     """
 
-    equivalent: bool
-    conjugator: Mat2 | None
-    canonical_a: RLWord
-    canonical_b: RLWord
+    __slots__ = _fields = ("equivalent", "conjugator", "canonical_a", "canonical_b")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        equivalent: bool,
+        conjugator: Mat2 | None,
+        canonical_a: RLWord,
+        canonical_b: RLWord,
+    ):
+        self.equivalent = equivalent
+        self.conjugator = conjugator
+        self.canonical_a = canonical_a
+        self.canonical_b = canonical_b
 
 
 def evaluate_word(word):

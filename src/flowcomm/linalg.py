@@ -9,7 +9,7 @@ differ) raises ValueError.
 """
 
 from math import gcd
-from operator import index as _as_int
+from operator import attrgetter, index as _as_int
 
 from .errors import NotHyperbolic
 
@@ -22,6 +22,35 @@ __all__ = [
     "lattice_image",
     "intertwiner_lattice",
 ]
+
+
+class _Record:
+    """Base of the package's plain records: field-wise ==, hash and
+    repr Name(field=value, ...) over the names in _fields, which each
+    subclass lists in declaration order beside its __slots__. Equal
+    only to an instance of the same class. A record that must not be
+    hashed sets __hash__ = None; one compared by identity takes
+    object's __eq__ and __hash__ back."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        # the field values in one C call: a tuple, or a lone field's value
+        cls._get_fields = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        get = self._get_fields
+        return get(self) == get(other)
+
+    def __hash__(self):
+        return hash(self._get_fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 class Mat2:
@@ -106,7 +135,7 @@ def mat_mul(x, y):
     )
 
 
-class Lattice2:
+class Lattice2(_Record):
     """Finite-index sublattice of Z^2 in canonical Hermite form.
 
     Canonical basis columns are (a, 0) and (b, d) with a >= 1, d >= 1,
@@ -114,7 +143,8 @@ class Lattice2:
     iff their triples are equal.
     """
 
-    __slots__ = ("a", "b", "d", "index")
+    _fields = ("a", "b", "d")
+    __slots__ = _fields + ("index",)
 
     def __init__(self, a, b, d):
         a = _as_int(a)
@@ -132,17 +162,6 @@ class Lattice2:
     def basis(self):
         """Canonical basis as a Mat2 whose columns are (a,0) and (b,d)."""
         return Mat2(self.a, self.b, 0, self.d)
-
-    def __eq__(self, other):
-        if not isinstance(other, Lattice2):
-            return NotImplemented
-        return (self.a, self.b, self.d) == (other.a, other.b, other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.d))
-
-    def __repr__(self):
-        return f"Lattice2(a={self.a}, b={self.b}, d={self.d})"
 
 
 def _xgcd(x, y):

@@ -22,7 +22,6 @@ orbifold, and a cover joins the two orbifolds. Each link is formed
 once, from its two neighbours, in the direction it is walked.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index as _as_int
@@ -33,7 +32,7 @@ from .commensurability import (
     verify_certificate,
 )
 from .errors import NotHyperbolic
-from .linalg import HyperbolicMatrix, Mat2, mat_mul
+from .linalg import HyperbolicMatrix, Mat2, _Record, mat_mul
 
 __all__ = [
     "GHYS_HASHIGUCHI",
@@ -61,83 +60,96 @@ ALMOST_EQUIVALENCE = "almost-equivalence"
 COMMENSURABILITY = "commensurability"
 
 
-@dataclass(frozen=True)
-class Suspension:
+class Suspension(_Record):
     """Suspension flow of a hyperbolic torus automorphism."""
 
-    monodromy: HyperbolicMatrix
+    __slots__ = _fields = ("monodromy",)
 
-    def __post_init__(self):
-        if not isinstance(self.monodromy, HyperbolicMatrix):
-            object.__setattr__(
-                self, "monodromy", HyperbolicMatrix.from_mat(self.monodromy)
-            )
+    def __init__(self, monodromy: Mat2):
+        if not isinstance(monodromy, HyperbolicMatrix):
+            monodromy = HyperbolicMatrix.from_mat(monodromy)
+        self.monodromy = monodromy
 
 
-@dataclass(frozen=True)
-class GeodesicOrbifold:
+class GeodesicOrbifold(_Record):
     """Geodesic flow on the closed orientable hyperbolic 2-orbifold of
     signature (genus; cone_orders), chi < 0; a surface has no cone
     points. Cone orders are kept sorted; chi is summed once, here, and
     is no part of equality, hashing or the repr."""
 
-    genus: int
-    cone_orders: tuple = ()
-    _chi: Fraction = field(init=False, repr=False, compare=False)
+    _fields = ("genus", "cone_orders")
+    __slots__ = _fields + ("_chi",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "genus", _as_int(self.genus))
-        object.__setattr__(
-            self, "cone_orders", tuple(sorted(map(_as_int, self.cone_orders)))
-        )
+    def __init__(self, genus: int, cone_orders: tuple = ()):
+        self.genus = _as_int(genus)
+        self.cone_orders = tuple(sorted(map(_as_int, cone_orders)))
         chi = orbifold_euler_characteristic(self.genus, self.cone_orders)
         if chi >= 0:
             raise ValueError(
                 f"signature ({self.genus}; {', '.join(map(str, self.cone_orders))})"
                 " has chi >= 0, so it is not hyperbolic"
             )
-        object.__setattr__(self, "_chi", chi)
+        self._chi = chi
 
     def euler_characteristic(self):
         return self._chi
 
 
-@dataclass(frozen=True)
-class GeodesicCommonCover:
+class GeodesicCommonCover(_Record):
     """Degree and Euler-characteristic arithmetic for a common cover of
     two geodesic models. Existence of the covering surface is cited;
     the recorded arithmetic (degree x chi = chi of cover, and each
     degree a multiple of its side's cone orders) is the machine-checked
     part."""
 
-    cover_genus: int
-    degree_source: int
-    degree_target: int
-    euler_source: Fraction
-    euler_target: Fraction
-    euler_cover: Fraction
+    __slots__ = _fields = (
+        "cover_genus",
+        "degree_source",
+        "degree_target",
+        "euler_source",
+        "euler_target",
+        "euler_cover",
+    )
+
+    def __init__(
+        self,
+        cover_genus: int,
+        degree_source: int,
+        degree_target: int,
+        euler_source: Fraction,
+        euler_target: Fraction,
+        euler_cover: Fraction,
+    ):
+        self.cover_genus = cover_genus
+        self.degree_source = degree_source
+        self.degree_target = degree_target
+        self.euler_source = euler_source
+        self.euler_target = euler_target
+        self.euler_cover = euler_cover
 
 
-@dataclass(frozen=True)
-class ChainLink:
+class ChainLink(_Record):
     """One step of a chain. kind is ALMOST_EQUIVALENCE (evidence: a
     citation tag) or COMMENSURABILITY (evidence: a certificate between
     suspensions, or common-cover arithmetic between geodesic models)."""
 
-    kind: str
-    source: object
-    target: object
-    evidence: object
+    __slots__ = _fields = ("kind", "source", "target", "evidence")
+
+    def __init__(self, kind: str, source: object, target: object, evidence: object):
+        self.kind = kind
+        self.source = source
+        self.target = target
+        self.evidence = evidence
 
 
-@dataclass(frozen=True)
-class ChainCertificate:
-    links: tuple
-    endpoints: tuple
+class ChainCertificate(_Record):
+    """The links of a chain, walked from endpoints[0] to endpoints[1]."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "links", tuple(self.links))
-        object.__setattr__(self, "endpoints", tuple(self.endpoints))
+    __slots__ = _fields = ("links", "endpoints")
+
+    def __init__(self, links: tuple, endpoints: tuple):
+        self.links = tuple(links)
+        self.endpoints = tuple(endpoints)
 
 
 def orbifold_model_matrix(t):

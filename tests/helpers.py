@@ -4,7 +4,6 @@ Matrices here are plain (a, b, c, d) tuples so the oracles share no
 code with the package under test.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -173,9 +172,26 @@ def reference_verify(fields):
     return True, "ok"
 
 
+# a commensurability certificate's constructor arguments, in order
+CERT_FIELDS = (
+    "base_a",
+    "base_b",
+    "power_a",
+    "power_b",
+    "intertwiner",
+    "intertwiner_det",
+    "sublattice",
+    "stabilization",
+    "index_over_a",
+    "index_over_b",
+)
+
+
 def replace_cert_field(cert, **changes):
-    """Copy of a commensurability certificate with named fields swapped."""
-    return dataclasses.replace(cert, **changes)
+    """Copy of a commensurability certificate with named fields swapped,
+    made through its constructor (which rejects a misspelt name)."""
+    fields = {name: getattr(cert, name) for name in CERT_FIELDS}
+    return type(cert)(**{**fields, **changes})
 
 
 def string_leaves_only(node):

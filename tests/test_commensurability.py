@@ -423,6 +423,35 @@ class TestAreCommensurable:
                             assert power(a, ii).trace() != power(b, jj).trace()
 
 
+class TestRecords:
+    def test_certificate_compares_by_field_and_is_unhashable(self):
+        cert = are_commensurable(A, companion(7)).certificate
+        assert cert == are_commensurable(A, companion(7)).certificate
+        assert cert != replace(cert, power_a=4) and cert != cert.power_a
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(cert)
+
+    def test_certificate_repr_is_short(self):
+        """The repr names powers, det and indices only: the matrices'
+        entries could pass the int/str digit limit."""
+        cert = are_commensurable(A, companion(7)).certificate
+        assert repr(cert) == "CommensurabilityCertificate(powers=(2, 1), det=3, indices=(6, 1))"
+        huge = replace(cert, base_a=Mat2(10**5000, 0, 0, 1))
+        assert repr(huge) == repr(cert)
+
+    def test_verdict_compares_by_identity_and_is_hashable(self):
+        first, second = are_commensurable(A, companion(7)), are_commensurable(A, companion(7))
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+
+    def test_verdict_repr_lists_every_field_in_order(self):
+        assert repr(are_commensurable(A, GENUS2)) == (
+            "CommensurabilityVerdict(commensurable=False, minimal_exponents=None,"
+            " squarefree_a=5, squarefree_b=192, certificate=None, squared_a=False,"
+            " squared_b=False)"
+        )
+
+
 class TestMinimalExponents:
     """minimal_exponents against the plain-integer merge oracle."""
 

@@ -219,6 +219,18 @@ class TestAreEquivalent:
             assert verdict.equivalent
             assert conj(verdict.conjugator, m) == conj(q, m)
 
+    def test_verdict_compares_by_identity_and_is_hashable(self):
+        pair = (Mat2(3, 1, 2, 1), Mat2(3, 2, 1, 1))
+        first, second = are_equivalent(*pair), are_equivalent(*pair)
+        assert first == first and first != second
+        assert len({first, second, first}) == 2
+
+    def test_verdict_repr_lists_every_field_in_order(self):
+        assert repr(are_equivalent(Mat2(3, 1, 2, 1), Mat2(3, 2, 1, 1))) == (
+            "EquivalenceVerdict(equivalent=False, conjugator=None,"
+            " canonical_a=RLWord(1, 2), canonical_b=RLWord(2, 1))"
+        )
+
 
 class TestBruteForceConjugator:
     def test_agrees_on_positives(self):

@@ -161,6 +161,58 @@ class TestModels:
             orbifold_euler_characteristic(0, (1, 3, 7))
 
 
+def _cover(genus):
+    chi = Fraction(2 - 2 * genus)
+    return GeodesicCommonCover(genus, 1, 1, chi, chi, chi)
+
+
+def _tag_link(genus):
+    suspension = Suspension(genus_model_matrix(genus))
+    return ChainLink(ALMOST_EQUIVALENCE, GeodesicOrbifold(genus), suspension, GHYS_HASHIGUCHI)
+
+
+def _one_link_chain(genus):
+    link = _tag_link(genus)
+    return ChainCertificate([link], [link.source, link.target])
+
+
+# each model record: a maker of one value, and an unequal value
+MODEL_RECORDS = {
+    "Suspension": (lambda: Suspension(Mat2(2, 1, 1, 1)), Suspension(Mat2(5, 2, 2, 1))),
+    "GeodesicOrbifold": (lambda: GeodesicOrbifold(0, (2, 3, 7)), GeodesicOrbifold(0, (2, 3, 8))),
+    "GeodesicCommonCover": (lambda: _cover(2), _cover(3)),
+    "ChainLink": (lambda: _tag_link(2), _tag_link(3)),
+    "ChainCertificate": (lambda: _one_link_chain(2), _one_link_chain(3)),
+}
+
+
+@pytest.mark.parametrize("make, other", MODEL_RECORDS.values(), ids=MODEL_RECORDS)
+def test_model_records_compare_and_hash_by_field(make, other):
+    """Two separately built equal values are == with one hash, an
+    unequal value is !=, and so is a value of another type."""
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) and len({a, b, other}) == 2
+    assert a != other and not a == other
+    assert a != object()
+
+
+def test_model_records_differ_from_their_field_tuples():
+    assert Suspension(A) != (A,)
+    assert GeodesicOrbifold(2) != (2, ())
+    assert ChainCertificate([], []) != ((), ())
+
+
+def test_orbifold_equality_ignores_chi():
+    """chi is stored beside the signature but is no part of ==, hash or
+    the repr: an orbifold whose stored chi was overwritten still equals
+    one built from the same signature."""
+    orb, altered = GeodesicOrbifold(0, (2, 3, 7)), GeodesicOrbifold(0, (7, 3, 2))
+    altered._chi = Fraction(-99)
+    assert orb == altered and hash(orb) == hash(altered)
+    assert repr(altered) == "GeodesicOrbifold(genus=0, cone_orders=(2, 3, 7))"
+
+
 def surface_cover(g1, g2):
     cover = orbifold_common_cover(GeodesicOrbifold(g1), GeodesicOrbifold(g2))
     return cover.cover_genus, cover.degree_source, cover.degree_target

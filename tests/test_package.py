@@ -1,10 +1,12 @@
 """Package guards: the public names resolve, the package re-exports
 exactly its modules' public lists, the source imports only the standard
-library and uses every name it imports, and the test oracles import
-nothing from the package."""
+library and uses every name it imports, importing the console frontend
+loads none of the heavy introspection modules, and the test oracles
+import nothing from the package."""
 
 import ast
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -102,6 +104,27 @@ def test_imports_are_relative_or_stdlib():
                 if root not in sys.stdlib_module_names
             ]
     assert foreign == []
+
+
+# loaded by dataclasses, and costly at every console call's start-up
+HEAVY_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def test_cli_import_loads_no_heavy_module():
+    """In a fresh interpreter without site (whose .pth files may import
+    anything), import flowcomm.cli loads none of HEAVY_MODULES. -B: -I
+    drops PYTHONDONTWRITEBYTECODE, and the test writes no bytecode."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import flowcomm.cli; "
+        f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))"
+    )
+    root = str(Path(flowcomm.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", code, root],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_helpers_import_nothing_from_flowcomm():
