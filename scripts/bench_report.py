@@ -1,6 +1,8 @@
-"""Before/after report of a verifier change: library timings of the
-A^p against A^(p-1) ladder and of a hostile-power document, plus the
-perfbench comparison of interleaved parent/change runs, as one JSON file.
+"""Before/after report of a change: library timings of the A^p against
+A^(p-1) ladder and of a hostile-power document, of each layer of the
+chain path on the bit-ladder chain rungs and of a hostile-signature
+chain document, plus the perfbench comparison of interleaved
+parent/change runs, as one JSON file.
 
     python3 scripts/bench_report.py --parent PARENT_CHECKOUT --change CHANGE_CHECKOUT \\
         --runs PARENT.jsonl CHANGE.jsonl [--fresh PARENT.jsonl CHANGE.jsonl] \\
@@ -24,22 +26,23 @@ import sys
 
 LADDER = (128, 300, 600, 869, 1024, 2048, 4096, 8192)
 HOSTILE = 10**4000
+# perfbench's bit-ladder chain rungs: surface:g=2 against suspension:A^n
+CHAIN_RUNGS = (4, 8, 10, 12, 16)
+# the hostile chain document: one orbifold given this many random cone
+# orders of this many digits, drawn from this seed
+HOSTILE_ORDERS = (50, 4000, 14)
 
-# run inside each checkout's interpreter; prints one JSON object
-TIMER = r"""
+# the start of each timer script, run inside a checkout's interpreter
+PRELUDE = r"""
 import json, sys, time
 sys.path.insert(0, "src")
-from flowcomm import (
-    CommensurabilityCertificate, ComputationLimit, Mat2, are_commensurable, verify_certificate,
-)
-
-repeats, ladder, hostile = int(sys.argv[1]), json.loads(sys.argv[2]), int(sys.argv[3])
+from flowcomm import ComputationLimit
 
 REFUSED = "exit 3 (ComputationLimit)"
 
 # least time in ms over the repeats, and the result (REFUSED when the
 # call raised ComputationLimit)
-def best(call):
+def best(call, repeats):
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -50,8 +53,8 @@ def best(call):
         times.append(time.perf_counter() - start)
     return round(min(times) * 1e3, 3), out
 
-# A^n by square-and-multiply of plain-integer tuples, so that the ladder
-# is built the same way in every checkout
+# A^n by square-and-multiply of plain-integer tuples, so that powers are
+# built the same way in every checkout
 def mul(x, y):
     return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
             x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
@@ -62,17 +65,24 @@ def power(n, m=(2, 1, 1, 1)):
         if n & 1:
             out = mul(out, m)
         m, n = mul(m, m), n >> 1
-    return Mat2(*out)
+    return out
+"""
 
-a = power(1)
+# prints one JSON object
+TIMER = PRELUDE + r"""
+from flowcomm import CommensurabilityCertificate, Mat2, are_commensurable, verify_certificate
+
+repeats, ladder, hostile = int(sys.argv[1]), json.loads(sys.argv[2]), int(sys.argv[3])
+
+a = Mat2(*power(1))
 rows = []
 for p in ladder:
-    x, y = power(p), power(p - 1)
-    decide_ms, verdict = best(lambda: are_commensurable(x, y))
+    x, y = Mat2(*power(p)), Mat2(*power(p - 1))
+    decide_ms, verdict = best(lambda: are_commensurable(x, y), repeats)
     if verdict == REFUSED:  # no certificate to verify
         rows.append({"p": p, "are_commensurable_ms": REFUSED, "verify_certificate_ms": REFUSED})
         continue
-    verify_ms, clause = best(lambda: verify_certificate(verdict.certificate))
+    verify_ms, clause = best(lambda: verify_certificate(verdict.certificate), repeats)
     assert clause == (True, "ok"), clause
     rows.append({"p": p, "are_commensurable_ms": decide_ms, "verify_certificate_ms": verify_ms})
 cert = are_commensurable(a, Mat2(0, 1, -1, 7)).certificate
@@ -83,17 +93,60 @@ doc = CommensurabilityCertificate(
     sublattice=cert.sublattice, stabilization=cert.stabilization,
     index_over_a=cert.index_over_a, index_over_b=cert.index_over_b,
 )
-hostile_ms, result = best(lambda: verify_certificate(doc))
+hostile_ms, result = best(lambda: verify_certificate(doc), repeats)
 print(json.dumps({"rows": rows, "hostile_ms": hostile_ms, "hostile_result": result}))
 """
 
+# prints one JSON object
+CHAIN_TIMER = PRELUDE + r"""
+import random
+from flowcomm import (
+    GeodesicOrbifold, HyperbolicMatrix, Suspension, almost_commensurability_chain, verify_chain,
+)
+from flowcomm.serialize import decode_document, dumps, encode_chain, loads
 
-def time_checkout(checkout, repeats):
+repeats, rungs = int(sys.argv[1]), json.loads(sys.argv[2])
+count, digits, seed = json.loads(sys.argv[3])
+
+rows = []
+for n in rungs:
+    a, b = GeodesicOrbifold(2), Suspension(HyperbolicMatrix(*power(n)))
+    row = {"n": n}
+    row["almost_commensurability_chain_ms"], chain = best(
+        lambda: almost_commensurability_chain(a, b), repeats)
+    row["encode_chain_ms"], doc = best(lambda: encode_chain(chain), repeats)
+    row["dumps_ms"], text = best(lambda: dumps(doc), repeats)
+    parsed = loads(text)
+    row["decode_document_ms"], decoded = best(lambda: decode_document(parsed), repeats)
+    row["verify_chain_ms"], result = best(lambda: verify_chain(decoded), repeats)
+    assert result == (True, "ok"), result
+    row["document_bytes"] = len(text.encode())
+    rows.append(row)
+
+# the chain (0; 2, 4, 5) to genus 2, with the orbifold's cone orders
+# replaced, at both places it appears, by the hostile ones
+rng = random.Random(seed)
+orders = [str(rng.randrange(10 ** (digits - 1), 10**digits)) for _ in range(count)]
+doc = encode_chain(almost_commensurability_chain(GeodesicOrbifold(0, (2, 4, 5)), GeodesicOrbifold(2)))
+for model in (doc["endpoints"][0], doc["links"][0]["source"]):
+    model["cone_orders"] = orders
+decode_ms, decoded = best(lambda: decode_document(doc), 3)
+verify_ms, result = best(lambda: verify_chain(decoded), repeats)
+print(json.dumps({"rows": rows, "hostile_decode_ms": decode_ms, "hostile_verify_ms": verify_ms,
+                  "hostile_result": list(result)}))
+"""
+
+
+def run_timer(code, checkout, *args):
     proc = subprocess.run(
-        [sys.executable, "-c", TIMER, str(repeats), json.dumps(LADDER), str(HOSTILE)],
+        [sys.executable, "-c", code, *map(str, args)],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout)
+
+
+def time_checkout(checkout, repeats):
+    return run_timer(TIMER, checkout, repeats, json.dumps(LADDER), HOSTILE)
 
 
 def functions(parent_dir, change_dir):
@@ -120,6 +173,46 @@ def functions(parent_dir, change_dir):
             "parent_ms": parent["hostile_ms"],
             "parent_result": parent["hostile_result"],
             "change_ms": change["hostile_ms"],
+            "change_result": change["hostile_result"],
+        },
+    }
+
+
+def chain_layers(parent_dir, change_dir):
+    def timed(checkout):
+        return run_timer(CHAIN_TIMER, checkout, 30, json.dumps(CHAIN_RUNGS),
+                         json.dumps(HOSTILE_ORDERS))
+
+    parent, change = timed(parent_dir), timed(change_dir)
+    layers = ("almost_commensurability_chain", "encode_chain", "dumps", "decode_document",
+              "verify_chain")
+    rows = []
+    for p_row, c_row in zip(parent["rows"], change["rows"]):
+        row = {"n": p_row["n"]}
+        for layer in layers:
+            row[f"parent_{layer}_ms"] = p_row[f"{layer}_ms"]
+            row[f"change_{layer}_ms"] = c_row[f"{layer}_ms"]
+        row["parent_document_bytes"] = p_row["document_bytes"]
+        row["change_document_bytes"] = c_row["document_bytes"]
+        rows.append(row)
+    count, digits, seed = HOSTILE_ORDERS
+    return {
+        "what": "each layer of `flowcomm chain surface:g=2 suspension:A^n` and of verifying "
+                "its document, A = [[2,1],[1,1]], called in-process through the library: "
+                "almost_commensurability_chain, encode_chain, dumps, decode_document (of the "
+                "loads result) and verify_chain",
+        "how": "time.perf_counter around each call, best of 30, while no benchmark ran",
+        "rows": rows,
+        "hostile_document": {
+            "what": f"the chain (0; 2, 4, 5) to genus 2 with that orbifold's cone orders "
+                    f"replaced by {count} random {digits}-digit integers (random.Random({seed})), "
+                    "through decode_document and verify_chain",
+            "how": "best of 3 decodes and of 30 verifies",
+            "parent_decode_ms": parent["hostile_decode_ms"],
+            "change_decode_ms": change["hostile_decode_ms"],
+            "parent_verify_ms": parent["hostile_verify_ms"],
+            "change_verify_ms": change["hostile_verify_ms"],
+            "parent_result": parent["hostile_result"],
             "change_result": change["hostile_result"],
         },
     }
@@ -175,7 +268,10 @@ def trace(compare, parent_path, change_path):
               "commensurability.find_intertwiner.total_s",
               "commensurability.verify_certificate.calls",
               "commensurability.verify_certificate.total_s",
-              "commensurability.verify_certificate.self_s", "linalg.mat_mul.calls")
+              "commensurability.verify_certificate.self_s", "linalg.mat_mul.calls",
+              "models.almost_commensurability_chain.total_s", "serialize.encode_chain.total_s",
+              "serialize.dumps.total_s", "serialize.dumps.bytes",
+              "serialize.decode_document.total_s", "models.verify_chain.total_s")
     out = {}
     for side, path in (("parent", parent_path), ("change", change_path)):
         ((workload, by_seed),) = compare.load_runs(path).items()
@@ -202,6 +298,7 @@ def main(argv=None):
         "change": args.describe,
         "hardware": args.hardware,
         "functions": functions(args.parent, args.change),
+        "chain_layers": chain_layers(args.parent, args.change),
         "benchmark": {
             "what": "perfbench/run.py --workload W --seconds 30 --trace 0 for each workload "
                     "W, one run per seed and side, parent and change alternately (the parent "

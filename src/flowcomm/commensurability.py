@@ -158,9 +158,8 @@ def _normalize_input(m):
     raise NotHyperbolic(f"|trace| = {abs(t)} is not > 2")
 
 
-def _rank(p):
-    entries = p.entries()
-    sizes = tuple(abs(e) for e in entries)
+def _rank(entries):
+    sizes = tuple(map(abs, entries))
     return max(sizes), sum(sizes), sizes, entries
 
 
@@ -193,30 +192,35 @@ def find_intertwiner(a1, b1):
     which no point ties the least max-entry.
     """
     k1, k2 = intertwiner_lattice(a1, b1)
+    (u0, u1, u2, u3), (v0, v1, v2, v3) = k1.entries(), k2.entries()
 
+    # candidates are entry tuples (a, b, c, d); one Mat2 is built at the end
     def combine(x, y):
-        p = Mat2(*(x * e1 + y * e2 for e1, e2 in zip(k1.entries(), k2.entries())))
-        return p if p.entries() > (0, 0, 0, 0) else -p  # first nonzero entry > 0
+        p = (x * u0 + y * v0, x * u1 + y * v1, x * u2 + y * v2, x * u3 + y * v3)
+        return p if p > (0, 0, 0, 0) else (-p[0], -p[1], -p[2], -p[3])  # first nonzero > 0
+
+    def det(p):
+        return p[0] * p[3] - p[1] * p[2]
 
     alpha, gamma = k1.det(), k2.det()
-    beta = combine(1, 1).det() - alpha - gamma
+    beta = det(combine(1, 1)) - alpha - gamma
     w, period = reduction_cycle(-beta, 2 * alpha, -2 * gamma)
     w_start, convergents = w, []
     for quo in period:
         w = mat_mul(w, Mat2(quo, 1, 1, 0))
         convergents.append((w.a, w.c))
     auto = mat_mul(w, w_start.inverse())
-    least = min(abs(combine(x, y).det()) for x, y in convergents)
+    least = min(abs(det(combine(x, y))) for x, y in convergents)
     candidates = []
     for e in (auto, auto.inverse()):
         for x, y in convergents:
             p = step = combine(x, y)
-            while abs(p.det()) == least and _rank(step)[0] <= _rank(p)[0]:
+            while abs(det(p)) == least and max(map(abs, step)) <= max(map(abs, p)):
                 candidates.append(step)
                 p = step
                 x, y = e.a * x + e.b * y, e.c * x + e.d * y
                 step = combine(x, y)
-    return min(candidates, key=_rank)
+    return Mat2(*min(candidates, key=_rank))
 
 
 def stabilization_exponent(a1, lat, k_max):

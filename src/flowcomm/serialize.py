@@ -22,6 +22,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .commensurability import CommensurabilityCertificate
@@ -352,8 +353,31 @@ def decode_document(doc):
 
 
 def dumps(doc):
-    """Canonical text form: sorted keys, two-space indent, newline end."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical text form: sorted keys, two-space indent, newline end.
+
+    The bytes are those of json.dumps(doc, indent=2, sort_keys=True)
+    plus a newline, rendered here because json's C encoder has no
+    indent support, so with indent json always falls back to its
+    pure-Python encoder. Keys and strings go through json's C escaper
+    (ensure_ascii), other scalars and empty containers through
+    json.dumps, and each level is one str.join. Keys must be strings,
+    as in every document this module builds."""
+    return _render(doc, "\n") + "\n"
+
+
+def _render(value, newline):
+    """value as canonical text, its lines after the first starting at
+    newline (a line break and the enclosing indent)."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value and isinstance(value, dict):
+        inner = newline + "  "
+        items = [f"{_quote(key)}: {_render(value[key], inner)}" for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if value and isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_render(v, inner) for v in value]) + newline + "]"
+    return json.dumps(value)
 
 
 def loads(text):

@@ -174,6 +174,7 @@ class TestFindIntertwiner:
         if swap:
             a, b = b, a
         p = find_intertwiner(Mat2(*a), Mat2(*b))
+        assert type(p) is Mat2  # the search walks tuples; none leaks out
         assert mat_mul(Mat2(*a), p) == mat_mul(p, Mat2(*b))
         least, best = box_intertwiner(a, b, max(30, *map(abs, p.entries())))
         assert abs(p.det()) == least

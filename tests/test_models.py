@@ -1,6 +1,7 @@
 """Unit tests for flow models, common covers, and chain certificates."""
 
 import hashlib
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -30,7 +31,7 @@ from flowcomm import (
     verify_chain,
 )
 from flowcomm.serialize import dumps, encode_chain
-from helpers import hyperbolic_corpus, least_common_cover, square_pow
+from helpers import hyperbolic_corpus, least_common_cover, orbifold_chi, square_pow
 
 A = HyperbolicMatrix(2, 1, 1, 1)
 
@@ -155,10 +156,34 @@ class TestModels:
             )
 
     def test_orbifold_euler_rejects(self):
-        with pytest.raises(ValueError):
+        """The genus is checked first, then the orders in turn."""
+        with pytest.raises(ValueError, match=r"^genus must be >= 0, got -1$"):
             orbifold_euler_characteristic(-1, ())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^cone orders must be >= 2, got 1$"):
             orbifold_euler_characteristic(0, (1, 3, 7))
+        with pytest.raises(ValueError, match=r"^genus must be >= 0, got -1$"):
+            orbifold_euler_characteristic(-1, (1, 0))
+        with pytest.raises(ValueError, match=r"^cone orders must be >= 2, got 1$"):
+            orbifold_euler_characteristic(0, (7, 1, 0))
+        with pytest.raises(ValueError, match=r"^cone orders must be >= 2, got 0$"):
+            orbifold_euler_characteristic(3, [2, 3, 5, 7, 11, 0, -4])
+
+    def test_orbifold_euler_matches_oracle(self):
+        """Seeded signatures of genus 0-4 with up to six cone orders from
+        2 to 60, and up to twelve orders of up to 40 digits sharing
+        factors, against the term-by-term Fraction sum."""
+        rng = random.Random(175)
+        for _ in range(600):
+            genus = rng.randint(0, 4)
+            orders = [rng.randint(2, 60) for _ in range(rng.randint(0, 6))]
+            assert orbifold_euler_characteristic(genus, orders) == orbifold_chi(genus, orders)
+        shared = [rng.randrange(2, 10**20) for _ in range(4)]
+        for _ in range(50):
+            genus = rng.randint(0, 4)
+            orders = [
+                rng.choice(shared) * rng.randrange(1, 10**20) for _ in range(rng.randint(1, 12))
+            ]
+            assert orbifold_euler_characteristic(genus, orders) == orbifold_chi(genus, orders)
 
 
 def _cover(genus):

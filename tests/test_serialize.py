@@ -1,6 +1,7 @@
 """Unit tests for the certificate document format."""
 
 import json
+import random
 
 import pytest
 
@@ -26,7 +27,9 @@ from flowcomm.serialize import (
     encode_chain,
     loads,
 )
-from helpers import square_pow, string_leaves_only
+from flowcomm.cli import _verdict_doc, run
+from helpers import hyperbolic_corpus, random_hyperbolic, square_pow, string_leaves_only
+from test_models import GENERAL_CORPUS
 
 A = HyperbolicMatrix(2, 1, 1, 1)
 F7 = HyperbolicMatrix(0, 1, -1, 7)
@@ -315,3 +318,69 @@ class TestTextForm:
         doc["kind"] = "waiver"
         with pytest.raises(DocumentError):
             decode_document(doc)
+
+
+def json_text(doc):
+    """The canonical form by json's own (pure-Python) indenter."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def matrix_arg(m):
+    return "[[%d,%d],[%d,%d]]" % m
+
+
+class TestCanonicalText:
+    """dumps renders the bytes of json_text without json's indenter."""
+
+    def test_certificates_and_verdicts(self):
+        corpus = hyperbolic_corpus(14, 12) + [A.entries(), F7.entries()]
+        for a in corpus:
+            for b in corpus:
+                verdict = are_commensurable(Mat2(*a), Mat2(*b))
+                docs = [_verdict_doc(verdict)]
+                if verdict.certificate is not None:
+                    docs.append(encode_certificate(verdict.certificate))
+                for doc in docs:
+                    assert dumps(doc) == json_text(doc)
+
+    def test_canon_and_equiv_output(self, capsys):
+        rng = random.Random(14)
+        matrices = [random_hyperbolic(rng) for _ in range(12)]
+        for a, b in zip(matrices, matrices[1:] + matrices[:1]):
+            for argv in (["canon", matrix_arg(a)], ["equiv", matrix_arg(a), matrix_arg(a)],
+                         ["equiv", matrix_arg(a), matrix_arg(b)]):
+                assert run(argv) in (0, 1), argv
+                out = capsys.readouterr().out
+                assert out == json_text(json.loads(out)), argv
+
+    def test_general_corpus_chains(self):
+        for m1 in GENERAL_CORPUS:
+            for m2 in GENERAL_CORPUS:
+                doc = encode_chain(almost_commensurability_chain(m1, m2))
+                assert dumps(doc) == json_text(doc), (m1, m2)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            [],
+            {"a": {}, "b": [], "c": [[]], "d": [{}], "e": [[], {}, [[{}]]]},
+            {"": "", "z": "last", "A": "first", "é": "key past ASCII"},
+            "caf\u00e9 \u2028 \U0001f600",
+            {"control": "\x00\x01\x1f\x7f\t\n\r\b\f", "quote": '"\\/'},
+            [True, False, None],
+            {"t": True, "f": False, "n": None, "nested": {"deeper": [None, [True]]}},
+            True,
+            False,
+            None,
+            [0, -5, 10**30, 1.5],
+            ("a", ("b", ())),
+        ],
+        ids=[
+            "empty-object", "empty-list", "empty-containers", "keys", "non-ascii",
+            "control-characters", "literals", "literals-in-objects", "true", "false",
+            "null", "numbers", "tuples",
+        ],
+    )
+    def test_edge_documents(self, doc):
+        assert dumps(doc) == json_text(doc)
