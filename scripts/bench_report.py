@@ -29,8 +29,8 @@ HOSTILE = 10**4000
 # perfbench's bit-ladder chain rungs: surface:g=2 against suspension:A^n
 CHAIN_RUNGS = (4, 8, 10, 12, 16)
 # the hostile chain document: one orbifold given this many random cone
-# orders of this many digits, drawn from this seed
-HOSTILE_ORDERS = (50, 4000, 14)
+# orders of this many digits, drawn from this seed (as in CI)
+HOSTILE_ORDERS = (200, 4000, 14)
 
 # the start of each timer script, run inside a checkout's interpreter
 PRELUDE = r"""
@@ -71,6 +71,7 @@ def power(n, m=(2, 1, 1, 1)):
 # prints one JSON object
 TIMER = PRELUDE + r"""
 from flowcomm import CommensurabilityCertificate, Mat2, are_commensurable, verify_certificate
+from flowcomm.serialize import dumps, encode_certificate
 
 repeats, ladder, hostile = int(sys.argv[1]), json.loads(sys.argv[2]), int(sys.argv[3])
 
@@ -80,11 +81,14 @@ for p in ladder:
     x, y = Mat2(*power(p)), Mat2(*power(p - 1))
     decide_ms, verdict = best(lambda: are_commensurable(x, y), repeats)
     if verdict == REFUSED:  # no certificate to verify
-        rows.append({"p": p, "are_commensurable_ms": REFUSED, "verify_certificate_ms": REFUSED})
+        rows.append({"p": p, "are_commensurable_ms": REFUSED, "verify_certificate_ms": REFUSED,
+                     "document_bytes": REFUSED})
         continue
     verify_ms, clause = best(lambda: verify_certificate(verdict.certificate), repeats)
     assert clause == (True, "ok"), clause
-    rows.append({"p": p, "are_commensurable_ms": decide_ms, "verify_certificate_ms": verify_ms})
+    size = len(dumps(encode_certificate(verdict.certificate)).encode())
+    rows.append({"p": p, "are_commensurable_ms": decide_ms, "verify_certificate_ms": verify_ms,
+                 "document_bytes": size})
 cert = are_commensurable(a, Mat2(0, 1, -1, 7)).certificate
 # through the constructor, which every checkout's certificate takes by name
 doc = CommensurabilityCertificate(
@@ -159,10 +163,13 @@ def functions(parent_dir, change_dir):
             "change_are_commensurable_ms": c_row["are_commensurable_ms"],
             "parent_verify_certificate_ms": p_row["verify_certificate_ms"],
             "change_verify_certificate_ms": c_row["verify_certificate_ms"],
+            "parent_document_bytes": p_row["document_bytes"],
+            "change_document_bytes": c_row["document_bytes"],
         })
     return {
         "what": "are_commensurable(A^p, A^(p-1)) and verify_certificate of its certificate, "
-                "A = [[2,1],[1,1]], called in-process through the library",
+                "A = [[2,1],[1,1]], called in-process through the library, and the bytes of "
+                "the certificate document (`flowcomm cover` output)",
         "how": "time.perf_counter around each call, best of 3 runs for the parent and of 5 "
                "for the change, while no benchmark ran; the parent refuses p >= 870 with "
                "ComputationLimit (CLI exit 3), before forming any power",

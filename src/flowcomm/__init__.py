@@ -11,7 +11,7 @@ rationals. Every positive decision is backed by a certificate that an
 independent verifier re-checks from scratch.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .errors import (
     ComputationLimit,

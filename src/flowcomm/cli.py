@@ -12,9 +12,10 @@ as a traceback, while run() lets it propagate to an in-process caller.
 
 Matrices are written [[a,b],[c,d]] or a,b;c,d. Models are written
 suspension:[[a,b],[c,d]], surface:g=3, or orbifold:[g=G,]n1,...,nk for
-the orbifold of genus G (default 0) with cone orders n1..nk. Emitted
-documents are deterministic: repeated identical invocations produce
-byte-identical bytes.
+the orbifold of genus G (default 0) with cone orders n1..nk. Every
+JSON output, on stdout or through -o, is serialize.dumps's compact
+canonical text (sorted keys, no whitespace, one line), so repeated
+identical invocations produce byte-identical bytes.
 """
 
 import argparse

@@ -74,8 +74,12 @@ class Suspension(_Record):
 class GeodesicOrbifold(_Record):
     """Geodesic flow on the closed orientable hyperbolic 2-orbifold of
     signature (genus; cone_orders), chi < 0; a surface has no cone
-    points. Cone orders are kept sorted; chi is summed once, here, and
-    is no part of equality, hashing or the repr."""
+    points. Cone orders are kept sorted. chi is no part of equality,
+    hashing or the repr, and is summed at most once: each cone point
+    takes between 1/2 and 1 from 2 - 2 genus, so chi < 0 follows from
+    the counts alone at genus >= 2, at genus 1 with a cone point and at
+    genus 0 with five or more; only the other signatures, of at most
+    four cone points, are summed here, and the rest when first asked."""
 
     _fields = ("genus", "cone_orders")
     __slots__ = _fields + ("_chi",)
@@ -83,15 +87,18 @@ class GeodesicOrbifold(_Record):
     def __init__(self, genus: int, cone_orders: tuple = ()):
         self.genus = _as_int(genus)
         self.cone_orders = tuple(sorted(map(_as_int, cone_orders)))
-        chi = orbifold_euler_characteristic(self.genus, self.cone_orders)
-        if chi >= 0:
-            raise ValueError(
-                f"signature ({self.genus}; {', '.join(map(str, self.cone_orders))})"
-                " has chi >= 0, so it is not hyperbolic"
-            )
-        self._chi = chi
+        _signature(self.genus, self.cone_orders)
+        self._chi = None
+        if self.genus < 2 and len(self.cone_orders) < (1 if self.genus else 5):
+            if self.euler_characteristic() >= 0:
+                raise ValueError(
+                    f"signature ({self.genus}; {', '.join(map(str, self.cone_orders))})"
+                    " has chi >= 0, so it is not hyperbolic"
+                )
 
     def euler_characteristic(self):
+        if self._chi is None:
+            self._chi = orbifold_euler_characteristic(self.genus, self.cone_orders)
         return self._chi
 
 
@@ -173,6 +180,13 @@ def genus_model_matrix(g):
 
 def orbifold_euler_characteristic(genus, cone_orders):
     """chi = 2 - 2 genus - sum(1 - 1/n_i), exact."""
+    genus, orders = _signature(genus, cone_orders)
+    return _reciprocal_sum(orders, 2 - 2 * genus - len(orders))
+
+
+def _signature(genus, cone_orders):
+    """The genus and a list of the cone orders, as ints; a ValueError
+    names the genus when it is negative, else the first order below 2."""
     genus = _as_int(genus)
     if genus < 0:
         raise ValueError(f"genus must be >= 0, got {genus}")
@@ -182,7 +196,7 @@ def orbifold_euler_characteristic(genus, cone_orders):
         if order < 2:
             raise ValueError(f"cone orders must be >= 2, got {order}")
         orders.append(order)
-    return _reciprocal_sum(orders, 2 - 2 * genus - len(orders))
+    return genus, orders
 
 
 def _reciprocal_sum(orders, whole=0):
@@ -349,6 +363,12 @@ def _verify_commensurability_link(link):
             return False, "cover_genus"
         if cover.degree_source < 1 or cover.degree_target < 1:
             return False, "cover_degrees"
+        # one modulo per cone order, before any chi is summed: orders that
+        # pass are bounded by the degrees, and so is the lcm chi sums over
+        if any(cover.degree_source % n for n in source.cone_orders) or any(
+            cover.degree_target % n for n in target.cone_orders
+        ):
+            return False, "cover_cone_points"
         if (
             cover.euler_source != source.euler_characteristic()
             or cover.euler_target != target.euler_characteristic()
@@ -361,11 +381,6 @@ def _verify_commensurability_link(link):
             or cover.degree_target * cover.euler_target != cover.euler_cover
         ):
             return False, "cover_arithmetic"
-        if (
-            cover.degree_source % lcm(*source.cone_orders)
-            or cover.degree_target % lcm(*target.cone_orders)
-        ):
-            return False, "cover_cone_points"
         return True, "ok"
     return False, "commensurability_endpoints"
 

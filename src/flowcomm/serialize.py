@@ -5,10 +5,12 @@ integers survive round trips through any JSON tooling; rationals are
 "p/q" strings. Documents carry a "kind" discriminator and a
 "format_version" pinned to "1". The "generator" header records the
 producing tool and is ignored by verification, so regenerated
-documents differing only there still verify identically. Key order is
-sorted at dump time, making output byte-reproducible. A geodesic model
-with no cone points is a "surface" with its "genus"; any other is an
-"orbifold" with its sorted "cone_orders" and, when nonzero, its "genus".
+documents differing only there still verify identically. The text is
+compact canonical JSON: sorted keys and no whitespace between tokens
+(the layout of RFC 8785, with non-ASCII escaped), so output is
+byte-reproducible. A geodesic model with no cone points is a "surface"
+with its "genus"; any other is an "orbifold" with its sorted
+"cone_orders" and, when nonzero, its "genus".
 
 Decoding is strict: unknown kinds, missing fields, native JSON
 numbers where strings are required, or malformed values raise
@@ -22,7 +24,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .commensurability import CommensurabilityCertificate
@@ -353,31 +354,11 @@ def decode_document(doc):
 
 
 def dumps(doc):
-    """Canonical text form: sorted keys, two-space indent, newline end.
-
-    The bytes are those of json.dumps(doc, indent=2, sort_keys=True)
-    plus a newline, rendered here because json's C encoder has no
-    indent support, so with indent json always falls back to its
-    pure-Python encoder. Keys and strings go through json's C escaper
-    (ensure_ascii), other scalars and empty containers through
-    json.dumps, and each level is one str.join. Keys must be strings,
-    as in every document this module builds."""
-    return _render(doc, "\n") + "\n"
-
-
-def _render(value, newline):
-    """value as canonical text, its lines after the first starting at
-    newline (a line break and the enclosing indent)."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value and isinstance(value, dict):
-        inner = newline + "  "
-        items = [f"{_quote(key)}: {_render(value[key], inner)}" for key in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if value and isinstance(value, (list, tuple)):
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join([_render(v, inner) for v in value]) + newline + "]"
-    return json.dumps(value)
+    """Canonical text form: sorted keys, no whitespace between tokens,
+    non-ASCII escaped, one line plus a newline. json emits it through
+    its C encoder; loads takes any whitespace, so documents written
+    with an indent still read the same."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def loads(text):

@@ -4,7 +4,9 @@ Matrices here are plain (a, b, c, d) tuples so the oracles share no
 code with the package under test.
 """
 
+import json
 import random
+import re
 from fractions import Fraction
 
 
@@ -201,6 +203,24 @@ def string_leaves_only(node):
     if isinstance(node, list):
         return all(string_leaves_only(v) for v in node)
     return isinstance(node, str)
+
+
+def indented_text(doc):
+    """The text form of versions before 0.12.0: json's indenter,
+    sorted keys, two-space indent, a newline at the end."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# a JSON string literal, or a run of whitespace outside one
+_STRING_OR_SPACE = re.compile(r'("(?:[^"\\]|\\.)*")|\s+')
+
+
+def compact_text(doc):
+    """The canonical text form, derived from indented_text rather than
+    json's separators: every whitespace run outside a string deleted,
+    then one newline at the end."""
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    return _STRING_OR_SPACE.sub(lambda m: m.group(1) or "", text) + "\n"
 
 
 def intertwiner_rank(p):

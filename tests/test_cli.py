@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -11,9 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcomm import cli
+from flowcomm import Suspension, cli
 from flowcomm.cli import INTERNAL_ERROR, main, run
-from helpers import hyperbolic_corpus, naive_pow, string_leaves_only, trace
+from helpers import (
+    hyperbolic_corpus,
+    indented_text,
+    naive_pow,
+    string_leaves_only,
+    trace,
+)
+from test_models import GENERAL_CORPUS, count_chi_sums
 
 A_JSON = "[[2,1],[1,1]]"
 A_SEMI = "2,1;1,1"
@@ -362,6 +370,23 @@ class TestChain:
         assert run(["verify", str(path)]) == 0
         capsys.readouterr()
 
+    def test_hostile_cone_orders(self, capsys, tmp_path, monkeypatch):
+        """One orbifold of a chain document given 200 random 4,000-digit
+        cone orders is rejected by its cone points, one modulo per order,
+        and no Euler characteristic is summed on the way."""
+        path = tmp_path / "chain.json"
+        assert run(["chain", "orbifold:2,4,5", "surface:g=2", "-o", str(path)]) == 0
+        rng = random.Random(14)
+        orders = [str(rng.randrange(10**3999, 10**4000)) for _ in range(200)]
+        doc = json.loads(path.read_text())
+        for model in (doc["endpoints"][0], doc["links"][0]["source"]):
+            model["cone_orders"] = orders
+        path.write_text(json.dumps(doc))
+        sums = count_chi_sums(monkeypatch)
+        assert run(["verify", str(path)]) == 1
+        assert capsys.readouterr().out == "rejected: link 0: cover_cone_points\n"
+        assert sums == []
+
     def test_large_power_suspension(self, capsys, tmp_path):
         a, b, c, d = naive_pow((2, 1, 1, 1), 24)
         path = tmp_path / "chain.json"
@@ -369,6 +394,50 @@ class TestChain:
         assert run(argv + ["-o", str(path)]) == 0
         assert run(["verify", str(path)]) == 0
         capsys.readouterr()
+
+
+def model_arg(model):
+    """A model as the command line writes it."""
+    if isinstance(model, Suspension):
+        return "suspension:[[%d,%d],[%d,%d]]" % model.monodromy.entries()
+    if not model.cone_orders:
+        return f"surface:g={model.genus}"
+    return "orbifold:" + ",".join([f"g={model.genus}", *map(str, model.cone_orders)])
+
+
+class TestIndentedDocuments:
+    """Documents as versions before 0.12.0 wrote them, indented, still
+    verify: every cover and chain document emitted here, re-indented."""
+
+    def assert_verifies_indented(self, capsys, path):
+        text = path.read_text()
+        assert text.count("\n") == 1
+        path.write_text(indented_text(json.loads(text)))
+        assert run(["verify", str(path)]) == 0, text
+        assert capsys.readouterr().out == "verified\n"
+
+    def test_cover_documents(self, capsys, tmp_path):
+        corpus = hyperbolic_corpus(15, 10) + [(2, 1, 1, 1), (0, 1, -1, 7)]
+        path = tmp_path / "cert.json"
+        emitted = 0
+        for a in corpus:
+            for b in corpus:
+                argv = ["cover", "[[%d,%d],[%d,%d]]" % a, "[[%d,%d],[%d,%d]]" % b]
+                if run(argv + ["-o", str(path)]) == 0:
+                    self.assert_verifies_indented(capsys, path)
+                    emitted += 1
+                capsys.readouterr()
+        assert emitted >= len(corpus)
+
+    def test_chain_documents(self, capsys, tmp_path):
+        """Each model of the general corpus against the next one, the
+        genus-2 surface and a suspension."""
+        path = tmp_path / "chain.json"
+        partners = [GENERAL_CORPUS[0], GENERAL_CORPUS[6]]
+        for m1, m2 in zip(GENERAL_CORPUS, GENERAL_CORPUS[1:] + GENERAL_CORPUS[:1]):
+            for other in [m2] + partners:
+                assert run(["chain", model_arg(m1), model_arg(other), "-o", str(path)]) == 0
+                self.assert_verifies_indented(capsys, path)
 
 
 @pytest.mark.skipif(DIGIT_LIMIT == 0, reason="int/str digit limit disabled")

@@ -1,6 +1,7 @@
 """Unit tests for flow models, common covers, and chain certificates."""
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 from math import lcm
@@ -8,6 +9,7 @@ from math import lcm
 import pytest
 
 import flowcomm.commensurability as commensurability
+import flowcomm.models as models
 from flowcomm import (
     ALMOST_EQUIVALENCE,
     BIRKHOFF_SECTION_23N,
@@ -31,7 +33,13 @@ from flowcomm import (
     verify_chain,
 )
 from flowcomm.serialize import dumps, encode_chain
-from helpers import hyperbolic_corpus, least_common_cover, orbifold_chi, square_pow
+from helpers import (
+    hyperbolic_corpus,
+    indented_text,
+    least_common_cover,
+    orbifold_chi,
+    square_pow,
+)
 
 A = HyperbolicMatrix(2, 1, 1, 1)
 
@@ -168,6 +176,29 @@ class TestModels:
         with pytest.raises(ValueError, match=r"^cone orders must be >= 2, got 0$"):
             orbifold_euler_characteristic(3, [2, 3, 5, 7, 11, 0, -4])
 
+    def test_hyperbolic_by_counts(self, monkeypatch):
+        """chi < 0 is decided from the counts alone at genus >= 2, at
+        genus 1 with a cone point and at genus 0 with five or more; any
+        other signature is summed when built, and every chi is summed at
+        most once and equals the oracle's."""
+        sums = count_chi_sums(monkeypatch)
+        rng = random.Random(74)
+        for _ in range(400):
+            genus = rng.randint(0, 3)
+            orders = [rng.randint(2, 8) for _ in range(rng.randint(0, 6))]
+            chi = orbifold_chi(genus, orders)
+            sums.clear()
+            if chi >= 0:
+                with pytest.raises(ValueError, match="not hyperbolic"):
+                    GeodesicOrbifold(genus, orders)
+                continue
+            model = GeodesicOrbifold(genus, orders)
+            by_counts = genus >= 2 or len(orders) >= (1 if genus else 5)
+            assert len(sums) == (0 if by_counts else 1), (genus, orders)
+            assert model.euler_characteristic() == chi
+            assert model.euler_characteristic() == chi
+            assert len(sums) == 1
+
     def test_orbifold_euler_matches_oracle(self):
         """Seeded signatures of genus 0-4 with up to six cone orders from
         2 to 60, and up to twelve orders of up to 40 digits sharing
@@ -184,6 +215,20 @@ class TestModels:
                 rng.choice(shared) * rng.randrange(1, 10**20) for _ in range(rng.randint(1, 12))
             ]
             assert orbifold_euler_characteristic(genus, orders) == orbifold_chi(genus, orders)
+
+
+def count_chi_sums(monkeypatch):
+    """The signatures that models.orbifold_euler_characteristic is called
+    on from now on, in a list the caller may clear."""
+    sums = []
+    real = models.orbifold_euler_characteristic
+
+    def counted(genus, cone_orders):
+        sums.append((genus, cone_orders))
+        return real(genus, cone_orders)
+
+    monkeypatch.setattr(models, "orbifold_euler_characteristic", counted)
+    return sums
 
 
 def _cover(genus):
@@ -404,15 +449,22 @@ class TestGeneralSignatures:
 
     def test_chain_bytes_pinned(self):
         """The chain documents of all 900 ordered pairs, without the
-        generator header, hash to the value recorded for version 0.7.0;
-        a deliberate change to chain bytes updates this digest."""
-        digest = hashlib.sha256()
+        generator header, hash to the value recorded for version 0.12.0,
+        and re-indented as earlier versions wrote them, to the
+        value recorded for 0.7.0: the content is unchanged since then. A
+        deliberate change to chain bytes updates these digests."""
+        compact, indented = hashlib.sha256(), hashlib.sha256()
         for m1 in GENERAL_CORPUS:
             for m2 in GENERAL_CORPUS:
                 doc = encode_chain(almost_commensurability_chain(m1, m2))
                 del doc["generator"]
-                digest.update(dumps(doc).encode())
-        assert digest.hexdigest() == (
+                text = dumps(doc)
+                compact.update(text.encode())
+                indented.update(indented_text(json.loads(text)).encode())
+        assert compact.hexdigest() == (
+            "76181963e19053aa996ff636b9c08460a36a2f3fb916ee4ab4a42867e2fdc174"
+        )
+        assert indented.hexdigest() == (
             "263d91f2e660b0bf4964706c47f34edf285aefd28f0f5986525aabce607b4ec6"
         )
 
@@ -602,21 +654,25 @@ class TestVerifyChain:
         assert verify_chain(chain) == (False, "link 0: certificate_missing")
 
     def test_mutated_cover_arithmetic(self):
+        """A source degree moved by the lcm 42 of (2, 3, 7) keeps its cone
+        points and breaks the arithmetic; moved by 1 it breaks both, and
+        the cone points, checked first, are reported."""
         base = almost_commensurability_chain(
             GeodesicOrbifold(0, (2, 3, 7)), GeodesicOrbifold(0, (2, 3, 12))
         )
         cover = base.links[0].evidence
-        mutated = GeodesicCommonCover(
-            cover_genus=cover.cover_genus,
-            degree_source=cover.degree_source + 1,
-            degree_target=cover.degree_target,
-            euler_source=cover.euler_source,
-            euler_target=cover.euler_target,
-            euler_cover=cover.euler_cover,
-        )
-        links = (relink(base.links[0], evidence=mutated),)
-        chain = ChainCertificate(links=links, endpoints=base.endpoints)
-        assert verify_chain(chain) == (False, "link 0: cover_arithmetic")
+        for shift, clause in ((42, "cover_arithmetic"), (1, "cover_cone_points")):
+            mutated = GeodesicCommonCover(
+                cover_genus=cover.cover_genus,
+                degree_source=cover.degree_source + shift,
+                degree_target=cover.degree_target,
+                euler_source=cover.euler_source,
+                euler_target=cover.euler_target,
+                euler_cover=cover.euler_cover,
+            )
+            links = (relink(base.links[0], evidence=mutated),)
+            chain = ChainCertificate(links=links, endpoints=base.endpoints)
+            assert verify_chain(chain) == (False, f"link 0: {clause}")
 
     def test_mutated_cover_genus(self):
         base = almost_commensurability_chain(

@@ -28,7 +28,13 @@ from flowcomm.serialize import (
     loads,
 )
 from flowcomm.cli import _verdict_doc, run
-from helpers import hyperbolic_corpus, random_hyperbolic, square_pow, string_leaves_only
+from helpers import (
+    compact_text,
+    hyperbolic_corpus,
+    random_hyperbolic,
+    square_pow,
+    string_leaves_only,
+)
 from test_models import GENERAL_CORPUS
 
 A = HyperbolicMatrix(2, 1, 1, 1)
@@ -295,9 +301,19 @@ class TestTextForm:
         assert dumps(doc).endswith("\n")
 
     def test_dumps_sorted_keys(self):
-        text = dumps(encode_certificate(sample_certificate()))
-        keys = [line.split('"')[1] for line in text.splitlines() if line.startswith('  "')]
-        assert keys == sorted(keys)
+        """Every object's keys, in the order they appear in the text, are sorted."""
+        objects = []
+
+        def keep(pairs):
+            objects.append([key for key, _ in pairs])
+            return dict(pairs)
+
+        for doc in [encode_certificate(sample_certificate())] + [
+            encode_chain(chain) for chain in sample_chains()
+        ]:
+            json.loads(dumps(doc), object_pairs_hook=keep)
+        assert len(objects) > 20
+        assert all(keys == sorted(keys) for keys in objects)
 
     def test_loads_rejects_invalid_json(self):
         with pytest.raises(DocumentError):
@@ -320,17 +336,19 @@ class TestTextForm:
             decode_document(doc)
 
 
-def json_text(doc):
-    """The canonical form by json's own (pure-Python) indenter."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def matrix_arg(m):
     return "[[%d,%d],[%d,%d]]" % m
 
 
+def assert_canonical(text, doc):
+    """text is doc's canonical form, which is a single line."""
+    assert text == compact_text(doc)
+    assert text.count("\n") == 1
+
+
 class TestCanonicalText:
-    """dumps renders the bytes of json_text without json's indenter."""
+    """dumps gives compact_text, which helpers derives from the indented
+    form by deleting whitespace, not from json's separators."""
 
     def test_certificates_and_verdicts(self):
         corpus = hyperbolic_corpus(14, 12) + [A.entries(), F7.entries()]
@@ -341,7 +359,7 @@ class TestCanonicalText:
                 if verdict.certificate is not None:
                     docs.append(encode_certificate(verdict.certificate))
                 for doc in docs:
-                    assert dumps(doc) == json_text(doc)
+                    assert_canonical(dumps(doc), doc)
 
     def test_canon_and_equiv_output(self, capsys):
         rng = random.Random(14)
@@ -351,13 +369,13 @@ class TestCanonicalText:
                          ["equiv", matrix_arg(a), matrix_arg(b)]):
                 assert run(argv) in (0, 1), argv
                 out = capsys.readouterr().out
-                assert out == json_text(json.loads(out)), argv
+                assert_canonical(out, json.loads(out))
 
     def test_general_corpus_chains(self):
         for m1 in GENERAL_CORPUS:
             for m2 in GENERAL_CORPUS:
                 doc = encode_chain(almost_commensurability_chain(m1, m2))
-                assert dumps(doc) == json_text(doc), (m1, m2)
+                assert_canonical(dumps(doc), doc)
 
     @pytest.mark.parametrize(
         "doc",
@@ -383,4 +401,4 @@ class TestCanonicalText:
         ],
     )
     def test_edge_documents(self, doc):
-        assert dumps(doc) == json_text(doc)
+        assert_canonical(dumps(doc), doc)
