@@ -1,8 +1,9 @@
 """Exact decisions about suspension flows of hyperbolic torus
-automorphisms: topological equivalence (integer conjugacy via
-canonical RL words), topological commensurability (matching power
-traces, the square class of t^2 - 4 as invariant, the least common
-power by a Euclid on units, explicit covering certificates), and
+automorphisms: topological equivalence through an orientation-preserving
+torus map (SL2(Z) conjugacy via canonical RL words), topological
+commensurability (matching power traces, the square class of t^2 - 4
+as invariant, the least common power by a Euclid on units, explicit
+covering certificates), and
 almost-commensurability chains reaching the geodesic flows of
 closed orientable hyperbolic 2-orbifolds, surfaces included.
 
@@ -11,7 +12,7 @@ rationals. Every positive decision is backed by a certificate that an
 independent verifier re-checks from scratch.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.12.1"
 
 from .errors import (
     ComputationLimit,

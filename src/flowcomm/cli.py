@@ -23,6 +23,7 @@ import json
 import os
 import re
 import sys
+from math import lcm
 
 from .commensurability import are_commensurable, verify_certificate
 from .conjugacy import are_equivalent, rl_word
@@ -32,6 +33,7 @@ from .models import (
     ChainCertificate,
     GeodesicOrbifold,
     Suspension,
+    _designated,
     almost_commensurability_chain,
     verify_chain,
 )
@@ -222,9 +224,18 @@ def _cmd_cover(args):
 
 
 def _cmd_chain(args):
-    chain = almost_commensurability_chain(
-        _parse_model(args.model_a), _parse_model(args.model_b)
-    )
+    models = _parse_model(args.model_a), _parse_model(args.model_b)
+    # an orbifold with no designated matrix is linked to its least covering
+    # surface by a printed degree that the lcm of its cone orders divides
+    bound = 10 ** sys.get_int_max_str_digits()  # 1 when the limit is off
+    for model in models:
+        if bound > 1 and isinstance(model, GeodesicOrbifold) and _designated(model) is None:
+            orders_lcm = 1
+            for order in model.cone_orders:
+                orders_lcm = lcm(orders_lcm, order)
+                if orders_lcm >= bound:
+                    raise ComputationLimit(digit_limit_message())
+    chain = almost_commensurability_chain(*models)
     _emit(args, dumps(encode_chain(chain)))
     return 0
 
@@ -278,7 +289,11 @@ def _build_parser():
     )
     subs = parser.add_subparsers(dest="verb", required=True)
 
-    sub = subs.add_parser("equiv", help="decide topological equivalence of two suspensions")
+    sub = subs.add_parser(
+        "equiv",
+        help="decide equivalence of two suspensions through an "
+        "orientation-preserving torus map (SL2(Z) conjugacy)",
+    )
     sub.add_argument("matrix_a")
     sub.add_argument("matrix_b")
     sub.set_defaults(handler=_cmd_equiv)

@@ -13,6 +13,12 @@ continued fraction of the matrix's expanding fixed point (Katok and
 Ugarcovici, "Symbolic dynamics for the modular surface", 2007): each
 partial quotient is one whole R^k or L^k block, found by one integer
 division, so the work grows with the bit size of the matrix.
+
+SL2(Z) conjugacy is equivalence of the suspensions through an
+orientation-preserving torus map, and that is all are_equivalent
+decides. A conjugator of det -1 is not looked for: sigma = (0 1; 1 0)
+conjugates (13 10; 9 7), of word R L^2 R^3 L, to (7 9; 10 13), of word
+R L R^2 L^3, yet are_equivalent returns a negative verdict on them.
 """
 
 from math import isqrt
@@ -173,7 +179,9 @@ def rl_word(m):
 
 
 def are_equivalent(a, b):
-    """Decide SL2(Z) conjugacy of two hyperbolic matrices.
+    """Decide SL2(Z) conjugacy of two hyperbolic matrices: equivalence of
+    their suspensions through an orientation-preserving torus map (a
+    det -1 conjugacy gives a negative verdict; see the module docstring).
 
     Positive verdicts carry an exact det-1 conjugator assembled from
     the two witnesses; equality of canonical words is the criterion.

@@ -204,45 +204,18 @@ def lattice_image(u, lat):
     return hnf(mat_mul(u, lat.basis()))
 
 
-def _column_kernel(rows):
-    """Saturated integer kernel basis of an integer matrix given by rows.
+def _congruence_basis(alpha, beta, m):
+    """Basis of the integer (x, y) with alpha x + beta y = 0 mod m, m >= 1.
 
-    Column-reduces with unimodular transforms; the transform columns
-    over the zeroed-out columns form a basis of the integer kernel,
-    and every integer kernel vector is an integer combination of it.
+    With g = u alpha + v beta = gcd(alpha, beta), the columns (u, v) and
+    (-beta/g, alpha/g) form a unimodular basis on which the form reads
+    g x'; so x' must be a multiple of n = m / gcd(g, m), and y' is free.
     """
-    ncols = len(rows[0])
-    cols = [[row[j] for row in rows] for j in range(ncols)]
-    trans = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    pivot = 0
-    for i in range(len(rows)):
-        jpiv = None
-        for j in range(pivot, ncols):
-            if cols[j][i] != 0:
-                jpiv = j
-                break
-        if jpiv is None:
-            continue
-        for j in range(jpiv + 1, ncols):
-            if cols[j][i] == 0:
-                continue
-            p, q = cols[jpiv][i], cols[j][i]
-            g, s, t = _xgcd(p, q)
-            pg, qg = p // g, q // g
-            cp, cj = cols[jpiv], cols[j]
-            tp, tj = trans[jpiv], trans[j]
-            cols[jpiv] = [s * cp[k] + t * cj[k] for k in range(len(cp))]
-            cols[j] = [pg * cj[k] - qg * cp[k] for k in range(len(cp))]
-            trans[jpiv] = [s * tp[k] + t * tj[k] for k in range(ncols)]
-            trans[j] = [pg * tj[k] - qg * tp[k] for k in range(ncols)]
-        cols[pivot], cols[jpiv] = cols[jpiv], cols[pivot]
-        trans[pivot], trans[jpiv] = trans[jpiv], trans[pivot]
-        pivot += 1
-    kernel = []
-    for j in range(pivot, ncols):
-        assert all(e == 0 for e in cols[j])
-        kernel.append(trans[j])
-    return kernel
+    g, u, v = _xgcd(alpha, beta)
+    if g == 0:
+        return (1, 0), (0, 1)
+    n = m // gcd(g, m)
+    return (n * u, n * v), (-beta // g, alpha // g)
 
 
 def intertwiner_lattice(a, b):
@@ -254,28 +227,39 @@ def intertwiner_lattice(a, b):
     solutions form a rank-2 lattice. Differing traces raise
     ValueError: for two such irreducible characteristic polynomials
     the only solution is 0. So does any other pair whose solutions do
-    not have rank 2. The returned basis is saturated: every
+    not have rank 2, and a pair with a.c = 0, where t^2 - 4 delta =
+    (a.a - a.d)^2 is a square. The returned basis is saturated: every
     integer solution is an integer combination of K1 and K2.
+
+    With P = (p, q; r, s) and c = a.c, the bottom row of a*P = P*b reads
+    c p = (b.a - a.d) r + b.c s and c q = b.b r + (b.d - a.d) s. So P is
+    an integer solution of the bottom row exactly when (r, s) meets two
+    congruences mod |c|; the second is solved in the first one's basis.
+    The bottom row's solutions have rank 2 and hold every solution of
+    a*P = P*b, so when those have rank 2 as well the top row holds on
+    the whole lattice: two products check that it does.
     """
     if a.trace() != b.trace():
         raise ValueError(f"traces {a.trace()} and {b.trace()} differ")
-    # flatten P = (p, q; r, s); rows are the entries of a*P - P*b
-    rows = [
-        (a.a - b.a, -b.c, a.b, 0),
-        (-b.b, a.a - b.d, 0, a.b),
-        (a.c, 0, a.d - b.a, -b.c),
-        (0, a.c, -b.b, a.d - b.d),
-    ]
-    kernel = _column_kernel(rows)
-    if len(kernel) != 2:
-        raise ValueError(
-            f"kernel rank {len(kernel)}, expected 2; determinants differ"
-            " or t^2 - 4 det is a square?"
-        )
+    c = a.c
+    if c == 0:
+        raise ValueError("a has lower-left entry 0, so t^2 - 4 det is a square")
+    alpha, beta = b.a - a.d, b.c  # c p = alpha r + beta s
+    gamma, delta = b.b, b.d - a.d  # c q = gamma r + delta s
+    m = abs(c)
+    e1, e2 = _congruence_basis(alpha, beta, m)
     mats = []
-    for vec in kernel:
-        g = gcd(*vec)
-        if g > 1:  # columns of a unimodular transform are already primitive
-            vec = [e // g for e in vec]
-        mats.append(Mat2(*vec))
+    # the second congruence in e1, e2 coordinates, its coefficients
+    # reduced mod m so that their Euclid runs at the size of c
+    for x, y in _congruence_basis(
+        (gamma * e1[0] + delta * e1[1]) % m, (gamma * e2[0] + delta * e2[1]) % m, m
+    ):
+        r, s = x * e1[0] + y * e2[0], x * e1[1] + y * e2[1]
+        p = Mat2((alpha * r + beta * s) // c, (gamma * r + delta * s) // c, r, s)
+        if mat_mul(a, p) != mat_mul(p, b):
+            raise ValueError(
+                "kernel rank 0, expected 2; determinants differ"
+                " or t^2 - 4 det is a square?"
+            )
+        mats.append(p)
     return tuple(mats)

@@ -179,9 +179,14 @@ def genus_model_matrix(g):
 
 
 def orbifold_euler_characteristic(genus, cone_orders):
-    """chi = 2 - 2 genus - sum(1 - 1/n_i), exact."""
+    """chi = 2 - 2 genus - sum(1 - 1/n_i), exact, as one fraction over
+    the lcm m of the orders. The verbs bound m: chain refuses an
+    orbifold whose lcm passes the digit limit before it builds a path,
+    and verify sums chi only after every order has divided a decoded
+    cover degree."""
     genus, orders = _signature(genus, cone_orders)
-    return _reciprocal_sum(orders, 2 - 2 * genus - len(orders))
+    m = lcm(*orders)
+    return Fraction((2 - 2 * genus - len(orders)) * m + sum(m // n for n in orders), m)
 
 
 def _signature(genus, cone_orders):
@@ -197,23 +202,6 @@ def _signature(genus, cone_orders):
             raise ValueError(f"cone orders must be >= 2, got {order}")
         orders.append(order)
     return genus, orders
-
-
-def _reciprocal_sum(orders, whole=0):
-    """whole + sum(1/n for n in orders), exact.
-
-    Up to four orders (every signature with at most four cone points)
-    take one reduction over their lcm m: (whole m + sum(m // n)) / m.
-    More are split into halves whose Fraction sum reduces by the gcd of
-    the two denominators alone, since over many large orders the one
-    reduction costs more than the additions it replaces (50 random
-    4,000-digit orders, CPython 3.11: about 2.5 s for the lcm, the
-    m // n and the gcd; 0.7 s in halves; 1 s as 50 subtractions)."""
-    if len(orders) <= 4:
-        m = lcm(*orders)
-        return Fraction(whole * m + sum(m // n for n in orders), m)
-    half = len(orders) // 2
-    return _reciprocal_sum(orders[:half], whole) + _reciprocal_sum(orders[half:])
 
 
 def orbifold_common_cover(source, target):

@@ -5,6 +5,7 @@ code with the package under test.
 """
 
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -252,6 +253,86 @@ def box_intertwiner(a, b, bound):
             if best is None or key < best[0]:
                 best = (key, cand)
     return best[0][0], best[1]
+
+
+def input_size_pair(a, b):
+    """X = 2 u_b a and Y = (u_b t_a - u_a t_b) I + 2 u_a b for a pair in
+    one square class, u = isqrt((t^2 - 4) / gcd(t_a^2 - 4, t_b^2 - 4))."""
+    disc_a, disc_b = trace(a) ** 2 - 4, trace(b) ** 2 - 4
+    d0 = math.gcd(disc_a, disc_b)
+    u_a, u_b = math.isqrt(disc_a // d0), math.isqrt(disc_b // d0)
+    assert u_a * u_a * d0 == disc_a and u_b * u_b * d0 == disc_b
+    shift = u_b * trace(a) - u_a * trace(b)
+    x = tuple(2 * u_b * e for e in a)
+    y = (shift + 2 * u_a * b[0], 2 * u_a * b[1], 2 * u_a * b[2], shift + 2 * u_a * b[3])
+    return x, y
+
+
+def _xgcd(x, y):
+    """(g, s, t) with g = s x + t y and g >= 0."""
+    s, next_s, t, next_t = 1, 0, 0, 1
+    while y:
+        q = x // y
+        x, y = y, x - q * y
+        s, next_s = next_s, s - q * next_s
+        t, next_t = next_t, t - q * next_t
+    return (-x, -s, -t) if x < 0 else (x, s, t)
+
+
+def column_kernel(a, b):
+    """Saturated basis of the integer P = (p, q, r, s) with a P = P b, as
+    4-tuples: the general unimodular column reduction of the 4x4 system
+    that flowcomm used up to 0.12.0. The columns of the transform over
+    the columns reduced to zero span the integer kernel."""
+    rows = [
+        (a[0] - b[0], -b[2], a[1], 0),
+        (-b[1], a[0] - b[3], 0, a[1]),
+        (a[2], 0, a[3] - b[0], -b[2]),
+        (0, a[2], -b[1], a[3] - b[3]),
+    ]
+    cols = [[row[j] for row in rows] for j in range(4)]
+    trans = [[int(i == j) for i in range(4)] for j in range(4)]
+    pivot = 0
+    for i in range(4):
+        jpiv = next((j for j in range(pivot, 4) if cols[j][i]), None)
+        if jpiv is None:
+            continue
+        for j in range(jpiv + 1, 4):
+            if cols[j][i] == 0:
+                continue
+            g, s, t = _xgcd(cols[jpiv][i], cols[j][i])
+            pg, qg = cols[jpiv][i] // g, cols[j][i] // g
+            for m in (cols, trans):
+                mp, mj = m[jpiv], m[j]
+                m[jpiv] = [s * x + t * y for x, y in zip(mp, mj)]
+                m[j] = [pg * y - qg * x for x, y in zip(mp, mj)]
+        for m in (cols, trans):
+            m[pivot], m[jpiv] = m[jpiv], m[pivot]
+        pivot += 1
+    assert not any(any(col) for col in cols[pivot:])
+    return [tuple(col) for col in trans[pivot:]]
+
+
+def span_coords(k1, k2, v):
+    """Integer (x, y) with v = x k1 + y k2 for independent integer
+    vectors k1, k2 of v's length, else None."""
+    for i in range(len(v)):
+        for j in range(i + 1, len(v)):
+            minor = k1[i] * k2[j] - k2[i] * k1[j]
+            if minor:
+                x, rest_x = divmod(v[i] * k2[j] - k2[i] * v[j], minor)
+                y, rest_y = divmod(k1[i] * v[j] - v[i] * k1[j], minor)
+                if rest_x or rest_y or any(x * e + y * f != w for e, f, w in zip(k1, k2, v)):
+                    return None
+                return x, y
+    raise ValueError("k1 and k2 are dependent")
+
+
+def same_lattice(basis, other):
+    """True when two bases of two independent vectors span one lattice."""
+    return all(span_coords(*basis, v) is not None for v in other) and all(
+        span_coords(*other, v) is not None for v in basis
+    )
 
 
 def canonical_form(pairs):

@@ -494,6 +494,63 @@ class TestDigitLimit:
         assert run(["trace-seq", A_JSON, count, "--quiet"]) == 3
         capsys.readouterr()
 
+    def test_chain_cone_orders_past_the_limit(self, capsys, monkeypatch):
+        """An orbifold with no designated matrix is linked to its least
+        covering surface by a printed degree that the lcm of its cone
+        orders divides. With 25 random 4,000-digit orders that lcm
+        passes the limit after two of them, so chain exits 3 with the
+        digit-limit line before it builds a path or sums any chi."""
+        rng = random.Random(16)
+        orders = [str(rng.randrange(10**3999, 10**4000)) for _ in range(25)]
+        monkeypatch.setattr(cli, "almost_commensurability_chain", self._unreached)
+        sums = count_chi_sums(monkeypatch)
+        start = time.perf_counter()
+        assert run(["chain", "orbifold:" + ",".join(orders), "surface:g=2"]) == 3
+        assert time.perf_counter() - start < 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"limit: integer has more than {DIGIT_LIMIT} digits, "
+            "the interpreter's int/str conversion limit\n"
+        )
+        assert sums == []
+
+    def test_chain_gate_boundary(self, capsys, monkeypatch):
+        """Cone orders of lcm 10^limit are refused, those of lcm
+        10^limit - 1 reach the chain, and no lcm is refused when the
+        limit is off; orbifolds with a designated matrix are not gated."""
+        reached = []
+
+        class Reached(Exception):
+            pass
+
+        def spy(m1, m2):
+            reached.append(m1)
+            raise Reached
+
+        refused = f"orbifold:2,{2**DIGIT_LIMIT},{5**DIGIT_LIMIT}"
+        monkeypatch.setattr(cli, "almost_commensurability_chain", self._unreached)
+        assert run(["chain", refused, "surface:g=2"]) == 3
+        assert run(["chain", "surface:g=2", refused]) == 3
+        assert capsys.readouterr().err.count(f"more than {DIGIT_LIMIT} digits") == 2
+        monkeypatch.setattr(cli, "almost_commensurability_chain", spy)
+        below = 10**DIGIT_LIMIT - 1
+        for model in (f"orbifold:3,9,{below}", f"orbifold:2,3,{below}"):
+            with pytest.raises(Reached):
+                run(["chain", model, "surface:g=2"])
+        assert [m.cone_orders[-1] for m in reached] == [below, below]
+        try:
+            sys.set_int_max_str_digits(0)
+            with pytest.raises(Reached):
+                run(["chain", refused, "surface:g=2"])
+        finally:
+            sys.set_int_max_str_digits(DIGIT_LIMIT)
+        assert len(reached) == 3
+
+    @staticmethod
+    def _unreached(m1, m2):
+        raise AssertionError("the chain was built")
+
 
 class TestTraceSeq:
     def test_values(self, capsys):

@@ -1,7 +1,7 @@
 """Unit tests for commensurability decisions and their certificates."""
 
 import random
-from math import gcd, isqrt
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +27,7 @@ from helpers import (
     box_intertwiner,
     enumerate_sublattices,
     hyperbolic_corpus,
+    input_size_pair as tuple_input_size_pair,
     intertwiner_rank,
     inverse,
     merge_exponents,
@@ -498,16 +499,9 @@ class TestMinimalExponents:
 
 
 def input_size_pair(a, b):
-    """X = 2 u_b a and Y = (u_b t_a - u_a t_b) I + 2 u_a b for a
-    same-class pair, u = isqrt((t^2 - 4) / gcd(t_a^2 - 4, t_b^2 - 4))."""
-    disc_a, disc_b = a.trace() ** 2 - 4, b.trace() ** 2 - 4
-    d0 = gcd(disc_a, disc_b)
-    u_a, u_b = isqrt(disc_a // d0), isqrt(disc_b // d0)
-    assert u_a * u_a * d0 == disc_a and u_b * u_b * d0 == disc_b
-    shift = u_b * a.trace() - u_a * b.trace()
-    x = Mat2(*(2 * u_b * e for e in a.entries()))
-    y = Mat2(shift + 2 * u_a * b.a, 2 * u_a * b.b, 2 * u_a * b.c, shift + 2 * u_a * b.d)
-    return x, y
+    """helpers.input_size_pair on two Mat2, as two Mat2."""
+    x, y = tuple_input_size_pair(a.entries(), b.entries())
+    return Mat2(*x), Mat2(*y)
 
 
 class TestInputSizeIntertwiner:

@@ -219,6 +219,21 @@ class TestAreEquivalent:
             assert verdict.equivalent
             assert conj(verdict.conjugator, m) == conj(q, m)
 
+    def test_det_minus_one_conjugacy_is_not_equivalence(self):
+        """sigma = [[0,1],[1,0]] (det -1, its own inverse) conjugates
+        [[13,10],[9,7]] to [[7,9],[10,13]], but are_equivalent decides
+        equivalence through an orientation-preserving torus map only:
+        the words are not rotations of each other, the verdict is
+        negative, and no det-1 conjugator lies in a small box."""
+        a, b = Mat2(13, 10, 9, 7), Mat2(7, 9, 10, 13)
+        sigma = Mat2(0, 1, 1, 0)
+        assert sigma.det() == -1 and conj(sigma, a) == b
+        verdict = are_equivalent(a, b)
+        assert not verdict.equivalent and verdict.conjugator is None
+        assert verdict.canonical_a.pairs == ((1, 2), (3, 1))
+        assert verdict.canonical_b.pairs == ((1, 1), (2, 3))
+        assert brute_force_conjugator(a.entries(), b.entries(), 12) is None
+
     def test_verdict_compares_by_identity_and_is_hashable(self):
         pair = (Mat2(3, 1, 2, 1), Mat2(3, 2, 1, 1))
         first, second = are_equivalent(*pair), are_equivalent(*pair)

@@ -1,6 +1,7 @@
 """Unit tests for exact 2x2 linear algebra and lattice canonicalization."""
 
 import random
+from math import isqrt
 
 import pytest
 
@@ -15,13 +16,19 @@ from flowcomm import (
     mat_mul,
 )
 from helpers import (
+    column_kernel,
     det,
     enumerate_sublattices,
+    input_size_pair,
+    inverse,
     mul,
     naive_pow,
     random_hyperbolic,
     random_unimodular,
+    same_lattice,
+    span_coords,
     square_pow,
+    trace,
 )
 
 
@@ -292,28 +299,58 @@ class TestIntertwinerLattice:
                 assert mat_mul(a, p) == mat_mul(p, b)
 
     def test_saturated(self):
-        """Every small integer solution is an integer combination."""
-        a = Mat2(2, 1, 1, 1)
-        q = Mat2(1, 1, 0, 1)
-        b = mat_mul(mat_mul(q.inverse(), a), q)
-        k1, k2 = intertwiner_lattice(a, b)
-        found = 0
-        for entries in _box(6):
-            p = Mat2(*entries)
-            if mat_mul(a, p) != mat_mul(p, b):
-                continue
-            found += 1
-            # solve x*k1 + y*k2 = p over Q and check integrality
-            det = k1.a * k2.b - k2.a * k1.b
-            if det == 0:
-                det = k1.c * k2.d - k2.c * k1.d
-                x = p.c * k2.d - k2.c * p.d
-                y = k1.c * p.d - p.c * k1.d
-            else:
-                x = p.a * k2.b - k2.a * p.b
-                y = k1.a * p.b - p.a * k1.b
-            assert x % det == 0 and y % det == 0
-        assert found > 1
+        """Every integer solution in a box is an integer combination, for
+        a conjugate pair and for input-size pairs X, Y (det X = det Y is
+        not 1), found by enumerating all four entries."""
+        a = (2, 1, 1, 1)
+        pairs = [
+            (a, mul(mul(inverse((1, 1, 0, 1)), a), (1, 1, 0, 1))),
+            input_size_pair(a, square_pow(a, 2)),
+            input_size_pair(a, mul(mul(inverse((1, 0, 1, 1)), square_pow(a, 3)), (1, 0, 1, 1))),
+            input_size_pair(square_pow(a, 2), (0, 1, -1, 3)),
+            input_size_pair((0, 1, -1, 3), (0, 1, -1, 7)),
+            input_size_pair((0, 1, -1, 7), (0, 1, -1, 18)),
+            input_size_pair((0, 1, -1, 4), (0, 1, -1, 14)),
+        ]
+        for x, y in pairs:
+            basis = [k.entries() for k in intertwiner_lattice(Mat2(*x), Mat2(*y))]
+            found = 0
+            for p in _box(6):
+                if mul(x, p) != mul(p, y) or p == (0, 0, 0, 0):
+                    continue
+                found += 1
+                assert span_coords(*basis, p) is not None, (x, y, p)
+            assert found > 1, (x, y)
+
+    def test_spans_the_oracle_lattice(self):
+        """The basis spans the lattice that the general 4x4 column
+        reduction of tests/helpers.py finds, on seeded conjugate pairs,
+        pairs with the trace-t matrix [[0,1],[-1,t]], pairs of one trace
+        drawn apart, and input-size pairs of powers and of companions."""
+        rng = random.Random(16)
+        pairs = []
+        by_trace = {}
+        for _ in range(300):
+            a = random_hyperbolic(rng, max_trace=40)
+            q = random_unimodular(rng)
+            b = mul(mul(inverse(q), a), q)
+            companion = (0, 1, -1, trace(a))
+            pairs += [(a, b), (a, companion), (companion, b)]
+            pairs.append(input_size_pair(a, square_pow(b, rng.randint(1, 5))))
+            by_trace.setdefault(trace(a), []).append(a)
+        for same in by_trace.values():
+            pairs += list(zip(same, same[1:]))
+        for ta in range(3, 200):
+            for tb in range(3, 200):
+                product = (ta * ta - 4) * (tb * tb - 4)
+                if isqrt(product) ** 2 == product:
+                    pairs.append(input_size_pair((0, 1, -1, ta), (0, 1, -1, tb)))
+        assert len(pairs) >= 1000
+        for x, y in pairs:
+            basis = [k.entries() for k in intertwiner_lattice(Mat2(*x), Mat2(*y))]
+            for k in basis:
+                assert mul(x, k) == mul(k, y), (x, y, k)
+            assert same_lattice(basis, column_kernel(x, y)), (x, y)
 
     def test_trace_mismatch(self):
         with pytest.raises(ValueError):
@@ -323,6 +360,7 @@ class TestIntertwinerLattice:
         """One trace, determinants 1 and 0: only P = 0 intertwines."""
         with pytest.raises(ValueError):
             intertwiner_lattice(Mat2(2, 1, 1, 1), Mat2(1, 2, 1, 2))
+        assert column_kernel((2, 1, 1, 1), (1, 2, 1, 2)) == []
 
 
 def _box(radius):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import flowcomm
+from flowcomm import linalg
 from flowcomm import (
     Lattice2,
     Mat2,
@@ -58,9 +59,19 @@ def test_reexports_are_the_module_lists():
         (lambda: hnf(Mat2(2, 4, 1, 2)), "Mat2(2, 4, 1, 2) has determinant 0"),
         (lambda: intertwiner_lattice(Mat2(2, 1, 1, 1), Mat2(5, 2, 2, 1)), "traces 3 and 6 differ"),
         (lambda: intertwiner_lattice(Mat2(2, 1, 1, 1), Mat2(1, 2, 1, 2)), "kernel rank 0, expected 2"),
+        # outside the precondition: t^2 - 4 det = (a.a - a.d)^2 is a square
+        (lambda: intertwiner_lattice(Mat2(2, 1, 0, 1), Mat2(1, 0, 1, 2)), "a has lower-left entry 0"),
         (lambda: genus_model_matrix(1), "genus must be >= 2, got 1"),
     ],
-    ids=["inverse", "lattice_image", "hnf", "intertwiner_traces", "intertwiner_rank", "genus"],
+    ids=[
+        "inverse",
+        "lattice_image",
+        "hnf",
+        "intertwiner_traces",
+        "intertwiner_rank",
+        "intertwiner_lower_left",
+        "genus",
+    ],
 )
 def test_wrong_argument_raises_plain_value_error(call, message):
     """A wrong argument to a lower-level function raises ValueError
@@ -72,11 +83,14 @@ def test_wrong_argument_raises_plain_value_error(call, message):
 
 
 def test_removed_names_stay_gone():
-    """No matrix power, operator spelling, lattice membership test or
-    folded exception is offered; A * A and A ** 2 are TypeErrors."""
+    """No matrix power, operator spelling, lattice membership test,
+    folded exception or general kernel reduction is offered; A * A and
+    A ** 2 are TypeErrors."""
     removed = ["mat_pow", "InvalidGenus", "SingularBasis", "NotUnimodular", "TraceMismatch"]
     assert [name for name in removed if hasattr(flowcomm, name)] == []
     assert [name for name in removed if name in flowcomm.__all__] == []
+    # the general 4x4 column reduction lives on only as a test oracle
+    assert not hasattr(linalg, "_column_kernel")
     assert not hasattr(Mat2, "__pow__") and not hasattr(Mat2, "__mul__")
     assert not hasattr(Lattice2, "contains")
     assert not hasattr(Suspension, "euler_characteristic")
