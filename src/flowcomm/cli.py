@@ -5,7 +5,8 @@ Exit codes are a scripting contract: 0 = positive verdict or verified
 document, 1 = negative verdict or rejected document, 2 = usage or
 input error, 3 = a computational limit was hit (an output integer past
 the interpreter's int/str digit limit; no decision or verification
-forms a power, so none has a budget). An
+forms a power, so none has a budget; --quiet without -o forms no text,
+so there only chain's cone-order gate and trace-seq exit 3). An
 exception that no verb expects is a bug; the console entry point
 (main) reports it as an "internal error" on stderr with exit 2, never
 as a traceback, while run() lets it propagate to an in-process caller.
@@ -143,40 +144,44 @@ def _encode_word(word):
     return [[encode_int(r), encode_int(l)] for r, l in word.pairs]
 
 
-def _emit(args, text):
+def _emit(args, build):
+    """Write dumps(build()) to -o's file, else to stdout unless --quiet:
+    then no document is built, and none can pass the digit limit."""
     if getattr(args, "output", None):
+        text = dumps(build())
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
             raise UsageError(f"cannot write {args.output!r}: {exc}") from None
     elif not args.quiet:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps(build()))
 
 
 def _cmd_equiv(args):
     a = _parse_hyperbolic(args.matrix_a)
     b = _parse_hyperbolic(args.matrix_b)
     verdict = are_equivalent(a, b)
-    doc = {
-        "equivalent": verdict.equivalent,
-        "conjugator": (
-            encode_matrix(verdict.conjugator)
-            if verdict.conjugator is not None
-            else None
-        ),
-        "canonical_a": _encode_word(verdict.canonical_a),
-        "canonical_b": _encode_word(verdict.canonical_b),
-    }
-    _emit(args, dumps(doc))
+    _emit(
+        args,
+        lambda: {
+            "equivalent": verdict.equivalent,
+            "conjugator": (
+                encode_matrix(verdict.conjugator)
+                if verdict.conjugator is not None
+                else None
+            ),
+            "canonical_a": _encode_word(verdict.canonical_a),
+            "canonical_b": _encode_word(verdict.canonical_b),
+        },
+    )
     return 0 if verdict.equivalent else 1
 
 
 def _cmd_canon(args):
     a = _parse_hyperbolic(args.matrix)
     word, _ = rl_word(a)
-    doc = {"canonical_word": _encode_word(word), "display": str(word)}
-    _emit(args, dumps(doc))
+    _emit(args, lambda: {"canonical_word": _encode_word(word), "display": str(word)})
     return 0
 
 
@@ -206,7 +211,7 @@ def _run_commensurable(args):
 
 def _cmd_commensurable(args):
     verdict = _run_commensurable(args)
-    _emit(args, dumps(_verdict_doc(verdict)))
+    _emit(args, lambda: _verdict_doc(verdict))
     return 0 if verdict.commensurable else 1
 
 
@@ -219,7 +224,7 @@ def _cmd_cover(args):
             file=sys.stderr,
         )
         return 1
-    _emit(args, dumps(encode_certificate(verdict.certificate)))
+    _emit(args, lambda: encode_certificate(verdict.certificate))
     return 0
 
 
@@ -236,7 +241,7 @@ def _cmd_chain(args):
                 if orders_lcm >= bound:
                     raise ComputationLimit(digit_limit_message())
     chain = almost_commensurability_chain(*models)
-    _emit(args, dumps(encode_chain(chain)))
+    _emit(args, lambda: encode_chain(chain))
     return 0
 
 

@@ -27,7 +27,6 @@ from .conjugacy import reduction_cycle
 from .errors import NotHyperbolic
 from .linalg import (
     HyperbolicMatrix,
-    Lattice2,
     Mat2,
     _Record,
     hnf,
@@ -53,7 +52,9 @@ class CommensurabilityCertificate(_Record):
     intertwiner P satisfies A1 P = P B1 (A1, B1 the stated powers);
     sublattice is the canonical form of the lattice P spans, fixed by
     A1**stabilization; the two indices describe the common cover over
-    each suspension. Compared field by field, and not hashable.
+    each suspension. base_a, base_b and intertwiner are Mat2 values,
+    sublattice a Lattice2, and the other fields ints. Compared field by
+    field, and not hashable.
     """
 
     __slots__ = _fields = (
@@ -70,30 +71,6 @@ class CommensurabilityCertificate(_Record):
     )
     __hash__ = None
 
-    def __init__(
-        self,
-        base_a: Mat2,
-        base_b: Mat2,
-        power_a: int,
-        power_b: int,
-        intertwiner: Mat2,
-        intertwiner_det: int,
-        sublattice: Lattice2,
-        stabilization: int,
-        index_over_a: int,
-        index_over_b: int,
-    ):
-        self.base_a = base_a
-        self.base_b = base_b
-        self.power_a = power_a
-        self.power_b = power_b
-        self.intertwiner = intertwiner
-        self.intertwiner_det = intertwiner_det
-        self.sublattice = sublattice
-        self.stabilization = stabilization
-        self.index_over_a = index_over_a
-        self.index_over_b = index_over_b
-
     def __repr__(self):
         # short: the full entries could pass the int/str digit limit
         return (
@@ -106,6 +83,10 @@ class CommensurabilityCertificate(_Record):
 class CommensurabilityVerdict(_Record):
     """Outcome of are_commensurable, compared by identity.
 
+    commensurable is a bool. On a positive verdict minimal_exponents is
+    the least pair (i, j) of ints and certificate a
+    CommensurabilityCertificate, else both are None. squared_a and
+    squared_b are bools, true where that input was squared. The ints
     squarefree_a and squarefree_b represent the square classes of
     D_a = t_a^2 - 4 and D_b = t_b^2 - 4 (traces after the squaring of
     a trace < -2 input), and are equal exactly when the verdict is
@@ -126,24 +107,6 @@ class CommensurabilityVerdict(_Record):
     )
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        commensurable: bool,
-        minimal_exponents: tuple | None,
-        squarefree_a: int,
-        squarefree_b: int,
-        certificate: CommensurabilityCertificate | None,
-        squared_a: bool = False,
-        squared_b: bool = False,
-    ):
-        self.commensurable = commensurable
-        self.minimal_exponents = minimal_exponents
-        self.squarefree_a = squarefree_a
-        self.squarefree_b = squarefree_b
-        self.certificate = certificate
-        self.squared_a = squared_a
-        self.squared_b = squared_b
 
 
 def _normalize_input(m):
@@ -210,14 +173,16 @@ def find_intertwiner(a1, b1):
         w = mat_mul(w, Mat2(quo, 1, 1, 0))
         convergents.append((w.a, w.c))
     auto = mat_mul(w, w_start.inverse())
-    least = min(abs(det(combine(x, y))) for x, y in convergents)
+    points = [(x, y, combine(x, y)) for x, y in convergents]
+    least = min(abs(det(p)) for _, _, p in points)
     candidates = []
     for e in (auto, auto.inverse()):
-        for x, y in convergents:
-            p = step = combine(x, y)
-            while abs(det(p)) == least and max(map(abs, step)) <= max(map(abs, p)):
+        # |det| is constant along an orbit, so the walk compares max-entries only
+        for x, y, step in [point for point in points if abs(det(point[2])) == least]:
+            top = max(map(abs, step))
+            while (step_top := max(map(abs, step))) <= top:
                 candidates.append(step)
-                p = step
+                top = step_top
                 x, y = e.a * x + e.b * y, e.c * x + e.d * y
                 step = combine(x, y)
     return Mat2(*min(candidates, key=_rank))

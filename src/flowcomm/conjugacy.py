@@ -41,10 +41,10 @@ R = Mat2(1, 1, 0, 1)
 L = Mat2(1, 0, 1, 1)
 
 
-class RLWord:
+class RLWord(_Record):
     """Positive word in R and L, stored as ((r1, l1), ..., (rn, ln))."""
 
-    __slots__ = ("pairs",)
+    __slots__ = _fields = ("pairs",)
 
     def __init__(self, pairs):
         pairs = tuple((_as_int(r), _as_int(l)) for r, l in pairs)
@@ -53,19 +53,11 @@ class RLWord:
         for r, l in pairs:
             if r < 1 or l < 1:
                 raise ValueError(f"exponents must be >= 1, got ({r}, {l})")
-        self.pairs = pairs
+        super().__init__(pairs)
 
     def exponents(self):
         """Flat exponent tuple (r1, l1, r2, l2, ...)."""
         return tuple(e for pair in self.pairs for e in pair)
-
-    def __eq__(self, other):
-        if not isinstance(other, RLWord):
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
 
     def __repr__(self):
         return f"RLWord{self.exponents()!r}"
@@ -77,25 +69,15 @@ class RLWord:
 class EquivalenceVerdict(_Record):
     """Outcome of a conjugacy decision, compared by identity.
 
-    If equivalent, `conjugator` Q has det 1 and Q^-1 A Q = B;
-    otherwise conjugator is None and the canonical words differ.
+    equivalent is a bool. If it is true, `conjugator` is a Mat2 Q with
+    det 1 and Q^-1 A Q = B; otherwise conjugator is None and the
+    canonical words differ. canonical_a and canonical_b are RLWord
+    values.
     """
 
     __slots__ = _fields = ("equivalent", "conjugator", "canonical_a", "canonical_b")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        equivalent: bool,
-        conjugator: Mat2 | None,
-        canonical_a: RLWord,
-        canonical_b: RLWord,
-    ):
-        self.equivalent = equivalent
-        self.conjugator = conjugator
-        self.canonical_a = canonical_a
-        self.canonical_b = canonical_b
 
 
 def evaluate_word(word):

@@ -25,12 +25,15 @@ __all__ = [
 
 
 class _Record:
-    """Base of the package's plain records: field-wise ==, hash and
-    repr Name(field=value, ...) over the names in _fields, which each
-    subclass lists in declaration order beside its __slots__. Equal
-    only to an instance of the same class. A record that must not be
-    hashed sets __hash__ = None; one compared by identity takes
-    object's __eq__ and __hash__ back."""
+    """Base of the package's plain records: a constructor, field-wise
+    ==, hash and repr Name(field=value, ...) over the names in _fields,
+    which each subclass lists in declaration order beside its
+    __slots__. The constructor binds every field, by position or by
+    name, with no default; a record that validates or coerces checks
+    its arguments first and passes them on. Equal only to an instance
+    of the same class. A record that must not be hashed sets
+    __hash__ = None; one compared by identity takes object's __eq__ and
+    __hash__ back."""
 
     __slots__ = ()
     _fields = ()
@@ -38,6 +41,21 @@ class _Record:
     def __init_subclass__(cls):
         # the field values in one C call: a tuple, or a lone field's value
         cls._get_fields = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        names, cls = self._fields, self.__class__.__qualname__
+        if len(args) > len(names):
+            raise TypeError(f"{cls}() takes {len(names)} fields, got {len(args)}")
+        for name, value in zip(names, args):
+            setattr(self, name, value)
+        for name in names[len(args):]:
+            if name not in kwargs:
+                raise TypeError(f"{cls}() missing field {name!r}")
+            setattr(self, name, kwargs.pop(name))
+        if kwargs:
+            name = next(iter(kwargs))
+            kind = "repeated" if name in names else "unknown"
+            raise TypeError(f"{cls}() got {kind} field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -154,9 +172,7 @@ class Lattice2(_Record):
             raise ValueError(f"diagonal entries must be positive, got a={a}, d={d}")
         if not 0 <= b < a:
             raise ValueError(f"offset b={b} outside [0, {a})")
-        self.a = a
-        self.b = b
-        self.d = d
+        super().__init__(a, b, d)
         self.index = a * d
 
     def basis(self):

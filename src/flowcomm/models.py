@@ -68,7 +68,7 @@ class Suspension(_Record):
     def __init__(self, monodromy: Mat2):
         if not isinstance(monodromy, HyperbolicMatrix):
             monodromy = HyperbolicMatrix.from_mat(monodromy)
-        self.monodromy = monodromy
+        super().__init__(monodromy)
 
 
 class GeodesicOrbifold(_Record):
@@ -85,8 +85,7 @@ class GeodesicOrbifold(_Record):
     __slots__ = _fields + ("_chi",)
 
     def __init__(self, genus: int, cone_orders: tuple = ()):
-        self.genus = _as_int(genus)
-        self.cone_orders = tuple(sorted(map(_as_int, cone_orders)))
+        super().__init__(_as_int(genus), tuple(sorted(map(_as_int, cone_orders))))
         _signature(self.genus, self.cone_orders)
         self._chi = None
         if self.genus < 2 and len(self.cone_orders) < (1 if self.genus else 5):
@@ -107,7 +106,8 @@ class GeodesicCommonCover(_Record):
     two geodesic models. Existence of the covering surface is cited;
     the recorded arithmetic (degree x chi = chi of cover, and each
     degree a multiple of its side's cone orders) is the machine-checked
-    part."""
+    part. The genus and the two degrees are ints, the three Euler
+    characteristics Fractions."""
 
     __slots__ = _fields = (
         "cover_genus",
@@ -118,35 +118,15 @@ class GeodesicCommonCover(_Record):
         "euler_cover",
     )
 
-    def __init__(
-        self,
-        cover_genus: int,
-        degree_source: int,
-        degree_target: int,
-        euler_source: Fraction,
-        euler_target: Fraction,
-        euler_cover: Fraction,
-    ):
-        self.cover_genus = cover_genus
-        self.degree_source = degree_source
-        self.degree_target = degree_target
-        self.euler_source = euler_source
-        self.euler_target = euler_target
-        self.euler_cover = euler_cover
-
 
 class ChainLink(_Record):
-    """One step of a chain. kind is ALMOST_EQUIVALENCE (evidence: a
-    citation tag) or COMMENSURABILITY (evidence: a certificate between
-    suspensions, or common-cover arithmetic between geodesic models)."""
+    """One step of a chain between two models, each a Suspension or a
+    GeodesicOrbifold. kind is the str ALMOST_EQUIVALENCE (evidence: a
+    citation tag str) or COMMENSURABILITY (evidence: a
+    CommensurabilityCertificate between suspensions, or a
+    GeodesicCommonCover between geodesic models)."""
 
     __slots__ = _fields = ("kind", "source", "target", "evidence")
-
-    def __init__(self, kind: str, source: object, target: object, evidence: object):
-        self.kind = kind
-        self.source = source
-        self.target = target
-        self.evidence = evidence
 
 
 class ChainCertificate(_Record):
@@ -155,8 +135,7 @@ class ChainCertificate(_Record):
     __slots__ = _fields = ("links", "endpoints")
 
     def __init__(self, links: tuple, endpoints: tuple):
-        self.links = tuple(links)
-        self.endpoints = tuple(endpoints)
+        super().__init__(tuple(links), tuple(endpoints))
 
 
 def orbifold_model_matrix(t):

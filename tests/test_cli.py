@@ -483,6 +483,31 @@ class TestDigitLimit:
         assert captured.out == ""
         self._assert_named(captured.err)
 
+    def test_quiet_exit_carries_the_verdict(self, capsys, tmp_path):
+        """--quiet without -o builds no document, so an output integer
+        past the limit cannot turn a decided verdict into exit 3: t^2 - 4
+        of two random 4,000-digit traces (negative), the squared base of
+        a trace < -2 input (cover) and the cover degree of a chain's
+        bridge (chain). With -o the document is still built."""
+        rng = random.Random(17)
+        digits = min(4000, DIGIT_LIMIT)
+        n, m = (rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(2))
+        half = "1" + "0" * (DIGIT_LIMIT // 2 + 1)
+        cases = [
+            (["commensurable", f"[[0,1],[-1,{n}]]", f"[[0,1],[-1,{m}]]"], 1),
+            (["cover", f"[[0,1],[-1,-{half}]]", f"[[0,1],[-1,-{half}]]"], 0),
+            (["chain", f"suspension:[[0,1],[-1,{'9' * DIGIT_LIMIT}]]", "surface:g=2"], 0),
+        ]
+        for argv, status in cases:
+            assert run(argv) == 3
+            self._assert_named(capsys.readouterr().err)
+            assert run(argv + ["--quiet"]) == status
+            assert capsys.readouterr() == ("", "")
+        path = tmp_path / "cert.json"
+        assert run(cases[1][0] + ["--quiet", "-o", str(path)]) == 3
+        self._assert_named(capsys.readouterr().err)
+        assert not path.exists()
+
     def test_trace_seq_output(self, capsys):
         # traces of A^i have about 0.418 i digits, so the last value is
         # past the limit; nothing may be printed before the exit

@@ -1,8 +1,9 @@
 """Package guards: the public names resolve, the package re-exports
-exactly its modules' public lists, the source imports only the standard
-library and uses every name it imports, importing the console frontend
-loads none of the heavy introspection modules, and the test oracles
-import nothing from the package."""
+exactly its modules' public lists, the records share one constructor
+unless they validate, the source imports only the standard library and
+uses every name it imports, importing the console frontend loads none
+of the heavy introspection modules, and the test oracles import nothing
+from the package."""
 
 import ast
 import importlib
@@ -15,13 +16,24 @@ import pytest
 import flowcomm
 from flowcomm import linalg
 from flowcomm import (
+    ChainLink,
+    CommensurabilityCertificate,
+    CommensurabilityVerdict,
+    EquivalenceVerdict,
+    GeodesicCommonCover,
+    GeodesicOrbifold,
+    HyperbolicMatrix,
     Lattice2,
     Mat2,
     Suspension,
+    almost_commensurability_chain,
+    are_commensurable,
+    are_equivalent,
     genus_model_matrix,
     hnf,
     intertwiner_lattice,
     lattice_image,
+    orbifold_common_cover,
 )
 
 SOURCES = sorted((Path(flowcomm.__file__).parent).glob("*.py"))
@@ -49,6 +61,95 @@ def test_reexports_are_the_module_lists():
         listed = set(importlib.import_module(f"flowcomm.{name}").__all__)
         assert imported[name] == listed, name
         assert listed <= set(flowcomm.__all__), name
+
+
+SHARED_CONSTRUCTOR = (
+    CommensurabilityCertificate,
+    CommensurabilityVerdict,
+    EquivalenceVerdict,
+    GeodesicCommonCover,
+    ChainLink,
+)
+
+
+def records(cls=linalg._Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from records(sub)
+
+
+def test_only_validating_records_write_a_constructor():
+    own = {cls.__name__ for cls in records() if "__init__" in vars(cls)}
+    assert own == {"Lattice2", "RLWord", "Suspension", "GeodesicOrbifold", "ChainCertificate"}
+    assert {cls for cls in records() if "__init__" not in vars(cls)} == set(SHARED_CONSTRUCTOR)
+
+
+@pytest.mark.parametrize("cls", SHARED_CONSTRUCTOR, ids=lambda cls: cls.__name__)
+def test_shared_constructor_contract(cls):
+    """Every field by position in _fields order, by name, or the first
+    ones by position and the rest by name, gives one record; a missing,
+    unknown, repeated or surplus field is a TypeError that names the
+    field or the count."""
+    names = cls._fields
+    values = [f"<{name}>" for name in names]
+    built = [
+        cls(*values),
+        cls(**dict(zip(names, values))),
+        cls(*values[:2], **dict(zip(names[2:], values[2:]))),
+    ]
+    for record in built:
+        assert [getattr(record, name) for name in names] == values
+    if cls.__eq__ is not object.__eq__:  # the verdicts compare by identity
+        assert built[0] == built[1] == built[2]
+    errors = [
+        ((values[:-1], {}), f"{cls.__name__}() missing field {names[-1]!r}"),
+        (((), dict(zip(names[1:], values[1:]))), f"missing field {names[0]!r}"),
+        ((values, {"colour": 1}), "got unknown field 'colour'"),
+        ((values, {names[1]: 1}), f"got repeated field {names[1]!r}"),
+        ((values + [1], {}), f"takes {len(names)} fields, got {len(names) + 1}"),
+    ]
+    for (args, kwargs), message in errors:
+        with pytest.raises(TypeError) as caught:
+            cls(*args, **kwargs)
+        assert message in str(caught.value)
+
+
+def test_record_equality_hash_and_repr():
+    """One instance of each record that takes the shared constructor, and
+    RLWord: the repr, == and hash they had with written-out constructors."""
+    verdict = are_commensurable(Mat2(2, 1, 1, 1), Mat2(0, 1, -1, 7))
+    cert = verdict.certificate
+    assert repr(cert) == "CommensurabilityCertificate(powers=(2, 1), det=3, indices=(6, 1))"
+    copy = CommensurabilityCertificate(*(getattr(cert, name) for name in cert._fields))
+    assert copy == cert and cert.__hash__ is None
+    assert repr(verdict).startswith(
+        "CommensurabilityVerdict(commensurable=True, minimal_exponents=(2, 1),"
+        " squarefree_a=5, squarefree_b=5, certificate=CommensurabilityCertificate("
+    )
+    equiv = are_equivalent(HyperbolicMatrix(2, 1, 1, 1), HyperbolicMatrix(3, 1, 2, 1))
+    assert repr(equiv) == (
+        "EquivalenceVerdict(equivalent=False, conjugator=None,"
+        " canonical_a=RLWord(1, 1), canonical_b=RLWord(1, 2))"
+    )
+    for record in (verdict, equiv):  # compared and hashed by identity
+        copy = type(record)(*(getattr(record, name) for name in record._fields))
+        assert copy != record and hash(record) == object.__hash__(record)
+    word = equiv.canonical_b
+    assert word == type(word)(((1, 2),)) and hash(word) == hash(((1, 2),))
+    cover = orbifold_common_cover(GeodesicOrbifold(2), GeodesicOrbifold(0, (2, 3, 7)))
+    assert repr(cover) == (
+        "GeodesicCommonCover(cover_genus=2, degree_source=1, degree_target=84,"
+        " euler_source=Fraction(-2, 1), euler_target=Fraction(-1, 42),"
+        " euler_cover=Fraction(-2, 1))"
+    )
+    link = almost_commensurability_chain(GeodesicOrbifold(2), Suspension(genus_model_matrix(2))).links[0]
+    assert repr(link) == (
+        "ChainLink(kind='almost-equivalence', source=GeodesicOrbifold(genus=2, cone_orders=()),"
+        " target=Suspension(monodromy=HyperbolicMatrix(7, 12, 4, 7)), evidence='GHYS_HASHIGUCHI')"
+    )
+    for record in (cover, link):  # compared and hashed field by field
+        fields = tuple(getattr(record, name) for name in record._fields)
+        assert type(record)(*fields) == record and hash(record) == hash(fields)
 
 
 @pytest.mark.parametrize(
