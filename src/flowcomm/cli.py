@@ -24,6 +24,7 @@ import json
 import os
 import re
 import sys
+from itertools import accumulate
 from math import lcm
 
 from .commensurability import are_commensurable, verify_certificate
@@ -39,6 +40,7 @@ from .models import (
     verify_chain,
 )
 from .serialize import (
+    _check_digit_limit,
     certificate_body,
     decode_document,
     digit_limit_message,
@@ -53,7 +55,7 @@ from .serialize import (
 __all__ = ["main", "run", "UsageError"]
 
 
-class UsageError(Exception):
+class UsageError(FlowcommError):
     """Bad command line or unparseable input; maps to exit code 2."""
 
 
@@ -232,14 +234,9 @@ def _cmd_chain(args):
     models = _parse_model(args.model_a), _parse_model(args.model_b)
     # an orbifold with no designated matrix is linked to its least covering
     # surface by a printed degree that the lcm of its cone orders divides
-    bound = 10 ** sys.get_int_max_str_digits()  # 1 when the limit is off
     for model in models:
-        if bound > 1 and isinstance(model, GeodesicOrbifold) and _designated(model) is None:
-            orders_lcm = 1
-            for order in model.cone_orders:
-                orders_lcm = lcm(orders_lcm, order)
-                if orders_lcm >= bound:
-                    raise ComputationLimit(digit_limit_message())
+        if isinstance(model, GeodesicOrbifold) and _designated(model) is None:
+            _check_digit_limit(accumulate(model.cone_orders, lcm))
     chain = almost_commensurability_chain(*models)
     _emit(args, lambda: encode_chain(chain))
     return 0
@@ -273,10 +270,7 @@ def _cmd_trace_seq(args):
             yield cur
             prev, cur = cur, t * cur - prev
 
-    # traces increase, so this stops at the first one print cannot convert
-    bound = 10 ** sys.get_int_max_str_digits()  # 1 when the limit is off
-    if bound > 1 and any(v >= bound for v in traces()):
-        raise ComputationLimit(digit_limit_message())
+    _check_digit_limit(traces())
     if not args.quiet:
         for v in traces():
             print(v)
@@ -345,9 +339,6 @@ def run(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ComputationLimit as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return 3

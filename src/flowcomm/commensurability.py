@@ -20,10 +20,10 @@ verifier tests lam_a**i == lam_b**j by a Euclid on units guided by the
 stated exponents.
 """
 
-from math import gcd, isqrt
+from math import gcd
 from operator import index as _as_int
 
-from .conjugacy import reduction_cycle
+from .conjugacy import _least_exponents, _shared_units, _unit_mul, reduction_cycle
 from .errors import NotHyperbolic
 from .linalg import (
     HyperbolicMatrix,
@@ -200,18 +200,6 @@ def stabilization_exponent(a1, lat, k_max):
     raise ValueError(f"no return within k_max={k_max}; bound below the orbit size")
 
 
-def _shared_units(t_a, t_b):
-    """(D0, u_a, u_b) when t_a^2 - 4 and t_b^2 - 4 share a square class,
-    else None: D0 = gcd of the two, u = isqrt((t^2 - 4) / D0), so the
-    expanding eigenvalue of a trace-t matrix is (t + u sqrt(D0)) / 2."""
-    disc_a, disc_b = t_a * t_a - 4, t_b * t_b - 4
-    product = disc_a * disc_b
-    if isqrt(product) ** 2 != product:
-        return None
-    shared = gcd(disc_a, disc_b)
-    return shared, isqrt(disc_a // shared), isqrt(disc_b // shared)
-
-
 def _input_size_pair(a, b, u_a, u_b):
     """X = 2 u_b a and Y = (u_b t_a - u_a t_b) I + 2 u_a b.
 
@@ -239,45 +227,6 @@ def _input_size_pair(a, b, u_a, u_b):
     shift = u_b * a.trace() - u_a * b.trace()
     y = Mat2(shift + 2 * u_a * b.a, 2 * u_a * b.b, 2 * u_a * b.c, shift + 2 * u_a * b.d)
     return x, y
-
-
-def _unit_mul(x, y, d0):
-    """Product of units (t + u sqrt(d0)) / 2 given as pairs (t, u)."""
-    (t1, u1), (t2, u2) = x, y
-    return (t1 * t2 + d0 * u1 * u2) // 2, (t1 * u2 + t2 * u1) // 2
-
-
-def _least_exponents(lam_a, lam_b, d0):
-    """Least (i, j) >= (1, 1) with lam_a**i == lam_b**j.
-
-    lam = (t, u) stands for (t + u sqrt(d0)) / 2, u = isqrt((t^2 - 4) / d0),
-    the expanding eigenvalue of a trace-t matrix: a unit of norm 1 in the
-    order of discriminant d0, where the units > 1 are the powers of one
-    fundamental unit. Euclid on their exponents: divide the larger unit
-    by the largest power of the smaller that does not pass it (found by
-    repeated squaring), carrying the exponent vector (x, y) of each
-    remainder lam_a**x * lam_b**y. For units >= 1, larger trace means
-    larger unit. The remainder 1 = (2, 0) has a primitive vector
-    (x, y) with lam_a**x == lam_b**-y, which is +-(i, -j).
-    """
-    big, small = (lam_a, (1, 0)), (lam_b, (0, 1))
-    if big[0][0] < small[0][0]:
-        big, small = small, big
-    while small[0] != (2, 0):
-        squares = [small]
-        while True:
-            unit, (x, y) = squares[-1]
-            square = _unit_mul(unit, unit, d0)
-            if square[0] > big[0][0]:
-                break
-            squares.append((square, (2 * x, 2 * y)))
-        rem, (rx, ry) = big
-        for (t, u), (x, y) in reversed(squares):
-            if t <= rem[0]:
-                rem, rx, ry = _unit_mul(rem, (t, -u), d0), rx - x, ry - y
-        big, small = small, (rem, (rx, ry))
-    x, y = small[1]
-    return abs(x), abs(y)
 
 
 def are_commensurable(a, b):

@@ -14,6 +14,10 @@ Ugarcovici, "Symbolic dynamics for the modular surface", 2007): each
 partial quotient is one whole R^k or L^k block, found by one integer
 division, so the work grows with the bit size of the matrix.
 
+The unit Euclid on expanding eigenvalues (_least_exponents) lives here
+and serves both decisions: it counts the repetitions of a word's period
+(rl_word) and finds the least common power (are_commensurable).
+
 SL2(Z) conjugacy is equivalence of the suspensions through an
 orientation-preserving torus map, and that is all are_equivalent
 decides. A conjugator of det -1 is not looked for: sigma = (0 1; 1 0)
@@ -21,7 +25,7 @@ conjugates (13 10; 9 7), of word R L^2 R^3 L, to (7 9; 10 13), of word
 R L R^2 L^3, yet are_equivalent returns a negative verdict on them.
 """
 
-from math import isqrt
+from math import gcd, isqrt
 from operator import index as _as_int
 
 from .linalg import HyperbolicMatrix, Mat2, _Record, mat_mul
@@ -128,6 +132,57 @@ def reduction_cycle(p, q, q_prev):
     return w, period
 
 
+def _shared_units(t_a, t_b):
+    """(D0, u_a, u_b) when t_a^2 - 4 and t_b^2 - 4 share a square class,
+    else None: D0 = gcd of the two, u = isqrt((t^2 - 4) / D0), so the
+    expanding eigenvalue of a trace-t matrix is (t + u sqrt(D0)) / 2."""
+    disc_a, disc_b = t_a * t_a - 4, t_b * t_b - 4
+    product = disc_a * disc_b
+    if isqrt(product) ** 2 != product:
+        return None
+    shared = gcd(disc_a, disc_b)
+    return shared, isqrt(disc_a // shared), isqrt(disc_b // shared)
+
+
+def _unit_mul(x, y, d0):
+    """Product of units (t + u sqrt(d0)) / 2 given as pairs (t, u)."""
+    (t1, u1), (t2, u2) = x, y
+    return (t1 * t2 + d0 * u1 * u2) // 2, (t1 * u2 + t2 * u1) // 2
+
+
+def _least_exponents(lam_a, lam_b, d0):
+    """Least (i, j) >= (1, 1) with lam_a**i == lam_b**j.
+
+    lam = (t, u) stands for (t + u sqrt(d0)) / 2, u = isqrt((t^2 - 4) / d0),
+    the expanding eigenvalue of a trace-t matrix: a unit of norm 1 in the
+    order of discriminant d0, where the units > 1 are the powers of one
+    fundamental unit. Euclid on their exponents: divide the larger unit
+    by the largest power of the smaller that does not pass it (found by
+    repeated squaring), carrying the exponent vector (x, y) of each
+    remainder lam_a**x * lam_b**y. For units >= 1, larger trace means
+    larger unit. The remainder 1 = (2, 0) has a primitive vector
+    (x, y) with lam_a**x == lam_b**-y, which is +-(i, -j).
+    """
+    big, small = (lam_a, (1, 0)), (lam_b, (0, 1))
+    if big[0][0] < small[0][0]:
+        big, small = small, big
+    while small[0] != (2, 0):
+        squares = [small]
+        while True:
+            unit, (x, y) = squares[-1]
+            square = _unit_mul(unit, unit, d0)
+            if square[0] > big[0][0]:
+                break
+            squares.append((square, (2 * x, 2 * y)))
+        rem, (rx, ry) = big
+        for (t, u), (x, y) in reversed(squares):
+            if t <= rem[0]:
+                rem, rx, ry = _unit_mul(rem, (t, -u), d0), rx - x, ry - y
+        big, small = small, (rem, (rx, ry))
+    x, y = small[1]
+    return abs(x), abs(y)
+
+
 def rl_word(m):
     """Canonical cyclic RL-word of a hyperbolic matrix, with witness.
 
@@ -140,8 +195,11 @@ def rl_word(m):
     and y reduced. A reduced y has a purely periodic expansion, y is
     the expanding fixed point of the period's value, and that value
     generates the positive-trace stabiliser of y in SL2(Z), so
-    W^-1 m W is a power of it. Two consecutive quotients form one
-    (r, l) pair, since (r 1; 1 0)(l 1; 1 0) = R^r L^l.
+    W^-1 m W is a power value**reps of it. Two consecutive quotients
+    form one (r, l) pair, since (r 1; 1 0)(l 1; 1 0) = R^r L^l. The
+    expanding eigenvalues are then units with lam_m = lam_value**reps,
+    so reps is the first exponent of _least_exponents (the second is
+    1), and value**reps is never formed.
     """
     HyperbolicMatrix.from_mat(m)
     witness, period = reduction_cycle(m.a - m.d, 2 * m.c, 2 * m.b)
@@ -152,11 +210,13 @@ def rl_word(m):
         witness = mat_mul(witness, evaluate_word(pairs[:best]))
     pairs = pairs[best:] + pairs[:best]
     value = evaluate_word(pairs)
-    power, reps = value, 1
-    while power.trace() < m.trace():
-        power = mat_mul(power, value)
-        reps += 1
-    assert mat_mul(mat_mul(witness.inverse(), m), witness) == power
+    tau, t = value.trace(), m.trace()
+    shared, u_value, u_m = _shared_units(tau, t)
+    reps, one = _least_exponents((tau, u_value), (t, u_m), shared)
+    # conj commutes with value, so it is +-value**k; its trace t > 2 and
+    # lam_m = lam_value**reps give k = +-reps, and value**-reps has b < 0
+    conj = mat_mul(mat_mul(witness.inverse(), m), witness)
+    assert one == 1 and conj.b > 0 and mat_mul(conj, value) == mat_mul(value, conj)
     return RLWord(pairs * reps), witness
 
 

@@ -3,9 +3,9 @@
 Everything is arbitrary-precision (Python ints). Lattices of finite index
 in Z^2 are kept in a canonical Hermite form so that lattice equality is
 plain equality of the (a, b, d) triple. No decision or verification
-forms a matrix power (see commensurability), so none is offered. A wrong
-argument (a singular basis, a determinant other than +-1, traces that
-differ) raises ValueError.
+forms a matrix power (see conjugacy and commensurability), so none is
+offered. A wrong argument (a singular basis, a determinant other than
++-1, traces that differ) raises ValueError.
 """
 
 from math import gcd

@@ -75,6 +75,14 @@ def digit_limit_message():
     )
 
 
+def _check_digit_limit(values):
+    """Raise ComputationLimit at the first of values (nonnegative ints)
+    that str() would refuse; reads none of them when the limit is off."""
+    bound = 10 ** sys.get_int_max_str_digits()  # 1 when the limit is off
+    if bound > 1 and any(v >= bound for v in values):
+        raise ComputationLimit(digit_limit_message())
+
+
 def _decimal(value):
     """str(value), or ComputationLimit when the digit limit forbids it."""
     try:
@@ -133,57 +141,12 @@ def _decode_matrix(value, field):
     )
 
 
-def _encode_lattice(lat):
-    return {
-        "a": encode_int(lat.a),
-        "b": encode_int(lat.b),
-        "d": encode_int(lat.d),
-    }
-
-
-def _decode_lattice(value, field):
-    if not isinstance(value, dict):
-        raise DocumentError(f"{field}: expected a lattice object")
-    try:
-        return Lattice2(
-            _decode_int(_get(value, "a", field), f"{field}.a"),
-            _decode_int(_get(value, "b", field), f"{field}.b"),
-            _decode_int(_get(value, "d", field), f"{field}.d"),
-        )
-    except ValueError as exc:
-        raise DocumentError(f"{field}: {exc}") from exc
-
-
 def _get(doc, key, context="document"):
     if not isinstance(doc, dict):
         raise DocumentError(f"{context}: expected an object")
     if key not in doc:
         raise DocumentError(f"{context}: missing field {key!r}")
     return doc[key]
-
-
-# (name, encode, decode) of each field of a record; decoding walks the
-# table in order, so the first bad field is the one reported
-_CERTIFICATE_FIELDS = (
-    ("base_a", encode_matrix, _decode_matrix),
-    ("base_b", encode_matrix, _decode_matrix),
-    ("power_a", encode_int, _decode_int),
-    ("power_b", encode_int, _decode_int),
-    ("intertwiner", encode_matrix, _decode_matrix),
-    ("intertwiner_det", encode_int, _decode_int),
-    ("sublattice", _encode_lattice, _decode_lattice),
-    ("stabilization", encode_int, _decode_int),
-    ("index_over_a", encode_int, _decode_int),
-    ("index_over_b", encode_int, _decode_int),
-)
-_COMMON_COVER_FIELDS = (
-    ("cover_genus", encode_int, _decode_int),
-    ("degree_source", encode_int, _decode_int),
-    ("degree_target", encode_int, _decode_int),
-    ("euler_source", _encode_fraction, _decode_fraction),
-    ("euler_target", _encode_fraction, _decode_fraction),
-    ("euler_cover", _encode_fraction, _decode_fraction),
-)
 
 
 def _encode_fields(fields, record):
@@ -199,18 +162,51 @@ def _decode_fields(fields, cls, doc, context):
     )
 
 
+def _decode_lattice(value, field):
+    if not isinstance(value, dict):
+        raise DocumentError(f"{field}: expected a lattice object")
+    try:
+        return _decode_fields(_LATTICE_FIELDS, Lattice2, value, field)
+    except ValueError as exc:
+        raise DocumentError(f"{field}: {exc}") from exc
+
+
+# (name, encode, decode) of each field of a record; decoding walks the
+# table in order, so the first bad field is the one reported
+_LATTICE_FIELDS = (
+    ("a", encode_int, _decode_int),
+    ("b", encode_int, _decode_int),
+    ("d", encode_int, _decode_int),
+)
+_CERTIFICATE_FIELDS = (
+    ("base_a", encode_matrix, _decode_matrix),
+    ("base_b", encode_matrix, _decode_matrix),
+    ("power_a", encode_int, _decode_int),
+    ("power_b", encode_int, _decode_int),
+    ("intertwiner", encode_matrix, _decode_matrix),
+    ("intertwiner_det", encode_int, _decode_int),
+    ("sublattice", lambda lat: _encode_fields(_LATTICE_FIELDS, lat), _decode_lattice),
+    ("stabilization", encode_int, _decode_int),
+    ("index_over_a", encode_int, _decode_int),
+    ("index_over_b", encode_int, _decode_int),
+)
+_COMMON_COVER_FIELDS = (
+    ("cover_genus", encode_int, _decode_int),
+    ("degree_source", encode_int, _decode_int),
+    ("degree_target", encode_int, _decode_int),
+    ("euler_source", _encode_fraction, _decode_fraction),
+    ("euler_target", _encode_fraction, _decode_fraction),
+    ("euler_cover", _encode_fraction, _decode_fraction),
+)
+
+
 def certificate_body(cert):
     """The certificate's fields as a document object, without headers."""
     return _encode_fields(_CERTIFICATE_FIELDS, cert)
 
 
 def encode_certificate(cert):
-    return {
-        "format_version": FORMAT_VERSION,
-        "generator": f"flowcomm {__version__}",
-        "kind": CERTIFICATE_KIND,
-        **certificate_body(cert),
-    }
+    return {**_header(CERTIFICATE_KIND), **certificate_body(cert)}
 
 
 def decode_certificate(doc):
@@ -282,34 +278,25 @@ def _decode_evidence(value, field):
     raise DocumentError(f"{field}.type: unknown evidence type {kind!r}")
 
 
-def _encode_link(link):
-    return {
-        "kind": link.kind,
-        "source": _encode_model(link.source),
-        "target": _encode_model(link.target),
-        "evidence": _encode_evidence(link.evidence),
-    }
-
-
-def _decode_link(value, field):
-    kind = _get(value, "kind", field)
+def _decode_link_kind(kind, field):
     if kind not in (ALMOST_EQUIVALENCE, COMMENSURABILITY):
-        raise DocumentError(f"{field}.kind: unknown link kind {kind!r}")
-    return ChainLink(
-        kind=kind,
-        source=_decode_model(_get(value, "source", field), f"{field}.source"),
-        target=_decode_model(_get(value, "target", field), f"{field}.target"),
-        evidence=_decode_evidence(_get(value, "evidence", field), f"{field}.evidence"),
-    )
+        raise DocumentError(f"{field}: unknown link kind {kind!r}")
+    return kind
+
+
+_LINK_FIELDS = (
+    ("kind", str, _decode_link_kind),
+    ("source", _encode_model, _decode_model),
+    ("target", _encode_model, _decode_model),
+    ("evidence", _encode_evidence, _decode_evidence),
+)
 
 
 def encode_chain(chain):
     return {
-        "format_version": FORMAT_VERSION,
-        "generator": f"flowcomm {__version__}",
-        "kind": CHAIN_KIND,
+        **_header(CHAIN_KIND),
         "endpoints": [_encode_model(m) for m in chain.endpoints],
-        "links": [_encode_link(link) for link in chain.links],
+        "links": [_encode_fields(_LINK_FIELDS, link) for link in chain.links],
     }
 
 
@@ -322,11 +309,19 @@ def decode_chain(doc):
     if not isinstance(links, list):
         raise DocumentError("links: expected a list of links")
     return ChainCertificate(
-        links=tuple(_decode_link(link, f"links[{i}]") for i, link in enumerate(links)),
+        links=tuple(
+            _decode_fields(_LINK_FIELDS, ChainLink, link, f"links[{i}]")
+            for i, link in enumerate(links)
+        ),
         endpoints=tuple(
             _decode_model(m, f"endpoints[{i}]") for i, m in enumerate(endpoints)
         ),
     )
+
+
+def _header(kind):
+    generator = f"flowcomm {__version__}"
+    return {"format_version": FORMAT_VERSION, "generator": generator, "kind": kind}
 
 
 def _check_header(doc, expected_kind):

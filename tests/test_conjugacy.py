@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flowcomm.conjugacy
 from flowcomm import (
     L,
     Mat2,
@@ -22,6 +23,7 @@ from helpers import (
     canonical_form,
     hyperbolic_corpus,
     random_unimodular,
+    square_pow,
 )
 
 
@@ -183,6 +185,40 @@ class TestRlWord:
         assert word.pairs == min(pairs[k:] + pairs[:k] for k in range(len(pairs)))
         assert witness.det() == 1
         assert conj(witness, m) == evaluate_word(word)
+
+    def test_repetitions_cost_no_products(self, monkeypatch):
+        """The repetition count comes from the unit Euclid, so the
+        mat_mul calls do not grow with the power of the period."""
+        calls = []
+
+        def counting_mat_mul(x, y):
+            calls.append(1)
+            return mat_mul(x, y)
+
+        monkeypatch.setattr(flowcomm.conjugacy, "mat_mul", counting_mat_mul)
+        counts = []
+        for n in (1024, 4096):
+            calls.clear()
+            word, _ = rl_word(Mat2(*square_pow((2, 1, 1, 1), n)))
+            assert word.pairs == ((1, 1),) * n
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 8
+
+    def test_powers_of_conjugated_words(self):
+        """Seeded words raised to powers 1-64 and conjugated by a random
+        unimodular Q come back as their least rotation repeated, with a
+        det-1 witness."""
+        rng = random.Random(206)
+        for reps in range(1, 65):
+            pairs = tuple(
+                (rng.randint(1, 4), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))
+            )
+            m = Mat2(*square_pow(evaluate_word(pairs).entries(), reps))
+            m = conj(Mat2(*random_unimodular(rng)), m)
+            word, witness = rl_word(m)
+            assert word.pairs == canonical_form(pairs) * reps
+            assert witness.det() == 1
+            assert conj(witness, m) == evaluate_word(word)
 
 
 class TestAreEquivalent:
