@@ -31,7 +31,6 @@ from .linalg import (
     _Record,
     hnf,
     intertwiner_lattice,
-    lattice_image,
     mat_mul,
 )
 
@@ -190,11 +189,11 @@ def find_intertwiner(a1, b1):
 
 def stabilization_exponent(a1, lat, k_max):
     """Least k >= 1 with a1**k fixing the lattice (orbits are cycles,
-    so iterating the image until it returns suffices). Precondition:
-    k_max at least the number of index-n sublattices."""
+    so iterating the image until it returns suffices). Preconditions:
+    det a1 = +-1, and k_max at least the number of index-n sublattices."""
     cur = lat
     for k in range(1, _as_int(k_max) + 1):
-        cur = lattice_image(a1, cur)
+        cur = hnf(mat_mul(a1, Mat2(cur.a, cur.b, 0, cur.d)))
         if cur == lat:
             return k
     raise ValueError(f"no return within k_max={k_max}; bound below the orbit size")

@@ -8,6 +8,8 @@ argument to a lower-level function, one that no verb passes (a singular
 basis, a genus below 2, traces that differ), raises ValueError.
 """
 
+__all__ = ["FlowcommError", "NotHyperbolic", "DocumentError", "ComputationLimit"]
+
 
 class FlowcommError(Exception):
     """Base class for all library errors."""

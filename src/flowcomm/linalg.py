@@ -19,7 +19,6 @@ __all__ = [
     "Lattice2",
     "mat_mul",
     "hnf",
-    "lattice_image",
     "intertwiner_lattice",
 ]
 
@@ -104,9 +103,6 @@ class Mat2:
             return Mat2(-self.d, self.b, self.c, -self.a)
         raise ValueError(f"determinant {det} is not +-1")
 
-    def __neg__(self):
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
-
     def __eq__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
@@ -116,7 +112,7 @@ class Mat2:
         return hash(self.entries())
 
     def __repr__(self):
-        return f"Mat2({self.a}, {self.b}, {self.c}, {self.d})"
+        return f"{type(self).__name__}({self.a}, {self.b}, {self.c}, {self.d})"
 
 
 class HyperbolicMatrix(Mat2):
@@ -139,9 +135,6 @@ class HyperbolicMatrix(Mat2):
     def from_mat(cls, m):
         return cls(m.a, m.b, m.c, m.d)
 
-    def __repr__(self):
-        return f"HyperbolicMatrix({self.a}, {self.b}, {self.c}, {self.d})"
-
 
 def mat_mul(x, y):
     """Product of two 2x2 integer matrices."""
@@ -157,12 +150,11 @@ class Lattice2(_Record):
     """Finite-index sublattice of Z^2 in canonical Hermite form.
 
     Canonical basis columns are (a, 0) and (b, d) with a >= 1, d >= 1,
-    0 <= b < a; index = a*d. Two Lattice2 values are equal as lattices
-    iff their triples are equal.
+    0 <= b < a. Two Lattice2 values are equal as lattices iff their
+    triples are equal.
     """
 
-    _fields = ("a", "b", "d")
-    __slots__ = _fields + ("index",)
+    __slots__ = _fields = ("a", "b", "d")
 
     def __init__(self, a, b, d):
         a = _as_int(a)
@@ -173,11 +165,6 @@ class Lattice2(_Record):
         if not 0 <= b < a:
             raise ValueError(f"offset b={b} outside [0, {a})")
         super().__init__(a, b, d)
-        self.index = a * d
-
-    def basis(self):
-        """Canonical basis as a Mat2 whose columns are (a,0) and (b,d)."""
-        return Mat2(self.a, self.b, 0, self.d)
 
 
 def _xgcd(x, y):
@@ -197,8 +184,7 @@ def _xgcd(x, y):
 def hnf(basis):
     """Canonical form of the lattice spanned by the columns of basis.
 
-    The index of the result equals |det basis|. Raises ValueError when
-    det = 0.
+    The result's a*d equals |det basis|. Raises ValueError when det = 0.
     """
     det = basis.det()
     if det == 0:
@@ -211,13 +197,6 @@ def hnf(basis):
     d = g
     b = w2x % a
     return Lattice2(a, b, d)
-
-
-def lattice_image(u, lat):
-    """Image of a lattice under a unimodular matrix u (det = +-1)."""
-    if u.det() not in (1, -1):
-        raise ValueError(f"determinant {u.det()} is not +-1")
-    return hnf(mat_mul(u, lat.basis()))
 
 
 def _congruence_basis(alpha, beta, m):

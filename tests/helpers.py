@@ -335,6 +335,19 @@ def same_lattice(basis, other):
     )
 
 
+def lattice_period(m, triple):
+    """Least k >= 1 with m**k carrying the lattice of Hermite triple
+    (a, b, d) onto itself, for m of determinant +-1: m is applied to an
+    unreduced basis of plain tuples until its columns span the starting
+    lattice again."""
+    a, b, d = triple
+    start = (a, b, 0, d)
+    cur, k = mul(m, start), 1
+    while not same_lattice(_columns(cur), _columns(start)):
+        cur, k = mul(m, cur), k + 1
+    return k
+
+
 def canonical_form(pairs):
     """Lexicographically least rotation of an (r, l) pair sequence."""
     pairs = tuple(pairs)

@@ -23,7 +23,6 @@ from flowcomm import (
     are_equivalent,
     genus_model_matrix,
     hnf,
-    lattice_image,
     mat_mul,
     orbifold_euler_characteristic,
     orbifold_model_matrix,
@@ -38,6 +37,7 @@ from helpers import (
     enumerate_sublattices,
     hyperbolic_corpus,
     least_common_cover,
+    lattice_period,
     mul,
     naive_pow,
     random_hyperbolic,
@@ -355,13 +355,8 @@ def test_criterion_7_lattice_layer():
     for m in matrices:
         for n in range(1, 13):
             for triple in enumerate_sublattices(n):
-                lat = Lattice2(*triple)
-                cur = lattice_image(m, lat)
-                period = 1
-                while cur != lat:
-                    cur = lattice_image(m, cur)
-                    period += 1
-                assert stabilization_exponent(m, lat, sigma(n)) == period
+                period = lattice_period(m.entries(), triple)
+                assert stabilization_exponent(m, Lattice2(*triple), sigma(n)) == period
                 stabilizations += 1
 
     elapsed = time.monotonic() - start

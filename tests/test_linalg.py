@@ -12,7 +12,6 @@ from flowcomm import (
     NotHyperbolic,
     hnf,
     intertwiner_lattice,
-    lattice_image,
     mat_mul,
 )
 from helpers import (
@@ -176,10 +175,6 @@ class TestLattice2:
         with pytest.raises(ValueError):
             Lattice2(2, -1, 1)
 
-    def test_index(self):
-        assert Lattice2(3, 1, 1).index == 3
-        assert Lattice2(1, 0, 1).index == 1
-
 
 class TestHnf:
     def test_identity(self):
@@ -191,7 +186,8 @@ class TestHnf:
             m = Mat2(*(rng.randint(-9, 9) for _ in range(4)))
             if m.det() == 0:
                 continue
-            assert hnf(m).index == abs(m.det())
+            lat = hnf(m)
+            assert lat.a * lat.d == abs(m.det())
 
     def test_worked_example(self):
         lat = hnf(Mat2(1, 1, -2, 1))
@@ -211,7 +207,7 @@ class TestHnf:
             lat = hnf(m)
             for x in range(-6, 7):
                 for y in range(-6, 7):
-                    assert contains_oracle(lat.basis(), x, y) == contains_oracle(m, x, y)
+                    assert contains_oracle(canonical_basis(lat), x, y) == contains_oracle(m, x, y)
 
     def test_column_operation_invariance(self):
         """Right-multiplying the basis by a unimodular matrix fixes hnf."""
@@ -228,6 +224,16 @@ def sublattices(n):
     return [Lattice2(*triple) for triple in enumerate_sublattices(n)]
 
 
+def canonical_basis(lat):
+    """The canonical basis: columns (a, 0) and (b, d)."""
+    return Mat2(lat.a, lat.b, 0, lat.d)
+
+
+def image(u, lat):
+    """The canonical form of u applied to lat, for u of nonzero determinant."""
+    return hnf(mat_mul(u, canonical_basis(lat)))
+
+
 class TestEnumerateSublattices:
     def test_counts_are_sigma(self):
         for n in range(1, 60):
@@ -240,8 +246,8 @@ class TestEnumerateSublattices:
         for n in (6, 12, 30):
             lats = sublattices(n)
             assert len(set(lats)) == len(lats)
-            assert all(lat.index == n for lat in lats)
-            assert all(hnf(lat.basis()) == lat for lat in lats)
+            assert all(lat.a * lat.d == n for lat in lats)
+            assert all(hnf(canonical_basis(lat)) == lat for lat in lats)
 
     def test_sorted_by_triple(self):
         triples = enumerate_sublattices(12)
@@ -253,9 +259,11 @@ class TestEnumerateSublattices:
 
 
 class TestLatticeImage:
+    """The image of a lattice under u, as hnf(u basis)."""
+
     def test_identity_fixes(self):
         for lat in sublattices(8):
-            assert lattice_image(Mat2.identity(), lat) == lat
+            assert image(Mat2.identity(), lat) == lat
 
     def test_permutes_index_class(self):
         rng = random.Random(108)
@@ -263,7 +271,7 @@ class TestLatticeImage:
             lats = sublattices(n)
             for _ in range(20):
                 u = Mat2(*random_unimodular(rng))
-                images = [lattice_image(u, lat) for lat in lats]
+                images = [image(u, lat) for lat in lats]
                 assert sorted((l.a, l.b, l.d) for l in images) == enumerate_sublattices(n)
 
     def test_composition(self):
@@ -272,13 +280,25 @@ class TestLatticeImage:
         for _ in range(50):
             u = Mat2(*random_unimodular(rng))
             v = Mat2(*random_unimodular(rng))
-            assert lattice_image(mat_mul(u, v), lat) == lattice_image(
-                u, lattice_image(v, lat)
-            )
+            assert image(mat_mul(u, v), lat) == image(u, image(v, lat))
 
-    def test_rejects_nonunimodular(self):
-        with pytest.raises(ValueError):
-            lattice_image(Mat2(2, 0, 0, 1), Lattice2(1, 0, 1))
+    def test_nonunimodular_image_scales_index(self):
+        """For det u = k != 0 the image has index |k| n and holds u (x, y)
+        for each point (x, y) of the lattice."""
+        rng = random.Random(110)
+        for n in (1, 4, 6):
+            for lat in sublattices(n):
+                for _ in range(10):
+                    u = Mat2(*(rng.randint(-5, 5) for _ in range(4)))
+                    if u.det() == 0:
+                        continue
+                    img = image(u, lat)
+                    assert img.a * img.d == abs(u.det()) * n
+                    for x in range(-4, 5):
+                        for y in range(-4, 5):
+                            if contains_oracle(canonical_basis(lat), x, y):
+                                ux, uy = u.a * x + u.b * y, u.c * x + u.d * y
+                                assert contains_oracle(canonical_basis(img), ux, uy)
 
 
 class TestIntertwinerLattice:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import flowcomm
-from flowcomm import linalg
+from flowcomm import commensurability, conjugacy, errors, linalg, models
 from flowcomm import (
     ChainLink,
     CommensurabilityCertificate,
@@ -32,11 +32,13 @@ from flowcomm import (
     genus_model_matrix,
     hnf,
     intertwiner_lattice,
-    lattice_image,
     orbifold_common_cover,
 )
 
-SOURCES = sorted((Path(flowcomm.__file__).parent).glob("*.py"))
+INIT = Path(flowcomm.__file__)
+SOURCES = sorted(INIT.parent.glob("*.py"))
+# the modules the package re-exports, in the order it lists their names
+REEXPORTED = (errors, linalg, conjugacy, commensurability, models)
 HELPERS = Path(__file__).parent / "helpers.py"
 
 
@@ -49,18 +51,54 @@ def test_all_names_resolve():
     assert missing == []
 
 
+def test_star_import_binds_exactly_all():
+    """`from flowcomm import *` binds exactly the names of flowcomm.__all__,
+    each the package's own object."""
+    ns = {}
+    exec("from flowcomm import *", ns)
+    del ns["__builtins__"]
+    assert sorted(ns) == sorted(flowcomm.__all__)
+    assert [name for name in ns if ns[name] is not getattr(flowcomm, name)] == []
+
+
+def module_name(path):
+    return "flowcomm" if path == INIT else f"flowcomm.{path.stem}"
+
+
+def star_imports(tree):
+    return [
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.names[0].name == "*"
+    ]
+
+
 def test_reexports_are_the_module_lists():
-    """flowcomm imports exactly the __all__ of each module below and
-    lists every one of those names in its own __all__."""
-    imported = {
-        node.module: {alias.name for alias in node.names}
-        for node in parse(Path(flowcomm.__file__)).body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-    }
-    for name in ("linalg", "conjugacy", "commensurability", "models"):
-        listed = set(importlib.import_module(f"flowcomm.{name}").__all__)
-        assert imported[name] == listed, name
-        assert listed <= set(flowcomm.__all__), name
+    """flowcomm star-imports each module of REEXPORTED once, in order,
+    and otherwise imports only those modules, never a single public
+    name. Its __all__ is __version__ followed by those modules' __all__,
+    with no name twice, and each name is the module's own object.
+    __init__ spells no public name but __version__, and no other module
+    star-imports."""
+    tree = parse(INIT)
+    names = [module.__name__.removeprefix("flowcomm.") for module in REEXPORTED]
+    assert star_imports(tree) == names
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node.names[0].name != "*":
+            assert (node.level, node.module) == (1, None)
+            assert {alias.name for alias in node.names} <= set(names)
+    listed = ["__version__", *(name for module in REEXPORTED for name in module.__all__)]
+    assert flowcomm.__all__ == listed and len(set(listed)) == len(listed)
+    assert [
+        name
+        for module in REEXPORTED
+        for name in module.__all__
+        if getattr(flowcomm, name) is not getattr(module, name)
+    ] == []
+    spelled = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    spelled |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert spelled & set(listed) == {"__version__"}
+    assert [path.name for path in SOURCES if path != INIT and star_imports(parse(path))] == []
 
 
 SHARED_CONSTRUCTOR = (
@@ -152,11 +190,20 @@ def test_record_equality_hash_and_repr():
         assert type(record)(*fields) == record and hash(record) == hash(fields)
 
 
+def test_matrix_and_lattice_reprs_evaluate_back():
+    """Mat2, HyperbolicMatrix and Lattice2 reprs name the record's own
+    class and evaluate back to an equal record of that class."""
+    for record in (Mat2(1, -2, 3, 4), HyperbolicMatrix(7, 12, 4, 7), Lattice2(3, 1, 1)):
+        text = repr(record)
+        assert text.startswith(type(record).__name__ + "(")
+        copy = eval(text, vars(flowcomm))
+        assert type(copy) is type(record) and copy == record
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
         (lambda: Mat2(2, 0, 0, 2).inverse(), "determinant 4 is not +-1"),
-        (lambda: lattice_image(Mat2(2, 0, 0, 1), Lattice2(1, 0, 1)), "determinant 2 is not +-1"),
         (lambda: hnf(Mat2(2, 4, 1, 2)), "Mat2(2, 4, 1, 2) has determinant 0"),
         (lambda: intertwiner_lattice(Mat2(2, 1, 1, 1), Mat2(5, 2, 2, 1)), "traces 3 and 6 differ"),
         (lambda: intertwiner_lattice(Mat2(2, 1, 1, 1), Mat2(1, 2, 1, 2)), "kernel rank 0, expected 2"),
@@ -166,7 +213,6 @@ def test_record_equality_hash_and_repr():
     ],
     ids=[
         "inverse",
-        "lattice_image",
         "hnf",
         "intertwiner_traces",
         "intertwiner_rank",
@@ -185,15 +231,20 @@ def test_wrong_argument_raises_plain_value_error(call, message):
 
 def test_removed_names_stay_gone():
     """No matrix power, operator spelling, lattice membership test,
+    lattice image, stored index or basis, negation, second matrix repr,
     folded exception or general kernel reduction is offered; A * A and
     A ** 2 are TypeErrors."""
-    removed = ["mat_pow", "InvalidGenus", "SingularBasis", "NotUnimodular", "TraceMismatch"]
+    removed = ["mat_pow", "InvalidGenus", "SingularBasis", "NotUnimodular", "TraceMismatch", "lattice_image"]
     assert [name for name in removed if hasattr(flowcomm, name)] == []
     assert [name for name in removed if name in flowcomm.__all__] == []
+    assert not hasattr(linalg, "lattice_image")
     # the general 4x4 column reduction lives on only as a test oracle
     assert not hasattr(linalg, "_column_kernel")
     assert not hasattr(Mat2, "__pow__") and not hasattr(Mat2, "__mul__")
-    assert not hasattr(Lattice2, "contains")
+    assert not hasattr(Lattice2, "contains") and not hasattr(Lattice2, "basis")
+    assert not hasattr(Lattice2(3, 1, 1), "index")
+    assert not hasattr(Mat2, "__neg__")
+    assert "__repr__" not in vars(HyperbolicMatrix)
     assert not hasattr(Suspension, "euler_characteristic")
     a = Mat2(2, 1, 1, 1)
     with pytest.raises(TypeError):
@@ -253,19 +304,38 @@ def test_helpers_import_nothing_from_flowcomm():
 
 
 def test_every_imported_name_is_used():
+    """Every imported name is read or listed in __all__. A non-literal
+    __all__ is read from the imported module, and a star import counts
+    as used only when its module's __all__ is spliced into it."""
     unused = []
     for path in SOURCES:
         tree = parse(path)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        spliced = set()
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(
                 isinstance(target, ast.Name) and target.id == "__all__"
                 for target in node.targets
             ):
-                used |= set(ast.literal_eval(node.value))
+                try:
+                    used |= set(ast.literal_eval(node.value))
+                except ValueError:
+                    used |= set(importlib.import_module(module_name(path)).__all__)
+                    spliced |= {
+                        part.value.value.id
+                        for part in ast.walk(node.value)
+                        if isinstance(part, ast.Starred)
+                        and isinstance(part.value, ast.Attribute)
+                        and part.value.attr == "__all__"
+                        and isinstance(part.value.value, ast.Name)
+                    }
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 for alias in node.names:
+                    if alias.name == "*":
+                        if node.module not in spliced:
+                            unused.append(f"{path.name}: {node.module}.*")
+                        continue
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in used:
                         unused.append(f"{path.name}: {name}")
