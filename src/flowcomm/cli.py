@@ -11,7 +11,8 @@ exception that no verb expects is a bug; the console entry point
 (main) reports it as an "internal error" on stderr with exit 2, never
 as a traceback, while run() lets it propagate to an in-process caller.
 
-Matrices are written [[a,b],[c,d]] or a,b;c,d. Models are written
+Matrices are written [[a,b],[c,d]] or a,b;c,d, and both syntaxes read
+each entry alike, as int(entry, 10) does. Models are written
 suspension:[[a,b],[c,d]], surface:g=3, or orbifold:[g=G,]n1,...,nk for
 the orbifold of genus G (default 0) with cone orders n1..nk. Every
 JSON output, on stdout or through -o, is serialize.dumps's compact
@@ -20,7 +21,6 @@ identical invocations produce byte-identical bytes.
 """
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -64,6 +64,9 @@ INTERNAL_ERROR = "internal error"
 
 # decimal literals int() accepts; a ValueError on one is the digit limit
 _DIGITS_RE = re.compile(r"[+-]?[0-9]+(?:_[0-9]+)*")
+# [[a,b],[c,d]] as the rows of a,b;c,d; no row admits a bracket, so matching is linear
+_ROW = r"\[([^][,;]*,[^][,;]*)\]"
+_BRACKETED_RE = re.compile(rf"\[\s*{_ROW}\s*,\s*{_ROW}\s*\]")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,25 +87,10 @@ def _parse_int_entry(token):
 def _parse_matrix(text):
     s = text.strip()
     if s.startswith("["):
-        try:
-            value = json.loads(s)
-        except json.JSONDecodeError:
-            raise UsageError(f"malformed matrix: {text!r}") from None
-        except ValueError:
-            raise UsageError(digit_limit_message()) from None
-        except RecursionError:
-            raise UsageError("malformed matrix: nested too deeply") from None
-        if (
-            not isinstance(value, list)
-            or len(value) != 2
-            or any(not isinstance(row, list) or len(row) != 2 for row in value)
-        ):
-            raise UsageError(f"matrix must be 2x2: {text!r}")
-        entries = [e for row in value for e in row]
-        for e in entries:
-            if isinstance(e, bool) or not isinstance(e, int):
-                raise UsageError(f"matrix entries must be integers: {e!r}")
-        return Mat2(*entries)
+        match = _BRACKETED_RE.fullmatch(s)
+        if match is None:
+            raise UsageError(f"malformed matrix: {text!r}")
+        s = ";".join(match.groups())
     rows = s.split(";")
     if len(rows) != 2:
         raise UsageError(f"matrix must have two ';'-separated rows: {text!r}")

@@ -156,7 +156,7 @@ def find_intertwiner(a1, b1):
     k1, k2 = intertwiner_lattice(a1, b1)
     (u0, u1, u2, u3), (v0, v1, v2, v3) = k1.entries(), k2.entries()
 
-    # candidates are entry tuples (a, b, c, d); one Mat2 is built at the end
+    # steps are entry tuples (a, b, c, d); one Mat2 is built at the end
     def combine(x, y):
         p = (x * u0 + y * v0, x * u1 + y * v1, x * u2 + y * v2, x * u3 + y * v3)
         return p if p > (0, 0, 0, 0) else (-p[0], -p[1], -p[2], -p[3])  # first nonzero > 0
@@ -174,17 +174,18 @@ def find_intertwiner(a1, b1):
     auto = mat_mul(w, w_start.inverse())
     points = [(x, y, combine(x, y)) for x, y in convergents]
     least = min(abs(det(p)) for _, _, p in points)
-    candidates = []
+    minimal = [point for point in points if abs(det(point[2])) == least]
+    best = _rank(minimal[0][2])  # the walk's first step; min keeps the earlier on a tie
     for e in (auto, auto.inverse()):
         # |det| is constant along an orbit, so the walk compares max-entries only
-        for x, y, step in [point for point in points if abs(det(point[2])) == least]:
+        for x, y, step in minimal:
             top = max(map(abs, step))
             while (step_top := max(map(abs, step))) <= top:
-                candidates.append(step)
+                best = min(best, _rank(step))
                 top = step_top
                 x, y = e.a * x + e.b * y, e.c * x + e.d * y
                 step = combine(x, y)
-    return Mat2(*min(candidates, key=_rank))
+    return Mat2(*best[-1])
 
 
 def stabilization_exponent(a1, lat, k_max):

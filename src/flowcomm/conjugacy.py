@@ -208,8 +208,8 @@ def rl_word(m):
     best = _least_rotation(pairs)
     if best:
         witness = mat_mul(witness, evaluate_word(pairs[:best]))
-    pairs = pairs[best:] + pairs[:best]
-    value = evaluate_word(pairs)
+    word = RLWord(pairs[best:] + pairs[:best])
+    value = evaluate_word(word)
     tau, t = value.trace(), m.trace()
     shared, u_value, u_m = _shared_units(tau, t)
     reps, one = _least_exponents((tau, u_value), (t, u_m), shared)
@@ -217,7 +217,8 @@ def rl_word(m):
     # lam_m = lam_value**reps give k = +-reps, and value**-reps has b < 0
     conj = mat_mul(mat_mul(witness.inverse(), m), witness)
     assert one == 1 and conj.b > 0 and mat_mul(conj, value) == mat_mul(value, conj)
-    return RLWord(pairs * reps), witness
+    word.pairs *= reps  # the period, checked once above, repeated
+    return word, witness
 
 
 def are_equivalent(a, b):

@@ -13,7 +13,9 @@ with its "genus"; any other is an "orbifold" with its sorted
 "cone_orders" and, when nonzero, its "genus".
 
 Decoding is strict: unknown kinds, missing fields, native JSON
-numbers where strings are required, or malformed values raise
+numbers where strings are required, malformed values, or values a
+record's own checks reject (a sublattice off its normal form, a
+monodromy that is not hyperbolic, a signature with chi >= 0) raise
 DocumentError naming the offending field. So do integers longer than
 the interpreter's int/str conversion limit (sys.get_int_max_str_digits,
 4300 digits by default), which is kept as it is; encoding an integer
@@ -24,10 +26,11 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .commensurability import CommensurabilityCertificate
-from .errors import ComputationLimit, DocumentError
+from .errors import ComputationLimit, DocumentError, NotHyperbolic
 from .linalg import Lattice2, Mat2
 from .models import (
     ALMOST_EQUIVALENCE,
@@ -154,21 +157,14 @@ def _encode_fields(fields, record):
 
 
 def _decode_fields(fields, cls, doc, context):
-    return cls(
-        **{
-            name: decode(_get(doc, name, context), f"{context}.{name}")
-            for name, _, decode in fields
-        }
-    )
-
-
-def _decode_lattice(value, field):
-    if not isinstance(value, dict):
-        raise DocumentError(f"{field}: expected a lattice object")
+    values = {
+        name: decode(_get(doc, name, context), f"{context}.{name}")
+        for name, _, decode in fields
+    }
     try:
-        return _decode_fields(_LATTICE_FIELDS, Lattice2, value, field)
-    except ValueError as exc:
-        raise DocumentError(f"{field}: {exc}") from exc
+        return cls(**values)
+    except (ValueError, NotHyperbolic) as exc:
+        raise DocumentError(f"{context}: {exc}") from exc
 
 
 # (name, encode, decode) of each field of a record; decoding walks the
@@ -185,7 +181,11 @@ _CERTIFICATE_FIELDS = (
     ("power_b", encode_int, _decode_int),
     ("intertwiner", encode_matrix, _decode_matrix),
     ("intertwiner_det", encode_int, _decode_int),
-    ("sublattice", lambda lat: _encode_fields(_LATTICE_FIELDS, lat), _decode_lattice),
+    (
+        "sublattice",
+        partial(_encode_fields, _LATTICE_FIELDS),
+        partial(_decode_fields, _LATTICE_FIELDS, Lattice2),
+    ),
     ("stabilization", encode_int, _decode_int),
     ("index_over_a", encode_int, _decode_int),
     ("index_over_b", encode_int, _decode_int),
@@ -245,9 +245,7 @@ def _decode_model(value, field):
                 _decode_int(value.get("genus", "0"), f"{field}.genus"),
                 [_decode_int(k, f"{field}.cone_orders[{i}]") for i, k in enumerate(orders)],
             )
-    except DocumentError:
-        raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, NotHyperbolic) as exc:
         raise DocumentError(f"{field}: {exc}") from exc
     raise DocumentError(f"{field}.type: unknown model type {kind!r}")
 

@@ -86,7 +86,26 @@ class TestParsing:
 
     def test_deeply_nested_matrix(self, capsys):
         assert run(["canon", "[" * 100000]) == 2
-        assert "nested too deeply" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed matrix: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "entry, code",
+        [("+2", 0), ("0_2", 0), ("\u0662", 0)]
+        + [(entry, 2) for entry in ("1.0", "true", '"2"', "0x2", "")],
+    )
+    def test_syntaxes_read_entries_alike(self, capsys, entry, code):
+        """[[a,b],[c,d]] reads each entry as a,b;c,d does: 0_2 is 2,
+        and so is the Arabic-Indic digit two."""
+        outcomes = []
+        for text in (f"[[{entry},1],[1,1]]", f"{entry},1;1,1"):
+            status = run(["canon", text])
+            outcomes.append((status, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == code
+        if code == 2:
+            assert outcomes[0][2] == f"error: not an integer: {entry!r}\n"
 
     def test_non_hyperbolic_input(self, capsys):
         assert run(["canon", "[[1,1],[0,1]]"]) == 2
@@ -351,6 +370,20 @@ class TestChain:
         path.write_text(json.dumps(doc))
         assert run(["verify", str(path)]) == 1
         assert "almost_equivalence_whitelist" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("monodromy", [[["2", "1"], ["0", "1"]], [["1", "1"], ["0", "1"]]])
+    def test_non_hyperbolic_suspension_named(self, capsys, tmp_path, monodromy):
+        """A link's suspension of det 2, or of trace 2, is an input
+        error that names the link's field."""
+        path = tmp_path / "chain.json"
+        assert run(["chain", f"suspension:{A_SEMI}", "surface:g=2", "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["links"][0]["source"]["monodromy"] = monodromy
+        path.write_text(json.dumps(doc))
+        assert run(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: links[0].source: ")
+        assert "Traceback" not in err
 
     def test_byte_identical_reruns(self, capsys):
         assert run(["chain", "surface:g=2", "surface:g=3"]) == 0

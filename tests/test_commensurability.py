@@ -1,6 +1,7 @@
 """Unit tests for commensurability decisions and their certificates."""
 
 import random
+import tracemalloc
 from math import isqrt
 
 import pytest
@@ -144,6 +145,18 @@ class TestFindIntertwiner:
             p = find_intertwiner(a, b)
             assert p.det() != 0
             assert mat_mul(a, p) == mat_mul(p, b)
+
+    def test_walk_keeps_one_candidate(self):
+        """The A^4096 bridge pair, A^4096 against the companion of its
+        trace: the walk's memory does not grow with its length."""
+        a = power(A, 4096)
+        tracemalloc.start()
+        try:
+            find_intertwiner(a, companion(a.trace()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_search_bound_refused(self):
         with pytest.raises(TypeError):

@@ -142,7 +142,7 @@ class TestCertificateDocuments:
 
 MATRIX = "expected a 2x2 matrix of decimal strings"
 INTEGER = "expected a decimal-string integer, got 7"
-LATTICE = "expected a lattice object"
+LATTICE = "expected an object"
 FRACTION = "expected a 'p/q' rational string, got 7"
 # every field of a certificate document and of a chain's common-cover
 # evidence (links[0] of the (2,3,7)-(2,3,12) chain), with the error a
