@@ -61,12 +61,22 @@ class UsageError(FlowcommError):
 
 # stderr prefix main() gives an exception no handler expected
 INTERNAL_ERROR = "internal error"
+# characters of a stderr message written whole; a longer one keeps its head
+_MESSAGE_LIMIT = 200
 
 # decimal literals int() accepts; a ValueError on one is the digit limit
 _DIGITS_RE = re.compile(r"[+-]?[0-9]+(?:_[0-9]+)*")
 # [[a,b],[c,d]] as the rows of a,b;c,d; no row admits a bracket, so matching is linear
 _ROW = r"\[([^][,;]*,[^][,;]*)\]"
 _BRACKETED_RE = re.compile(rf"\[\s*{_ROW}\s*,\s*{_ROW}\s*\]")
+
+
+def _bounded(message):
+    """The message, or its first _MESSAGE_LIMIT characters and its total
+    length, so that an argument echoed in an error cannot flood stderr."""
+    if len(message) <= _MESSAGE_LIMIT:
+        return message
+    return f"{message[:_MESSAGE_LIMIT]}... ({len(message)} characters)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -328,10 +338,10 @@ def run(argv=None):
         args = parser.parse_args(argv)
         return args.handler(args)
     except ComputationLimit as exc:
-        print(f"limit: {exc}", file=sys.stderr)
+        print(_bounded(f"limit: {exc}"), file=sys.stderr)
         return 3
     except FlowcommError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(_bounded(f"error: {exc}"), file=sys.stderr)
         return 2
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
@@ -350,7 +360,8 @@ def main(argv=None):
             tb = tb.tb_next
         code = tb.tb_frame.f_code
         where = f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name}"
-        print(f"{INTERNAL_ERROR}: {type(exc).__name__}: {exc} (at {where})", file=sys.stderr)
+        message = _bounded(f"{type(exc).__name__}: {exc}")
+        print(f"{INTERNAL_ERROR}: {message} (at {where})", file=sys.stderr)
         status = 2
     sys.exit(status)
 

@@ -16,14 +16,14 @@ sublattice it spans, covering indices) is re-checkable from scratch
 by verify_certificate. No power of either input is formed, by the
 decision or by the verifier: both work on a pair of matrices of the
 size of the inputs with the intertwiners of a**i and b**j, and the
-verifier tests lam_a**i == lam_b**j by a Euclid on units guided by the
-stated exponents.
+verifier tests lam_a**i == lam_b**j by the decision's unit division
+(conjugacy._unit_divmod), checked step by step against the Euclid on
+the stated exponents.
 """
 
-from math import gcd
 from operator import index as _as_int
 
-from .conjugacy import _least_exponents, _shared_units, _unit_mul, reduction_cycle
+from .conjugacy import _least_exponents, _shared_units, _unit_divmod, reduction_cycle
 from .errors import NotHyperbolic
 from .linalg import (
     HyperbolicMatrix,
@@ -277,36 +277,21 @@ def _powers_meet(lam_a, lam_b, d0, power_a, power_b):
 
     With g = gcd(power_a, power_b), the powers meet exactly when
     lam_a = eta**(power_b / g) and lam_b = eta**(power_a / g) for a unit
-    eta. The unit of exponent e is divided by the q-th power of the unit
-    of exponent f <= e, q = e // f, leaving eta**(e - q f) if they meet:
-    so a partial power past the dividend, or a remainder not in
-    (1, divisor) while e - q f > 0, rejects; at e - q f = 0 the
-    remainder, lam_a**x lam_b**y for a primitive (x, y) with
-    x power_b + y power_a = 0, is 1 = (2, 0) exactly when they meet. The
-    units strictly decrease, so the steps are bounded by their bits.
+    eta. Then dividing the unit of exponent e by the unit of exponent f
+    (_unit_divmod) gives e // f and eta**(e % f), which is 1 exactly
+    when e % f = 0, and scaling the exponents by g keeps the quotients.
+    Conversely, when each step gives the exponents' quotient and the two
+    Euclids end together, running them back from the last divisor eta
+    rebuilds both units as those powers of eta. The units strictly
+    decrease, so the steps are bounded by their bits.
     """
-    g = gcd(power_a, power_b)
-    big, small = (lam_a, power_b // g), (lam_b, power_a // g)
-    if big[1] < small[1]:
-        big, small = small, big
-    while True:
-        (unit, e), (divisor, f) = big, small
-        q, r = divmod(e, f)
-        power = divisor
-        for bit in bin(q)[3:]:  # repeated squaring; partial powers increase
-            if power[0] > unit[0]:
-                return False
-            power = _unit_mul(power, power, d0)
-            if bit == "1":
-                power = _unit_mul(power, divisor, d0)
-        if power[0] > unit[0]:
+    unit, e, divisor, f = lam_a, power_b, lam_b, power_a
+    while f and divisor != (2, 0):
+        q, rem = _unit_divmod(unit, divisor, d0)
+        if q != e // f:
             return False
-        rem = _unit_mul(unit, (power[0], -power[1]), d0)  # >= 1, as power <= unit
-        if r == 0:
-            return rem == (2, 0)
-        if not 2 < rem[0] < divisor[0]:
-            return False
-        big, small = small, (rem, r)
+        unit, e, divisor, f = divisor, f, rem, e % f
+    return f == 0 and divisor == (2, 0)
 
 
 def verify_certificate(cert):

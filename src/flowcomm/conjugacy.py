@@ -14,9 +14,10 @@ Ugarcovici, "Symbolic dynamics for the modular surface", 2007): each
 partial quotient is one whole R^k or L^k block, found by one integer
 division, so the work grows with the bit size of the matrix.
 
-The unit Euclid on expanding eigenvalues (_least_exponents) lives here
-and serves both decisions: it counts the repetitions of a word's period
-(rl_word) and finds the least common power (are_commensurable).
+The division of units, the expanding eigenvalues, lives here
+(_unit_divmod): it counts the repetitions of a word's period, steps the
+Euclid that finds the least common power (_least_exponents), and checks
+the stated powers of a certificate (commensurability._powers_meet).
 
 SL2(Z) conjugacy is equivalence of the suspensions through an
 orientation-preserving torus map, and that is all are_equivalent
@@ -150,35 +151,39 @@ def _unit_mul(x, y, d0):
     return (t1 * t2 + d0 * u1 * u2) // 2, (t1 * u2 + t2 * u1) // 2
 
 
+def _unit_divmod(unit, divisor, d0):
+    """(q, rem): the largest q with divisor**q <= unit, rem = unit / divisor**q,
+    for units >= 1 as in _least_exponents, divisor > 1. Larger trace means
+    larger unit, so the squares divisor**(2**k) up to the unit and then
+    q's bits from the top take O(bits of unit) unit products."""
+    squares = [divisor]
+    while (square := _unit_mul(squares[-1], squares[-1], d0))[0] <= unit[0]:
+        squares.append(square)
+    q, rem = 0, unit
+    for t, u in reversed(squares):
+        q *= 2
+        if t <= rem[0]:
+            q, rem = q + 1, _unit_mul(rem, (t, -u), d0)
+    return q, rem
+
+
 def _least_exponents(lam_a, lam_b, d0):
     """Least (i, j) >= (1, 1) with lam_a**i == lam_b**j.
 
     lam = (t, u) stands for (t + u sqrt(d0)) / 2, u = isqrt((t^2 - 4) / d0),
     the expanding eigenvalue of a trace-t matrix: a unit of norm 1 in the
     order of discriminant d0, where the units > 1 are the powers of one
-    fundamental unit. Euclid on their exponents: divide the larger unit
-    by the largest power of the smaller that does not pass it (found by
-    repeated squaring), carrying the exponent vector (x, y) of each
-    remainder lam_a**x * lam_b**y. For units >= 1, larger trace means
-    larger unit. The remainder 1 = (2, 0) has a primitive vector
-    (x, y) with lam_a**x == lam_b**-y, which is +-(i, -j).
+    fundamental unit. Euclid on their exponents: divide one unit by the
+    other (_unit_divmod; a first quotient 0 swaps them), carrying the
+    exponent vector (x, y) of each remainder lam_a**x * lam_b**y. The
+    remainder 1 = (2, 0) has a primitive vector (x, y) with
+    lam_a**x == lam_b**-y, which is +-(i, -j).
     """
     big, small = (lam_a, (1, 0)), (lam_b, (0, 1))
-    if big[0][0] < small[0][0]:
-        big, small = small, big
     while small[0] != (2, 0):
-        squares = [small]
-        while True:
-            unit, (x, y) = squares[-1]
-            square = _unit_mul(unit, unit, d0)
-            if square[0] > big[0][0]:
-                break
-            squares.append((square, (2 * x, 2 * y)))
-        rem, (rx, ry) = big
-        for (t, u), (x, y) in reversed(squares):
-            if t <= rem[0]:
-                rem, rx, ry = _unit_mul(rem, (t, -u), d0), rx - x, ry - y
-        big, small = small, (rem, (rx, ry))
+        (unit, (x, y)), (divisor, (sx, sy)) = big, small
+        q, rem = _unit_divmod(unit, divisor, d0)
+        big, small = small, (rem, (x - q * sx, y - q * sy))
     x, y = small[1]
     return abs(x), abs(y)
 
@@ -198,8 +203,8 @@ def rl_word(m):
     W^-1 m W is a power value**reps of it. Two consecutive quotients
     form one (r, l) pair, since (r 1; 1 0)(l 1; 1 0) = R^r L^l. The
     expanding eigenvalues are then units with lam_m = lam_value**reps,
-    so reps is the first exponent of _least_exponents (the second is
-    1), and value**reps is never formed.
+    so reps is the quotient of _unit_divmod(lam_m, lam_value), with
+    remainder 1, and value**reps is never formed.
     """
     HyperbolicMatrix.from_mat(m)
     witness, period = reduction_cycle(m.a - m.d, 2 * m.c, 2 * m.b)
@@ -212,11 +217,11 @@ def rl_word(m):
     value = evaluate_word(word)
     tau, t = value.trace(), m.trace()
     shared, u_value, u_m = _shared_units(tau, t)
-    reps, one = _least_exponents((tau, u_value), (t, u_m), shared)
+    reps, rem = _unit_divmod((t, u_m), (tau, u_value), shared)
     # conj commutes with value, so it is +-value**k; its trace t > 2 and
     # lam_m = lam_value**reps give k = +-reps, and value**-reps has b < 0
     conj = mat_mul(mat_mul(witness.inverse(), m), witness)
-    assert one == 1 and conj.b > 0 and mat_mul(conj, value) == mat_mul(value, conj)
+    assert rem == (2, 0) and conj.b > 0 and mat_mul(conj, value) == mat_mul(value, conj)
     word.pairs *= reps  # the period, checked once above, repeated
     return word, witness
 

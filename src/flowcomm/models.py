@@ -15,11 +15,11 @@ likewise cited, the arithmetic is what gets verified.
 almost_commensurability_chain joins any two models by one path of
 models, walked from m1 to m2: each endpoint's path runs to its
 suspension (any other orbifold through its least covering surface),
-and the two suspensions are either commensurable (one certificate
-link between them, decided by are_commensurable) or each path is
-bridged on through its trace-t model suspension to that trace's
-orbifold, and a cover joins the two orbifolds. Each link is formed
-once, from its two neighbours, in the direction it is walked.
+and the two suspensions are either commensurable (then neighbours,
+linked by are_commensurable's certificate) or each path is bridged on
+through its trace-t model suspension to that trace's orbifold, and a
+cover joins the two orbifolds. Every link is formed by _link, once,
+from its two neighbours, in the direction it is walked.
 """
 
 from fractions import Fraction
@@ -31,6 +31,7 @@ from .commensurability import (
     are_commensurable,
     verify_certificate,
 )
+from .conjugacy import _shared_units
 from .errors import NotHyperbolic
 from .linalg import HyperbolicMatrix, Mat2, _Record, mat_mul
 
@@ -259,10 +260,10 @@ def _bridge(path):
 
 def _link(source, target):
     """The link from source to target, neighbours on a path: two
-    suspensions (on a bridge, so of one trace) get are_commensurable's
-    certificate, of least exponents (1, 1); two geodesic models their
-    least common cover; and a geodesic model and its suspension the
-    citation tag."""
+    suspensions (of one square class; on a bridge, of one trace) get
+    are_commensurable's certificate; two geodesic models their least
+    common cover; and a geodesic model and its suspension the citation
+    tag."""
     if isinstance(source, Suspension) and isinstance(target, Suspension):
         cert = are_commensurable(source.monodromy, target.monodromy).certificate
         return ChainLink(COMMENSURABILITY, source, target, cert)
@@ -283,19 +284,16 @@ def almost_commensurability_chain(m1, m2):
     neighbours in the direction it is walked.
 
     Each endpoint's path runs to its suspension. Commensurable
-    suspensions (t^2 - 4 in one square class) are joined by the
-    certificate are_commensurable decided; the others are bridged
+    suspensions (t^2 - 4 in one square class) are neighbours, and _link
+    gives them are_commensurable's certificate; the others are bridged
     through the trace-t model suspensions and a common cover of their
     orbifolds (certificates cannot cross a square class, the cover link
     is what does). The right half is m2's path reversed."""
     left, right = _path_to_suspension(m1), _path_to_suspension(m2)
-    verdict = are_commensurable(left[-1].monodromy, right[-1].monodromy)
-    if verdict.commensurable:
-        middle = ChainLink(COMMENSURABILITY, left[-1], right[-1], verdict.certificate)
-        links = _links(left) + [middle] + _links(right[::-1])
-    else:
-        links = _links(_bridge(left) + _bridge(right)[::-1])
-    return ChainCertificate(links=tuple(links), endpoints=(m1, m2))
+    traces = left[-1].monodromy.trace(), right[-1].monodromy.trace()
+    if _shared_units(*traces) is None:
+        left, right = _bridge(left), _bridge(right)
+    return ChainCertificate(links=_links(left + right[::-1]), endpoints=(m1, m2))
 
 
 def _verify_almost_equivalence(link):

@@ -753,6 +753,55 @@ class TestBoundaryFuzz:
         assert quiet_run(["chain", text, "surface:g=2"]) in (0, 2, 3)
 
 
+# 100 KB arguments that each verb echoes in its error, as the parser, the
+# model reader, open() and argparse report them
+HOSTILE_ARGV = (
+    ["canon", "[" * 100000],
+    ["canon", ",".join(["1"] * 50000)],
+    ["equiv", "1" * 100000, A_SEMI],
+    ["chain", "x" * 100000, "surface:g=2"],
+    ["chain", "orbifold:" + "2;" * 50000, "surface:g=2"],
+    ["verify", "p" * 100000],
+    ["x" * 100000],
+)
+
+
+class TestBoundedStderr:
+    """A stderr line keeps the head of a long message and states its
+    length, so an echoed 100 KB argument writes under 1 KB; a short
+    message is written whole."""
+
+    @pytest.mark.parametrize("argv", HOSTILE_ARGV, ids=lambda argv: argv[0][:8])
+    def test_hostile_argument(self, capsys, argv):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(" characters)\n")
+        assert len(err.encode()) < 1024
+
+    def test_internal_error_keeps_its_location(self, monkeypatch, capsys):
+        def broken(*args):
+            raise RuntimeError("x" * 100000)
+
+        monkeypatch.setattr(cli, "rl_word", broken)
+        with pytest.raises(SystemExit):
+            main(["canon", A_JSON])
+        err = capsys.readouterr().err
+        assert err.startswith(f"{INTERNAL_ERROR}: RuntimeError: xxx")
+        assert "... (100014 characters) (at test_cli.py:" in err
+        assert err.endswith(" in broken)\n") and len(err.encode()) < 1024
+
+    def test_message_at_the_limit_is_whole(self, capsys):
+        tail = ": expected suspension:, surface:, or orbifold:"
+        text = "y" * (cli._MESSAGE_LIMIT - len(f"error: malformed model ''{tail}"))
+        assert run(["chain", text, "surface:g=2"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: malformed model {text!r}{tail}\n"
+        assert len(err) == cli._MESSAGE_LIMIT + 1
+        assert run(["chain", text + "y", "surface:g=2"]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"... ({cli._MESSAGE_LIMIT + 1} characters)\n")
+
+
 class TestCatchAll:
     """An exception no verb expects is a bug. main() turns it into exit 2
     with an internal error line; run() raises it, so no in-process test

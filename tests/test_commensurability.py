@@ -17,12 +17,13 @@ from flowcomm import (
     find_intertwiner,
     hnf,
     mat_mul,
+    rl_word,
     stabilization_exponent,
     verify_certificate,
 )
 from flowcomm import commensurability, conjugacy, linalg
 from flowcomm.cli import run
-from flowcomm.commensurability import _unit_mul
+from flowcomm.conjugacy import _unit_mul
 from helpers import (
     box_intertwiner,
     enumerate_sublattices,
@@ -566,6 +567,43 @@ class TestInputSizeIntertwiner:
         assert bits and max(bits) < 4 * entry_bits(a, b), max(bits)
         assert verdict.minimal_exponents == (599, 600)
         assert verify_certificate(verdict.certificate) == (True, "ok")
+
+
+class TestUnitProductGuard:
+    """Unit products are counted, not timed: on A^(2^k) against
+    A^(2^k - 1) for k = 6..13, rl_word, are_commensurable and
+    verify_certificate each make a number of them that grows by a fixed
+    1 or 2 per step of k, linear in the bits of the exponents. Every
+    product goes through conjugacy._unit_mul, the one binding patched
+    here; a loop with one product per unit of an exponent would add
+    2^k per step."""
+
+    def test_counts_grow_linearly_in_bits(self, monkeypatch):
+        calls = []
+
+        def counting(x, y, d0):
+            calls.append(1)
+            return _unit_mul(x, y, d0)
+
+        monkeypatch.setattr(conjugacy, "_unit_mul", counting)
+        counts = {"rl_word": [], "are_commensurable": [], "verify_certificate": []}
+
+        def count(name, call):
+            calls.clear()
+            result = call()
+            counts[name].append(len(calls))
+            return result
+
+        for k in range(6, 14):
+            a, b = power(A, 2**k), power(A, 2**k - 1)
+            count("rl_word", lambda: rl_word(a))
+            verdict = count("are_commensurable", lambda: are_commensurable(a, b))
+            assert verdict.minimal_exponents == (2**k - 1, 2**k)
+            check = count("verify_certificate", lambda: verify_certificate(verdict.certificate))
+            assert check == (True, "ok")
+        for name, seq in counts.items():
+            steps = {later - earlier for earlier, later in zip(seq, seq[1:])}
+            assert len(steps) == 1 and steps <= {1, 2} and seq[0] <= 14, (name, seq)
 
 
 class TestSquareClass:

@@ -18,6 +18,7 @@ from flowcomm import (
     mat_mul,
     rl_word,
 )
+from flowcomm.conjugacy import _shared_units, _unit_divmod
 from helpers import (
     brute_force_conjugator,
     canonical_form,
@@ -219,6 +220,53 @@ class TestRlWord:
             assert word.pairs == canonical_form(pairs) * reps
             assert witness.det() == 1
             assert conj(witness, m) == evaluate_word(word)
+
+
+def unit_times(x, y, d0):
+    """(t + u sqrt(d0)) / 2 units multiplied out, independently of _unit_mul."""
+    return (x[0] * y[0] + d0 * x[1] * y[1]) // 2, (x[0] * y[1] + x[1] * y[0]) // 2
+
+
+def brute_divmod(unit, divisor, d0):
+    """_unit_divmod by repeated multiplication: one product per unit of q."""
+    q, power = 0, (2, 0)
+    while (nxt := unit_times(power, divisor, d0))[0] <= unit[0]:
+        q, power = q + 1, nxt
+    return q, unit_times(unit, (power[0], -power[1]), d0)
+
+
+class TestUnitDivmod:
+    """_unit_divmod against repeated multiplication, on the eigenvalue
+    units lam**p and lam**q of seeded hyperbolic matrices: the quotient
+    is p // q and the remainder lam**(p % q), of trace trace(m**(p % q))."""
+
+    def units(self, m, p, q):
+        t_p, t_q = (Mat2(*square_pow(m.entries(), n)).trace() for n in (p, q))
+        d0, u_p, u_q = _shared_units(t_p, t_q)
+        return (t_p, u_p), (t_q, u_q), d0
+
+    def test_against_repeated_multiplication(self):
+        rng = random.Random(2101)
+        quotients = set()
+        for entries in hyperbolic_corpus(2102, 40):
+            m = Mat2(*entries)
+            q = rng.randint(1, 6)
+            # p = 0 is the unit 1; p < q gives quotient 0, p = k q an exact power
+            multiple = rng.randint(2, 8) * q
+            for p in (0, rng.randint(1, q), q, rng.randint(q, 40), multiple):
+                unit, divisor, d0 = self.units(m, p, q)
+                got = _unit_divmod(unit, divisor, d0)
+                assert got == brute_divmod(unit, divisor, d0), (entries, p, q)
+                assert got[0] == p // q and got[1][0] == self.units(m, p % q, q)[0][0]
+                quotients.add(min(got[0], 2))
+        assert quotients == {0, 1, 2}
+
+    def test_repetitions_of_a_power_of_two(self):
+        """rl_word's division: lam**(2**k) by lam is (2**k, 1)."""
+        a = Mat2(2, 1, 1, 1)
+        for k in range(0, 14):
+            unit, divisor, d0 = self.units(a, 2**k, 1)
+            assert _unit_divmod(unit, divisor, d0) == (2**k, (2, 0))
 
 
 class TestAreEquivalent:
