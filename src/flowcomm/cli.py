@@ -1,6 +1,8 @@
 """Command-line frontend.
 
-Verbs: equiv, canon, commensurable, cover, chain, verify, trace-seq.
+Verbs: equiv, canon, commensurable, cover, chain, verify, trace-seq,
+each declared once in _VERBS: its positional arguments, whether -o
+writes its document, its handler and its help; every verb takes --quiet.
 Exit codes are a scripting contract: 0 = positive verdict or verified
 document, 1 = negative verdict or rejected document, 2 = usage or
 input error, 3 = a computational limit was hit (an output integer past
@@ -12,7 +14,9 @@ exception that no verb expects is a bug; the console entry point
 as a traceback, while run() lets it propagate to an in-process caller.
 
 Matrices are written [[a,b],[c,d]] or a,b;c,d, and both syntaxes read
-each entry alike, as int(entry, 10) does. Models are written
+each entry alike, as int(entry, 10) does; an argument that starts with
+'-' and a digit, such as -1,1;-5,4, is a matrix, never an option.
+trace-seq's count is read by the same integer parser. Models are written
 suspension:[[a,b],[c,d]], surface:g=3, or orbifold:[g=G,]n1,...,nk for
 the orbifold of genus G (default 0) with cone orders n1..nk. Every
 JSON output, on stdout or through -o, is serialize.dumps's compact
@@ -69,6 +73,9 @@ _DIGITS_RE = re.compile(r"[+-]?[0-9]+(?:_[0-9]+)*")
 # [[a,b],[c,d]] as the rows of a,b;c,d; no row admits a bracket, so matching is linear
 _ROW = r"\[([^][,;]*,[^][,;]*)\]"
 _BRACKETED_RE = re.compile(rf"\[\s*{_ROW}\s*,\s*{_ROW}\s*\]")
+# '-' and a digit starts a matrix such as -1,1;-5,4, never an option;
+# argparse's own pattern takes only a whole negative number as positional
+_MATRIX_NOT_OPTION_RE = re.compile(r"-\d")
 
 
 def _bounded(message):
@@ -80,6 +87,10 @@ def _bounded(message):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _MATRIX_NOT_OPTION_RE
+
     def error(self, message):
         raise UsageError(message)
 
@@ -147,7 +158,7 @@ def _encode_word(word):
 def _emit(args, build):
     """Write dumps(build()) to -o's file, else to stdout unless --quiet:
     then no document is built, and none can pass the digit limit."""
-    if getattr(args, "output", None):
+    if args.output:
         text = dumps(build())
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
@@ -257,14 +268,15 @@ def _cmd_verify(args):
 
 
 def _cmd_trace_seq(args):
+    count = _parse_int_entry(args.count)  # before the matrix: a bad count is named first
     a = _parse_hyperbolic(args.matrix)
-    if args.count < 1:
-        raise UsageError(f"count must be >= 1, got {args.count}")
+    if count < 1:
+        raise UsageError(f"count must be >= 1, got {count}")
     t = a.trace()
 
     def traces():  # t_i = t t_{i-1} - t_{i-2}, t_0 = 2
         prev, cur = 2, t
-        for _ in range(args.count):
+        for _ in range(count):
             yield cur
             prev, cur = cur, t * cur - prev
 
@@ -273,6 +285,24 @@ def _cmd_trace_seq(args):
         for v in traces():
             print(v)
     return 0
+
+
+# each verb's name, positional arguments, whether -o writes its document,
+# handler and help; every verb also takes --quiet
+_VERBS = (
+    ("equiv", ("matrix_a", "matrix_b"), False, _cmd_equiv,
+     "decide equivalence of two suspensions through an "
+     "orientation-preserving torus map (SL2(Z) conjugacy)"),
+    ("canon", ("matrix",), False, _cmd_canon, "print the canonical RL word of a matrix"),
+    ("commensurable", ("matrix_a", "matrix_b"), False, _cmd_commensurable,
+     "decide commensurability of two suspensions"),
+    ("cover", ("matrix_a", "matrix_b"), True, _cmd_cover,
+     "emit a commensurability certificate document"),
+    ("chain", ("model_a", "model_b"), True, _cmd_chain,
+     "emit an almost-commensurability chain document"),
+    ("verify", ("file",), False, _cmd_verify, "re-check a certificate document from disk"),
+    ("trace-seq", ("matrix", "count"), False, _cmd_trace_seq, "print traces of the first N powers"),
+)
 
 
 def _build_parser():
@@ -285,50 +315,14 @@ def _build_parser():
         ),
     )
     subs = parser.add_subparsers(dest="verb", required=True)
-
-    sub = subs.add_parser(
-        "equiv",
-        help="decide equivalence of two suspensions through an "
-        "orientation-preserving torus map (SL2(Z) conjugacy)",
-    )
-    sub.add_argument("matrix_a")
-    sub.add_argument("matrix_b")
-    sub.set_defaults(handler=_cmd_equiv)
-
-    sub = subs.add_parser("canon", help="print the canonical RL word of a matrix")
-    sub.add_argument("matrix")
-    sub.set_defaults(handler=_cmd_canon)
-
-    sub = subs.add_parser("commensurable", help="decide commensurability of two suspensions")
-    sub.add_argument("matrix_a")
-    sub.add_argument("matrix_b")
-    sub.set_defaults(handler=_cmd_commensurable)
-
-    sub = subs.add_parser("cover", help="emit a commensurability certificate document")
-    sub.add_argument("matrix_a")
-    sub.add_argument("matrix_b")
-    sub.add_argument("-o", "--output", help="write the document here instead of stdout")
-    sub.set_defaults(handler=_cmd_cover)
-
-    sub = subs.add_parser("chain", help="emit an almost-commensurability chain document")
-    sub.add_argument("model_a")
-    sub.add_argument("model_b")
-    sub.add_argument("-o", "--output", help="write the document here instead of stdout")
-    sub.set_defaults(handler=_cmd_chain)
-
-    sub = subs.add_parser("verify", help="re-check a certificate document from disk")
-    sub.add_argument("file")
-    sub.set_defaults(handler=_cmd_verify)
-
-    sub = subs.add_parser("trace-seq", help="print traces of the first N powers")
-    sub.add_argument("matrix")
-    sub.add_argument("count", type=int)
-    sub.set_defaults(handler=_cmd_trace_seq)
-
-    for sub_action in subs.choices.values():
-        sub_action.add_argument(
-            "--quiet", action="store_true", help="suppress output; exit code only"
-        )
+    for name, positionals, writes, handler, help_text in _VERBS:
+        sub = subs.add_parser(name, help=help_text)
+        for positional in positionals:
+            sub.add_argument(positional)
+        if writes:
+            sub.add_argument("-o", "--output", help="write the document here instead of stdout")
+        sub.add_argument("--quiet", action="store_true", help="suppress output; exit code only")
+        sub.set_defaults(handler=handler, output=None)
     return parser
 
 

@@ -12,12 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcomm import Suspension, cli
+from flowcomm import Suspension, cli, linalg
 from flowcomm.cli import INTERNAL_ERROR, main, run
+from flowcomm.serialize import digit_limit_message
 from helpers import (
     hyperbolic_corpus,
     indented_text,
+    inverse,
+    mul,
     naive_pow,
+    square_pow,
     string_leaves_only,
     trace,
 )
@@ -107,6 +111,24 @@ class TestParsing:
         if code == 2:
             assert outcomes[0][2] == f"error: not an integer: {entry!r}\n"
 
+    @pytest.mark.parametrize(
+        "template",
+        [["canon", "M"], ["trace-seq", "M", "5"]]
+        + [[verb, "M", A_SEMI] for verb in ("equiv", "commensurable", "cover")]
+        + [[verb, A_SEMI, "M"] for verb in ("equiv", "commensurable", "cover")],
+        ids=" ".join,
+    )
+    def test_leading_negative_entry(self, capsys, template):
+        """An argument that starts with '-' and a digit is a matrix, not
+        an option: -1,1;-5,4 reads as [[-1,1],[-5,4]] does, in either
+        position of a two-matrix verb."""
+        outcomes = []
+        for m in ("-1,1;-5,4", "[[-1,1],[-5,4]]"):
+            status = run([m if arg == "M" else arg for arg in template])
+            outcomes.append((status, capsys.readouterr().out))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 0 and outcomes[0][1]
+
     def test_non_hyperbolic_input(self, capsys):
         assert run(["canon", "[[1,1],[0,1]]"]) == 2
         assert run(["equiv", A_JSON, "[[1,0],[0,1]]"]) == 2
@@ -116,6 +138,14 @@ class TestParsing:
         assert run(["frobnicate", A_JSON]) == 2
         assert run(["canon", A_JSON, "--frobnicate"]) == 2
         capsys.readouterr()
+        # '-' and a letter is still an option, before or after the matrices
+        two = [[verb, A_SEMI, A_SEMI] for verb in ("equiv", "commensurable", "cover")]
+        for verb, *args in [["canon", A_SEMI], ["trace-seq", A_SEMI, "5"], *two]:
+            for option in ("--bogus", "-x"):
+                assert run([verb, *args, option]) == 2
+                assert run([verb, option, *args]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
@@ -617,9 +647,22 @@ class TestTraceSeq:
         assert out.split() == ["3", "7", "18", "47", "123", "322"]
 
     def test_bad_count(self, capsys):
-        for count in ("0", "-1"):
+        """The count goes through the parser of matrix entries: the same
+        digit-limit and not-an-integer messages, and one range check."""
+        long_count = "9" * 5000
+        assert run(["canon", f"{long_count},1;1,1"]) == 2
+        entry_err = capsys.readouterr().err
+        assert entry_err == f"error: {digit_limit_message()}\n"
+        for count, err in (
+            (long_count, entry_err),
+            ("x", "error: not an integer: 'x'\n"),
+            ("-1", "error: count must be >= 1, got -1\n"),
+            ("0", "error: count must be >= 1, got 0\n"),
+        ):
             assert run(["trace-seq", A_JSON, count]) == 2
-        capsys.readouterr()
+            assert capsys.readouterr() == ("", err)
+        assert run(["trace-seq", A_JSON, " +3 "]) == 0
+        assert capsys.readouterr().out.split() == ["3", "7", "18"]
 
     def test_rejects_small_base(self, capsys):
         for m in ("[[1,1],[0,1]]", "[[0,1],[-1,2]]"):
@@ -840,6 +883,53 @@ class TestCatchAll:
                 run(argv)
             with pytest.raises(RuntimeError, match="planted"):
                 quiet_run(argv)
+
+
+class TestMatMulGuard:
+    """Matrix products are counted, not timed: through run(), each verb
+    on A^(2^k) against A^(2^k - 1) for k = 6..12 (canon on the first,
+    equiv also against a conjugate of the first, chain from surface:g=2
+    to the suspension of the first, verify on the cover and chain
+    documents) makes the same number of mat_mul calls at every k, so
+    none forms a power of its input. The patch replaces mat_mul in every
+    flowcomm module that binds it. find_intertwiner's walk steps along
+    an orbit by entry tuples, not by mat_mul, so this guard does not see
+    the walk, whose steps on the chain path still grow with the
+    exponent."""
+
+    def test_counts_do_not_grow_with_the_exponent(self, monkeypatch, tmp_path):
+        calls, mat_mul = [], linalg.mat_mul
+
+        def counting(x, y):
+            calls.append(1)
+            return mat_mul(x, y)
+
+        for module in list(sys.modules.values()):
+            name = getattr(module, "__name__", "")
+            if name.startswith("flowcomm.") and getattr(module, "mat_mul", None) is mat_mul:
+                monkeypatch.setattr(module, "mat_mul", counting)
+        counts = {}
+        for k in range(6, 13):
+            power = square_pow((2, 1, 1, 1), 2**k)
+            a, b = ("%d,%d;%d,%d" % m for m in (power, square_pow((2, 1, 1, 1), 2**k - 1)))
+            shear = (1, 1, 0, 1)
+            conjugate = "%d,%d;%d,%d" % mul(inverse(shear), mul(power, shear))
+            cover, chain = str(tmp_path / f"cover{k}.json"), str(tmp_path / f"chain{k}.json")
+            for verb, argv in (
+                ("canon", ["canon", a]),
+                ("equiv", ["equiv", a, b]),
+                ("equiv conjugate", ["equiv", a, conjugate]),
+                ("commensurable", ["commensurable", a, b]),
+                ("cover", ["cover", a, b, "-o", cover]),
+                ("chain", ["chain", "surface:g=2", f"suspension:{a}", "-o", chain]),
+                ("verify cover", ["verify", cover]),
+                ("verify chain", ["verify", chain]),
+            ):
+                calls.clear()
+                assert quiet_run(argv) == (1 if verb == "equiv" else 0), argv
+                counts.setdefault(verb, []).append(len(calls))
+        for verb, seq in counts.items():
+            assert len(set(seq)) == 1 and seq[0] > 0, (verb, seq)
 
 
 class TestConsoleScript:
