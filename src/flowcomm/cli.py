@@ -19,9 +19,9 @@ each entry alike, as int(entry, 10) does; an argument that starts with
 trace-seq's count is read by the same integer parser. Models are written
 suspension:[[a,b],[c,d]], surface:g=3, or orbifold:[g=G,]n1,...,nk for
 the orbifold of genus G (default 0) with cone orders n1..nk. Every
-JSON output, on stdout or through -o, is serialize.dumps's compact
-canonical text (sorted keys, no whitespace, one line), so repeated
-identical invocations produce byte-identical bytes.
+JSON output, on stdout or through -o, is a serialize encoder's document
+in serialize.dumps's compact canonical text (sorted keys, no
+whitespace, one line), so repeated runs write identical bytes.
 """
 
 import argparse
@@ -45,14 +45,13 @@ from .models import (
 )
 from .serialize import (
     _check_digit_limit,
-    certificate_body,
     decode_document,
     digit_limit_message,
     dumps,
     encode_certificate,
     encode_chain,
-    encode_int,
-    encode_matrix,
+    encode_verdict,
+    encode_word,
     loads,
 )
 
@@ -151,69 +150,33 @@ def _parse_model(text):
         raise UsageError(str(exc)) from None
 
 
-def _encode_word(word):
-    return [[encode_int(r), encode_int(l)] for r, l in word.pairs]
-
-
-def _emit(args, build):
-    """Write dumps(build()) to -o's file, else to stdout unless --quiet:
-    then no document is built, and none can pass the digit limit."""
+def _emit(args, encode, value):
+    """Write dumps(encode(value)) to -o's file, else to stdout unless
+    --quiet: then no document is built, and none can pass the digit limit."""
     if args.output:
-        text = dumps(build())
+        text = dumps(encode(value))
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
             raise UsageError(f"cannot write {args.output!r}: {exc}") from None
     elif not args.quiet:
-        sys.stdout.write(dumps(build()))
+        sys.stdout.write(dumps(encode(value)))
 
 
 def _cmd_equiv(args):
     a = _parse_hyperbolic(args.matrix_a)
     b = _parse_hyperbolic(args.matrix_b)
     verdict = are_equivalent(a, b)
-    _emit(
-        args,
-        lambda: {
-            "equivalent": verdict.equivalent,
-            "conjugator": (
-                encode_matrix(verdict.conjugator)
-                if verdict.conjugator is not None
-                else None
-            ),
-            "canonical_a": _encode_word(verdict.canonical_a),
-            "canonical_b": _encode_word(verdict.canonical_b),
-        },
-    )
+    _emit(args, encode_verdict, verdict)
     return 0 if verdict.equivalent else 1
 
 
 def _cmd_canon(args):
     a = _parse_hyperbolic(args.matrix)
     word, _ = rl_word(a)
-    _emit(args, lambda: {"canonical_word": _encode_word(word), "display": str(word)})
+    _emit(args, encode_word, word)
     return 0
-
-
-def _verdict_doc(verdict):
-    return {
-        "commensurable": verdict.commensurable,
-        "minimal_exponents": (
-            [encode_int(k) for k in verdict.minimal_exponents]
-            if verdict.minimal_exponents is not None
-            else None
-        ),
-        "squarefree_a": encode_int(verdict.squarefree_a),
-        "squarefree_b": encode_int(verdict.squarefree_b),
-        "squared_a": verdict.squared_a,
-        "squared_b": verdict.squared_b,
-        "certificate": (
-            certificate_body(verdict.certificate)
-            if verdict.certificate is not None
-            else None
-        ),
-    }
 
 
 def _run_commensurable(args):
@@ -222,7 +185,7 @@ def _run_commensurable(args):
 
 def _cmd_commensurable(args):
     verdict = _run_commensurable(args)
-    _emit(args, lambda: _verdict_doc(verdict))
+    _emit(args, encode_verdict, verdict)
     return 0 if verdict.commensurable else 1
 
 
@@ -235,7 +198,7 @@ def _cmd_cover(args):
             file=sys.stderr,
         )
         return 1
-    _emit(args, lambda: encode_certificate(verdict.certificate))
+    _emit(args, encode_certificate, verdict.certificate)
     return 0
 
 
@@ -247,7 +210,7 @@ def _cmd_chain(args):
         if isinstance(model, GeodesicOrbifold) and _designated(model) is None:
             _check_digit_limit(accumulate(model.cone_orders, lcm))
     chain = almost_commensurability_chain(*models)
-    _emit(args, lambda: encode_chain(chain))
+    _emit(args, encode_chain, chain)
     return 0
 
 

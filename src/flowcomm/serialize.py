@@ -1,16 +1,18 @@
-"""Stable JSON document format for certificates and chains.
+"""Stable JSON document format for certificates and chains, and the
+header-less JSON that equiv, canon and commensurable print, which is
+never read back (encode_verdict, encode_word).
 
 Every numeric field is a decimal string so arbitrary-precision
-integers survive round trips through any JSON tooling; rationals are
-"p/q" strings. Documents carry a "kind" discriminator and a
-"format_version" pinned to "1". The "generator" header records the
-producing tool and is ignored by verification, so regenerated
-documents differing only there still verify identically. The text is
-compact canonical JSON: sorted keys and no whitespace between tokens
-(the layout of RFC 8785, with non-ASCII escaped), so output is
-byte-reproducible. A geodesic model with no cone points is a "surface"
-with its "genus"; any other is an "orbifold" with its sorted
-"cone_orders" and, when nonzero, its "genus".
+integers survive round trips through any JSON tooling; a rational is
+"p/q" in lowest terms, or "p" when q = 1. Documents carry a "kind"
+discriminator and a "format_version" pinned to "1". The "generator"
+header records the producing tool and is ignored by verification, so
+regenerated documents differing only there still verify identically.
+The text is compact canonical JSON: sorted keys and no whitespace
+between tokens (the layout of RFC 8785, with non-ASCII escaped), so
+output is byte-reproducible. A geodesic model with no cone points is
+a "surface" with its "genus"; any other is an "orbifold" with its
+sorted "cone_orders" and, when nonzero, its "genus".
 
 Decoding is strict: unknown kinds, missing fields, native JSON
 numbers where strings are required, malformed values, or values a
@@ -29,7 +31,8 @@ from fractions import Fraction
 from functools import partial
 
 from . import __version__
-from .commensurability import CommensurabilityCertificate
+from .commensurability import CommensurabilityCertificate, CommensurabilityVerdict
+from .conjugacy import EquivalenceVerdict
 from .errors import ComputationLimit, DocumentError, NotHyperbolic
 from .linalg import Lattice2, Mat2
 from .models import (
@@ -48,6 +51,8 @@ __all__ = [
     "FORMAT_VERSION",
     "CERTIFICATE_KIND",
     "CHAIN_KIND",
+    "encode_verdict",
+    "encode_word",
     "encode_certificate",
     "decode_certificate",
     "encode_chain",
@@ -56,9 +61,6 @@ __all__ = [
     "dumps",
     "loads",
     "digit_limit_message",
-    "encode_int",
-    "encode_matrix",
-    "certificate_body",
 ]
 
 FORMAT_VERSION = "1"
@@ -94,9 +96,13 @@ def _decimal(value):
         raise ComputationLimit(digit_limit_message()) from None
 
 
-def encode_int(n):
+def _encode_int(n):
     """Decimal string of an integer."""
     return _decimal(int(n))
+
+
+def _encode_ints(values):
+    return [_encode_int(k) for k in values]
 
 
 def _decode_int(value, field):
@@ -121,11 +127,8 @@ def _decode_fraction(value, field):
         raise DocumentError(f"{field}: {digit_limit_message()}") from None
 
 
-def encode_matrix(m):
-    return [
-        [encode_int(m.a), encode_int(m.b)],
-        [encode_int(m.c), encode_int(m.d)],
-    ]
+def _encode_matrix(m):
+    return [_encode_ints((m.a, m.b)), _encode_ints((m.c, m.d))]
 
 
 def _decode_matrix(value, field):
@@ -170,43 +173,76 @@ def _decode_fields(fields, cls, doc, context):
 # (name, encode, decode) of each field of a record; decoding walks the
 # table in order, so the first bad field is the one reported
 _LATTICE_FIELDS = (
-    ("a", encode_int, _decode_int),
-    ("b", encode_int, _decode_int),
-    ("d", encode_int, _decode_int),
+    ("a", _encode_int, _decode_int),
+    ("b", _encode_int, _decode_int),
+    ("d", _encode_int, _decode_int),
 )
 _CERTIFICATE_FIELDS = (
-    ("base_a", encode_matrix, _decode_matrix),
-    ("base_b", encode_matrix, _decode_matrix),
-    ("power_a", encode_int, _decode_int),
-    ("power_b", encode_int, _decode_int),
-    ("intertwiner", encode_matrix, _decode_matrix),
-    ("intertwiner_det", encode_int, _decode_int),
+    ("base_a", _encode_matrix, _decode_matrix),
+    ("base_b", _encode_matrix, _decode_matrix),
+    ("power_a", _encode_int, _decode_int),
+    ("power_b", _encode_int, _decode_int),
+    ("intertwiner", _encode_matrix, _decode_matrix),
+    ("intertwiner_det", _encode_int, _decode_int),
     (
         "sublattice",
         partial(_encode_fields, _LATTICE_FIELDS),
         partial(_decode_fields, _LATTICE_FIELDS, Lattice2),
     ),
-    ("stabilization", encode_int, _decode_int),
-    ("index_over_a", encode_int, _decode_int),
-    ("index_over_b", encode_int, _decode_int),
+    ("stabilization", _encode_int, _decode_int),
+    ("index_over_a", _encode_int, _decode_int),
+    ("index_over_b", _encode_int, _decode_int),
 )
 _COMMON_COVER_FIELDS = (
-    ("cover_genus", encode_int, _decode_int),
-    ("degree_source", encode_int, _decode_int),
-    ("degree_target", encode_int, _decode_int),
+    ("cover_genus", _encode_int, _decode_int),
+    ("degree_source", _encode_int, _decode_int),
+    ("degree_target", _encode_int, _decode_int),
     ("euler_source", _encode_fraction, _decode_fraction),
     ("euler_target", _encode_fraction, _decode_fraction),
     ("euler_cover", _encode_fraction, _decode_fraction),
 )
 
 
-def certificate_body(cert):
-    """The certificate's fields as a document object, without headers."""
-    return _encode_fields(_CERTIFICATE_FIELDS, cert)
+def _or_none(encode, value):
+    return None if value is None else encode(value)
+
+
+def _encode_pairs(word):
+    return [_encode_ints(pair) for pair in word.pairs]
+
+
+# the fields of each verdict, encoded and never decoded
+_VERDICT_FIELDS = {
+    EquivalenceVerdict: (
+        ("equivalent", bool, None),
+        ("conjugator", partial(_or_none, _encode_matrix), None),
+        ("canonical_a", _encode_pairs, None),
+        ("canonical_b", _encode_pairs, None),
+    ),
+    CommensurabilityVerdict: (
+        ("commensurable", bool, None),
+        ("minimal_exponents", partial(_or_none, _encode_ints), None),
+        ("squarefree_a", _encode_int, None),
+        ("squarefree_b", _encode_int, None),
+        ("squared_a", bool, None),
+        ("squared_b", bool, None),
+        ("certificate", partial(_or_none, partial(_encode_fields, _CERTIFICATE_FIELDS)), None),
+    ),
+}
+
+
+def encode_verdict(verdict):
+    """The equiv or the commensurable document of a verdict."""
+    return _encode_fields(_VERDICT_FIELDS[type(verdict)], verdict)
+
+
+def encode_word(word):
+    """canon's document: the RLWord's (r, l) pairs and its display text."""
+    return {"canonical_word": _encode_pairs(word), "display": str(word)}
 
 
 def encode_certificate(cert):
-    return {**_header(CERTIFICATE_KIND), **certificate_body(cert)}
+    return {**_header(CERTIFICATE_KIND), **_encode_fields(_CERTIFICATE_FIELDS, cert)}
 
 
 def decode_certificate(doc):
@@ -218,14 +254,13 @@ def decode_certificate(doc):
 
 def _encode_model(model):
     if isinstance(model, Suspension):
-        return {"type": "suspension", "monodromy": encode_matrix(model.monodromy)}
+        return {"type": "suspension", "monodromy": _encode_matrix(model.monodromy)}
     if isinstance(model, GeodesicOrbifold):
         if not model.cone_orders:
-            return {"type": "surface", "genus": encode_int(model.genus)}
-        orders = [encode_int(k) for k in model.cone_orders]
-        doc = {"type": "orbifold", "cone_orders": orders}
+            return {"type": "surface", "genus": _encode_int(model.genus)}
+        doc = {"type": "orbifold", "cone_orders": _encode_ints(model.cone_orders)}
         if model.genus:
-            doc["genus"] = encode_int(model.genus)
+            doc["genus"] = _encode_int(model.genus)
         return doc
     raise TypeError(f"not a model: {model!r}")
 
@@ -254,7 +289,7 @@ def _encode_evidence(evidence):
     if isinstance(evidence, str):
         return {"type": "citation", "tag": evidence}
     if isinstance(evidence, CommensurabilityCertificate):
-        return {"type": "certificate", **certificate_body(evidence)}
+        return {"type": "certificate", **_encode_fields(_CERTIFICATE_FIELDS, evidence)}
     if isinstance(evidence, GeodesicCommonCover):
         return {"type": "common-cover", **_encode_fields(_COMMON_COVER_FIELDS, evidence)}
     raise TypeError(f"not chain-link evidence: {evidence!r}")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcomm import Suspension, cli, linalg
+from flowcomm import Suspension, cli, commensurability, linalg
 from flowcomm.cli import INTERNAL_ERROR, main, run
 from flowcomm.serialize import digit_limit_message
 from helpers import (
@@ -468,6 +468,67 @@ def model_arg(model):
     return "orbifold:" + ",".join([f"g={model.genus}", *map(str, model.cone_orders)])
 
 
+class TestHostileDocuments:
+    """One hostile document per verifier or decoder branch that no other
+    test reaches; each is run through verify and pinned by its exit
+    code and its whole output."""
+
+    def _verify(self, capsys, tmp_path, argv, edit):
+        path = tmp_path / "doc.json"
+        assert run([*argv, "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        code = run(["verify", str(path)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def _chain_link(self, capsys, tmp_path, edit):
+        def edit_link(doc):
+            edit(doc["links"][0])
+
+        argv = ["chain", "orbifold:2,4,5", "surface:g=2"]
+        return self._verify(capsys, tmp_path, argv, edit_link)
+
+    def test_bases_in_distinct_square_classes(self, capsys, tmp_path):
+        def edit(doc):
+            doc["base_b"] = [["0", "1"], ["-1", "4"]]
+
+        result = self._verify(capsys, tmp_path, ["cover", A_JSON, F7], edit)
+        assert result == (1, "rejected: power_traces_equal\n", "")
+
+    def test_orbifold_link_without_a_cover(self, capsys, tmp_path):
+        def edit(link):
+            link["evidence"] = {"type": "citation", "tag": "GHYS_HASHIGUCHI"}
+
+        result = self._chain_link(capsys, tmp_path, edit)
+        assert result == (1, "rejected: link 0: cover_missing\n", "")
+
+    def test_cover_of_genus_one(self, capsys, tmp_path):
+        def edit(link):
+            link["evidence"]["cover_genus"] = "1"
+
+        result = self._chain_link(capsys, tmp_path, edit)
+        assert result == (1, "rejected: link 0: cover_genus\n", "")
+
+    @pytest.mark.skipif(DIGIT_LIMIT == 0, reason="int/str digit limit disabled")
+    def test_rational_past_the_digit_limit(self, capsys, tmp_path):
+        def edit(link):
+            link["evidence"]["euler_source"] = "1" * (DIGIT_LIMIT + 700) + "/2"
+
+        result = self._chain_link(capsys, tmp_path, edit)
+        field = "links[0].evidence.euler_source"
+        assert result == (2, "", f"error: {field}: {digit_limit_message()}\n")
+
+    def test_links_not_a_list(self, capsys, tmp_path):
+        def edit(doc):
+            doc["links"] = {}
+
+        argv = ["chain", "orbifold:2,4,5", "surface:g=2"]
+        result = self._verify(capsys, tmp_path, argv, edit)
+        assert result == (2, "", "error: links: expected a list of links\n")
+
+
 class TestIndentedDocuments:
     """Documents as versions before 0.12.0 wrote them, indented, still
     verify: every cover and chain document emitted here, re-indented."""
@@ -893,9 +954,8 @@ class TestMatMulGuard:
     documents) makes the same number of mat_mul calls at every k, so
     none forms a power of its input. The patch replaces mat_mul in every
     flowcomm module that binds it. find_intertwiner's walk steps along
-    an orbit by entry tuples, not by mat_mul, so this guard does not see
-    the walk, whose steps on the chain path still grow with the
-    exponent."""
+    an orbit by entry tuples, not by mat_mul, so the first guard does not
+    see the walk; the second counts its steps instead."""
 
     def test_counts_do_not_grow_with_the_exponent(self, monkeypatch, tmp_path):
         calls, mat_mul = [], linalg.mat_mul
@@ -927,6 +987,33 @@ class TestMatMulGuard:
             ):
                 calls.clear()
                 assert quiet_run(argv) == (1 if verb == "equiv" else 0), argv
+                counts.setdefault(verb, []).append(len(calls))
+        for verb, seq in counts.items():
+            assert len(set(seq)) == 1 and seq[0] > 0, (verb, seq)
+
+    def test_walk_does_not_grow_with_the_exponent(self, monkeypatch, tmp_path):
+        """commensurability._rank runs once for the walk's start and once
+        per step, so its calls count the walk. commensurable and cover on
+        A^(2^k) against A^(2^k - 1) take the same number (9) at every k.
+        The chain from surface:g=2 to the suspension of A^p still walks
+        about p + 11 steps on its bridge link (75, 139, 267, 523, 1035
+        and 2059 at k = 6..11); this guard does not assert that growth."""
+        calls, rank = [], commensurability._rank
+
+        def counting(entries):
+            calls.append(1)
+            return rank(entries)
+
+        monkeypatch.setattr(commensurability, "_rank", counting)
+        counts = {}
+        for k in range(6, 13):
+            a, b = ("%d,%d;%d,%d" % square_pow((2, 1, 1, 1), n) for n in (2**k, 2**k - 1))
+            for verb, argv in (
+                ("commensurable", ["commensurable", a, b]),
+                ("cover", ["cover", a, b, "-o", str(tmp_path / f"cover{k}.json")]),
+            ):
+                calls.clear()
+                assert quiet_run(argv) == 0, argv
                 counts.setdefault(verb, []).append(len(calls))
         for verb, seq in counts.items():
             assert len(set(seq)) == 1 and seq[0] > 0, (verb, seq)

@@ -25,9 +25,10 @@ from flowcomm.serialize import (
     dumps,
     encode_certificate,
     encode_chain,
+    encode_verdict,
     loads,
 )
-from flowcomm.cli import _verdict_doc, run
+from flowcomm.cli import run
 from helpers import (
     compact_text,
     hyperbolic_corpus,
@@ -355,7 +356,7 @@ class TestCanonicalText:
         for a in corpus:
             for b in corpus:
                 verdict = are_commensurable(Mat2(*a), Mat2(*b))
-                docs = [_verdict_doc(verdict)]
+                docs = [encode_verdict(verdict)]
                 if verdict.certificate is not None:
                     docs.append(encode_certificate(verdict.certificate))
                 for doc in docs:
