@@ -4,10 +4,12 @@ never read back (encode_verdict, encode_word).
 
 Every numeric field is a decimal string so arbitrary-precision
 integers survive round trips through any JSON tooling; a rational is
-"p/q" in lowest terms, or "p" when q = 1. Documents carry a "kind"
-discriminator and a "format_version" pinned to "1". The "generator"
-header records the producing tool and is ignored by verification, so
-regenerated documents differing only there still verify identically.
+"p/q" in lowest terms, or "p" when q = 1. Each number shape, integer
+or rational, has one codec, which the field tables name. Documents
+carry a "kind" discriminator and a "format_version" pinned to "1". The
+"generator" header records the producing tool and is ignored by
+verification, so regenerated documents differing only there still
+verify identically.
 The text is compact canonical JSON: sorted keys and no whitespace
 between tokens (the layout of RFC 8785, with non-ASCII escaped), so
 output is byte-reproducible. A geodesic model with no cone points is
@@ -67,8 +69,6 @@ FORMAT_VERSION = "1"
 CERTIFICATE_KIND = "commensurability-certificate"
 CHAIN_KIND = "chain-certificate"
 
-_INT_RE = re.compile(r"-?[0-9]+")
-_FRACTION_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 _CITATION_TAGS = (GHYS_HASHIGUCHI, BIRKHOFF_SECTION_23N)
 
 
@@ -96,35 +96,32 @@ def _decimal(value):
         raise ComputationLimit(digit_limit_message()) from None
 
 
-def _encode_int(n):
-    """Decimal string of an integer."""
-    return _decimal(int(n))
+def _number_codec(convert, pattern, expected):
+    """(encode, decode) of one number shape: the decimal text of convert(value),
+    and convert of a string matching pattern, naming the field on a rejection."""
+    pattern = re.compile(pattern)
+
+    def encode(value):
+        return _decimal(convert(value))
+
+    def decode(value, field):
+        if not isinstance(value, str) or not pattern.fullmatch(value):
+            raise DocumentError(f"{field}: expected {expected}, got {value!r}")
+        try:
+            return convert(value)
+        except ValueError:
+            raise DocumentError(f"{field}: {digit_limit_message()}") from None
+
+    return encode, decode
+
+
+_INT = _number_codec(int, r"-?[0-9]+", "a decimal-string integer")
+_RATIONAL = _number_codec(Fraction, r"-?[0-9]+(/[1-9][0-9]*)?", "a 'p/q' rational string")
+_encode_int, _decode_int = _INT
 
 
 def _encode_ints(values):
     return [_encode_int(k) for k in values]
-
-
-def _decode_int(value, field):
-    if not isinstance(value, str) or not _INT_RE.fullmatch(value):
-        raise DocumentError(f"{field}: expected a decimal-string integer, got {value!r}")
-    try:
-        return int(value)
-    except ValueError:
-        raise DocumentError(f"{field}: {digit_limit_message()}") from None
-
-
-def _encode_fraction(q):
-    return _decimal(Fraction(q))
-
-
-def _decode_fraction(value, field):
-    if not isinstance(value, str) or not _FRACTION_RE.fullmatch(value):
-        raise DocumentError(f"{field}: expected a 'p/q' rational string, got {value!r}")
-    try:
-        return Fraction(value)
-    except ValueError:
-        raise DocumentError(f"{field}: {digit_limit_message()}") from None
 
 
 def _encode_matrix(m):
@@ -170,36 +167,36 @@ def _decode_fields(fields, cls, doc, context):
         raise DocumentError(f"{context}: {exc}") from exc
 
 
-# (name, encode, decode) of each field of a record; decoding walks the
-# table in order, so the first bad field is the one reported
+# (name, encode, decode) of each field, a number's codec named by its shape;
+# decoding walks the table in order, so the first bad field is reported
 _LATTICE_FIELDS = (
-    ("a", _encode_int, _decode_int),
-    ("b", _encode_int, _decode_int),
-    ("d", _encode_int, _decode_int),
+    ("a", *_INT),
+    ("b", *_INT),
+    ("d", *_INT),
 )
 _CERTIFICATE_FIELDS = (
     ("base_a", _encode_matrix, _decode_matrix),
     ("base_b", _encode_matrix, _decode_matrix),
-    ("power_a", _encode_int, _decode_int),
-    ("power_b", _encode_int, _decode_int),
+    ("power_a", *_INT),
+    ("power_b", *_INT),
     ("intertwiner", _encode_matrix, _decode_matrix),
-    ("intertwiner_det", _encode_int, _decode_int),
+    ("intertwiner_det", *_INT),
     (
         "sublattice",
         partial(_encode_fields, _LATTICE_FIELDS),
         partial(_decode_fields, _LATTICE_FIELDS, Lattice2),
     ),
-    ("stabilization", _encode_int, _decode_int),
-    ("index_over_a", _encode_int, _decode_int),
-    ("index_over_b", _encode_int, _decode_int),
+    ("stabilization", *_INT),
+    ("index_over_a", *_INT),
+    ("index_over_b", *_INT),
 )
 _COMMON_COVER_FIELDS = (
-    ("cover_genus", _encode_int, _decode_int),
-    ("degree_source", _encode_int, _decode_int),
-    ("degree_target", _encode_int, _decode_int),
-    ("euler_source", _encode_fraction, _decode_fraction),
-    ("euler_target", _encode_fraction, _decode_fraction),
-    ("euler_cover", _encode_fraction, _decode_fraction),
+    ("cover_genus", *_INT),
+    ("degree_source", *_INT),
+    ("degree_target", *_INT),
+    ("euler_source", *_RATIONAL),
+    ("euler_target", *_RATIONAL),
+    ("euler_cover", *_RATIONAL),
 )
 
 

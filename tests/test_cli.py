@@ -25,6 +25,7 @@ from helpers import (
     string_leaves_only,
     trace,
 )
+from output_corpus import corpus_digest
 from test_models import GENERAL_CORPUS, count_chi_sums
 
 A_JSON = "[[2,1],[1,1]]"
@@ -511,6 +512,14 @@ class TestHostileDocuments:
         result = self._chain_link(capsys, tmp_path, edit)
         assert result == (1, "rejected: link 0: cover_genus\n", "")
 
+    @pytest.mark.parametrize("field, value", [("degree_source", "0"), ("degree_target", "-3")])
+    def test_cover_degree_not_positive(self, capsys, tmp_path, field, value):
+        def edit(link):
+            link["evidence"][field] = value
+
+        result = self._chain_link(capsys, tmp_path, edit)
+        assert result == (1, "rejected: link 0: cover_degrees\n", "")
+
     @pytest.mark.skipif(DIGIT_LIMIT == 0, reason="int/str digit limit disabled")
     def test_rational_past_the_digit_limit(self, capsys, tmp_path):
         def edit(link):
@@ -527,6 +536,19 @@ class TestHostileDocuments:
         argv = ["chain", "orbifold:2,4,5", "surface:g=2"]
         result = self._verify(capsys, tmp_path, argv, edit)
         assert result == (2, "", "error: links: expected a list of links\n")
+
+
+class TestOutputDigest:
+    """flowcomm's own output, pinned: the sha256 of every call of the
+    seeded corpus in output_corpus.py (argv, exit code, stdout, stderr
+    and the -o document, version masked). A change that moves any of
+    those bytes on purpose records the new digest here; the corpus
+    leaves out argparse's texts and the digit limit, so the digest is
+    the same on every supported interpreter."""
+
+    def test_corpus_digest(self, tmp_path):
+        digest = "13d264d204ff0bb79d98e55bf084f38c7b2f19dc4406e6028a4100c517e69f9b"
+        assert corpus_digest(tmp_path) == (1154, digest)
 
 
 class TestIndentedDocuments:

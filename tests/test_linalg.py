@@ -92,6 +92,12 @@ class TestMat2:
         assert Mat2(1, 2, 3, 4) != Mat2(1, 2, 3, 5)
         assert len({Mat2(1, 0, 0, 1), Mat2.identity()}) == 1
 
+    def test_eq_against_other_types(self):
+        """A Mat2 is never equal to a non-Mat2, its entry tuple included,
+        and comparing raises nothing."""
+        assert (Mat2(1, 0, 0, 1) == (1, 0, 0, 1)) is False
+        assert (Mat2(1, 0, 0, 1) != "x") is True
+
 
 class TestPowerOracles:
     """The suite takes every matrix power from square_pow or naive_pow on
