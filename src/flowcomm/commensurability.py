@@ -23,7 +23,7 @@ the stated exponents.
 
 from operator import index as _as_int
 
-from .conjugacy import _least_exponents, _shared_units, _unit_divmod, reduction_cycle
+from .conjugacy import _block, _least_exponents, _shared_units, _unit_divmod, reduction_cycle
 from .errors import NotHyperbolic
 from .linalg import (
     HyperbolicMatrix,
@@ -168,9 +168,9 @@ def find_intertwiner(a1, b1):
     beta = det(combine(1, 1)) - alpha - gamma
     w, period = reduction_cycle(-beta, 2 * alpha, -2 * gamma)
     w_start, convergents = w, []
-    for quo in period:
-        w = mat_mul(w, Mat2(quo, 1, 1, 0))
-        convergents.append((w.a, w.c))
+    for r, l in zip(period[::2], period[1::2]):
+        w = mat_mul(w, _block(r, l))  # columns: the convergents after l and after r
+        convergents += (w.b, w.d), (w.a, w.c)
     auto = mat_mul(w, w_start.inverse())
     points = [(x, y, combine(x, y)) for x, y in convergents]
     least = min(abs(det(p)) for _, _, p in points)

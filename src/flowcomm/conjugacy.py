@@ -11,7 +11,7 @@ matrices are conjugate in SL2(Z) exactly when their canonical
 problem into word comparison. The word is read off the period of the
 continued fraction of the matrix's expanding fixed point (Katok and
 Ugarcovici, "Symbolic dynamics for the modular surface", 2007): each
-partial quotient is one whole R^k or L^k block, found by one integer
+partial quotient is one whole R^k or L^k run, found by one integer
 division, so the work grows with the bit size of the matrix.
 
 The division of units, the expanding eigenvalues, lives here
@@ -85,14 +85,18 @@ class EquivalenceVerdict(_Record):
     __hash__ = object.__hash__
 
 
+def _block(r, l):
+    """R^r L^l = (r 1; 1 0)(l 1; 1 0): one word pair, or two quotients."""
+    return Mat2(1 + r * l, r, l, 1)
+
+
 def evaluate_word(word):
-    """Matrix value of a word; always det 1, trace > 2, entries positive."""
+    """Matrix value of a word, one _block per pair; det 1, trace > 2, entries > 0."""
     if not isinstance(word, RLWord):
         word = RLWord(word)
     result = Mat2.identity()
     for r, l in word.pairs:
-        result = mat_mul(result, Mat2(1, r, 0, 1))
-        result = mat_mul(result, Mat2(1, 0, l, 1))
+        result = mat_mul(result, _block(r, l))
     return result
 
 
@@ -103,12 +107,12 @@ def _least_rotation(pairs):
 def reduction_cycle(p, q, q_prev):
     """Continued fraction of x = (p + sqrt(disc)) / q, disc = p^2 + q q_prev.
 
-    Needs q != 0 and disc > 0 not a square. Returns (w, period): det w
-    is 1 and x = w . y (Moebius action) for the first reduced complete
-    quotient y (y > 1, conjugate in (-1, 0)) after an even number of
-    steps x_i = (a_i 1; 1 0) . x_{i+1}, a_i = floor(x_i); period is one
-    period of y's partial quotients, doubled when odd so that the
-    product of the (a 1; 1 0) over it has det 1.
+    Needs q != 0 and disc > 0 not a square. Steps x_i = (a_i 1; 1 0) .
+    x_{i+1}, a_i = floor(x_i), in det-1 blocks _block(a_i, a_{i+1}).
+    Returns (w, period): det w is 1 and x = w . y (Moebius action) for
+    the first reduced complete quotient y (y > 1, conjugate in (-1, 0))
+    after whole blocks; period is y's quotients in blocks up to its
+    first return, which is its shortest period of even length.
     """
     s = isqrt(p * p + q * q_prev)
 
@@ -120,16 +124,12 @@ def reduction_cycle(p, q, q_prev):
         return quo
 
     w = Mat2.identity()
-    parity = 0
-    while parity or not (p <= s and s - p < q <= s + p):
-        w = mat_mul(w, Mat2(step(), 1, 1, 0))
-        parity ^= 1
+    while not (p <= s and s - p < q <= s + p):
+        w = mat_mul(w, _block(step(), step()))
     start = (p, q)
-    period = [step()]
+    period = [step(), step()]
     while (p, q) != start:
-        period.append(step())
-    if len(period) % 2:  # an odd period closes with det -1
-        period += period
+        period += step(), step()
     return w, period
 
 
@@ -200,10 +200,9 @@ def rl_word(m):
     and y reduced. A reduced y has a purely periodic expansion, y is
     the expanding fixed point of the period's value, and that value
     generates the positive-trace stabiliser of y in SL2(Z), so
-    W^-1 m W is a power value**reps of it. Two consecutive quotients
-    form one (r, l) pair, since (r 1; 1 0)(l 1; 1 0) = R^r L^l. The
-    expanding eigenvalues are then units with lam_m = lam_value**reps,
-    so reps is the quotient of _unit_divmod(lam_m, lam_value), with
+    W^-1 m W is a power value**reps of it, and each block of two
+    quotients is one (r, l) pair. As units, lam_m = lam_value**reps, so
+    reps is the quotient of _unit_divmod(lam_m, lam_value), with
     remainder 1, and value**reps is never formed.
     """
     HyperbolicMatrix.from_mat(m)

@@ -348,6 +348,29 @@ def lattice_period(m, triple):
     return k
 
 
+def reduction_cycle_by_quotient(p, q, q_prev):
+    """conjugacy.reduction_cycle one quotient at a time, with (w, period)
+    as plain data: w is the product of the (a 1; 1 0) up to the first
+    reduced complete quotient after an even number of steps, and period
+    is that quotient's least period, doubled when odd."""
+    s = math.isqrt(p * p + q * q_prev)
+
+    def step():
+        nonlocal p, q, q_prev
+        quo = (p + s + (q < 0)) // q
+        p_next = quo * q - p
+        p, q, q_prev = p_next, q_prev + quo * (p - p_next), q
+        return quo
+
+    w, steps = (1, 0, 0, 1), 0
+    while steps % 2 or not (p <= s and s - p < q <= s + p):
+        w, steps = mul(w, (step(), 1, 1, 0)), steps + 1
+    start, period = (p, q), [step()]
+    while (p, q) != start:
+        period.append(step())
+    return w, period * (1 + len(period) % 2)
+
+
 def canonical_form(pairs):
     """Lexicographically least rotation of an (r, l) pair sequence."""
     pairs = tuple(pairs)

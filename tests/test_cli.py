@@ -529,6 +529,13 @@ class TestHostileDocuments:
         field = "links[0].evidence.euler_source"
         assert result == (2, "", f"error: {field}: {digit_limit_message()}\n")
 
+    def test_unknown_evidence_type(self, capsys, tmp_path):
+        def edit(link):
+            link["evidence"]["type"] = "zzz"
+
+        result = self._chain_link(capsys, tmp_path, edit)
+        assert result == (2, "", "error: links[0].evidence.type: unknown evidence type 'zzz'\n")
+
     def test_links_not_a_list(self, capsys, tmp_path):
         def edit(doc):
             doc["links"] = {}
@@ -974,12 +981,14 @@ class TestMatMulGuard:
     equiv also against a conjugate of the first, chain from surface:g=2
     to the suspension of the first, verify on the cover and chain
     documents) makes the same number of mat_mul calls at every k, so
-    none forms a power of its input. The patch replaces mat_mul in every
-    flowcomm module that binds it. find_intertwiner's walk steps along
-    an orbit by entry tuples, not by mat_mul, so the first guard does not
-    see the walk; the second counts its steps instead."""
+    none forms a power of its input; canon and equiv on a word of n
+    pairs make O(n). The patch replaces mat_mul in every flowcomm module
+    that binds it. find_intertwiner's walk steps along an orbit by entry
+    tuples, not by mat_mul, so the mat_mul guards do not see the walk;
+    the walk guard counts its steps instead."""
 
-    def test_counts_do_not_grow_with_the_exponent(self, monkeypatch, tmp_path):
+    def counted_mat_mul(self, monkeypatch):
+        """The list that every mat_mul call of flowcomm appends to."""
         calls, mat_mul = [], linalg.mat_mul
 
         def counting(x, y):
@@ -990,6 +999,10 @@ class TestMatMulGuard:
             name = getattr(module, "__name__", "")
             if name.startswith("flowcomm.") and getattr(module, "mat_mul", None) is mat_mul:
                 monkeypatch.setattr(module, "mat_mul", counting)
+        return calls
+
+    def test_counts_do_not_grow_with_the_exponent(self, monkeypatch, tmp_path):
+        calls = self.counted_mat_mul(monkeypatch)
         counts = {}
         for k in range(6, 13):
             power = square_pow((2, 1, 1, 1), 2**k)
@@ -1012,6 +1025,31 @@ class TestMatMulGuard:
                 counts.setdefault(verb, []).append(len(calls))
         for verb, seq in counts.items():
             assert len(set(seq)) == 1 and seq[0] > 0, (verb, seq)
+
+    def test_words_take_linear_counts(self, monkeypatch):
+        """Seeded random words of n = 2^k pairs, k = 6..10, each
+        conjugated by a shear: canon takes at most 2n + 16 products (one
+        per pair for the word's value and for the rotated-off prefix)
+        and equiv against the word's own value at most 4n + 32. canon on
+        R^(2^k) L, one pair, takes the same count for k = 6..13."""
+        calls = self.counted_mat_mul(monkeypatch)
+        rng, shear = random.Random(25), (1, 1, 0, 1)
+        for k in range(6, 11):
+            n, value = 2**k, (1, 0, 0, 1)
+            for _ in range(n):
+                r, l = rng.randint(1, 3), rng.randint(1, 3)
+                value = mul(value, (1 + r * l, r, l, 1))
+            m, w = ("%d,%d;%d,%d" % x for x in (mul(inverse(shear), mul(value, shear)), value))
+            for argv, bound in ((["canon", m], 2 * n + 16), (["equiv", m, w], 4 * n + 32)):
+                calls.clear()
+                assert quiet_run(argv) == 0, argv[0]
+                assert len(calls) <= bound, (argv[0], n, len(calls), bound)
+        counts = []
+        for k in range(6, 14):
+            calls.clear()
+            assert quiet_run(["canon", "%d,%d;%d,%d" % (1 + 2**k, 2**k, 1, 1)]) == 0
+            counts.append(len(calls))
+        assert len(set(counts)) == 1 and counts[0] > 0, counts
 
     def test_walk_does_not_grow_with_the_exponent(self, monkeypatch, tmp_path):
         """commensurability._rank runs once for the walk's start and once

@@ -1,6 +1,7 @@
 """Unit tests for canonical RL-words and SL2(Z) conjugacy decisions."""
 
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from flowcomm import (
     are_equivalent,
     evaluate_word,
     mat_mul,
+    reduction_cycle,
     rl_word,
 )
 from flowcomm.conjugacy import _shared_units, _unit_divmod
@@ -24,6 +26,7 @@ from helpers import (
     canonical_form,
     hyperbolic_corpus,
     random_unimodular,
+    reduction_cycle_by_quotient,
     square_pow,
 )
 
@@ -81,6 +84,29 @@ class TestEvaluateWord:
             m = evaluate_word(RLWord(pairs))
             assert m.det() == 1
             assert m.trace() > 2
+
+
+class TestReductionCycle:
+    """reduction_cycle steps in blocks of two quotients; it returns what
+    the one-quotient-at-a-time reference returns."""
+
+    def test_odd_period_comes_back_doubled(self):
+        # (1 + sqrt 5) / 2 = [1; 1, 1, ...] and 1 + sqrt 2 = [2; 2, 2, ...]
+        assert reduction_cycle(1, 2, 2) == (Mat2.identity(), [1, 1])
+        assert reduction_cycle(2, 2, 2) == (Mat2.identity(), [2, 2])
+
+    def test_matches_the_quotient_reference(self):
+        rng = random.Random(206)
+        cases = 0
+        while cases < 400:
+            bound = rng.choice((20, 500))
+            p, q, q_prev = (rng.randint(-bound, bound) for _ in range(3))
+            disc = p * p + q * q_prev
+            if q == 0 or disc <= 0 or isqrt(disc) ** 2 == disc:
+                continue
+            w, period = reduction_cycle(p, q, q_prev)
+            assert (w.entries(), period) == reduction_cycle_by_quotient(p, q, q_prev)
+            cases += 1
 
 
 class TestCanonicalForm:
