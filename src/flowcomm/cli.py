@@ -3,6 +3,11 @@
 Verbs: equiv, canon, commensurable, cover, chain, verify, trace-seq,
 each declared once in _VERBS: its positional arguments, whether -o
 writes its document, its handler and its help; every verb takes --quiet.
+Each run() call builds a fresh parser: when argv[0] is a verb, the
+top-level parser with that verb's sub-parser alone; otherwise (--help,
+an empty argv, an unknown verb, a first token that is an option or
+'--') with all seven, so the top-level help and its errors list every
+verb. Either way the output is the same bytes.
 Exit codes are a scripting contract: 0 = positive verdict or verified
 document, 1 = negative verdict or rejected document, 2 = usage or
 input error, 3 = a computational limit was hit (an output integer past
@@ -268,7 +273,8 @@ _VERBS = (
 )
 
 
-def _build_parser():
+def _build_parser(verbs=_VERBS):
+    """The top-level parser with a sub-parser for each row of verbs."""
     parser = _Parser(
         prog="flowcomm",
         description=(
@@ -278,7 +284,7 @@ def _build_parser():
         ),
     )
     subs = parser.add_subparsers(dest="verb", required=True)
-    for name, positionals, writes, handler, help_text in _VERBS:
+    for name, positionals, writes, handler, help_text in verbs:
         sub = subs.add_parser(name, help=help_text)
         for positional in positionals:
             sub.add_argument(positional)
@@ -290,7 +296,9 @@ def _build_parser():
 
 
 def run(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)  # as argparse reads it
+    # a first token that names a verb needs only that verb's sub-parser
+    parser = _build_parser([row for row in _VERBS if [row[0]] == argv[:1]] or _VERBS)
     try:
         args = parser.parse_args(argv)
         return args.handler(args)

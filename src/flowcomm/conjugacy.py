@@ -26,6 +26,7 @@ conjugates (13 10; 9 7), of word R L^2 R^3 L, to (7 9; 10 13), of word
 R L R^2 L^3, yet are_equivalent returns a negative verdict on them.
 """
 
+from functools import reduce
 from math import gcd, isqrt
 from operator import index as _as_int
 
@@ -91,17 +92,33 @@ def _block(r, l):
 
 
 def evaluate_word(word):
-    """Matrix value of a word, one _block per pair; det 1, trace > 2, entries > 0."""
+    """Matrix value of a word, the product of one _block per pair; det 1,
+    trace > 2, entries > 0."""
     if not isinstance(word, RLWord):
         word = RLWord(word)
-    result = Mat2.identity()
-    for r, l in word.pairs:
-        result = mat_mul(result, _block(r, l))
-    return result
+    return reduce(mat_mul, (_block(r, l) for r, l in word.pairs))
 
 
 def _least_rotation(pairs):
-    return min(range(len(pairs)), key=lambda k: pairs[k:] + pairs[:k])
+    """Least k such that pairs[k:] + pairs[:k] is the least rotation, by
+    Booth's algorithm (Inf. Process. Lett. 10, 1980): a failure function
+    over the doubled word, O(len(pairs)) pair comparisons."""
+    word = pairs + pairs
+    fail = [-1] * len(word)
+    k = 0
+    for j in range(1, len(word)):
+        x, i = word[j], fail[j - k - 1]
+        while i != -1 and x != word[k + i + 1]:
+            if x < word[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and x != word[k]:
+            if x < word[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
 def reduction_cycle(p, q, q_prev):
@@ -210,10 +227,11 @@ def rl_word(m):
     pairs = tuple(zip(period[::2], period[1::2]))
 
     best = _least_rotation(pairs)
-    if best:
-        witness = mat_mul(witness, evaluate_word(pairs[:best]))
     word = RLWord(pairs[best:] + pairs[:best])
-    value = evaluate_word(word)
+    value = evaluate_word(pairs[best:])
+    if best:  # the rotated-off prefix moves into the witness
+        prefix = evaluate_word(pairs[:best])
+        witness, value = mat_mul(witness, prefix), mat_mul(value, prefix)
     tau, t = value.trace(), m.trace()
     shared, u_value, u_m = _shared_units(tau, t)
     reps, rem = _unit_divmod((t, u_m), (tau, u_value), shared)

@@ -377,6 +377,13 @@ def canonical_form(pairs):
     return min(pairs[k:] + pairs[:k] for k in range(len(pairs)))
 
 
+def least_rotation_by_min(pairs):
+    """conjugacy._least_rotation as the minimum over every rotation, each
+    built as a fresh tuple: quadratic in len(pairs), the first of equal
+    rotations."""
+    return min(range(len(pairs)), key=lambda k: pairs[k:] + pairs[:k])
+
+
 def enumerate_sublattices(n):
     """Hermite triples (a, b, d) of all sublattices of Z^2 of index n,
     sorted: one for each a | n and 0 <= b < a, sigma(n) in all."""

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import io
 import json
 import random
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcomm import Suspension, cli, commensurability, linalg
+from flowcomm import Suspension, cli, commensurability, conjugacy, linalg
 from flowcomm.cli import INTERNAL_ERROR, main, run
 from flowcomm.serialize import digit_limit_message
 from helpers import (
@@ -151,6 +152,78 @@ class TestParsing:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "flowcomm" in capsys.readouterr().out
+
+
+def parser_cases(tmp_path):
+    """argv lists that reach every parser path: each verb's help, the
+    top-level help and an empty argv, an unknown verb, a first token that
+    is an option or '--', missing and extra positionals, a leading
+    negative entry, and -o with and without its file."""
+    cover = str(tmp_path / "cover.json")
+    return (
+        [[name, "--help"] for name, *_ in cli._VERBS]
+        + [["--help"], ["-h"], [], ["bogus"], ["bogus", A_JSON], ["-x"]]
+        + [["--", "canon", A_JSON], ["--quiet", "canon", A_JSON], ["canon", "-h"]]
+        + [["canon"], ["equiv", A_JSON], ["trace-seq", A_JSON], ["chain"], ["verify"]]
+        + [["canon", A_JSON, A_JSON], ["equiv", A_JSON, A_JSON, A_JSON]]
+        + [["canon", "-1,1;-5,4"], ["canon", "--", "-1,1;-5,4"], ["canon", A_JSON, "--bogus"]]
+        + [["cover", A_JSON, F7, "-o"], ["cover", A_JSON, F7, "-o", cover], ["verify", cover]]
+        + [["canon", A_JSON, "--quiet"], ["chain", "surface:g=2", "orbifold:2,3,7"]]
+    )
+
+
+def outcome(call):
+    """(exit code, stdout, stderr) of call(); a SystemExit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserPath:
+    """run() builds the top-level parser with only the sub-parser that
+    argv[0] names, and with all seven when argv[0] names none. Which one
+    it builds must not show in any exit code, stdout or stderr."""
+
+    def outcomes(self, monkeypatch, tmp_path):
+        """run(argv) for each case, then main() with sys.argv patched."""
+        results = []
+        for argv in parser_cases(tmp_path):
+            results.append(outcome(lambda: run(argv)))
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "argv", ["flowcomm", *argv])
+                results.append(outcome(main))
+        return results
+
+    def test_one_sub_parser_matches_all_seven(self, monkeypatch, tmp_path):
+        one = self.outcomes(monkeypatch, tmp_path)
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda verbs: build())
+        assert self.outcomes(monkeypatch, tmp_path) == one
+        assert {code for code, _, _ in one} == {0, 2}
+
+    @pytest.mark.parametrize("through_main", [False, True])
+    def test_sub_parsers_built(self, monkeypatch, tmp_path, through_main):
+        """add_parser runs once when argv[0] is a verb, else once per verb."""
+        names, add_parser = [], argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        verbs = [name for name, *_ in cli._VERBS]
+        for argv in parser_cases(tmp_path):
+            names.clear()
+            if through_main:
+                monkeypatch.setattr(sys, "argv", ["flowcomm", *argv])
+                outcome(main)
+            else:
+                outcome(lambda: run(argv))
+            assert names == (argv[:1] if argv and argv[0] in verbs else verbs), argv
 
 
 class TestEquiv:
@@ -1028,10 +1101,12 @@ class TestMatMulGuard:
 
     def test_words_take_linear_counts(self, monkeypatch):
         """Seeded random words of n = 2^k pairs, k = 6..10, each
-        conjugated by a shear: canon takes at most 2n + 16 products (one
-        per pair for the word's value and for the rotated-off prefix)
-        and equiv against the word's own value at most 4n + 32. canon on
-        R^(2^k) L, one pair, takes the same count for k = 6..13."""
+        conjugated by a shear: canon takes at most n + 16 products (one
+        per pair: the rotated-off prefix and the rest are each evaluated
+        once, and the word's value is their product; n + 5 measured) and
+        equiv against the word's own value at most 2n + 32 (2n + 12
+        measured). canon on R^(2^k) L, one pair, takes the same count
+        for k = 6..13."""
         calls = self.counted_mat_mul(monkeypatch)
         rng, shear = random.Random(25), (1, 1, 0, 1)
         for k in range(6, 11):
@@ -1040,7 +1115,7 @@ class TestMatMulGuard:
                 r, l = rng.randint(1, 3), rng.randint(1, 3)
                 value = mul(value, (1 + r * l, r, l, 1))
             m, w = ("%d,%d;%d,%d" % x for x in (mul(inverse(shear), mul(value, shear)), value))
-            for argv, bound in ((["canon", m], 2 * n + 16), (["equiv", m, w], 4 * n + 32)):
+            for argv, bound in ((["canon", m], n + 16), (["equiv", m, w], 2 * n + 32)):
                 calls.clear()
                 assert quiet_run(argv) == 0, argv[0]
                 assert len(calls) <= bound, (argv[0], n, len(calls), bound)
@@ -1050,6 +1125,49 @@ class TestMatMulGuard:
             assert quiet_run(["canon", "%d,%d;%d,%d" % (1 + 2**k, 2**k, 1, 1)]) == 0
             counts.append(len(calls))
         assert len(set(counts)) == 1 and counts[0] > 0, counts
+
+    def test_hostile_certificates_take_work_linear_in_their_bits(self, monkeypatch, tmp_path):
+        """verify makes at most one _unit_mul or mat_mul per 256 bits of
+        a cover document at the digit limit: A^9570 against A^9569, whose
+        bases have 4,000-digit entries, as written (24 products,
+        measured) and with its powers swapped, so that one square class
+        holds powers that do not meet; with a 4,000-digit power_a against
+        power_b 1, the reverse, and two 4,000-digit powers; and with
+        base_b moved to the next trace, one square class apart. A unit
+        division by one product per unit of its quotient would take over
+        9,000 products on the first document, past the bound."""
+        calls = self.counted_mat_mul(monkeypatch)
+        unit_mul = conjugacy._unit_mul
+
+        def counting(x, y, d0):
+            calls.append(1)
+            return unit_mul(x, y, d0)
+
+        monkeypatch.setattr(conjugacy, "_unit_mul", counting)
+        a, b = ("%d,%d;%d,%d" % square_pow((2, 1, 1, 1), n) for n in (9570, 9569))
+        path = tmp_path / "cover.json"
+        assert quiet_run(["cover", a, b, "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        assert max(len(entry) for row in doc["base_a"] for entry in row) == 4000
+        big = "1" + "0" * 3999
+        (b11, _), (_, b22) = doc["base_b"]
+        next_trace = [["0", "1"], ["-1", str(int(b11) + int(b22) + 1)]]
+        counts = []
+        for edit, code in (
+            ({}, 0),
+            ({"power_a": doc["power_b"], "power_b": doc["power_a"]}, 1),
+            ({"power_a": big, "power_b": "1"}, 1),
+            ({"power_a": "1", "power_b": big}, 1),
+            ({"power_a": big, "power_b": big[:-1] + "1"}, 1),
+            ({"base_b": next_trace}, 1),
+        ):
+            text = json.dumps({**doc, **edit})
+            path.write_text(text)
+            calls.clear()
+            assert quiet_run(["verify", str(path)]) == code, sorted(edit)
+            counts.append(len(calls))
+            assert len(calls) <= 8 * len(text) // 256, (sorted(edit), len(calls), len(text))
+        assert counts[0] > 0, counts
 
     def test_walk_does_not_grow_with_the_exponent(self, monkeypatch, tmp_path):
         """commensurability._rank runs once for the walk's start and once

@@ -20,11 +20,12 @@ from flowcomm import (
     reduction_cycle,
     rl_word,
 )
-from flowcomm.conjugacy import _shared_units, _unit_divmod
+from flowcomm.conjugacy import _least_rotation, _shared_units, _unit_divmod
 from helpers import (
     brute_force_conjugator,
     canonical_form,
     hyperbolic_corpus,
+    least_rotation_by_min,
     random_unimodular,
     reduction_cycle_by_quotient,
     square_pow,
@@ -126,6 +127,58 @@ class TestCanonicalForm:
             k = rng.randrange(n)
             rotated = pairs[k:] + pairs[:k]
             assert canonical_form(pairs) == canonical_form(rotated)
+
+
+class CountedPair(tuple):
+    """An (r, l) pair that counts its comparisons in a shared list."""
+
+    calls = []
+
+    def __ne__(self, other):
+        self.calls.append(1)
+        return tuple.__ne__(self, other)
+
+    def __lt__(self, other):
+        self.calls.append(1)
+        return tuple.__lt__(self, other)
+
+
+class TestLeastRotation:
+    """_least_rotation (Booth's algorithm) against the quadratic minimum
+    over every rotation, which it replaced."""
+
+    def test_agrees_with_the_min_over_rotations(self):
+        """Seeded words of 1 to 4,096 pairs with exponents up to 1, 2
+        or 3: few distinct pairs give long runs of equal ones."""
+        rng = random.Random(26)
+        for n in [*range(1, 65), 100, 255, 256, 1000, 1024, 4096]:
+            for top in (1, 2, 3):
+                pairs = tuple((rng.randint(1, top), rng.randint(1, top)) for _ in range(n))
+                assert _least_rotation(pairs) == least_rotation_by_min(pairs), (n, top)
+
+    def test_repeated_words(self):
+        """A rotated power of a word has several least rotations; both
+        return the first."""
+        rng = random.Random(27)
+        for _ in range(500):
+            base = tuple((rng.randint(1, 2), rng.randint(1, 2)) for _ in range(rng.randint(1, 6)))
+            pairs = base * rng.randint(1, 8)
+            k = rng.randrange(len(pairs))
+            pairs = pairs[k:] + pairs[:k]
+            assert _least_rotation(pairs) == least_rotation_by_min(pairs), pairs
+
+    def test_comparisons_are_linear(self):
+        """At most 6n pair comparisons on seeded words of n = 2^k pairs,
+        k = 4..12. Over every word of up to 16 pairs drawn from two
+        distinct pairs, the most is 6n - 7."""
+        rng = random.Random(28)
+        for k in range(4, 13):
+            n = 2**k
+            for top in (1, 2, 3):
+                pairs = tuple(CountedPair((rng.randint(1, top), rng.randint(1, top))) for _ in range(n))
+                CountedPair.calls.clear()
+                _least_rotation(pairs)
+                assert len(CountedPair.calls) <= 6 * n, (n, top, len(CountedPair.calls))
 
 
 class TestRlWord:
