@@ -36,20 +36,13 @@ HOSTILE_ORDERS = (200, 4000, 14)
 PRELUDE = r"""
 import json, sys, time
 sys.path.insert(0, "src")
-from flowcomm import ComputationLimit
 
-REFUSED = "exit 3 (ComputationLimit)"
-
-# least time in ms over the repeats, and the result (REFUSED when the
-# call raised ComputationLimit)
+# least time in ms over the repeats, and the result
 def best(call, repeats):
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        try:
-            out = call()
-        except ComputationLimit:
-            out = REFUSED
+        out = call()
         times.append(time.perf_counter() - start)
     return round(min(times) * 1e3, 3), out
 
@@ -80,10 +73,6 @@ rows = []
 for p in ladder:
     x, y = Mat2(*power(p)), Mat2(*power(p - 1))
     decide_ms, verdict = best(lambda: are_commensurable(x, y), repeats)
-    if verdict == REFUSED:  # no certificate to verify
-        rows.append({"p": p, "are_commensurable_ms": REFUSED, "verify_certificate_ms": REFUSED,
-                     "document_bytes": REFUSED})
-        continue
     verify_ms, clause = best(lambda: verify_certificate(verdict.certificate), repeats)
     assert clause == (True, "ok"), clause
     size = len(dumps(encode_certificate(verdict.certificate)).encode())
@@ -171,8 +160,7 @@ def functions(parent_dir, change_dir):
                 "A = [[2,1],[1,1]], called in-process through the library, and the bytes of "
                 "the certificate document (`flowcomm cover` output)",
         "how": "time.perf_counter around each call, best of 3 runs for the parent and of 5 "
-               "for the change, while no benchmark ran; the parent refuses p >= 870 with "
-               "ComputationLimit (CLI exit 3), before forming any power",
+               "for the change, while no benchmark ran",
         "rows": rows,
         "hostile_document": {
             "what": "the are_commensurable(A, [[0,1],[-1,7]]) certificate with power_a = "

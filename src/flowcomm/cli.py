@@ -72,8 +72,9 @@ INTERNAL_ERROR = "internal error"
 # characters of a stderr message written whole; a longer one keeps its head
 _MESSAGE_LIMIT = 200
 
-# decimal literals int() accepts; a ValueError on one is the digit limit
-_DIGITS_RE = re.compile(r"[+-]?[0-9]+(?:_[0-9]+)*")
+# decimal literals int() accepts, in any script's decimal digits; a
+# ValueError on one is the digit limit
+_DIGITS_RE = re.compile(r"[+-]?\d+(?:_\d+)*")
 # [[a,b],[c,d]] as the rows of a,b;c,d; no row admits a bracket, so matching is linear
 _ROW = r"\[([^][,;]*,[^][,;]*)\]"
 _BRACKETED_RE = re.compile(rf"\[\s*{_ROW}\s*,\s*{_ROW}\s*\]")
@@ -158,7 +159,7 @@ def _parse_model(text):
 def _emit(args, encode, value):
     """Write dumps(encode(value)) to -o's file, else to stdout unless
     --quiet: then no document is built, and none can pass the digit limit."""
-    if args.output:
+    if args.output is not None:  # -o "" too, which open() refuses
         text = dumps(encode(value))
         try:
             with open(args.output, "w", encoding="utf-8") as handle:

@@ -166,9 +166,9 @@ def find_intertwiner(a1, b1):
 
     alpha, gamma = k1.det(), k2.det()
     beta = det(combine(1, 1)) - alpha - gamma
-    w, period = reduction_cycle(-beta, 2 * alpha, -2 * gamma)
+    w, blocks = reduction_cycle(alpha, beta, gamma)
     w_start, convergents = w, []
-    for r, l in zip(period[::2], period[1::2]):
+    for r, l in blocks:
         w = mat_mul(w, _block(r, l))  # columns: the convergents after l and after r
         convergents += (w.b, w.d), (w.a, w.c)
     auto = mat_mul(w, w_start.inverse())

@@ -56,9 +56,7 @@ __all__ = [
     "encode_verdict",
     "encode_word",
     "encode_certificate",
-    "decode_certificate",
     "encode_chain",
-    "decode_chain",
     "decode_document",
     "dumps",
     "loads",
@@ -242,13 +240,6 @@ def encode_certificate(cert):
     return {**_header(CERTIFICATE_KIND), **_encode_fields(_CERTIFICATE_FIELDS, cert)}
 
 
-def decode_certificate(doc):
-    _check_header(doc, CERTIFICATE_KIND)
-    return _decode_fields(
-        _CERTIFICATE_FIELDS, CommensurabilityCertificate, doc, "certificate"
-    )
-
-
 def _encode_model(model):
     if isinstance(model, Suspension):
         return {"type": "suspension", "monodromy": _encode_matrix(model.monodromy)}
@@ -330,8 +321,7 @@ def encode_chain(chain):
     }
 
 
-def decode_chain(doc):
-    _check_header(doc, CHAIN_KIND)
+def _decode_chain(doc):
     endpoints = _get(doc, "endpoints")
     if not isinstance(endpoints, list) or len(endpoints) != 2:
         raise DocumentError("endpoints: expected exactly two models")
@@ -354,28 +344,21 @@ def _header(kind):
     return {"format_version": FORMAT_VERSION, "generator": generator, "kind": kind}
 
 
-def _check_header(doc, expected_kind):
+def decode_document(doc):
+    """The certificate or chain that a document holds: its kind, format
+    version and generator checked in that order, then its body read."""
+    kind = _get(doc, "kind")
+    if kind not in (CERTIFICATE_KIND, CHAIN_KIND):  # by ==, so a list or object is unknown too
+        raise DocumentError(f"kind: unknown document kind {kind!r}")
     version = _get(doc, "format_version")
     if version != FORMAT_VERSION:
-        raise DocumentError(
-            f"format_version: expected {FORMAT_VERSION!r}, got {version!r}"
-        )
-    kind = _get(doc, "kind")
-    if kind != expected_kind:
-        raise DocumentError(f"kind: expected {expected_kind!r}, got {kind!r}")
+        raise DocumentError(f"format_version: expected {FORMAT_VERSION!r}, got {version!r}")
     generator = doc.get("generator")
     if generator is not None and not isinstance(generator, str):
         raise DocumentError("generator: expected a string when present")
-
-
-def decode_document(doc):
-    """Dispatch on the kind discriminator; returns the decoded object."""
-    kind = _get(doc, "kind")
-    if kind == CERTIFICATE_KIND:
-        return decode_certificate(doc)
     if kind == CHAIN_KIND:
-        return decode_chain(doc)
-    raise DocumentError(f"kind: unknown document kind {kind!r}")
+        return _decode_chain(doc)
+    return _decode_fields(_CERTIFICATE_FIELDS, CommensurabilityCertificate, doc, "certificate")
 
 
 def dumps(doc):

@@ -349,10 +349,12 @@ def lattice_period(m, triple):
 
 
 def reduction_cycle_by_quotient(p, q, q_prev):
-    """conjugacy.reduction_cycle one quotient at a time, with (w, period)
-    as plain data: w is the product of the (a 1; 1 0) up to the first
-    reduced complete quotient after an even number of steps, and period
-    is that quotient's least period, doubled when odd."""
+    """conjugacy.reduction_cycle one quotient at a time, on the first
+    root (p + sqrt(p^2 + q q_prev)) / q of the form (q, -2p, -q_prev),
+    with (w, period) as plain data: w is the product of the (a 1; 1 0)
+    up to the first reduced complete quotient after an even number of
+    steps, and period is that quotient's least period, doubled when odd,
+    as a flat list where reduction_cycle gives (r, l) blocks."""
     s = math.isqrt(p * p + q * q_prev)
 
     def step():

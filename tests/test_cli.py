@@ -369,6 +369,18 @@ class TestCoverAndVerify:
             assert "cannot write" in captured.err
             assert "Traceback" not in captured.err and captured.out == ""
 
+    def test_empty_output_path_exits_two(self, capsys):
+        """-o '' names a file that cannot be opened, as verify '' does; it
+        asks neither for stdout nor for no output."""
+        for argv in (
+            ["cover", A_SEMI, "0,1;-1,7", "-o", ""],
+            ["chain", "surface:g=2", "surface:g=3", "-o", "", "--quiet"],
+        ):
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: cannot write '': ")
+
     def test_non_utf8_file_exits_two(self, capsys, tmp_path):
         path = tmp_path / "cert.json"
         path.write_bytes(b'{"kind": "\xff\xfe"}')
@@ -809,10 +821,13 @@ class TestTraceSeq:
         out = capsys.readouterr().out
         assert out.split() == ["3", "7", "18", "47", "123", "322"]
 
-    def test_bad_count(self, capsys):
+    @pytest.mark.parametrize("nine", ["9", "\u0669", "\uff19"], ids=["ascii", "arabic-indic", "fullwidth"])
+    def test_bad_count(self, capsys, nine):
         """The count goes through the parser of matrix entries: the same
-        digit-limit and not-an-integer messages, and one range check."""
-        long_count = "9" * 5000
+        digit-limit and not-an-integer messages, and one range check.
+        int() reads the decimal digits of every script, and so does the
+        test that names the digit limit."""
+        long_count = nine * 5000
         assert run(["canon", f"{long_count},1;1,1"]) == 2
         entry_err = capsys.readouterr().err
         assert entry_err == f"error: {digit_limit_message()}\n"

@@ -88,13 +88,19 @@ class TestEvaluateWord:
 
 
 class TestReductionCycle:
-    """reduction_cycle steps in blocks of two quotients; it returns what
-    the one-quotient-at-a-time reference returns."""
+    """reduction_cycle expands the first root of a form in blocks of two
+    quotients; it returns what the one-quotient-at-a-time reference
+    returns, its quotients taken in pairs."""
 
     def test_odd_period_comes_back_doubled(self):
         # (1 + sqrt 5) / 2 = [1; 1, 1, ...] and 1 + sqrt 2 = [2; 2, 2, ...]
-        assert reduction_cycle(1, 2, 2) == (Mat2.identity(), [1, 1])
-        assert reduction_cycle(2, 2, 2) == (Mat2.identity(), [2, 2])
+        assert reduction_cycle(1, -1, -1) == (Mat2.identity(), ((1, 1),))
+        assert reduction_cycle(1, -2, -1) == (Mat2.identity(), ((2, 2),))
+
+    def test_negative_leading_coefficient(self):
+        # -x^2 + x + 1 has the first root (1 - sqrt 5) / 2 = [-1; 2, 1, 1, ...],
+        # and (-1 1; 1 0)(2 1; 1 0) carries (1 + sqrt 5) / 2 to it
+        assert reduction_cycle(-1, 1, 1) == (Mat2(-1, -1, 2, 1), ((1, 1),))
 
     def test_matches_the_quotient_reference(self):
         rng = random.Random(206)
@@ -105,8 +111,10 @@ class TestReductionCycle:
             disc = p * p + q * q_prev
             if q == 0 or disc <= 0 or isqrt(disc) ** 2 == disc:
                 continue
-            w, period = reduction_cycle(p, q, q_prev)
-            assert (w.entries(), period) == reduction_cycle_by_quotient(p, q, q_prev)
+            # (p + sqrt(disc)) / q is the first root of the form (q, -2p, -q_prev)
+            w, blocks = reduction_cycle(q, -2 * p, -q_prev)
+            w_ref, period = reduction_cycle_by_quotient(p, q, q_prev)
+            assert (w.entries(), blocks) == (w_ref, tuple(zip(period[::2], period[1::2])))
             cases += 1
 
 

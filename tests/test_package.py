@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import flowcomm
-from flowcomm import commensurability, conjugacy, errors, linalg, models
+from flowcomm import commensurability, conjugacy, errors, linalg, models, serialize
 from flowcomm import (
     ChainLink,
     CommensurabilityCertificate,
@@ -232,8 +232,8 @@ def test_wrong_argument_raises_plain_value_error(call, message):
 def test_removed_names_stay_gone():
     """No matrix power, operator spelling, lattice membership test,
     lattice image, stored index or basis, negation, second matrix repr,
-    folded exception or general kernel reduction is offered; A * A and
-    A ** 2 are TypeErrors."""
+    folded exception, general kernel reduction or single-kind document
+    decoder is offered; A * A and A ** 2 are TypeErrors."""
     removed = ["mat_pow", "InvalidGenus", "SingularBasis", "NotUnimodular", "TraceMismatch", "lattice_image"]
     assert [name for name in removed if hasattr(flowcomm, name)] == []
     assert [name for name in removed if name in flowcomm.__all__] == []
@@ -246,6 +246,8 @@ def test_removed_names_stay_gone():
     assert not hasattr(Mat2, "__neg__")
     assert "__repr__" not in vars(HyperbolicMatrix)
     assert not hasattr(Suspension, "euler_characteristic")
+    # decode_document reads every kind of document
+    assert not hasattr(serialize, "decode_certificate") and not hasattr(serialize, "decode_chain")
     a = Mat2(2, 1, 1, 1)
     with pytest.raises(TypeError):
         a * a

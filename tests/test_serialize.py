@@ -19,8 +19,6 @@ from flowcomm.serialize import (
     CERTIFICATE_KIND,
     CHAIN_KIND,
     FORMAT_VERSION,
-    decode_certificate,
-    decode_chain,
     decode_document,
     dumps,
     encode_certificate,
@@ -60,7 +58,7 @@ def sample_chains():
 class TestCertificateDocuments:
     def test_round_trip(self):
         cert = sample_certificate()
-        assert decode_certificate(encode_certificate(cert)) == cert
+        assert decode_document(encode_certificate(cert)) == cert
 
     def test_header_fields(self):
         doc = encode_certificate(sample_certificate())
@@ -76,69 +74,69 @@ class TestCertificateDocuments:
 
     def test_big_integers_survive(self):
         cert = are_commensurable(Mat2(*square_pow(A.entries(), 9)), A).certificate
-        round_tripped = decode_certificate(loads(dumps(encode_certificate(cert))))
+        round_tripped = decode_document(loads(dumps(encode_certificate(cert))))
         assert round_tripped == cert
 
     def test_generator_optional_and_ignored(self):
         doc = encode_certificate(sample_certificate())
         del doc["generator"]
-        assert decode_certificate(doc) == sample_certificate()
+        assert decode_document(doc) == sample_certificate()
         doc["generator"] = "someone else 9.9"
-        assert decode_certificate(doc) == sample_certificate()
+        assert decode_document(doc) == sample_certificate()
 
     def test_generator_must_be_string(self):
         doc = encode_certificate(sample_certificate())
         doc["generator"] = 5
         with pytest.raises(DocumentError):
-            decode_certificate(doc)
+            decode_document(doc)
 
     def test_wrong_version(self):
         doc = encode_certificate(sample_certificate())
         doc["format_version"] = "2"
         with pytest.raises(DocumentError):
-            decode_certificate(doc)
+            decode_document(doc)
 
     def test_wrong_kind(self):
         doc = encode_certificate(sample_certificate())
         doc["kind"] = CHAIN_KIND
         with pytest.raises(DocumentError):
-            decode_certificate(doc)
+            decode_document(doc)
 
     def test_missing_field(self):
         doc = encode_certificate(sample_certificate())
         del doc["intertwiner"]
         with pytest.raises(DocumentError):
-            decode_certificate(doc)
+            decode_document(doc)
 
     def test_native_number_rejected(self):
         doc = encode_certificate(sample_certificate())
         doc["power_a"] = 2
         with pytest.raises(DocumentError):
-            decode_certificate(doc)
+            decode_document(doc)
 
     def test_non_numeric_string_rejected(self):
         doc = encode_certificate(sample_certificate())
         doc["power_a"] = "two"
         with pytest.raises(DocumentError):
-            decode_certificate(doc)
+            decode_document(doc)
 
     def test_trailing_newline_rejected(self):
         doc = encode_certificate(sample_certificate())
         doc["power_a"] = "2\n"
         with pytest.raises(DocumentError, match="power_a"):
-            decode_certificate(doc)
+            decode_document(doc)
 
     def test_bad_matrix_shape(self):
         doc = encode_certificate(sample_certificate())
         doc["intertwiner"] = [["1", "1", "0"], ["0", "1", "0"]]
         with pytest.raises(DocumentError):
-            decode_certificate(doc)
+            decode_document(doc)
 
     def test_bad_lattice(self):
         doc = encode_certificate(sample_certificate())
         doc["sublattice"] = {"a": "3", "b": "5", "d": "1"}
         with pytest.raises(DocumentError):
-            decode_certificate(doc)
+            decode_document(doc)
 
 
 MATRIX = "expected a 2x2 matrix of decimal strings"
@@ -173,10 +171,9 @@ RECORD_FIELDS = [
 def test_record_field_errors(context, field, native_error, change):
     if context == "certificate":
         doc = record = encode_certificate(sample_certificate())
-        decode = decode_certificate
     else:
         doc = encode_chain(sample_chains()[2])
-        record, decode = doc["links"][0]["evidence"], decode_chain
+        record = doc["links"][0]["evidence"]
     if change == "drop":
         del record[field]
         expected = f"{context}: missing field {field!r}"
@@ -184,14 +181,14 @@ def test_record_field_errors(context, field, native_error, change):
         record[field] = 7
         expected = f"{context}.{field}: {native_error}"
     with pytest.raises(DocumentError) as excinfo:
-        decode(doc)
+        decode_document(doc)
     assert str(excinfo.value) == expected
 
 
 class TestChainDocuments:
     def test_round_trips(self):
         for chain in sample_chains():
-            assert decode_chain(encode_chain(chain)) == chain
+            assert decode_document(encode_chain(chain)) == chain
 
     def test_all_scalars_are_strings(self):
         for chain in sample_chains():
@@ -214,19 +211,19 @@ class TestChainDocuments:
         doc = encode_chain(chain)
         doc["links"][0]["evidence"]["tag"] = "FOLKLORE"
         with pytest.raises(DocumentError):
-            decode_chain(doc)
+            decode_document(doc)
 
     def test_unknown_link_kind(self):
         doc = encode_chain(sample_chains()[0])
         doc["links"][0]["kind"] = "almost-isomorphism"
         with pytest.raises(DocumentError):
-            decode_chain(doc)
+            decode_document(doc)
 
     def test_unknown_model_type(self):
         doc = encode_chain(sample_chains()[0])
         doc["endpoints"][0]["type"] = "torus"
         with pytest.raises(DocumentError):
-            decode_chain(doc)
+            decode_document(doc)
 
     def test_non_23n_orbifold_rejected(self):
         """Any hyperbolic signature decodes; a (2,5,18) orbifold has no
@@ -234,7 +231,7 @@ class TestChainDocuments:
         doc = encode_chain(sample_chains()[0])
         for model in (doc["links"][-1]["target"], doc["endpoints"][1]):
             model["cone_orders"] = ["2", "5", "18"]
-        chain = decode_chain(doc)
+        chain = decode_document(doc)
         assert chain.endpoints[1] == GeodesicOrbifold(0, (2, 5, 18))
         assert verify_chain(chain) == (False, "link 2: almost_equivalence_whitelist")
         for orders, message in (
@@ -246,7 +243,7 @@ class TestChainDocuments:
         ):
             doc["endpoints"][1]["cone_orders"] = orders
             with pytest.raises(DocumentError, match=message):
-                decode_chain(doc)
+                decode_document(doc)
 
     def test_general_signature_fields(self):
         """No cone points: a surface. Otherwise sorted cone orders, and a
@@ -261,13 +258,13 @@ class TestChainDocuments:
         ]
         doc["endpoints"][0]["genus"] = "-1"
         with pytest.raises(DocumentError, match=r"endpoints\[0\]: genus must be >= 0"):
-            decode_chain(doc)
+            decode_document(doc)
 
     def test_endpoints_shape(self):
         doc = encode_chain(sample_chains()[0])
         doc["endpoints"] = doc["endpoints"][:1]
         with pytest.raises(DocumentError):
-            decode_chain(doc)
+            decode_document(doc)
 
     def test_bad_fraction_rejected(self):
         chain = almost_commensurability_chain(
@@ -276,20 +273,20 @@ class TestChainDocuments:
         doc = encode_chain(chain)
         doc["links"][0]["evidence"]["euler_source"] = "-1/0"
         with pytest.raises(DocumentError):
-            decode_chain(doc)
+            decode_document(doc)
 
     def test_fraction_trailing_newline_rejected(self):
         doc = encode_chain(sample_chains()[2])
         doc["links"][0]["evidence"]["euler_source"] = "-1/42\n"
         with pytest.raises(DocumentError, match="euler_source"):
-            decode_chain(doc)
+            decode_document(doc)
 
     def test_mutated_documents_still_decode(self):
         """Wrong values in well-formed fields decode fine; rejection is
         the verifier's job, not the parser's."""
         doc = encode_chain(sample_chains()[0])
         doc["links"][0]["evidence"]["tag"] = "BIRKHOFF_SECTION_23N"
-        chain = decode_chain(doc)
+        chain = decode_document(doc)
         ok, clause = verify_chain(chain)
         assert not ok
         assert clause == "link 0: almost_equivalence_whitelist"
@@ -331,9 +328,29 @@ class TestTextForm:
         assert decode_document(encode_chain(chain)) == chain
 
     def test_decode_document_unknown_kind(self):
+        """Kinds are compared, not looked up, so an unhashable kind is
+        unknown too."""
         doc = encode_certificate(sample_certificate())
-        doc["kind"] = "waiver"
-        with pytest.raises(DocumentError):
+        for kind in ("waiver", [CHAIN_KIND], {CHAIN_KIND: CHAIN_KIND}, None):
+            doc["kind"] = kind
+            with pytest.raises(DocumentError) as excinfo:
+                decode_document(doc)
+            assert str(excinfo.value) == f"kind: unknown document kind {kind!r}"
+
+    def test_header_checked_before_the_body(self):
+        """kind, then format_version, then generator, then the body: each
+        repair of the first bad field gives the next one's error."""
+        doc = {"generator": 7, "format_version": "2", "kind": "waiver"}
+        for error, field, repair in (
+            ("kind: unknown document kind 'waiver'", "kind", CHAIN_KIND),
+            ("format_version: expected '1', got '2'", "format_version", FORMAT_VERSION),
+            ("generator: expected a string when present", "generator", "someone"),
+        ):
+            with pytest.raises(DocumentError) as excinfo:
+                decode_document(doc)
+            assert str(excinfo.value) == error
+            doc[field] = repair
+        with pytest.raises(DocumentError, match="^document: missing field 'endpoints'$"):
             decode_document(doc)
 
 
