@@ -29,6 +29,7 @@ from .linalg import (
     HyperbolicMatrix,
     Mat2,
     _Record,
+    _int_text,
     hnf,
     intertwiner_lattice,
     mat_mul,
@@ -111,7 +112,7 @@ class CommensurabilityVerdict(_Record):
 def _normalize_input(m):
     """Hyperbolic matrix plus a squared? flag; trace < -2 is squared."""
     if m.det() != 1:
-        raise NotHyperbolic(f"determinant is {m.det()}, need 1")
+        raise NotHyperbolic(f"determinant is {_int_text(m.det())}, need 1")
     t = m.trace()
     if t > 2:
         return HyperbolicMatrix.from_mat(m), False

@@ -7,15 +7,15 @@ R^r1 L^l1 ... R^rn L^ln with all exponents >= 1, where
 
 and the pair sequence is unique up to cyclic rotation. Two hyperbolic
 matrices are conjugate in SL2(Z) exactly when their canonical
-(lexicographically least) rotations agree, which turns the conjugacy
-problem into word comparison. The word is read off the period of the
-continued fraction of the matrix's expanding fixed point (Katok and
-Ugarcovici, "Symbolic dynamics for the modular surface", 2007): each
-partial quotient is one whole R^k or L^k run, found by one integer
-division. But each division is on integers of about the matrix's bit
-size, and the cycle takes two per pair of the word's period, so the work
-is quadratic in the length of a word that repeats no shorter period
-(32,002 steps on a 16,000-pair word).
+(lexicographically least) rotations agree, found by a two-pointer scan,
+which turns the conjugacy problem into word comparison. The word is read
+off the period of the continued fraction of the matrix's expanding fixed
+point (Katok and Ugarcovici, "Symbolic dynamics for the modular
+surface", 2007): each partial quotient is one whole R^k or L^k run,
+found by one integer division. But each division is on integers of about
+the matrix's bit size, and the cycle takes two per pair of the word's
+period, so the work is quadratic in the length of a word that repeats no
+shorter period (32,002 steps on a 16,000-pair word).
 
 The division of units, the expanding eigenvalues, lives here
 (_unit_divmod): it counts the repetitions of a word's period, steps the
@@ -36,8 +36,6 @@ from operator import index as _as_int
 from .linalg import HyperbolicMatrix, Mat2, _Record, mat_mul
 
 __all__ = [
-    "R",
-    "L",
     "RLWord",
     "EquivalenceVerdict",
     "rl_word",
@@ -45,10 +43,6 @@ __all__ = [
     "evaluate_word",
     "are_equivalent",
 ]
-
-R = Mat2(1, 1, 0, 1)
-L = Mat2(1, 0, 1, 1)
-
 
 class RLWord(_Record):
     """Positive word in R and L, stored as ((r1, l1), ..., (rn, ln))."""
@@ -63,13 +57,6 @@ class RLWord(_Record):
             if r < 1 or l < 1:
                 raise ValueError(f"exponents must be >= 1, got ({r}, {l})")
         super().__init__(pairs)
-
-    def exponents(self):
-        """Flat exponent tuple (r1, l1, r2, l2, ...)."""
-        return tuple(e for pair in self.pairs for e in pair)
-
-    def __repr__(self):
-        return f"RLWord{self.exponents()!r}"
 
     def __str__(self):
         return " ".join(f"R^{r} L^{l}" for r, l in self.pairs)
@@ -103,25 +90,26 @@ def evaluate_word(word):
 
 
 def _least_rotation(pairs):
-    """Least k such that pairs[k:] + pairs[:k] is the least rotation, by
-    Booth's algorithm (Inf. Process. Lett. 10, 1980): a failure function
-    over the doubled word, O(len(pairs)) pair comparisons."""
-    word = pairs + pairs
-    fail = [-1] * len(word)
-    k = 0
-    for j in range(1, len(word)):
-        x, i = word[j], fail[j - k - 1]
-        while i != -1 and x != word[k + i + 1]:
-            if x < word[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if i == -1 and x != word[k]:
-            if x < word[k]:
-                k = j
-            fail[j - k] = -1
+    """Least k such that pairs[k:] + pairs[:k] is the least rotation, by a
+    two-pointer scan: best start i, challenger j > i, shared prefix k. At
+    the first differing pair the side with the greater pair loses its start
+    and the k after it, so every start below j but i is beaten; i is the
+    first least rotation once j reaches n, or once the two agree for n pairs
+    (each later start then repeats one below j). i + j + k rises each step
+    and stays below 3n, so the scan makes fewer than 6n pair comparisons."""
+    n = len(pairs)
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        x, y = pairs[(i + k) % n], pairs[(j + k) % n]
+        if x == y:
+            k += 1
+            continue
+        if x > y:
+            i, j = j, max(j, i + k) + 1
         else:
-            fail[j - k] = i + 1
-    return k
+            j += k + 1
+        k = 0
+    return i
 
 
 def reduction_cycle(a, b, c):

@@ -70,6 +70,14 @@ class _Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
+def _int_text(value):
+    """str(value), or its size where the int/str digit limit refuses it."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
 class Mat2:
     """2x2 integer matrix with row-major entries (a, b; c, d)."""
 
@@ -101,7 +109,7 @@ class Mat2:
             return Mat2(self.d, -self.b, -self.c, self.a)
         if det == -1:
             return Mat2(-self.d, self.b, self.c, -self.a)
-        raise ValueError(f"determinant {det} is not +-1")
+        raise ValueError(f"determinant {_int_text(det)} is not +-1")
 
     def __eq__(self, other):
         if not isinstance(other, Mat2):
@@ -127,9 +135,9 @@ class HyperbolicMatrix(Mat2):
     def __init__(self, a, b, c, d):
         super().__init__(a, b, c, d)
         if self.det() != 1:
-            raise NotHyperbolic(f"determinant is {self.det()}, need 1")
+            raise NotHyperbolic(f"determinant is {_int_text(self.det())}, need 1")
         if self.trace() <= 2:
-            raise NotHyperbolic(f"trace {self.trace()} is not > 2")
+            raise NotHyperbolic(f"trace {_int_text(self.trace())} is not > 2")
 
     @classmethod
     def from_mat(cls, m):
@@ -235,7 +243,7 @@ def intertwiner_lattice(a, b):
     the whole lattice: two products check that it does.
     """
     if a.trace() != b.trace():
-        raise ValueError(f"traces {a.trace()} and {b.trace()} differ")
+        raise ValueError(f"traces {_int_text(a.trace())} and {_int_text(b.trace())} differ")
     c = a.c
     if c == 0:
         raise ValueError("a has lower-left entry 0, so t^2 - 4 det is a square")

@@ -13,7 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowcomm import Suspension, cli, commensurability, conjugacy, linalg
+from flowcomm import (
+    BIRKHOFF_SECTION_23N,
+    GHYS_HASHIGUCHI,
+    Suspension,
+    cli,
+    commensurability,
+    conjugacy,
+    linalg,
+)
 from flowcomm.cli import INTERNAL_ERROR, main, run
 from flowcomm.serialize import digit_limit_message
 from helpers import (
@@ -26,7 +34,7 @@ from helpers import (
     string_leaves_only,
     trace,
 )
-from output_corpus import corpus_digest
+from output_corpus import MODELS, corpus_digest
 from test_models import GENERAL_CORPUS, count_chi_sums
 
 A_JSON = "[[2,1],[1,1]]"
@@ -40,6 +48,12 @@ HARD_TRACE = str(10000019 * 10000079 + 2)
 # one digit past the interpreter's int/str conversion limit
 DIGIT_LIMIT = sys.get_int_max_str_digits()
 TOO_LONG = "1" + "0" * DIGIT_LIMIT
+# a matrix of det 10^(2e) - 1 whose entries are under the limit and
+# whose determinant, at about twice their digits, is past it
+_E = DIGIT_LIMIT - 100
+HUGE_DET = f"1{'0' * _E},1;1,1{'0' * _E}"
+HUGE_DET_BITS = (10 ** (2 * _E) - 1).bit_length()
+HUGE_DET_MESSAGE = f"determinant is an integer of {HUGE_DET_BITS} bits, need 1"
 
 
 # `chain orbifold:2,3,15 orbifold:2,3,7` as version 0.6.0 printed it
@@ -501,6 +515,29 @@ class TestChain:
         assert err.startswith("error: links[0].source: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "model_a, model_b", [(a, b) for i, a in enumerate(MODELS) for b in MODELS[i:]]
+    )
+    def test_every_tampered_link_rejected(self, capsys, tmp_path, model_a, model_b):
+        """Each chain between the corpus models, its middle link changed
+        by one value of its evidence: a cover degree, a citation tag or
+        a certificate power. Reversing the endpoints, as the corpus
+        does, leaves a chain from a model to itself valid."""
+        path = tmp_path / "chain.json"
+        assert run(["chain", model_a, model_b, "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        index = len(doc["links"]) // 2
+        evidence = doc["links"][index]["evidence"]
+        if evidence["type"] == "citation":
+            swap = {GHYS_HASHIGUCHI: BIRKHOFF_SECTION_23N, BIRKHOFF_SECTION_23N: GHYS_HASHIGUCHI}
+            evidence["tag"] = swap[evidence["tag"]]
+        else:
+            field = "degree_source" if evidence["type"] == "common-cover" else "power_a"
+            evidence[field] = str(int(evidence[field]) + 1)
+        path.write_text(json.dumps(doc))
+        assert run(["verify", str(path)]) == 1
+        assert capsys.readouterr().out.startswith(f"rejected: link {index}: ")
+
     def test_byte_identical_reruns(self, capsys):
         assert run(["chain", "surface:g=2", "surface:g=3"]) == 0
         first = capsys.readouterr().out
@@ -614,6 +651,26 @@ class TestHostileDocuments:
         field = "links[0].evidence.euler_source"
         assert result == (2, "", f"error: {field}: {digit_limit_message()}\n")
 
+    @pytest.mark.skipif(DIGIT_LIMIT == 0, reason="int/str digit limit disabled")
+    def test_determinant_past_the_digit_limit(self, capsys, tmp_path):
+        """A base or a monodromy whose determinant str() would refuse: a
+        certificate is rejected, and a chain's model is an input error
+        that names the determinant by its size."""
+        huge = [row.split(",") for row in HUGE_DET.split(";")]
+
+        def edit_base(doc):
+            doc["base_a"] = huge
+
+        result = self._verify(capsys, tmp_path, ["cover", A_JSON, F7], edit_base)
+        assert result == (1, "rejected: base_a_hyperbolic\n", "")
+
+        def edit_monodromy(doc):
+            doc["links"][0]["source"]["monodromy"] = huge
+
+        argv = ["chain", f"suspension:{A_SEMI}", "surface:g=2"]
+        result = self._verify(capsys, tmp_path, argv, edit_monodromy)
+        assert result == (2, "", f"error: links[0].source: {HUGE_DET_MESSAGE}\n")
+
     def test_unknown_evidence_type(self, capsys, tmp_path):
         def edit(link):
             link["evidence"]["type"] = "zzz"
@@ -711,6 +768,24 @@ class TestDigitLimit:
         path.write_text(f'{{"kind": {TOO_LONG}}}')
         assert run(["verify", str(path)]) == 2
         self._assert_named(capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["canon", HUGE_DET],
+            ["equiv", HUGE_DET, A_SEMI],
+            ["commensurable", A_SEMI, HUGE_DET],
+            ["cover", HUGE_DET, A_SEMI],
+            ["chain", "surface:g=2", f"suspension:{HUGE_DET}"],
+            ["trace-seq", HUGE_DET, "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_determinant_past_the_limit(self, capsys, argv):
+        """Every verb that reads a matrix names a determinant that str()
+        would refuse by its size, as an input error."""
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {HUGE_DET_MESSAGE}\n")
 
     def test_verdict_output(self, capsys):
         # t^2 - 4 has about twice the digits of t, and a negative verdict

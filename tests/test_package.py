@@ -25,6 +25,7 @@ from flowcomm import (
     HyperbolicMatrix,
     Lattice2,
     Mat2,
+    RLWord,
     Suspension,
     almost_commensurability_chain,
     are_commensurable,
@@ -167,7 +168,7 @@ def test_record_equality_hash_and_repr():
     equiv = are_equivalent(HyperbolicMatrix(2, 1, 1, 1), HyperbolicMatrix(3, 1, 2, 1))
     assert repr(equiv) == (
         "EquivalenceVerdict(equivalent=False, conjugator=None,"
-        " canonical_a=RLWord(1, 1), canonical_b=RLWord(1, 2))"
+        " canonical_a=RLWord(pairs=((1, 1),)), canonical_b=RLWord(pairs=((1, 2),)))"
     )
     for record in (verdict, equiv):  # compared and hashed by identity
         copy = type(record)(*(getattr(record, name) for name in record._fields))
@@ -229,15 +230,39 @@ def test_wrong_argument_raises_plain_value_error(call, message):
     assert str(caught.value).startswith(message)
 
 
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int/str digit limit disabled")
+def test_messages_name_an_unprintable_integer_by_its_size():
+    """A determinant or trace that str() would refuse is named by its
+    bit size, so that raising the error cannot itself raise."""
+    big = 10 ** (sys.get_int_max_str_digits() + 1)
+    det_bits = f"an integer of {(big * big).bit_length()} bits"
+    trace_bits = f"an integer of {big.bit_length()} bits"
+    with pytest.raises(ValueError, match=f"^determinant {det_bits} is not"):
+        Mat2(big, 0, 0, big).inverse()
+    with pytest.raises(ValueError, match=f"^traces {trace_bits} and 3 differ"):
+        intertwiner_lattice(Mat2(big, 1, 1, 0), Mat2(2, 1, 1, 1))
+    with pytest.raises(flowcomm.NotHyperbolic, match=f"^determinant is {det_bits}, need 1"):
+        HyperbolicMatrix(big, 0, 0, big)
+    with pytest.raises(flowcomm.NotHyperbolic, match=f"^trace {trace_bits} is not"):
+        HyperbolicMatrix(-big, 1, -1, 0)
+
+
 def test_removed_names_stay_gone():
     """No matrix power, operator spelling, lattice membership test,
     lattice image, stored index or basis, negation, second matrix repr,
-    folded exception, general kernel reduction or single-kind document
-    decoder is offered; A * A and A ** 2 are TypeErrors."""
-    removed = ["mat_pow", "InvalidGenus", "SingularBasis", "NotUnimodular", "TraceMismatch", "lattice_image"]
+    folded exception, general kernel reduction, single-kind document
+    decoder, R or L constant or flat word exponent tuple is offered;
+    A * A and A ** 2 are TypeErrors."""
+    removed = [
+        "mat_pow", "InvalidGenus", "SingularBasis", "NotUnimodular", "TraceMismatch",
+        "lattice_image", "R", "L",
+    ]
     assert [name for name in removed if hasattr(flowcomm, name)] == []
     assert [name for name in removed if name in flowcomm.__all__] == []
     assert not hasattr(linalg, "lattice_image")
+    assert not hasattr(conjugacy, "R") and not hasattr(conjugacy, "L")
+    # an RLWord is its pairs, with the shared record repr
+    assert not hasattr(RLWord, "exponents") and "__repr__" not in vars(RLWord)
     # the general 4x4 column reduction lives on only as a test oracle
     assert not hasattr(linalg, "_column_kernel")
     assert not hasattr(Mat2, "__pow__") and not hasattr(Mat2, "__mul__")
