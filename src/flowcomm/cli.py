@@ -3,11 +3,12 @@
 Verbs: equiv, canon, commensurable, cover, chain, verify, trace-seq,
 each declared once in _VERBS: its positional arguments, whether -o
 writes its document, its handler and its help; every verb takes --quiet.
-Each run() call builds a fresh parser: when argv[0] is a verb, the
-top-level parser with that verb's sub-parser alone; otherwise (--help,
-an empty argv, an unknown verb, a first token that is an option or
-'--') with all seven, so the top-level help and its errors list every
-verb. Either way the output is the same bytes.
+Each run() call builds a fresh parser: when argv[0] is a verb, that
+verb's parser alone, as prog "flowcomm <verb>", which parses argv[1:];
+otherwise (--help, an empty argv, an unknown verb, a first token that
+is an option or '--') the top-level parser with all seven verbs as
+sub-parsers, so the top-level help and its errors list every verb.
+Either way the output is the same bytes.
 Exit codes are a scripting contract: 0 = positive verdict or verified
 document, 1 = negative verdict or rejected document, 2 = usage or
 input error, 3 = a computational limit was hit (an output integer past
@@ -274,8 +275,19 @@ _VERBS = (
 )
 
 
-def _build_parser(verbs=_VERBS):
-    """The top-level parser with a sub-parser for each row of verbs."""
+def _add_verb(parser, positionals, writes, handler):
+    """Give parser one verb's arguments and defaults; return it."""
+    for positional in positionals:
+        parser.add_argument(positional)
+    if writes:
+        parser.add_argument("-o", "--output", help="write the document here instead of stdout")
+    parser.add_argument("--quiet", action="store_true", help="suppress output; exit code only")
+    parser.set_defaults(handler=handler, output=None)
+    return parser
+
+
+def _build_parser():
+    """The top-level parser with a sub-parser for each verb."""
     parser = _Parser(
         prog="flowcomm",
         description=(
@@ -285,21 +297,25 @@ def _build_parser(verbs=_VERBS):
         ),
     )
     subs = parser.add_subparsers(dest="verb", required=True)
-    for name, positionals, writes, handler, help_text in verbs:
-        sub = subs.add_parser(name, help=help_text)
-        for positional in positionals:
-            sub.add_argument(positional)
-        if writes:
-            sub.add_argument("-o", "--output", help="write the document here instead of stdout")
-        sub.add_argument("--quiet", action="store_true", help="suppress output; exit code only")
-        sub.set_defaults(handler=handler, output=None)
+    for name, positionals, writes, handler, help_text in _VERBS:
+        _add_verb(subs.add_parser(name, help=help_text), positionals, writes, handler)
     return parser
+
+
+def _parser_for(argv):
+    """The parser a call needs and the tokens it parses: when argv[0] is
+    a verb, that verb's parser alone, under the prog its sub-parser
+    would have, and argv[1:]; otherwise all seven verbs and argv."""
+    for name, positionals, writes, handler, _ in _VERBS:
+        if [name] == argv[:1]:
+            parser = _Parser(prog=f"flowcomm {name}")
+            return _add_verb(parser, positionals, writes, handler), argv[1:]
+    return _build_parser(), argv
 
 
 def run(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)  # as argparse reads it
-    # a first token that names a verb needs only that verb's sub-parser
-    parser = _build_parser([row for row in _VERBS if [row[0]] == argv[:1]] or _VERBS)
+    parser, argv = _parser_for(argv)
     try:
         args = parser.parse_args(argv)
         return args.handler(args)

@@ -72,11 +72,13 @@ class CommensurabilityCertificate(_Record):
     __hash__ = None
 
     def __repr__(self):
-        # short: the full entries could pass the int/str digit limit
+        # short, as the entries could pass the int/str digit limit; a
+        # printed field past it is named by its size
+        t = _int_text
         return (
-            f"CommensurabilityCertificate(powers=({self.power_a}, {self.power_b}), "
-            f"det={self.intertwiner_det}, indices=({self.index_over_a}, "
-            f"{self.index_over_b}))"
+            f"CommensurabilityCertificate(powers=({t(self.power_a)}, {t(self.power_b)}), "
+            f"det={t(self.intertwiner_det)}, indices=({t(self.index_over_a)}, "
+            f"{t(self.index_over_b)}))"
         )
 
 

@@ -8,6 +8,7 @@ offered. A wrong argument (a singular basis, a determinant other than
 +-1, traces that differ) raises ValueError.
 """
 
+from fractions import Fraction
 from math import gcd
 from operator import attrgetter, index as _as_int
 
@@ -66,7 +67,7 @@ class _Record:
         return hash(self._get_fields(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={_repr(getattr(self, name))}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
 
@@ -76,6 +77,20 @@ def _int_text(value):
         return str(value)
     except ValueError:
         return f"an integer of {value.bit_length()} bits"
+
+
+def _repr(value):
+    """repr(value), with each int in it, alone, in a Fraction or in nested
+    tuples, given by _int_text, so that no record's repr raises at the
+    digit limit."""
+    if isinstance(value, int):
+        return _int_text(value)
+    if isinstance(value, Fraction):
+        return f"Fraction({_int_text(value.numerator)}, {_int_text(value.denominator)})"
+    if isinstance(value, tuple):
+        items = ", ".join(map(_repr, value))
+        return f"({items},)" if len(value) == 1 else f"({items})"
+    return repr(value)
 
 
 class Mat2:
@@ -120,7 +135,7 @@ class Mat2:
         return hash(self.entries())
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.a}, {self.b}, {self.c}, {self.d})"
+        return f"{type(self).__name__}({', '.join(map(_int_text, self.entries()))})"
 
 
 class HyperbolicMatrix(Mat2):

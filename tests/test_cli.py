@@ -172,7 +172,8 @@ def parser_cases(tmp_path):
     """argv lists that reach every parser path: each verb's help, the
     top-level help and an empty argv, an unknown verb, a first token that
     is an option or '--', missing and extra positionals, a leading
-    negative entry, and -o with and without its file."""
+    negative entry, -o with and without its file, abbreviated options,
+    '--' after the verb, and a help flag before a positional."""
     cover = str(tmp_path / "cover.json")
     return (
         [[name, "--help"] for name, *_ in cli._VERBS]
@@ -183,6 +184,10 @@ def parser_cases(tmp_path):
         + [["canon", "-1,1;-5,4"], ["canon", "--", "-1,1;-5,4"], ["canon", A_JSON, "--bogus"]]
         + [["cover", A_JSON, F7, "-o"], ["cover", A_JSON, F7, "-o", cover], ["verify", cover]]
         + [["canon", A_JSON, "--quiet"], ["chain", "surface:g=2", "orbifold:2,3,7"]]
+        + [["canon", "--qu", A_JSON], ["cover", A_JSON, F7, "--o", cover]]
+        + [["cover", A_JSON, F7, "--out", cover], ["canon", "--", A_JSON]]
+        + [["canon", A_JSON, "--", "--quiet"], ["trace-seq", A_JSON, "-3"]]
+        + [["trace-seq", A_JSON, "--", "-3"], ["verify", "--quiet", cover], ["chain", "-h", "x"]]
     )
 
 
@@ -198,9 +203,10 @@ def outcome(call):
 
 
 class TestParserPath:
-    """run() builds the top-level parser with only the sub-parser that
-    argv[0] names, and with all seven when argv[0] names none. Which one
-    it builds must not show in any exit code, stdout or stderr."""
+    """run() builds only the parser of the verb argv[0] names, and the
+    top-level parser with all seven verbs as sub-parsers when argv[0]
+    names none. Which one it builds must not show in any exit code,
+    stdout or stderr."""
 
     def outcomes(self, monkeypatch, tmp_path):
         """run(argv) for each case, then main() with sys.argv patched."""
@@ -212,32 +218,42 @@ class TestParserPath:
                 results.append(outcome(main))
         return results
 
-    def test_one_sub_parser_matches_all_seven(self, monkeypatch, tmp_path):
+    def test_verb_parser_matches_all_seven(self, monkeypatch, tmp_path):
         one = self.outcomes(monkeypatch, tmp_path)
-        build = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda verbs: build())
+        monkeypatch.setattr(cli, "_parser_for", lambda argv: (cli._build_parser(), argv))
         assert self.outcomes(monkeypatch, tmp_path) == one
         assert {code for code, _, _ in one} == {0, 2}
 
     @pytest.mark.parametrize("through_main", [False, True])
-    def test_sub_parsers_built(self, monkeypatch, tmp_path, through_main):
-        """add_parser runs once when argv[0] is a verb, else once per verb."""
-        names, add_parser = [], argparse._SubParsersAction.add_parser
+    def test_parsers_built(self, monkeypatch, tmp_path, through_main):
+        """add_parser runs 0 times when argv[0] is a verb, else once per
+        verb; a verb's call constructs one _Parser."""
+        names, parsers = [], []
+        add_parser, init = argparse._SubParsersAction.add_parser, cli._Parser.__init__
 
-        def counting(self, name, **kwargs):
+        def counting_add_parser(self, name, **kwargs):
             names.append(name)
             return add_parser(self, name, **kwargs)
 
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        def counting_init(self, *args, **kwargs):
+            parsers.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
         verbs = [name for name, *_ in cli._VERBS]
         for argv in parser_cases(tmp_path):
             names.clear()
+            parsers.clear()
             if through_main:
                 monkeypatch.setattr(sys, "argv", ["flowcomm", *argv])
                 outcome(main)
             else:
                 outcome(lambda: run(argv))
-            assert names == (argv[:1] if argv and argv[0] in verbs else verbs), argv
+            if argv and argv[0] in verbs:
+                assert (names, parsers) == ([], [f"flowcomm {argv[0]}"]), argv
+            else:
+                assert names == verbs and len(parsers) == 1 + len(verbs), argv
 
 
 class TestEquiv:
@@ -1223,9 +1239,11 @@ class TestMatMulGuard:
         measured) and with its powers swapped, so that one square class
         holds powers that do not meet; with a 4,000-digit power_a against
         power_b 1, the reverse, and two 4,000-digit powers; and with
-        base_b moved to the next trace, one square class apart. A unit
-        division by one product per unit of its quotient would take over
-        9,000 products on the first document, past the bound."""
+        base_b moved to the next trace, one square class apart. Each is
+        read alone and as the evidence of a one-link chain document
+        between the suspensions of its bases. A unit division by one
+        product per unit of its quotient would take over 9,000 products
+        on the first document, past the bound."""
         calls = self.counted_mat_mul(monkeypatch)
         unit_mul = conjugacy._unit_mul
 
@@ -1242,6 +1260,7 @@ class TestMatMulGuard:
         big = "1" + "0" * 3999
         (b11, _), (_, b22) = doc["base_b"]
         next_trace = [["0", "1"], ["-1", str(int(b11) + int(b22) + 1)]]
+        header = {key: doc.pop(key) for key in ("format_version", "generator", "kind")}
         counts = []
         for edit, code in (
             ({}, 0),
@@ -1251,13 +1270,20 @@ class TestMatMulGuard:
             ({"power_a": big, "power_b": big[:-1] + "1"}, 1),
             ({"base_b": next_trace}, 1),
         ):
-            text = json.dumps({**doc, **edit})
-            path.write_text(text)
-            calls.clear()
-            assert quiet_run(["verify", str(path)]) == code, sorted(edit)
-            counts.append(len(calls))
-            assert len(calls) <= 8 * len(text) // 256, (sorted(edit), len(calls), len(text))
-        assert counts[0] > 0, counts
+            cert = {**doc, **edit}
+            ends = [{"type": "suspension", "monodromy": cert[key]} for key in ("base_a", "base_b")]
+            link = {"kind": "commensurability", "source": ends[0], "target": ends[1]}
+            link["evidence"] = {"type": "certificate", **cert}
+            chain = {**header, "kind": "chain-certificate", "endpoints": ends, "links": [link]}
+            for document in ({**header, **cert}, chain):
+                text = json.dumps(document)
+                path.write_text(text)
+                calls.clear()
+                assert quiet_run(["verify", str(path)]) == code, (document["kind"], sorted(edit))
+                counts.append(len(calls))
+                assert len(calls) <= 8 * len(text) // 256, (sorted(edit), len(calls), len(text))
+        # a chain reaches its certificate's verification, and costs no more
+        assert counts[0] > 0 and counts[0::2] == counts[1::2], counts
 
     def test_walk_does_not_grow_with_the_exponent(self, monkeypatch, tmp_path):
         """commensurability._rank runs once for the walk's start and once

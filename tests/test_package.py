@@ -9,6 +9,7 @@ import ast
 import importlib
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -245,6 +246,34 @@ def test_messages_name_an_unprintable_integer_by_its_size():
         HyperbolicMatrix(big, 0, 0, big)
     with pytest.raises(flowcomm.NotHyperbolic, match=f"^trace {trace_bits} is not"):
         HyperbolicMatrix(-big, 1, -1, 0)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int/str digit limit disabled")
+def test_reprs_name_an_unprintable_integer_by_its_size():
+    """A repr, or the hnf message that holds one, gives an integer that
+    str() would refuse by its bit size, alone, in a tuple or in a
+    Fraction; every other value keeps its repr."""
+    big = 10 ** (sys.get_int_max_str_digits() + 1)
+    bits = f"an integer of {big.bit_length()} bits"
+    assert repr(Mat2(big, 1, 1, 1)) == f"Mat2({bits}, 1, 1, 1)"
+    assert repr(RLWord(((big, 1),))) == f"RLWord(pairs=(({bits}, 1),))"
+    with pytest.raises(ValueError) as caught:
+        hnf(Mat2(big, big, 1, 1))
+    assert str(caught.value) == f"Mat2({bits}, {bits}, 1, 1) has determinant 0"
+    assert repr(GeodesicOrbifold(0, (2, 3, big))) == (
+        f"GeodesicOrbifold(genus=0, cone_orders=(2, 3, {bits}))"
+    )
+    cover = GeodesicCommonCover(2, 1, big, Fraction(-1, big), Fraction(big, 3), Fraction(-2))
+    assert repr(cover) == (
+        f"GeodesicCommonCover(cover_genus=2, degree_source=1, degree_target={bits},"
+        f" euler_source=Fraction(-1, {bits}), euler_target=Fraction({bits}, 3),"
+        " euler_cover=Fraction(-2, 1))"
+    )
+    cert = are_commensurable(Mat2(2, 1, 1, 1), Mat2(0, 1, -1, 7)).certificate
+    cert.power_a = cert.index_over_b = big
+    assert repr(cert) == (
+        f"CommensurabilityCertificate(powers=({bits}, 1), det=3, indices=(6, {bits}))"
+    )
 
 
 def test_removed_names_stay_gone():
