@@ -161,9 +161,12 @@ def genus_model_matrix(g):
 def orbifold_euler_characteristic(genus, cone_orders):
     """chi = 2 - 2 genus - sum(1 - 1/n_i), exact, as one fraction over
     the lcm m of the orders. The verbs bound m: chain refuses an
-    orbifold whose lcm passes the digit limit before it builds a path,
-    and verify sums chi only after every order has divided a decoded
-    cover degree."""
+    orbifold whose lcm passes the digit limit before it builds a path.
+    verify sums chi while decoding only where GeodesicOrbifold checks
+    chi < 0 that way: at most four orders, each under the digit limit,
+    once for each of the at most n + 1 models it decodes from an n-link
+    chain. Any other chi is summed only after every order has divided a
+    decoded cover degree."""
     genus, orders = _signature(genus, cone_orders)
     m = lcm(*orders)
     return Fraction((2 - 2 * genus - len(orders)) * m + sum(m // n for n in orders), m)

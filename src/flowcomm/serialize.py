@@ -24,6 +24,11 @@ DocumentError naming the offending field. So do integers longer than
 the interpreter's int/str conversion limit (sys.get_int_max_str_digits,
 4300 digits by default), which is kept as it is; encoding an integer
 past that limit raises ComputationLimit.
+
+A chain's models are each decoded once: a link's source repeats the
+previous link's target, and the endpoints the first source and the last
+target, so a model whose JSON equals the one it repeats is taken from
+it, one comparison each, and the first error reported does not change.
 """
 
 import json
@@ -133,13 +138,14 @@ def _decode_matrix(value, field):
         or any(not isinstance(row, list) or len(row) != 2 for row in value)
     ):
         raise DocumentError(f"{field}: expected a 2x2 matrix of decimal strings")
-    (a, b), (c, d) = value
-    return Mat2(
-        _decode_int(a, f"{field}[0][0]"),
-        _decode_int(b, f"{field}[0][1]"),
-        _decode_int(c, f"{field}[1][0]"),
-        _decode_int(d, f"{field}[1][1]"),
-    )
+    entries = (*value[0], *value[1])
+    try:
+        return Mat2(*[_decode_int(k, field) for k in entries])
+    except DocumentError:
+        pass
+    # decoded again, each entry by its name, to name the first one rejected
+    for i, k in enumerate(entries):
+        _decode_int(k, f"{field}[{i // 2}][{i % 2}]")
 
 
 def _get(doc, key, context="document"):
@@ -155,17 +161,21 @@ def _encode_fields(fields, record):
 
 
 def _decode_fields(fields, cls, doc, context):
-    values = {
-        name: decode(_get(doc, name, context), f"{context}.{name}")
-        for name, _, decode in fields
-    }
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{context}: expected an object")
+    values = []
+    for name, _, decode in fields:
+        if name not in doc:
+            raise DocumentError(f"{context}: missing field {name!r}")
+        values.append(decode(doc[name], f"{context}.{name}"))
     try:
-        return cls(**values)
+        return cls(*values)
     except (ValueError, NotHyperbolic) as exc:
         raise DocumentError(f"{context}: {exc}") from exc
 
 
-# (name, encode, decode) of each field, a number's codec named by its shape;
+# (name, encode, decode) of each field, a number's codec named by its shape,
+# in the order of its record's _fields, which decoding passes by position;
 # decoding walks the table in order, so the first bad field is reported
 _LATTICE_FIELDS = (
     ("a", *_INT),
@@ -305,11 +315,12 @@ def _decode_link_kind(kind, field):
     return kind
 
 
+# encoded by the table; _decode_chain reads the fields in this order
 _LINK_FIELDS = (
-    ("kind", str, _decode_link_kind),
-    ("source", _encode_model, _decode_model),
-    ("target", _encode_model, _decode_model),
-    ("evidence", _encode_evidence, _decode_evidence),
+    ("kind", str, None),
+    ("source", _encode_model, None),
+    ("target", _encode_model, None),
+    ("evidence", _encode_evidence, None),
 )
 
 
@@ -322,21 +333,42 @@ def encode_chain(chain):
 
 
 def _decode_chain(doc):
+    """The chain a document holds, each model decoded once: a link's
+    source that equals the previous link's raw target, and an endpoint
+    that equals the first raw source or the last raw target, takes that
+    model (equal JSON decodes to an equal model). That is one == per
+    link and per endpoint, against one raw model each, so the work stays
+    linear. The links are read before the endpoints, each link's fields
+    in _LINK_FIELDS order, so the first bad field is reported."""
     endpoints = _get(doc, "endpoints")
     if not isinstance(endpoints, list) or len(endpoints) != 2:
         raise DocumentError("endpoints: expected exactly two models")
     links = _get(doc, "links")
     if not isinstance(links, list):
         raise DocumentError("links: expected a list of links")
-    return ChainCertificate(
-        links=tuple(
-            _decode_fields(_LINK_FIELDS, ChainLink, link, f"links[{i}]")
-            for i, link in enumerate(links)
-        ),
-        endpoints=tuple(
-            _decode_model(m, f"endpoints[{i}]") for i, m in enumerate(endpoints)
-        ),
-    )
+    decoded = []
+    for i, link in enumerate(links):
+        context = f"links[{i}]"
+        kind = _decode_link_kind(_get(link, "kind", context), f"{context}.kind")
+        raw = _get(link, "source", context)
+        if i and raw == raw_target:
+            source = target
+        else:
+            source = _decode_model(raw, f"{context}.source")
+        raw_target = _get(link, "target", context)
+        target = _decode_model(raw_target, f"{context}.target")
+        evidence = _decode_evidence(_get(link, "evidence", context), f"{context}.evidence")
+        decoded.append(ChainLink(kind, source, target, evidence))
+    start, end = endpoints
+    if decoded and start == links[0]["source"]:
+        start = decoded[0].source
+    else:
+        start = _decode_model(start, "endpoints[0]")
+    if decoded and end == raw_target:
+        end = target
+    else:
+        end = _decode_model(end, "endpoints[1]")
+    return ChainCertificate(links=tuple(decoded), endpoints=(start, end))
 
 
 def _header(kind):

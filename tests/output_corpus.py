@@ -11,8 +11,13 @@ messages. It leaves out every text argparse writes (help, usage and
 its errors) and every digit-limit case, since both vary with the
 interpreter; the digest is the same on CPython 3.10 to 3.13.
 
+decode_digest is the sha256 of what decode_document makes of every
+single-leaf mutation of a few chain and cover documents that run()
+writes: the decoded record's repr, or the DocumentError's message.
+
 Runs without pytest: PYTHONPATH=src:tests python tests/output_corpus.py
-prints the number of calls and the digest.
+prints the number of calls and the digest, then the number of decodes
+and the decode digest.
 """
 
 import hashlib
@@ -26,6 +31,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from flowcomm.cli import run
+from flowcomm.errors import DocumentError
+from flowcomm.serialize import decode_document
 from helpers import hyperbolic_corpus, inverse, mul, random_unimodular, square_pow
 
 _VERSION_RE = re.compile(r"flowcomm [0-9]+\.[0-9]+\.[0-9]+")
@@ -177,7 +184,79 @@ def corpus_digest(workdir, seed=24):
     return count, digest.hexdigest()
 
 
+# the documents decode_digest mutates: chains through every kind of link
+# and evidence, of two to seven links, and two cover documents
+DECODE_CALLS = (
+    ["chain", "surface:g=2", "suspension:[[3,1],[2,1]]"],
+    ["chain", "surface:g=2", "suspension:[[34,21],[21,13]]"],
+    ["chain", "orbifold:2,3,7", "orbifold:2,4,5"],
+    ["chain", "orbifold:g=1,2,3", "suspension:2,1;1,1"],
+    ["chain", "orbifold:2,2,2,2,3", "surface:g=3"],
+    ["chain", "suspension:[[0,1],[-1,7]]", "orbifold:2,3,15"],
+    ["chain", "suspension:2,1;1,1", "suspension:[[3,1],[2,1]]"],
+    ["chain", "orbifold:2,4,5", "orbifold:g=1,2,3"],
+    ["chain", "surface:g=3", "orbifold:2,3,8"],
+    ["cover", "2,1;1,1", "5,3;3,2"],
+    ["cover", "2,1;1,1", "0,1;-1,7"],
+)
+
+# what each leaf is replaced by in turn, before it is deleted
+LEAF_VALUES = (5, "x", "-0", None, [], {}, True, "2")
+
+
+def _leaves(node):
+    """(container, key) of every leaf under node, depth first."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in list(keys):
+        if isinstance(node[key], (dict, list)):
+            yield from _leaves(node[key])
+        else:
+            yield node, key
+
+
+def decode_digest(workdir):
+    """(number of decodes, sha256 hex digest) of decode_document on each
+    single-leaf mutation of the documents DECODE_CALLS write under
+    workdir: every leaf replaced by each of LEAF_VALUES, then deleted
+    from its object or list. Each mutation is undone in place; a key put
+    back moves to the end of its object, which decoding never reads in
+    order."""
+    digest = hashlib.sha256()
+    count = 0
+
+    def decode(doc):
+        nonlocal count
+        try:
+            outcome = repr(decode_document(doc))
+        except DocumentError as exc:
+            outcome = f"error: {exc}"
+        digest.update(outcome.encode() + b"\n")
+        count += 1
+
+    path = Path(workdir) / "decode.json"
+    for argv in DECODE_CALLS:
+        with redirect_stdout(io.StringIO()):
+            if run([*argv, "-o", str(path)]) != 0:
+                raise RuntimeError(f"{argv} wrote no document")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        decode(doc)
+        for node, key in list(_leaves(doc)):
+            leaf = node[key]
+            for value in LEAF_VALUES:
+                node[key] = value
+                decode(doc)
+            del node[key]
+            decode(doc)
+            if isinstance(node, list):
+                node.insert(key, leaf)
+            else:
+                node[key] = leaf
+    return count, digest.hexdigest()
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as workdir:
         count, hexdigest = corpus_digest(workdir)
+        decodes, decoded = decode_digest(workdir)
     print(f"{count} calls, sha256 {hexdigest} (Python {sys.version.split()[0]})")
+    print(f"{decodes} decodes, sha256 {decoded}")

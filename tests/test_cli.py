@@ -34,7 +34,7 @@ from helpers import (
     string_leaves_only,
     trace,
 )
-from output_corpus import MODELS, corpus_digest
+from output_corpus import MODELS, corpus_digest, decode_digest
 from test_models import GENERAL_CORPUS, count_chi_sums
 
 A_JSON = "[[2,1],[1,1]]"
@@ -714,6 +714,15 @@ class TestOutputDigest:
     def test_corpus_digest(self, tmp_path):
         digest = "13d264d204ff0bb79d98e55bf084f38c7b2f19dc4406e6028a4100c517e69f9b"
         assert corpus_digest(tmp_path) == (1154, digest)
+
+    def test_decode_digest(self, tmp_path):
+        """What decode_document makes of each single-leaf mutation of the
+        documents that output_corpus.DECODE_CALLS write: the decoded
+        record's repr or the error message. Pinned where each of a chain's
+        models was still decoded on its own, link by link and endpoint by
+        endpoint, so reusing a decoded model moves no outcome."""
+        digest = "f2063a64aef94713490e0e4128f093234f136bcf665a6f77f352b907140cbeee"
+        assert decode_digest(tmp_path) == (8552, digest)
 
 
 class TestIndentedDocuments:

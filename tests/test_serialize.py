@@ -6,11 +6,15 @@ import random
 import pytest
 
 from flowcomm import (
+    ChainLink,
+    CommensurabilityCertificate,
     DocumentError,
+    GeodesicCommonCover,
     GeodesicOrbifold,
     HyperbolicMatrix,
     Mat2,
     Suspension,
+    Lattice2,
     almost_commensurability_chain,
     are_commensurable,
     verify_chain,
@@ -26,6 +30,7 @@ from flowcomm.serialize import (
     encode_verdict,
     loads,
 )
+from flowcomm import serialize
 from flowcomm.cli import run
 from helpers import (
     compact_text,
@@ -34,7 +39,8 @@ from helpers import (
     square_pow,
     string_leaves_only,
 )
-from test_models import GENERAL_CORPUS
+from output_corpus import MODELS
+from test_models import GENERAL_CORPUS, count_chi_sums
 
 A = HyperbolicMatrix(2, 1, 1, 1)
 F7 = HyperbolicMatrix(0, 1, -1, 7)
@@ -420,3 +426,128 @@ class TestCanonicalText:
     )
     def test_edge_documents(self, doc):
         assert_canonical(dumps(doc), doc)
+
+
+class TestDecodeWork:
+    """Decoding a chain is counted, not timed: each model is decoded
+    once, a link's source taken from the previous link's target and the
+    endpoints from the first source and the last target when their raw
+    JSON is equal, with a bounded number of comparisons."""
+
+    def counted_decode_model(self, monkeypatch):
+        """The fields of every _decode_model call from now on, through the
+        module's name or a field table that binds it."""
+        calls, decode = [], serialize._decode_model
+
+        def counting(value, field):
+            calls.append(field)
+            return decode(value, field)
+
+        monkeypatch.setattr(serialize, "_decode_model", counting)
+        for name, table in vars(serialize).copy().items():
+            if name.endswith("_FIELDS") and isinstance(table, tuple):
+                rows = tuple((n, e, counting if d is decode else d) for n, e, d in table)
+                monkeypatch.setattr(serialize, name, rows)
+        return calls
+
+    def test_corpus_chains_decode_each_model_once(self, monkeypatch, tmp_path):
+        """Each of the 66 chains between MODELS, of n links, decodes n + 1
+        models, the endpoints none."""
+        calls = self.counted_decode_model(monkeypatch)
+        path = tmp_path / "chain.json"
+        for i, a in enumerate(MODELS):
+            for b in MODELS[i:]:
+                assert run(["chain", a, b, "--quiet", "-o", str(path)]) == 0
+                doc = loads(path.read_text())
+                calls.clear()
+                chain = decode_document(doc)
+                assert len(calls) == len(chain.links) + 1, (a, b, calls)
+                assert not any(field.startswith("endpoints") for field in calls)
+
+    def test_distinct_models_take_linear_work(self, monkeypatch):
+        """10,000 links, no source equal to the previous target and no
+        endpoint to the first source or the last target: at most 2n + 2
+        model decodes, and at most two raw-model comparisons per link
+        plus two for the endpoints."""
+        calls = self.counted_decode_model(monkeypatch)
+        compared = []
+
+        class Counted(dict):
+            def __eq__(self, other):
+                compared.append(1)
+                return dict.__eq__(self, other)
+
+            def __ne__(self, other):
+                compared.append(1)
+                return dict.__ne__(self, other)
+
+        def surface(genus):
+            return Counted(type="surface", genus=str(genus))
+
+        n = 10_000
+        links = [
+            {
+                "kind": "almost-equivalence",
+                "source": surface(2 * i + 2),
+                "target": surface(2 * i + 3),
+                "evidence": {"type": "citation", "tag": "GHYS_HASHIGUCHI"},
+            }
+            for i in range(n)
+        ]
+        doc = {
+            "kind": CHAIN_KIND,
+            "format_version": FORMAT_VERSION,
+            "endpoints": [surface(2 * n + 2), surface(2 * n + 3)],
+            "links": links,
+        }
+        chain = decode_document(doc)
+        assert len(chain.links) == n
+        assert chain.endpoints == (GeodesicOrbifold(2 * n + 2), GeodesicOrbifold(2 * n + 3))
+        assert len(calls) <= 2 * n + 2
+        assert 0 < len(compared) <= 2 * n + 2
+
+    def test_decode_tables_follow_record_fields(self):
+        """Decoding builds each record by position, so each table lists
+        its record's _fields in order; a chain link's fields are read in
+        _LINK_FIELDS order."""
+        for table, record in (
+            (serialize._LATTICE_FIELDS, Lattice2),
+            (serialize._CERTIFICATE_FIELDS, CommensurabilityCertificate),
+            (serialize._COMMON_COVER_FIELDS, GeodesicCommonCover),
+            (serialize._LINK_FIELDS, ChainLink),
+        ):
+            assert tuple(name for name, _, _ in table) == record._fields
+
+    def test_chi_summed_once_per_distinct_model(self, monkeypatch):
+        """A 1-link chain between two genus-0 orbifolds of three 3,001-digit
+        cone orders each: decoding sums chi once per distinct model, each
+        endpoint taking its link's model, and verify_chain rejects the
+        cover by its cone points without summing more."""
+        big = 10**3000
+
+        def orbifold(*offsets):
+            return {"type": "orbifold", "cone_orders": [str(big + k) for k in offsets]}
+
+        source, target = orbifold(1, 3, 7), orbifold(1, 3, 9)
+        cover = {
+            "type": "common-cover",
+            "cover_genus": "2",
+            "degree_source": "1",
+            "degree_target": "1",
+            "euler_source": "-1",
+            "euler_target": "-1",
+            "euler_cover": "-2",
+        }
+        doc = {
+            "kind": CHAIN_KIND,
+            "format_version": FORMAT_VERSION,
+            "endpoints": [json.loads(json.dumps(m)) for m in (source, target)],
+            "links": [
+                {"kind": "commensurability", "source": source, "target": target, "evidence": cover}
+            ],
+        }
+        sums = count_chi_sums(monkeypatch)
+        chain = decode_document(doc)
+        assert len(sums) == 2
+        assert verify_chain(chain) == (False, "link 0: cover_cone_points")
+        assert len(sums) == 2
