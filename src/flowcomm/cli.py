@@ -13,11 +13,12 @@ Exit codes are a scripting contract: 0 = positive verdict or verified
 document, 1 = negative verdict or rejected document, 2 = usage or
 input error, 3 = a computational limit was hit (an output integer past
 the interpreter's int/str digit limit; no decision or verification
-forms a power, so none has a budget; --quiet without -o forms no text,
-so there only chain's cone-order gate and trace-seq exit 3). An
-exception that no verb expects is a bug; the console entry point
-(main) reports it as an "internal error" on stderr with exit 2, never
-as a traceback, while run() lets it propagate to an in-process caller.
+forms a power but the square of an input of trace < -2, so none has a
+budget; --quiet without -o forms no text, so there only chain's
+cone-order gate and trace-seq exit 3). An exception that no verb
+expects is a bug; the console entry point (main) reports it as an
+"internal error" on stderr with exit 2, never as a traceback, while
+run() lets it propagate to an in-process caller.
 
 Matrices are written [[a,b],[c,d]] or a,b;c,d, and both syntaxes read
 each entry alike, as int(entry, 10) does; an argument that starts with

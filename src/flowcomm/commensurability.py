@@ -14,9 +14,9 @@ those units rather than a search. Positive verdicts are backed by a
 CommensurabilityCertificate whose data (an integer intertwiner, the
 sublattice it spans, covering indices) is re-checkable from scratch
 by verify_certificate. No power of either input is formed, by the
-decision or by the verifier: both work on a pair of matrices of the
-size of the inputs with the intertwiners of a**i and b**j, and the
-verifier tests lam_a**i == lam_b**j by the decision's unit division
+decision or by the verifier, but the square M M that replaces an input
+of trace < -2: both work on a pair of matrices of the size of the
+inputs with the intertwiners of a**i and b**j, and the verifier tests lam_a**i == lam_b**j by the decision's unit division
 (conjugacy._unit_divmod), checked step by step against the Euclid on
 the stated exponents.
 """

@@ -33,7 +33,7 @@ from functools import reduce
 from math import gcd, isqrt
 from operator import index as _as_int
 
-from .linalg import HyperbolicMatrix, Mat2, _Record, mat_mul
+from .linalg import HyperbolicMatrix, Mat2, _Record, _int_text, mat_mul
 
 __all__ = [
     "RLWord",
@@ -55,7 +55,7 @@ class RLWord(_Record):
             raise ValueError("word must have at least one (r, l) pair")
         for r, l in pairs:
             if r < 1 or l < 1:
-                raise ValueError(f"exponents must be >= 1, got ({r}, {l})")
+                raise ValueError(f"exponents must be >= 1, got ({_int_text(r)}, {_int_text(l)})")
         super().__init__(pairs)
 
     def __str__(self):

@@ -3,7 +3,8 @@
 Everything is arbitrary-precision (Python ints). Lattices of finite index
 in Z^2 are kept in a canonical Hermite form so that lattice equality is
 plain equality of the (a, b, d) triple. No decision or verification
-forms a matrix power (see conjugacy and commensurability), so none is
+forms a matrix power but the square M M that commensurability takes of
+an input of trace < -2 (see conjugacy and commensurability), so none is
 offered. A wrong argument (a singular basis, a determinant other than
 +-1, traces that differ) raises ValueError.
 """

@@ -33,7 +33,7 @@ from .commensurability import (
 )
 from .conjugacy import _shared_units
 from .errors import NotHyperbolic
-from .linalg import HyperbolicMatrix, Mat2, _Record, mat_mul
+from .linalg import HyperbolicMatrix, Mat2, _Record, _int_text, mat_mul
 
 __all__ = [
     "GHYS_HASHIGUCHI",
@@ -75,31 +75,32 @@ class Suspension(_Record):
 class GeodesicOrbifold(_Record):
     """Geodesic flow on the closed orientable hyperbolic 2-orbifold of
     signature (genus; cone_orders), chi < 0; a surface has no cone
-    points. Cone orders are kept sorted. chi is no part of equality,
-    hashing or the repr, and is summed at most once: each cone point
-    takes between 1/2 and 1 from 2 - 2 genus, so chi < 0 follows from
-    the counts alone at genus >= 2, at genus 1 with a cone point and at
-    genus 0 with five or more; only the other signatures, of at most
-    four cone points, are summed here, and the rest when first asked."""
+    points. Cone orders are kept sorted. Hyperbolicity is read off the
+    signature, with no chi summed: the signatures with chi >= 0 are the
+    sphere with at most two cone points, the torus, the triangles
+    (p, q, r) with qr + pr + pq >= pqr and (0; 2, 2, 2, 2). chi itself
+    is summed only for cover arithmetic, each time it is asked for."""
 
-    _fields = ("genus", "cone_orders")
-    __slots__ = _fields + ("_chi",)
+    __slots__ = _fields = ("genus", "cone_orders")
 
     def __init__(self, genus: int, cone_orders: tuple = ()):
         super().__init__(_as_int(genus), tuple(sorted(map(_as_int, cone_orders))))
-        _signature(self.genus, self.cone_orders)
-        self._chi = None
-        if self.genus < 2 and len(self.cone_orders) < (1 if self.genus else 5):
-            if self.euler_characteristic() >= 0:
-                raise ValueError(
-                    f"signature ({self.genus}; {', '.join(map(str, self.cone_orders))})"
-                    " has chi >= 0, so it is not hyperbolic"
-                )
+        genus, orders = _signature(self.genus, self.cone_orders)
+        if genus == 0 and len(orders) == 3:
+            p, q, r = orders
+            hyperbolic = q * r + p * r + p * q < p * q * r
+        elif genus == 0 and len(orders) == 4:
+            hyperbolic = orders[3] > 2
+        else:
+            hyperbolic = genus > 1 or len(orders) > (0 if genus else 4)
+        if not hyperbolic:
+            raise ValueError(
+                f"signature ({genus}; {', '.join(map(_int_text, orders))})"
+                " has chi >= 0, so it is not hyperbolic"
+            )
 
     def euler_characteristic(self):
-        if self._chi is None:
-            self._chi = orbifold_euler_characteristic(self.genus, self.cone_orders)
-        return self._chi
+        return orbifold_euler_characteristic(self.genus, self.cone_orders)
 
 
 class GeodesicCommonCover(_Record):
@@ -160,13 +161,11 @@ def genus_model_matrix(g):
 
 def orbifold_euler_characteristic(genus, cone_orders):
     """chi = 2 - 2 genus - sum(1 - 1/n_i), exact, as one fraction over
-    the lcm m of the orders. The verbs bound m: chain refuses an
-    orbifold whose lcm passes the digit limit before it builds a path.
-    verify sums chi while decoding only where GeodesicOrbifold checks
-    chi < 0 that way: at most four orders, each under the digit limit,
-    once for each of the at most n + 1 models it decodes from an n-link
-    chain. Any other chi is summed only after every order has divided a
-    decoded cover degree."""
+    the lcm m of the orders. Only cover arithmetic sums it, and the
+    verbs bound m there: chain refuses an orbifold whose lcm passes the
+    digit limit before it builds a path, and verify sums chi only after
+    every order has divided a decoded cover degree; no model sums it
+    when it is built."""
     genus, orders = _signature(genus, cone_orders)
     m = lcm(*orders)
     return Fraction((2 - 2 * genus - len(orders)) * m + sum(m // n for n in orders), m)
@@ -177,12 +176,12 @@ def _signature(genus, cone_orders):
     names the genus when it is negative, else the first order below 2."""
     genus = _as_int(genus)
     if genus < 0:
-        raise ValueError(f"genus must be >= 0, got {genus}")
+        raise ValueError(f"genus must be >= 0, got {_int_text(genus)}")
     orders = []
     for order in cone_orders:
         order = _as_int(order)
         if order < 2:
-            raise ValueError(f"cone orders must be >= 2, got {order}")
+            raise ValueError(f"cone orders must be >= 2, got {_int_text(order)}")
         orders.append(order)
     return genus, orders
 
@@ -277,10 +276,6 @@ def _link(source, target):
     return ChainLink(ALMOST_EQUIVALENCE, source, target, _designated(geodesic)[0])
 
 
-def _links(path):
-    return [_link(source, target) for source, target in zip(path, path[1:])]
-
-
 def almost_commensurability_chain(m1, m2):
     """Chain of verified links between any two models, built as one
     path of models from m1 to m2, each link formed once from its two
@@ -296,7 +291,9 @@ def almost_commensurability_chain(m1, m2):
     traces = left[-1].monodromy.trace(), right[-1].monodromy.trace()
     if _shared_units(*traces) is None:
         left, right = _bridge(left), _bridge(right)
-    return ChainCertificate(links=_links(left + right[::-1]), endpoints=(m1, m2))
+    path = left + right[::-1]
+    links = [_link(source, target) for source, target in zip(path, path[1:])]
+    return ChainCertificate(links=links, endpoints=(m1, m2))
 
 
 def _verify_almost_equivalence(link):

@@ -138,14 +138,13 @@ def _decode_matrix(value, field):
         or any(not isinstance(row, list) or len(row) != 2 for row in value)
     ):
         raise DocumentError(f"{field}: expected a 2x2 matrix of decimal strings")
-    entries = (*value[0], *value[1])
-    try:
-        return Mat2(*[_decode_int(k, field) for k in entries])
-    except DocumentError:
-        pass
-    # decoded again, each entry by its name, to name the first one rejected
-    for i, k in enumerate(entries):
-        _decode_int(k, f"{field}[{i // 2}][{i % 2}]")
+    (a, b), (c, d) = value
+    return Mat2(
+        _decode_int(a, f"{field}[0][0]"),
+        _decode_int(b, f"{field}[0][1]"),
+        _decode_int(c, f"{field}[1][0]"),
+        _decode_int(d, f"{field}[1][1]"),
+    )
 
 
 def _get(doc, key, context="document"):
@@ -309,12 +308,6 @@ def _decode_evidence(value, field):
     raise DocumentError(f"{field}.type: unknown evidence type {kind!r}")
 
 
-def _decode_link_kind(kind, field):
-    if kind not in (ALMOST_EQUIVALENCE, COMMENSURABILITY):
-        raise DocumentError(f"{field}: unknown link kind {kind!r}")
-    return kind
-
-
 # encoded by the table; _decode_chain reads the fields in this order
 _LINK_FIELDS = (
     ("kind", str, None),
@@ -349,7 +342,9 @@ def _decode_chain(doc):
     decoded = []
     for i, link in enumerate(links):
         context = f"links[{i}]"
-        kind = _decode_link_kind(_get(link, "kind", context), f"{context}.kind")
+        kind = _get(link, "kind", context)
+        if kind not in (ALMOST_EQUIVALENCE, COMMENSURABILITY):
+            raise DocumentError(f"{context}.kind: unknown link kind {kind!r}")
         raw = _get(link, "source", context)
         if i and raw == raw_target:
             source = target

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import lcm
 
 import pytest
@@ -141,7 +142,6 @@ class TestModels:
         assert orb12.euler_characteristic() == Fraction(-1, 12)
         assert GeodesicOrbifold(0, [7, 2, 3]) == orb
         assert hash(GeodesicOrbifold(0, [7, 2, 3])) == hash(orb)
-        # the stored chi is no part of the signature's text
         assert repr(orb) == "GeodesicOrbifold(genus=0, cone_orders=(2, 3, 7))"
         assert GeodesicOrbifold(1, (2,)).euler_characteristic() == Fraction(-1, 2)
         four = GeodesicOrbifold(0, (2, 2, 2, 3))
@@ -176,28 +176,44 @@ class TestModels:
         with pytest.raises(ValueError, match=r"^cone orders must be >= 2, got 0$"):
             orbifold_euler_characteristic(3, [2, 3, 5, 7, 11, 0, -4])
 
-    def test_hyperbolic_by_counts(self, monkeypatch):
-        """chi < 0 is decided from the counts alone at genus >= 2, at
-        genus 1 with a cone point and at genus 0 with five or more; any
-        other signature is summed when built, and every chi is summed at
-        most once and equals the oracle's."""
+    def test_hyperbolic_by_signature(self, monkeypatch):
+        """The signature rule agrees with the oracle's chi < 0 on every
+        sorted signature of genus 0-2 with up to six cone orders from 2
+        to 12, and on seeded ones of three and four orders, each 2, 3
+        or 4 or of 3,000 digits; building a model sums no chi."""
         sums = count_chi_sums(monkeypatch)
-        rng = random.Random(74)
-        for _ in range(400):
-            genus = rng.randint(0, 3)
-            orders = [rng.randint(2, 8) for _ in range(rng.randint(0, 6))]
-            chi = orbifold_chi(genus, orders)
-            sums.clear()
-            if chi >= 0:
-                with pytest.raises(ValueError, match="not hyperbolic"):
+        signatures = [
+            (genus, orders)
+            for genus in range(3)
+            for count in range(7)
+            for orders in combinations_with_replacement(range(2, 13), count)
+        ]
+        rng = random.Random(31)
+        for _ in range(300):
+            genus = rng.randint(0, 1)
+            pool = (2, 3, 4, rng.randrange(10**2999, 10**3000))
+            signatures.append((genus, [rng.choice(pool) for _ in range(rng.randint(3, 4))]))
+        for genus, orders in signatures:
+            if orbifold_chi(genus, orders) < 0:
+                assert GeodesicOrbifold(genus, orders).cone_orders == tuple(sorted(orders))
+            else:
+                with pytest.raises(ValueError, match="has chi >= 0, so it is not hyperbolic"):
                     GeodesicOrbifold(genus, orders)
-                continue
-            model = GeodesicOrbifold(genus, orders)
-            by_counts = genus >= 2 or len(orders) >= (1 if genus else 5)
-            assert len(sums) == (0 if by_counts else 1), (genus, orders)
-            assert model.euler_characteristic() == chi
-            assert model.euler_characteristic() == chi
-            assert len(sums) == 1
+        assert sums == []
+
+    def test_signature_errors_in_order(self):
+        """A non-int genus, then a non-int order, then a negative genus,
+        then the least order below 2, then chi >= 0."""
+        with pytest.raises(TypeError, match="'str'"):
+            GeodesicOrbifold("1", (1.5,))
+        with pytest.raises(TypeError, match="'float'"):
+            GeodesicOrbifold(-1, (1.5,))
+        with pytest.raises(ValueError, match=r"^genus must be >= 0, got -1$"):
+            GeodesicOrbifold(-1, (1, 0))
+        with pytest.raises(ValueError, match=r"^cone orders must be >= 2, got -3$"):
+            GeodesicOrbifold(0, (2, 1, -3))
+        with pytest.raises(ValueError, match=r"^signature \(0; 2, 2, 9\) has chi >= 0, so"):
+            GeodesicOrbifold(0, (9, 2, 2))
 
     def test_orbifold_euler_matches_oracle(self):
         """Seeded signatures of genus 0-4 with up to six cone orders from
@@ -271,16 +287,6 @@ def test_model_records_differ_from_their_field_tuples():
     assert Suspension(A) != (A,)
     assert GeodesicOrbifold(2) != (2, ())
     assert ChainCertificate([], []) != ((), ())
-
-
-def test_orbifold_equality_ignores_chi():
-    """chi is stored beside the signature but is no part of ==, hash or
-    the repr: an orbifold whose stored chi was overwritten still equals
-    one built from the same signature."""
-    orb, altered = GeodesicOrbifold(0, (2, 3, 7)), GeodesicOrbifold(0, (7, 3, 2))
-    altered._chi = Fraction(-99)
-    assert orb == altered and hash(orb) == hash(altered)
-    assert repr(altered) == "GeodesicOrbifold(genus=0, cone_orders=(2, 3, 7))"
 
 
 def surface_cover(g1, g2):

@@ -124,6 +124,13 @@ def test_only_validating_records_write_a_constructor():
     assert {cls for cls in records() if "__init__" not in vars(cls)} == set(SHARED_CONSTRUCTOR)
 
 
+def test_records_store_only_their_fields():
+    """Each record's slots are its fields: nothing, such as a memoised
+    Euler characteristic, is stored beside them."""
+    assert [cls for cls in records() if vars(cls)["__slots__"] != cls._fields] == []
+    assert GeodesicOrbifold.__slots__ == GeodesicOrbifold._fields == ("genus", "cone_orders")
+
+
 @pytest.mark.parametrize("cls", SHARED_CONSTRUCTOR, ids=lambda cls: cls.__name__)
 def test_shared_constructor_contract(cls):
     """Every field by position in _fields order, by name, or the first
@@ -233,8 +240,9 @@ def test_wrong_argument_raises_plain_value_error(call, message):
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int/str digit limit disabled")
 def test_messages_name_an_unprintable_integer_by_its_size():
-    """A determinant or trace that str() would refuse is named by its
-    bit size, so that raising the error cannot itself raise."""
+    """A determinant, trace, genus, cone order or word exponent that
+    str() would refuse is named by its bit size, so that raising the
+    error cannot itself raise."""
     big = 10 ** (sys.get_int_max_str_digits() + 1)
     det_bits = f"an integer of {(big * big).bit_length()} bits"
     trace_bits = f"an integer of {big.bit_length()} bits"
@@ -246,6 +254,14 @@ def test_messages_name_an_unprintable_integer_by_its_size():
         HyperbolicMatrix(big, 0, 0, big)
     with pytest.raises(flowcomm.NotHyperbolic, match=f"^trace {trace_bits} is not"):
         HyperbolicMatrix(-big, 1, -1, 0)
+    with pytest.raises(ValueError, match=rf"^signature \(0; 2, 2, {trace_bits}\) has chi >= 0"):
+        GeodesicOrbifold(0, (2, 2, big))
+    with pytest.raises(ValueError, match=f"^genus must be >= 0, got {trace_bits}$"):
+        GeodesicOrbifold(-big)
+    with pytest.raises(ValueError, match=f"^cone orders must be >= 2, got {trace_bits}$"):
+        GeodesicOrbifold(0, (-big, 3, 7))
+    with pytest.raises(ValueError, match=rf"^exponents must be >= 1, got \(0, {trace_bits}\)$"):
+        RLWord([(0, big)])
 
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int/str digit limit disabled")

@@ -518,11 +518,11 @@ class TestDecodeWork:
         ):
             assert tuple(name for name, _, _ in table) == record._fields
 
-    def test_chi_summed_once_per_distinct_model(self, monkeypatch):
+    def test_no_chi_summed_to_decode_or_reject_by_cone_points(self, monkeypatch):
         """A 1-link chain between two genus-0 orbifolds of three 3,001-digit
-        cone orders each: decoding sums chi once per distinct model, each
-        endpoint taking its link's model, and verify_chain rejects the
-        cover by its cone points without summing more."""
+        cone orders each: decoding reads hyperbolicity off each signature
+        and sums no chi, and verify_chain rejects the cover by its cone
+        points without summing any either."""
         big = 10**3000
 
         def orbifold(*offsets):
@@ -548,6 +548,6 @@ class TestDecodeWork:
         }
         sums = count_chi_sums(monkeypatch)
         chain = decode_document(doc)
-        assert len(sums) == 2
+        assert sums == []
         assert verify_chain(chain) == (False, "link 0: cover_cone_points")
-        assert len(sums) == 2
+        assert sums == []
