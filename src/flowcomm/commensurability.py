@@ -3,22 +3,21 @@
 Two suspensions are commensurable exactly when some powers of their
 monodromies share a trace. Power traces satisfy the discriminant
 identity t_i^2 - 4 = (t_1^2 - 4) u_i^2, so the square class of
-t^2 - 4 (its value up to square factors) is a complete
-commensurability invariant: one class guarantees a common power
-trace, distinct classes rule one out. D_a and D_b lie in one class
-exactly when D_a D_b is a perfect square, which one isqrt decides
-without factoring either. In one class D_0 = gcd(D_a, D_b), and the
-expanding eigenvalues (t + u sqrt(D_0)) / 2 are units of the order of
-discriminant D_0, so the least common power is found by a Euclid on
-those units rather than a search. Positive verdicts are backed by a
-CommensurabilityCertificate whose data (an integer intertwiner, the
-sublattice it spans, covering indices) is re-checkable from scratch
-by verify_certificate. No power of either input is formed, by the
-decision or by the verifier, but the square M M that replaces an input
-of trace < -2: both work on a pair of matrices of the size of the
-inputs with the intertwiners of a**i and b**j, and the verifier tests lam_a**i == lam_b**j by the decision's unit division
-(conjugacy._unit_divmod), checked step by step against the Euclid on
-the stated exponents.
+t^2 - 4 (its value up to square factors) is a complete invariant: one
+class guarantees a common power trace, distinct classes rule one out.
+D_a and D_b lie in one class exactly when D_a D_b is a perfect square,
+which one isqrt decides without factoring either. In one class the
+expanding eigenvalues (t + u sqrt(D_0)) / 2, D_0 = gcd(D_a, D_b), are
+units of the order of discriminant D_0, so a Euclid on those units,
+not a search, finds the least common power. A positive verdict carries
+a CommensurabilityCertificate (an integer intertwiner, the sublattice
+it spans, covering indices) that verify_certificate re-checks from
+scratch. Neither the decision nor the verifier forms a power of an
+input, but the square M M that replaces one of trace < -2. Both take
+the intertwiners of a**i and b**j from a pair of matrices of the size
+of the inputs. The verifier tests lam_a**i == lam_b**j by the
+decision's unit division (conjugacy._unit_divmod), checked step by
+step against the Euclid on the stated exponents.
 """
 
 from operator import index as _as_int
@@ -144,17 +143,18 @@ def find_intertwiner(a1, b1):
     the cycle of f, so it is met at a convergent within one period of
     the continued fraction of the root (-beta + sqrt(disc)) / 2 alpha;
     and min |f| <= sqrt(disc/5) (Korkine-Zolotarev), so the least |f|
-    over those convergents is the least |det| of every intertwiner.
+    over those convergents, which reduction_cycle returns, is the least
+    |det|; P is formed only where |f| is least, and on the walk.
 
-    Ties are broken deterministically (least max-entry, then sum, then
-    lexicographic, after sign normalization), so the result does not
-    depend on the kernel basis. The minimal (x, y) are the orbits of
-    those convergents under the period's automorph E (det 1,
-    eigenvalues lam > 1 and 1/lam, f(E v) = f(v)). Along an orbit each
-    entry of P is A lam^n + B lam^-n, whose absolute value falls, then
-    rises, and so does their maximum; so the walk from each minimal
-    convergent in both directions stops at the first strict rise, past
-    which no point ties the least max-entry.
+    Ties go to the least _rank (max-entry, then sum, then the tuple of
+    absolute entries, then the signed entries, of P with its first
+    nonzero entry positive), so P does not depend on the kernel basis.
+    The minimal (x, y) are the orbits of those convergents under the
+    period's automorph E (det 1, eigenvalues lam > 1 and 1/lam,
+    f(E v) = f(v)). Along an orbit each entry of P is A lam^n +
+    B lam^-n, whose absolute value falls, then rises, and so does their
+    maximum; so the walk from each minimal convergent in both
+    directions stops at the first strict rise, past which none ties.
     """
     k1, k2 = intertwiner_lattice(a1, b1)
     (u0, u1, u2, u3), (v0, v1, v2, v3) = k1.entries(), k2.entries()
@@ -164,20 +164,17 @@ def find_intertwiner(a1, b1):
         p = (x * u0 + y * v0, x * u1 + y * v1, x * u2 + y * v2, x * u3 + y * v3)
         return p if p > (0, 0, 0, 0) else (-p[0], -p[1], -p[2], -p[3])  # first nonzero > 0
 
-    def det(p):
-        return p[0] * p[3] - p[1] * p[2]
-
     alpha, gamma = k1.det(), k2.det()
-    beta = det(combine(1, 1)) - alpha - gamma
-    w, blocks = reduction_cycle(alpha, beta, gamma)
-    w_start, convergents = w, []
+    beta = u0 * v3 + v0 * u3 - u1 * v2 - v1 * u2  # the xy term of det(x K1 + y K2)
+    w, blocks, values = reduction_cycle(alpha, beta, gamma)
+    least = min(map(abs, values))
+    w_start, minimal, values = w, [], iter(values)
     for r, l in blocks:
         w = mat_mul(w, _block(r, l))  # columns: the convergents after l and after r
-        convergents += (w.b, w.d), (w.a, w.c)
+        for x, y in (w.b, w.d), (w.a, w.c):
+            if abs(next(values)) == least:
+                minimal.append((x, y, combine(x, y)))
     auto = mat_mul(w, w_start.inverse())
-    points = [(x, y, combine(x, y)) for x, y in convergents]
-    least = min(abs(det(p)) for _, _, p in points)
-    minimal = [point for point in points if abs(det(point[2])) == least]
     best = _rank(minimal[0][2])  # the walk's first step; min keeps the earlier on a tie
     for e in (auto, auto.inverse()):
         # |det| is constant along an orbit, so the walk compares max-entries only

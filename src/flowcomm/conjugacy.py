@@ -116,12 +116,14 @@ def reduction_cycle(a, b, c):
     """Continued fraction of the first root x = (-b + sqrt(disc)) / 2a of
     the binary quadratic form a x^2 + b xy + c y^2, disc = b^2 - 4ac.
 
-    Needs a != 0 and disc > 0 not a square. Steps x_i = (q_i 1; 1 0) .
-    x_{i+1}, q_i = floor(x_i), in det-1 blocks _block(q_i, q_{i+1}).
-    Returns (w, blocks): det w is 1 and x = w . y (Moebius action) for
-    the first reduced complete quotient y (y > 1, conjugate in (-1, 0))
-    after whole blocks; blocks is the tuple of y's quotients as (r, l)
-    pairs up to its first return, its shortest period of even length.
+    Needs a != 0 and disc > 0 not a square. Steps x_i = (n_i 1; 1 0) .
+    x_{i+1}, n_i = floor(x_i), in det-1 blocks _block(n_i, n_{i+1}).
+    Returns (w, blocks, values): det w is 1 and x = w . y (Moebius
+    action) for the first reduced complete quotient y (y > 1, conjugate
+    in (-1, 0)) after whole blocks; blocks is the tuple of y's quotients
+    as (r, l) pairs up to its first return, its shortest period of even
+    length; values[k] is the form at the period's k-th convergent,
+    -q/2 after an r quotient, q/2 after an l (Lagrange), q > 0 below.
     """
     # x_i = (p + sqrt(disc)) / q with disc = p^2 + q q_prev
     p, q, q_prev = -b, 2 * a, -2 * c
@@ -137,11 +139,13 @@ def reduction_cycle(a, b, c):
     w = Mat2.identity()
     while not (p <= s and s - p < q <= s + p):
         w = mat_mul(w, _block(step(), step()))
-    start = (p, q)
-    blocks = [(step(), step())]
-    while (p, q) != start:
-        blocks.append((step(), step()))
-    return w, tuple(blocks)
+    start, blocks, values = (p, q), [], []
+    while not blocks or (p, q) != start:
+        r = step()
+        values.append(-q >> 1)  # q is even; a shift halves it faster than // 2
+        blocks.append((r, step()))
+        values.append(q >> 1)
+    return w, tuple(blocks), tuple(values)
 
 
 def _shared_units(t_a, t_b):
@@ -218,8 +222,7 @@ def rl_word(m):
     never formed.
     """
     HyperbolicMatrix.from_mat(m)
-    witness, pairs = reduction_cycle(m.c, m.d - m.a, -m.b)
-
+    witness, pairs, _ = reduction_cycle(m.c, m.d - m.a, -m.b)
     best = _least_rotation(pairs)
     word = RLWord(pairs[best:] + pairs[:best])
     value = evaluate_word(pairs[best:])

@@ -73,11 +73,11 @@ class _Record:
 
 
 def _int_text(value):
-    """str(value), or its size where the int/str digit limit refuses it."""
+    """str(value), or its sign and size past the int/str digit limit."""
     try:
         return str(value)
     except ValueError:
-        return f"an integer of {value.bit_length()} bits"
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
 
 
 def _repr(value):

@@ -351,10 +351,12 @@ def lattice_period(m, triple):
 def reduction_cycle_by_quotient(p, q, q_prev):
     """conjugacy.reduction_cycle one quotient at a time, on the first
     root (p + sqrt(p^2 + q q_prev)) / q of the form (q, -2p, -q_prev),
-    with (w, period) as plain data: w is the product of the (a 1; 1 0)
-    up to the first reduced complete quotient after an even number of
-    steps, and period is that quotient's least period, doubled when odd,
-    as a flat list where reduction_cycle gives (r, l) blocks."""
+    with (w, period, states) as plain data: w is the product of the
+    (a 1; 1 0) up to the first reduced complete quotient after an even
+    number of steps, period is that quotient's least period, doubled
+    when odd, as a flat list where reduction_cycle gives (r, l) blocks,
+    and states[k] is the denominator q of the complete quotient after
+    period[k]."""
     s = math.isqrt(p * p + q * q_prev)
 
     def step():
@@ -367,10 +369,12 @@ def reduction_cycle_by_quotient(p, q, q_prev):
     w, steps = (1, 0, 0, 1), 0
     while steps % 2 or not (p <= s and s - p < q <= s + p):
         w, steps = mul(w, (step(), 1, 1, 0)), steps + 1
-    start, period = (p, q), [step()]
+    start, period, states = (p, q), [step()], [q]
     while (p, q) != start:
         period.append(step())
-    return w, period * (1 + len(period) % 2)
+        states.append(q)
+    repeats = 1 + len(period) % 2
+    return w, period * repeats, states * repeats
 
 
 def canonical_form(pairs):

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import argparse
+import hashlib
 import io
 import json
 import random
@@ -34,7 +35,7 @@ from helpers import (
     string_leaves_only,
     trace,
 )
-from output_corpus import MODELS, corpus_digest, decode_digest
+from output_corpus import _VERSION_RE, MODELS, corpus_digest, decode_digest
 from test_models import GENERAL_CORPUS, count_chi_sums
 
 A_JSON = "[[2,1],[1,1]]"
@@ -54,6 +55,9 @@ _E = DIGIT_LIMIT - 100
 HUGE_DET = f"1{'0' * _E},1;1,1{'0' * _E}"
 HUGE_DET_BITS = (10 ** (2 * _E) - 1).bit_length()
 HUGE_DET_MESSAGE = f"determinant is an integer of {HUGE_DET_BITS} bits, need 1"
+# its twin of det 1 - 10^(2e), named with its sign
+HUGE_NEGATIVE_DET = f"1,1{'0' * _E};1{'0' * _E},1"
+HUGE_NEGATIVE_DET_MESSAGE = f"determinant is a negative integer of {HUGE_DET_BITS} bits, need 1"
 
 
 # `chain orbifold:2,3,15 orbifold:2,3,7` as version 0.6.0 printed it
@@ -724,6 +728,27 @@ class TestOutputDigest:
         digest = "f2063a64aef94713490e0e4128f093234f136bcf665a6f77f352b907140cbeee"
         assert decode_digest(tmp_path) == (8552, digest)
 
+    def test_long_word_digest(self, tmp_path):
+        """The corpus holds no word longer than three pairs. Here seeded
+        50-, 200- and 1,000-pair words, each conjugated by a shear, write
+        the cover document against their trace model [[0,1],[-1,t]] and
+        the chain document to surface:g=3, version masked. Pinned where
+        find_intertwiner formed P at every convergent of the period."""
+        digest, rng, shear = hashlib.sha256(), random.Random(32), (1, 1, 0, 1)
+        path = tmp_path / "doc.json"
+        for n in (50, 200, 1000):
+            word = (1, 0, 0, 1)
+            for _ in range(n):
+                r, l = rng.randint(1, 3), rng.randint(1, 3)
+                word = mul(word, (1 + r * l, r, l, 1))  # R^r L^l
+            m = "%d,%d;%d,%d" % mul(mul(inverse(shear), word), shear)
+            model = f"[[0,1],[-1,{trace(word)}]]"
+            for argv in (["cover", m, model], ["chain", f"suspension:{m}", "surface:g=3"]):
+                assert run([*argv, "--quiet", "-o", str(path)]) == 0
+                digest.update(_VERSION_RE.sub("flowcomm X.Y.Z", path.read_text()).encode())
+        expected = "94f13bbc6f5e96eb5ad1cf0f67eb58784417c3402ed01401349da83bf01d773b"
+        assert digest.hexdigest() == expected
+
 
 class TestIndentedDocuments:
     """Documents as versions before 0.12.0 wrote them, indented, still
@@ -794,23 +819,28 @@ class TestDigitLimit:
         assert run(["verify", str(path)]) == 2
         self._assert_named(capsys.readouterr().err)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["canon", HUGE_DET],
-            ["equiv", HUGE_DET, A_SEMI],
-            ["commensurable", A_SEMI, HUGE_DET],
-            ["cover", HUGE_DET, A_SEMI],
-            ["chain", "surface:g=2", f"suspension:{HUGE_DET}"],
-            ["trace-seq", HUGE_DET, "3"],
-        ],
-        ids=lambda argv: argv[0],
-    )
+    HUGE_DET_ARGVS = [
+        ["canon", HUGE_DET],
+        ["equiv", HUGE_DET, A_SEMI],
+        ["commensurable", A_SEMI, HUGE_DET],
+        ["cover", HUGE_DET, A_SEMI],
+        ["chain", "surface:g=2", f"suspension:{HUGE_DET}"],
+        ["trace-seq", HUGE_DET, "3"],
+    ]
+
+    @pytest.mark.parametrize("argv", HUGE_DET_ARGVS, ids=lambda argv: argv[0])
     def test_determinant_past_the_limit(self, capsys, argv):
         """Every verb that reads a matrix names a determinant that str()
         would refuse by its size, as an input error."""
         assert run(argv) == 2
         assert capsys.readouterr() == ("", f"error: {HUGE_DET_MESSAGE}\n")
+
+    @pytest.mark.parametrize("argv", HUGE_DET_ARGVS, ids=lambda argv: argv[0])
+    def test_negative_determinant_past_the_limit(self, capsys, argv):
+        """A negative determinant past the limit is named with its sign."""
+        argv = [arg.replace(HUGE_DET, HUGE_NEGATIVE_DET) for arg in argv]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {HUGE_NEGATIVE_DET_MESSAGE}\n")
 
     def test_verdict_output(self, capsys):
         # t^2 - 4 has about twice the digits of t, and a negative verdict

@@ -1,6 +1,7 @@
 """Unit tests for commensurability decisions and their certificates."""
 
 import random
+import sys
 import tracemalloc
 from math import isqrt
 
@@ -14,6 +15,7 @@ from flowcomm import (
     Mat2,
     NotHyperbolic,
     are_commensurable,
+    evaluate_word,
     find_intertwiner,
     hnf,
     mat_mul,
@@ -203,6 +205,28 @@ class TestFindIntertwiner:
         pairs = [(power(A, 2), companion(7)), (GENUS2, companion(14))]
         for a1, b1 in pairs:
             assert find_intertwiner(a1, b1) == find_intertwiner(a1, b1)
+
+    def test_forms_p_only_at_the_least_det(self):
+        """The least |det| is read off reduction_cycle's values, so P is
+        formed (combine) only where it is reached and on the walk: 3 times
+        for a seeded 1,000-pair word against its trace model, where one
+        P per convergent of the period took 2,003."""
+        rng = random.Random(7)
+        word = evaluate_word([(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(1000)])
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" and frame.f_code.co_name == "combine"
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            p = find_intertwiner(word, companion(word.trace()))
+        finally:
+            sys.setprofile(previous)
+        assert calls == 3
+        assert mat_mul(word, p) == mat_mul(p, companion(word.trace()))
 
 
 class TestStabilizationExponent:

@@ -88,17 +88,21 @@ class TestEvaluateWord:
 class TestReductionCycle:
     """reduction_cycle expands the first root of a form in blocks of two
     quotients; it returns what the one-quotient-at-a-time reference
-    returns, its quotients taken in pairs."""
+    returns, its quotients taken in pairs, and the form's value at each
+    convergent of the period."""
 
     def test_odd_period_comes_back_doubled(self):
-        # (1 + sqrt 5) / 2 = [1; 1, 1, ...] and 1 + sqrt 2 = [2; 2, 2, ...]
-        assert reduction_cycle(1, -1, -1) == (Mat2.identity(), ((1, 1),))
-        assert reduction_cycle(1, -2, -1) == (Mat2.identity(), ((2, 2),))
+        # (1 + sqrt 5) / 2 = [1; 1, 1, ...] and 1 + sqrt 2 = [2; 2, 2, ...];
+        # x^2 - xy - y^2 is -1 at (1, 1) and 1 at (2, 1), and x^2 - 2xy - y^2
+        # is -1 at (2, 1) and 1 at (5, 2)
+        assert reduction_cycle(1, -1, -1) == (Mat2.identity(), ((1, 1),), (-1, 1))
+        assert reduction_cycle(1, -2, -1) == (Mat2.identity(), ((2, 2),), (-1, 1))
 
     def test_negative_leading_coefficient(self):
         # -x^2 + x + 1 has the first root (1 - sqrt 5) / 2 = [-1; 2, 1, 1, ...],
-        # and (-1 1; 1 0)(2 1; 1 0) carries (1 + sqrt 5) / 2 to it
-        assert reduction_cycle(-1, 1, 1) == (Mat2(-1, -1, 2, 1), ((1, 1),))
+        # and (-1 1; 1 0)(2 1; 1 0) carries (1 + sqrt 5) / 2 to it; the form
+        # is -1 at (-2, 3) and 1 at (-3, 5)
+        assert reduction_cycle(-1, 1, 1) == (Mat2(-1, -1, 2, 1), ((1, 1),), (-1, 1))
 
     def test_matches_the_quotient_reference(self):
         rng = random.Random(206)
@@ -110,10 +114,39 @@ class TestReductionCycle:
             if q == 0 or disc <= 0 or isqrt(disc) ** 2 == disc:
                 continue
             # (p + sqrt(disc)) / q is the first root of the form (q, -2p, -q_prev)
-            w, blocks = reduction_cycle(q, -2 * p, -q_prev)
-            w_ref, period = reduction_cycle_by_quotient(p, q, q_prev)
+            w, blocks, values = reduction_cycle(q, -2 * p, -q_prev)
+            w_ref, period, states = reduction_cycle_by_quotient(p, q, q_prev)
             assert (w.entries(), blocks) == (w_ref, tuple(zip(period[::2], period[1::2])))
+            # -q/2 after an r quotient, +q/2 after an l one, where q is twice
+            # the reference's denominator, as the form is (q, -2p, -q_prev)
+            assert values == tuple((-1) ** (k + 1) * state for k, state in enumerate(states))
             cases += 1
+
+    def test_values_are_the_form_at_each_convergent(self):
+        """values[k] is a x^2 + b xy + c y^2 at the period's k-th
+        convergent, a column of w times a prefix of the blocks, sign
+        included: seeded forms of either sign of a, with odd and even
+        periods."""
+        rng = random.Random(207)
+        signs, odd_periods, cases = set(), 0, 300
+        for _ in range(cases):
+            a, b, c = (rng.randint(-400, 400) for _ in range(3))
+            disc = b * b - 4 * a * c
+            if a == 0 or disc <= 0 or isqrt(disc) ** 2 == disc:
+                continue
+            w, blocks, values = reduction_cycle(a, b, c)
+            convergents = []
+            for r, l in blocks:
+                w = mat_mul(w, Mat2(1 + r * l, r, l, 1))  # R^r L^l
+                convergents += (w.b, w.d), (w.a, w.c)
+            assert values == tuple(a * x * x + b * x * y + c * y * y for x, y in convergents)
+            signs.add(a > 0)
+            # a least period of odd length comes back doubled
+            flat = [quo for block in blocks for quo in block]
+            half = len(flat) // 2
+            odd_periods += half % 2 == 1 and flat[:half] == flat[half:]
+        assert signs == {True, False}
+        assert 0 < odd_periods < cases
 
 
 class TestCanonicalForm:

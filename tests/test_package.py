@@ -241,25 +241,31 @@ def test_wrong_argument_raises_plain_value_error(call, message):
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int/str digit limit disabled")
 def test_messages_name_an_unprintable_integer_by_its_size():
     """A determinant, trace, genus, cone order or word exponent that
-    str() would refuse is named by its bit size, so that raising the
-    error cannot itself raise."""
+    str() would refuse is named by its sign and bit size, so that
+    raising the error cannot itself raise."""
     big = 10 ** (sys.get_int_max_str_digits() + 1)
     det_bits = f"an integer of {(big * big).bit_length()} bits"
     trace_bits = f"an integer of {big.bit_length()} bits"
+    negative_bits = f"a negative integer of {big.bit_length()} bits"
+    negative_det_bits = f"a negative integer of {(big * big - 1).bit_length()} bits"
     with pytest.raises(ValueError, match=f"^determinant {det_bits} is not"):
         Mat2(big, 0, 0, big).inverse()
     with pytest.raises(ValueError, match=f"^traces {trace_bits} and 3 differ"):
         intertwiner_lattice(Mat2(big, 1, 1, 0), Mat2(2, 1, 1, 1))
     with pytest.raises(flowcomm.NotHyperbolic, match=f"^determinant is {det_bits}, need 1"):
         HyperbolicMatrix(big, 0, 0, big)
-    with pytest.raises(flowcomm.NotHyperbolic, match=f"^trace {trace_bits} is not"):
+    with pytest.raises(flowcomm.NotHyperbolic, match=f"^determinant is {negative_det_bits}, need"):
+        HyperbolicMatrix(1, big, big, 1)
+    with pytest.raises(flowcomm.NotHyperbolic, match=f"^trace {negative_bits} is not"):
         HyperbolicMatrix(-big, 1, -1, 0)
     with pytest.raises(ValueError, match=rf"^signature \(0; 2, 2, {trace_bits}\) has chi >= 0"):
         GeodesicOrbifold(0, (2, 2, big))
-    with pytest.raises(ValueError, match=f"^genus must be >= 0, got {trace_bits}$"):
+    with pytest.raises(ValueError, match=f"^genus must be >= 0, got {negative_bits}$"):
         GeodesicOrbifold(-big)
-    with pytest.raises(ValueError, match=f"^cone orders must be >= 2, got {trace_bits}$"):
+    with pytest.raises(ValueError, match=f"^cone orders must be >= 2, got {negative_bits}$"):
         GeodesicOrbifold(0, (-big, 3, 7))
+    with pytest.raises(ValueError, match=rf"^exponents must be >= 1, got \({negative_bits}, 1\)$"):
+        RLWord([(-big, 1)])
     with pytest.raises(ValueError, match=rf"^exponents must be >= 1, got \(0, {trace_bits}\)$"):
         RLWord([(0, big)])
 
