@@ -143,8 +143,9 @@ def find_intertwiner(a1, b1):
     the cycle of f, so it is met at a convergent within one period of
     the continued fraction of the root (-beta + sqrt(disc)) / 2 alpha;
     and min |f| <= sqrt(disc/5) (Korkine-Zolotarev), so the least |f|
-    over those convergents, which reduction_cycle returns, is the least
-    |det|; P is formed only where |f| is least, and on the walk.
+    over those convergents is the least |det|. reduction_cycle returns
+    the convergents that reach it, and P is formed only there and on the
+    walk.
 
     Ties go to the least _rank (max-entry, then sum, then the tuple of
     absolute entries, then the signed entries, of P with its first
@@ -166,13 +167,12 @@ def find_intertwiner(a1, b1):
 
     alpha, gamma = k1.det(), k2.det()
     beta = u0 * v3 + v0 * u3 - u1 * v2 - v1 * u2  # the xy term of det(x K1 + y K2)
-    w, blocks, values = reduction_cycle(alpha, beta, gamma)
-    least = min(map(abs, values))
-    w_start, minimal, values = w, [], iter(values)
-    for r, l in blocks:
+    w, blocks, least_at = reduction_cycle(alpha, beta, gamma)
+    w_start, minimal = w, []
+    for i, (r, l) in enumerate(blocks):
         w = mat_mul(w, _block(r, l))  # columns: the convergents after l and after r
-        for x, y in (w.b, w.d), (w.a, w.c):
-            if abs(next(values)) == least:
+        for k, x, y in (2 * i, w.b, w.d), (2 * i + 1, w.a, w.c):
+            if k in least_at:
                 minimal.append((x, y, combine(x, y)))
     auto = mat_mul(w, w_start.inverse())
     best = _rank(minimal[0][2])  # the walk's first step; min keeps the earlier on a tie

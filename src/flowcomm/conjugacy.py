@@ -118,12 +118,14 @@ def reduction_cycle(a, b, c):
 
     Needs a != 0 and disc > 0 not a square. Steps x_i = (n_i 1; 1 0) .
     x_{i+1}, n_i = floor(x_i), in det-1 blocks _block(n_i, n_{i+1}).
-    Returns (w, blocks, values): det w is 1 and x = w . y (Moebius
+    Returns (w, blocks, least_at): det w is 1 and x = w . y (Moebius
     action) for the first reduced complete quotient y (y > 1, conjugate
     in (-1, 0)) after whole blocks; blocks is the tuple of y's quotients
     as (r, l) pairs up to its first return, its shortest period of even
-    length; values[k] is the form at the period's k-th convergent,
-    -q/2 after an r quotient, q/2 after an l (Lagrange), q > 0 below.
+    length; least_at is the tuple of the indices k of the period's
+    convergents (2i after block i's r, 2i + 1 after its l) where the
+    form's |f| is least: f is -q/2 at even k and q/2 at odd k (Lagrange),
+    q > 0 the state after quotient k below, so q alone is compared.
     """
     # x_i = (p + sqrt(disc)) / q with disc = p^2 + q q_prev
     p, q, q_prev = -b, 2 * a, -2 * c
@@ -139,13 +141,15 @@ def reduction_cycle(a, b, c):
     w = Mat2.identity()
     while not (p <= s and s - p < q <= s + p):
         w = mat_mul(w, _block(step(), step()))
-    start, blocks, values = (p, q), [], []
-    while not blocks or (p, q) != start:
-        r = step()
-        values.append(-q >> 1)  # q is even; a shift halves it faster than // 2
-        blocks.append((r, step()))
-        values.append(q >> 1)
-    return w, tuple(blocks), tuple(values)
+    # least starts at the start state's q, which the period's last convergent has
+    start, quotients, least, least_at = (p, q), [], q, []
+    while not quotients or len(quotients) % 2 or (p, q) != start:
+        quotients.append(step())
+        if q <= least:
+            if q < least:
+                least, least_at = q, []
+            least_at.append(len(quotients) - 1)
+    return w, tuple(zip(quotients[::2], quotients[1::2])), tuple(least_at)
 
 
 def _shared_units(t_a, t_b):

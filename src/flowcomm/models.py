@@ -186,6 +186,16 @@ def _signature(genus, cone_orders):
     return genus, orders
 
 
+def _genus_step(model, chi):
+    """The genus step s of a model of Euler characteristic chi: the
+    genus-G surfaces that meet its cover conditions are those with
+    G - 1 a multiple of s. The degree is d = (G - 1) p/q with
+    p/q = -2/chi in lowest terms, and m = lcm(orders) divides d exactly
+    when m q / gcd(p, m) divides G - 1."""
+    ratio, m = Fraction(-2) / chi, lcm(*model.cone_orders)
+    return m * ratio.denominator // gcd(ratio.numerator, m)
+
+
 def orbifold_common_cover(source, target):
     """Least common surface cover of two geodesic models, as arithmetic.
 
@@ -200,12 +210,7 @@ def orbifold_common_cover(source, target):
     against these conditions."""
     chi_s = source.euler_characteristic()
     chi_t = target.euler_characteristic()
-    # d = (G - 1) p/q with p/q = -2/chi in lowest terms, so m = lcm(orders)
-    # divides d exactly when G - 1 is a multiple of m q / gcd(p, m)
-    sheets = 1
-    for chi, model in ((chi_s, source), (chi_t, target)):
-        ratio, m = Fraction(-2) / chi, lcm(*model.cone_orders)
-        sheets = lcm(sheets, m * ratio.denominator // gcd(ratio.numerator, m))
+    sheets = lcm(_genus_step(source, chi_s), _genus_step(target, chi_t))
     genus = sheets + 1
     return GeodesicCommonCover(
         cover_genus=genus,
@@ -241,7 +246,7 @@ def _path_to_suspension(model):
         raise TypeError(f"not a model: {model!r}")
     designated = _designated(model)
     if designated is None:
-        surface = GeodesicOrbifold(orbifold_common_cover(model, model).cover_genus)
+        surface = GeodesicOrbifold(_genus_step(model, model.euler_characteristic()) + 1)
         return [model] + _path_to_suspension(surface)
     return [model, Suspension(designated[1])]
 

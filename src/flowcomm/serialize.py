@@ -169,7 +169,7 @@ def _decode_fields(fields, cls, doc, context):
         values.append(decode(doc[name], f"{context}.{name}"))
     try:
         return cls(*values)
-    except (ValueError, NotHyperbolic) as exc:
+    except ValueError as exc:
         raise DocumentError(f"{context}: {exc}") from exc
 
 

@@ -207,8 +207,8 @@ class TestFindIntertwiner:
             assert find_intertwiner(a1, b1) == find_intertwiner(a1, b1)
 
     def test_forms_p_only_at_the_least_det(self):
-        """The least |det| is read off reduction_cycle's values, so P is
-        formed (combine) only where it is reached and on the walk: 3 times
+        """reduction_cycle reports where the least |det| is reached, so P
+        is formed (combine) only there and on the walk: 3 times
         for a seeded 1,000-pair word against its trace model, where one
         P per convergent of the period took 2,003."""
         rng = random.Random(7)

@@ -483,6 +483,15 @@ class TestGeneralSignatures:
         assert (second.kind, second.evidence) == (ALMOST_EQUIVALENCE, GHYS_HASHIGUCHI)
         assert len(chain.links) == 3
 
+    def test_general_model_sums_its_chi_once_for_its_surface(self, monkeypatch):
+        """The path reads the least covering surface's genus off one chi
+        sum, building no cover record, and the cover link sums one per
+        side: the chain of `chain orbifold:2,4,5 surface:g=2` sums 3."""
+        sums = count_chi_sums(monkeypatch)
+        chain = almost_commensurability_chain(GeodesicOrbifold(0, (2, 4, 5)), GeodesicOrbifold(2))
+        assert sums == [(0, (2, 4, 5)), (0, (2, 4, 5)), (2, ())]
+        assert chain.links[0].target == GeodesicOrbifold(2)
+
 
 class TestChainConstruction:
     def test_same_class_surface_to_orbifold(self):
