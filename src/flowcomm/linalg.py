@@ -185,9 +185,11 @@ class Lattice2(_Record):
         b = _as_int(b)
         d = _as_int(d)
         if a < 1 or d < 1:
-            raise ValueError(f"diagonal entries must be positive, got a={a}, d={d}")
+            raise ValueError(
+                f"diagonal entries must be positive, got a={_int_text(a)}, d={_int_text(d)}"
+            )
         if not 0 <= b < a:
-            raise ValueError(f"offset b={b} outside [0, {a})")
+            raise ValueError(f"offset b={_int_text(b)} outside [0, {_int_text(a)})")
         super().__init__(a, b, d)
 
 

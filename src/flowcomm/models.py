@@ -32,8 +32,7 @@ from .commensurability import (
     verify_certificate,
 )
 from .conjugacy import _shared_units
-from .errors import NotHyperbolic
-from .linalg import HyperbolicMatrix, Mat2, _Record, _int_text, mat_mul
+from .linalg import HyperbolicMatrix, Mat2, _Record, _int_text
 
 __all__ = [
     "GHYS_HASHIGUCHI",
@@ -47,7 +46,6 @@ __all__ = [
     "COMMENSURABILITY",
     "orbifold_model_matrix",
     "genus_model_matrix",
-    "orbifold_euler_characteristic",
     "orbifold_common_cover",
     "almost_commensurability_chain",
     "verify_chain",
@@ -75,17 +73,21 @@ class Suspension(_Record):
 class GeodesicOrbifold(_Record):
     """Geodesic flow on the closed orientable hyperbolic 2-orbifold of
     signature (genus; cone_orders), chi < 0; a surface has no cone
-    points. Cone orders are kept sorted. Hyperbolicity is read off the
-    signature, with no chi summed: the signatures with chi >= 0 are the
-    sphere with at most two cone points, the torus, the triangles
-    (p, q, r) with qr + pr + pq >= pqr and (0; 2, 2, 2, 2). chi itself
-    is summed only for cover arithmetic, each time it is asked for."""
+    points. Cone orders are kept sorted. The constructor alone checks
+    the signature, and reads hyperbolicity off it with no chi summed:
+    the signatures with chi >= 0 are the sphere with at most two cone
+    points, the torus, the triangles (p, q, r) with qr + pr + pq >= pqr
+    and (0; 2, 2, 2, 2). euler_characteristic sums chi, only for cover
+    arithmetic, each time it is asked for."""
 
     __slots__ = _fields = ("genus", "cone_orders")
 
     def __init__(self, genus: int, cone_orders: tuple = ()):
-        super().__init__(_as_int(genus), tuple(sorted(map(_as_int, cone_orders))))
-        genus, orders = _signature(self.genus, self.cone_orders)
+        genus, orders = _as_int(genus), tuple(sorted(map(_as_int, cone_orders)))
+        if genus < 0:
+            raise ValueError(f"genus must be >= 0, got {_int_text(genus)}")
+        if orders and orders[0] < 2:
+            raise ValueError(f"cone orders must be >= 2, got {_int_text(orders[0])}")
         if genus == 0 and len(orders) == 3:
             p, q, r = orders
             hyperbolic = q * r + p * r + p * q < p * q * r
@@ -98,9 +100,18 @@ class GeodesicOrbifold(_Record):
                 f"signature ({genus}; {', '.join(map(_int_text, orders))})"
                 " has chi >= 0, so it is not hyperbolic"
             )
+        super().__init__(genus, orders)
 
     def euler_characteristic(self):
-        return orbifold_euler_characteristic(self.genus, self.cone_orders)
+        """chi = 2 - 2 genus - sum(1 - 1/n_i), exact, as one fraction over
+        the lcm m of the orders. Only cover arithmetic sums it, and the
+        verbs bound m there: chain refuses an orbifold whose lcm passes
+        the digit limit before it builds a path, and verify sums chi only
+        after every order has divided a decoded cover degree; no model
+        sums it when it is built."""
+        orders = self.cone_orders
+        m = lcm(*orders)
+        return Fraction((2 - 2 * self.genus - len(orders)) * m + sum(m // n for n in orders), m)
 
 
 class GeodesicCommonCover(_Record):
@@ -142,48 +153,19 @@ class ChainCertificate(_Record):
 
 def orbifold_model_matrix(t):
     """First-return matrix ((0,1),(-1,t)) of the (2,3,t+4) orbifold's
-    geodesic flow over its Birkhoff section; det 1, trace t."""
-    t = _as_int(t)
-    if t <= 2:
-        raise NotHyperbolic(f"trace parameter must be >= 3, got {t}")
+    geodesic flow over its Birkhoff section; det 1, trace t, so a t
+    below 3 raises NotHyperbolic."""
     return HyperbolicMatrix(0, 1, -1, t)
 
 
 def genus_model_matrix(g):
-    """Monodromy ((g,g+1),(g-1,g))^2 whose suspension is almost
-    equivalent to the genus-g geodesic flow; det 1, trace 4g^2 - 2."""
+    """Monodromy whose suspension is almost equivalent to the genus-g
+    geodesic flow: the square of ((g,g+1),(g-1,g)), written out entry
+    by entry, so no product is formed; det 1, trace 4g^2 - 2."""
     g = _as_int(g)
     if g <= 1:
-        raise ValueError(f"genus must be >= 2, got {g}")
-    root = Mat2(g, g + 1, g - 1, g)
-    return HyperbolicMatrix.from_mat(mat_mul(root, root))
-
-
-def orbifold_euler_characteristic(genus, cone_orders):
-    """chi = 2 - 2 genus - sum(1 - 1/n_i), exact, as one fraction over
-    the lcm m of the orders. Only cover arithmetic sums it, and the
-    verbs bound m there: chain refuses an orbifold whose lcm passes the
-    digit limit before it builds a path, and verify sums chi only after
-    every order has divided a decoded cover degree; no model sums it
-    when it is built."""
-    genus, orders = _signature(genus, cone_orders)
-    m = lcm(*orders)
-    return Fraction((2 - 2 * genus - len(orders)) * m + sum(m // n for n in orders), m)
-
-
-def _signature(genus, cone_orders):
-    """The genus and a list of the cone orders, as ints; a ValueError
-    names the genus when it is negative, else the first order below 2."""
-    genus = _as_int(genus)
-    if genus < 0:
-        raise ValueError(f"genus must be >= 0, got {_int_text(genus)}")
-    orders = []
-    for order in cone_orders:
-        order = _as_int(order)
-        if order < 2:
-            raise ValueError(f"cone orders must be >= 2, got {_int_text(order)}")
-        orders.append(order)
-    return genus, orders
+        raise ValueError(f"genus must be >= 2, got {_int_text(g)}")
+    return HyperbolicMatrix(2 * g * g - 1, 2 * g * (g + 1), 2 * g * (g - 1), 2 * g * g - 1)
 
 
 def _genus_step(model, chi):

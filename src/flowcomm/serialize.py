@@ -160,13 +160,7 @@ def _encode_fields(fields, record):
 
 
 def _decode_fields(fields, cls, doc, context):
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{context}: expected an object")
-    values = []
-    for name, _, decode in fields:
-        if name not in doc:
-            raise DocumentError(f"{context}: missing field {name!r}")
-        values.append(decode(doc[name], f"{context}.{name}"))
+    values = [decode(_get(doc, name, context), f"{context}.{name}") for name, _, decode in fields]
     try:
         return cls(*values)
     except ValueError as exc:

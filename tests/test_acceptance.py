@@ -24,7 +24,6 @@ from flowcomm import (
     genus_model_matrix,
     hnf,
     mat_mul,
-    orbifold_euler_characteristic,
     orbifold_model_matrix,
     rl_word,
     stabilization_exponent,
@@ -275,7 +274,7 @@ def test_criterion_5_model_matrices():
         m = orbifold_model_matrix(t)
         assert m.det() == 1
         assert m.trace() == t
-    assert orbifold_euler_characteristic(0, (2, 3, 12)) == Fraction(-1, 12)
+    assert GeodesicOrbifold(0, (2, 3, 12)).euler_characteristic() == Fraction(-1, 12)
 
     elapsed = time.monotonic() - start
     report(5, elapsed, "model matrices g=2..10 and t=3..50, chi(0;2,3,12) = -1/12")

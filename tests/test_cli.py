@@ -46,12 +46,14 @@ GENUS2 = "[[7,12],[4,7]]"
 # trace 2 above a semiprime of two eight-digit primes, which the square
 # class test decides without splitting
 HARD_TRACE = str(10000019 * 10000079 + 2)
-# one digit past the interpreter's int/str conversion limit
+# one digit past the interpreter's int/str conversion limit; 0 when the
+# limit is off, and then the tests that need the limit are skipped
 DIGIT_LIMIT = sys.get_int_max_str_digits()
 TOO_LONG = "1" + "0" * DIGIT_LIMIT
 # a matrix of det 10^(2e) - 1 whose entries are under the limit and
-# whose determinant, at about twice their digits, is past it
-_E = DIGIT_LIMIT - 100
+# whose determinant, at about twice their digits, is past it; sized at
+# the default limit when the limit is off, so that the module collects
+_E = (DIGIT_LIMIT or 4300) - 100
 HUGE_DET = f"1{'0' * _E},1;1,1{'0' * _E}"
 HUGE_DET_BITS = (10 ** (2 * _E) - 1).bit_length()
 HUGE_DET_MESSAGE = f"determinant is an integer of {HUGE_DET_BITS} bits, need 1"
@@ -951,6 +953,7 @@ class TestTraceSeq:
         out = capsys.readouterr().out
         assert out.split() == ["3", "7", "18", "47", "123", "322"]
 
+    @pytest.mark.skipif(DIGIT_LIMIT == 0, reason="int/str digit limit disabled")
     @pytest.mark.parametrize("nine", ["9", "\u0669", "\uff19"], ids=["ascii", "arabic-indic", "fullwidth"])
     def test_bad_count(self, capsys, nine):
         """The count goes through the parser of matrix entries: the same

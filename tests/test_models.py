@@ -10,7 +10,6 @@ from math import lcm
 import pytest
 
 import flowcomm.commensurability as commensurability
-import flowcomm.models as models
 from flowcomm import (
     ALMOST_EQUIVALENCE,
     BIRKHOFF_SECTION_23N,
@@ -29,7 +28,6 @@ from flowcomm import (
     genus_model_matrix,
     mat_mul,
     orbifold_common_cover,
-    orbifold_euler_characteristic,
     orbifold_model_matrix,
     verify_chain,
 )
@@ -93,7 +91,11 @@ class TestModelMatrices:
         assert genus_model_matrix(2) == Mat2(7, 12, 4, 7)
 
     def test_genus_matrix_is_square_of_root(self):
-        for g in range(2, 11):
+        """g = 2..10, and seeded g of up to 3,000 digits."""
+        rng = random.Random(34)
+        genera = [*range(2, 11)]
+        genera += [rng.randrange(2, 10 ** rng.randint(2, 3000)) for _ in range(40)]
+        for g in genera:
             root = Mat2(g, g + 1, g - 1, g)
             assert genus_model_matrix(g) == mat_mul(root, root)
             assert genus_model_matrix(g).trace() == 4 * g * g - 2
@@ -110,7 +112,7 @@ class TestModelMatrices:
             assert m.trace() == t
 
     def test_orbifold_matrix_rejected(self):
-        with pytest.raises(NotHyperbolic):
+        with pytest.raises(NotHyperbolic, match=r"^trace 2 is not > 2$"):
             orbifold_model_matrix(2)
 
 
@@ -156,25 +158,12 @@ class TestModels:
             GeodesicOrbifold(-1, (2, 3, 7))
 
     def test_orbifold_euler_formula(self):
-        assert orbifold_euler_characteristic(0, (2, 3, 7)) == Fraction(-1, 42)
-        assert orbifold_euler_characteristic(2, ()) == Fraction(-2)
+        assert GeodesicOrbifold(0, (2, 3, 7)).euler_characteristic() == Fraction(-1, 42)
+        assert GeodesicOrbifold(2).euler_characteristic() == Fraction(-2)
         for n in range(7, 40):
-            assert orbifold_euler_characteristic(0, (2, 3, n)) == (
+            assert GeodesicOrbifold(0, (2, 3, n)).euler_characteristic() == (
                 Fraction(1, n) - Fraction(1, 6)
             )
-
-    def test_orbifold_euler_rejects(self):
-        """The genus is checked first, then the orders in turn."""
-        with pytest.raises(ValueError, match=r"^genus must be >= 0, got -1$"):
-            orbifold_euler_characteristic(-1, ())
-        with pytest.raises(ValueError, match=r"^cone orders must be >= 2, got 1$"):
-            orbifold_euler_characteristic(0, (1, 3, 7))
-        with pytest.raises(ValueError, match=r"^genus must be >= 0, got -1$"):
-            orbifold_euler_characteristic(-1, (1, 0))
-        with pytest.raises(ValueError, match=r"^cone orders must be >= 2, got 1$"):
-            orbifold_euler_characteristic(0, (7, 1, 0))
-        with pytest.raises(ValueError, match=r"^cone orders must be >= 2, got 0$"):
-            orbifold_euler_characteristic(3, [2, 3, 5, 7, 11, 0, -4])
 
     def test_hyperbolic_by_signature(self, monkeypatch):
         """The signature rule agrees with the oracle's chi < 0 on every
@@ -218,32 +207,40 @@ class TestModels:
     def test_orbifold_euler_matches_oracle(self):
         """Seeded signatures of genus 0-4 with up to six cone orders from
         2 to 60, and up to twelve orders of up to 40 digits sharing
-        factors, against the term-by-term Fraction sum."""
+        factors, against the term-by-term Fraction sum; only those with
+        chi < 0 build a model, so only those are compared."""
         rng = random.Random(175)
+        signatures = []
         for _ in range(600):
             genus = rng.randint(0, 4)
-            orders = [rng.randint(2, 60) for _ in range(rng.randint(0, 6))]
-            assert orbifold_euler_characteristic(genus, orders) == orbifold_chi(genus, orders)
+            signatures.append((genus, [rng.randint(2, 60) for _ in range(rng.randint(0, 6))]))
         shared = [rng.randrange(2, 10**20) for _ in range(4)]
         for _ in range(50):
             genus = rng.randint(0, 4)
             orders = [
                 rng.choice(shared) * rng.randrange(1, 10**20) for _ in range(rng.randint(1, 12))
             ]
-            assert orbifold_euler_characteristic(genus, orders) == orbifold_chi(genus, orders)
+            signatures.append((genus, orders))
+        compared = 0
+        for genus, orders in signatures:
+            chi = orbifold_chi(genus, orders)
+            if chi < 0:
+                assert GeodesicOrbifold(genus, orders).euler_characteristic() == chi
+                compared += 1
+        assert compared > 500
 
 
 def count_chi_sums(monkeypatch):
-    """The signatures that models.orbifold_euler_characteristic is called
-    on from now on, in a list the caller may clear."""
+    """The signatures (genus, cone_orders) of the models whose chi is
+    summed from now on, in a list the caller may clear."""
     sums = []
-    real = models.orbifold_euler_characteristic
+    real = GeodesicOrbifold.euler_characteristic
 
-    def counted(genus, cone_orders):
-        sums.append((genus, cone_orders))
-        return real(genus, cone_orders)
+    def counted(model):
+        sums.append((model.genus, model.cone_orders))
+        return real(model)
 
-    monkeypatch.setattr(models, "orbifold_euler_characteristic", counted)
+    monkeypatch.setattr(GeodesicOrbifold, "euler_characteristic", counted)
     return sums
 
 

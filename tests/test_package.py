@@ -35,6 +35,7 @@ from flowcomm import (
     hnf,
     intertwiner_lattice,
     orbifold_common_cover,
+    orbifold_model_matrix,
 )
 
 INIT = Path(flowcomm.__file__)
@@ -240,9 +241,9 @@ def test_wrong_argument_raises_plain_value_error(call, message):
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int/str digit limit disabled")
 def test_messages_name_an_unprintable_integer_by_its_size():
-    """A determinant, trace, genus, cone order or word exponent that
-    str() would refuse is named by its sign and bit size, so that
-    raising the error cannot itself raise."""
+    """A determinant, trace, genus, cone order, lattice entry or word
+    exponent that str() would refuse is named by its sign and bit size,
+    so that raising the error cannot itself raise."""
     big = 10 ** (sys.get_int_max_str_digits() + 1)
     det_bits = f"an integer of {(big * big).bit_length()} bits"
     trace_bits = f"an integer of {big.bit_length()} bits"
@@ -268,6 +269,15 @@ def test_messages_name_an_unprintable_integer_by_its_size():
         RLWord([(-big, 1)])
     with pytest.raises(ValueError, match=rf"^exponents must be >= 1, got \(0, {trace_bits}\)$"):
         RLWord([(0, big)])
+    with pytest.raises(ValueError, match=f"^genus must be >= 2, got {negative_bits}$"):
+        genus_model_matrix(-big)
+    with pytest.raises(flowcomm.NotHyperbolic, match=f"^trace {negative_bits} is not > 2$"):
+        orbifold_model_matrix(-big)
+    diagonal = f"^diagonal entries must be positive, got a={negative_bits}, d=1$"
+    with pytest.raises(ValueError, match=diagonal):
+        Lattice2(-big, 0, 1)
+    with pytest.raises(ValueError, match=rf"^offset b={trace_bits} outside \[0, 3\)$"):
+        Lattice2(3, big, 1)
 
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int/str digit limit disabled")
@@ -302,11 +312,11 @@ def test_removed_names_stay_gone():
     """No matrix power, operator spelling, lattice membership test,
     lattice image, stored index or basis, negation, second matrix repr,
     folded exception, general kernel reduction, single-kind document
-    decoder, R or L constant or flat word exponent tuple is offered;
-    A * A and A ** 2 are TypeErrors."""
+    decoder, R or L constant, flat word exponent tuple or chi of a bare
+    signature is offered; A * A and A ** 2 are TypeErrors."""
     removed = [
         "mat_pow", "InvalidGenus", "SingularBasis", "NotUnimodular", "TraceMismatch",
-        "lattice_image", "R", "L",
+        "lattice_image", "R", "L", "orbifold_euler_characteristic",
     ]
     assert [name for name in removed if hasattr(flowcomm, name)] == []
     assert [name for name in removed if name in flowcomm.__all__] == []
@@ -322,6 +332,9 @@ def test_removed_names_stay_gone():
     assert not hasattr(Mat2, "__neg__")
     assert "__repr__" not in vars(HyperbolicMatrix)
     assert not hasattr(Suspension, "euler_characteristic")
+    # a signature is checked, and its chi summed, by GeodesicOrbifold alone
+    assert not hasattr(models, "orbifold_euler_characteristic")
+    assert not hasattr(models, "_signature")
     # decode_document reads every kind of document
     assert not hasattr(serialize, "decode_certificate") and not hasattr(serialize, "decode_chain")
     a = Mat2(2, 1, 1, 1)
