@@ -12,7 +12,7 @@ rationals. Every positive decision is backed by a certificate that an
 independent verifier re-checks from scratch.
 """
 
-__version__ = "0.19.0"
+__version__ = "0.19.1"
 
 from . import commensurability, conjugacy, errors, linalg, models
 from .errors import *

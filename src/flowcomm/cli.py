@@ -51,7 +51,6 @@ from .models import (
     verify_chain,
 )
 from .serialize import (
-    _check_digit_limit,
     decode_document,
     digit_limit_message,
     dumps,
@@ -170,6 +169,14 @@ def _emit(args, encode, value):
             raise UsageError(f"cannot write {args.output!r}: {exc}") from None
     elif not args.quiet:
         sys.stdout.write(dumps(encode(value)))
+
+
+def _check_digit_limit(values):
+    """Raise ComputationLimit at the first of values (nonnegative ints)
+    that str() would refuse; reads none of them when the limit is off."""
+    bound = 10 ** sys.get_int_max_str_digits()  # 1 when the limit is off
+    if bound > 1 and any(v >= bound for v in values):
+        raise ComputationLimit(digit_limit_message())
 
 
 def _cmd_equiv(args):

@@ -22,7 +22,7 @@ step against the Euclid on the stated exponents.
 
 from operator import index as _as_int
 
-from .conjugacy import _block, _least_exponents, _shared_units, _unit_divmod, reduction_cycle
+from .conjugacy import _block, _shared_units, _unit_divmod, reduction_cycle
 from .errors import NotHyperbolic
 from .linalg import (
     HyperbolicMatrix,
@@ -69,16 +69,6 @@ class CommensurabilityCertificate(_Record):
         "index_over_b",
     )
     __hash__ = None
-
-    def __repr__(self):
-        # short, as the entries could pass the int/str digit limit; a
-        # printed field past it is named by its size
-        t = _int_text
-        return (
-            f"CommensurabilityCertificate(powers=({t(self.power_a)}, {t(self.power_b)}), "
-            f"det={t(self.intertwiner_det)}, indices=({t(self.index_over_a)}, "
-            f"{t(self.index_over_b)}))"
-        )
 
 
 class CommensurabilityVerdict(_Record):
@@ -227,6 +217,27 @@ def _input_size_pair(a, b, u_a, u_b):
     shift = u_b * a.trace() - u_a * b.trace()
     y = Mat2(shift + 2 * u_a * b.a, 2 * u_a * b.b, 2 * u_a * b.c, shift + 2 * u_a * b.d)
     return x, y
+
+
+def _least_exponents(lam_a, lam_b, d0):
+    """Least (i, j) >= (1, 1) with lam_a**i == lam_b**j.
+
+    lam = (t, u) stands for (t + u sqrt(d0)) / 2, u = isqrt((t^2 - 4) / d0),
+    the expanding eigenvalue of a trace-t matrix: a unit of norm 1 in the
+    order of discriminant d0, where the units > 1 are the powers of one
+    fundamental unit. Euclid on their exponents: divide one unit by the
+    other (_unit_divmod; a first quotient 0 swaps them), carrying the
+    exponent vector (x, y) of each remainder lam_a**x * lam_b**y. The
+    remainder 1 = (2, 0) has a primitive vector (x, y) with
+    lam_a**x == lam_b**-y, which is +-(i, -j).
+    """
+    big, small = (lam_a, (1, 0)), (lam_b, (0, 1))
+    while small[0] != (2, 0):
+        (unit, (x, y)), (divisor, (sx, sy)) = big, small
+        q, rem = _unit_divmod(unit, divisor, d0)
+        big, small = small, (rem, (x - q * sx, y - q * sy))
+    x, y = small[1]
+    return abs(x), abs(y)
 
 
 def are_commensurable(a, b):

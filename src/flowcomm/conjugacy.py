@@ -18,9 +18,10 @@ period, so the work is quadratic in the length of a word that repeats no
 shorter period (32,002 steps on a 16,000-pair word).
 
 The division of units, the expanding eigenvalues, lives here
-(_unit_divmod): it counts the repetitions of a word's period, steps the
-Euclid that finds the least common power (_least_exponents), and checks
-the stated powers of a certificate (commensurability._powers_meet).
+(_unit_divmod): it counts the repetitions of a word's period, and
+commensurability steps with it both the Euclid that finds the least
+common power (_least_exponents) and the check of a certificate's stated
+powers (_powers_meet).
 
 SL2(Z) conjugacy is equivalence of the suspensions through an
 orientation-preserving torus map, and that is all are_equivalent
@@ -59,7 +60,7 @@ class RLWord(_Record):
         super().__init__(pairs)
 
     def __str__(self):
-        return " ".join(f"R^{r} L^{l}" for r, l in self.pairs)
+        return " ".join(f"R^{_int_text(r)} L^{_int_text(l)}" for r, l in self.pairs)
 
 
 class EquivalenceVerdict(_Record):
@@ -172,9 +173,10 @@ def _unit_mul(x, y, d0):
 
 def _unit_divmod(unit, divisor, d0):
     """(q, rem): the largest q with divisor**q <= unit, rem = unit / divisor**q,
-    for units >= 1 as in _least_exponents, divisor > 1. Larger trace means
-    larger unit, so the squares divisor**(2**k) up to the unit and then
-    q's bits from the top take O(bits of unit) unit products."""
+    for units (t, u) = (t + u sqrt(d0)) / 2 of norm 1 as _shared_units
+    gives them, unit >= 1 and divisor > 1. Larger trace means larger unit,
+    so the squares divisor**(2**k) up to the unit and then q's bits from
+    the top take O(bits of unit) unit products."""
     squares = [divisor]
     while (square := _unit_mul(squares[-1], squares[-1], d0))[0] <= unit[0]:
         squares.append(square)
@@ -184,27 +186,6 @@ def _unit_divmod(unit, divisor, d0):
         if t <= rem[0]:
             q, rem = q + 1, _unit_mul(rem, (t, -u), d0)
     return q, rem
-
-
-def _least_exponents(lam_a, lam_b, d0):
-    """Least (i, j) >= (1, 1) with lam_a**i == lam_b**j.
-
-    lam = (t, u) stands for (t + u sqrt(d0)) / 2, u = isqrt((t^2 - 4) / d0),
-    the expanding eigenvalue of a trace-t matrix: a unit of norm 1 in the
-    order of discriminant d0, where the units > 1 are the powers of one
-    fundamental unit. Euclid on their exponents: divide one unit by the
-    other (_unit_divmod; a first quotient 0 swaps them), carrying the
-    exponent vector (x, y) of each remainder lam_a**x * lam_b**y. The
-    remainder 1 = (2, 0) has a primitive vector (x, y) with
-    lam_a**x == lam_b**-y, which is +-(i, -j).
-    """
-    big, small = (lam_a, (1, 0)), (lam_b, (0, 1))
-    while small[0] != (2, 0):
-        (unit, (x, y)), (divisor, (sx, sy)) = big, small
-        q, rem = _unit_divmod(unit, divisor, d0)
-        big, small = small, (rem, (x - q * sx, y - q * sy))
-    x, y = small[1]
-    return abs(x), abs(y)
 
 
 def rl_word(m):

@@ -105,10 +105,11 @@ class GeodesicOrbifold(_Record):
     def euler_characteristic(self):
         """chi = 2 - 2 genus - sum(1 - 1/n_i), exact, as one fraction over
         the lcm m of the orders. Only cover arithmetic sums it, and the
-        verbs bound m there: chain refuses an orbifold whose lcm passes
-        the digit limit before it builds a path, and verify sums chi only
-        after every order has divided a decoded cover degree; no model
-        sums it when it is built."""
+        verbs bound m there: chain refuses an orbifold with no designated
+        matrix whose lcm passes the digit limit before it builds a path
+        (a designated (0; 2, 3, n) has m dividing 6n, the size of its
+        input), and verify sums chi only after every order has divided a
+        decoded cover degree; no model sums it when it is built."""
         orders = self.cone_orders
         m = lcm(*orders)
         return Fraction((2 - 2 * self.genus - len(orders)) * m + sum(m // n for n in orders), m)

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import __version__
-from .commensurability import CommensurabilityCertificate, CommensurabilityVerdict
+from .commensurability import CommensurabilityCertificate
 from .conjugacy import EquivalenceVerdict
 from .errors import ComputationLimit, DocumentError, NotHyperbolic
 from .linalg import Lattice2, Mat2
@@ -81,14 +81,6 @@ def digit_limit_message():
         f"integer has more than {sys.get_int_max_str_digits()} digits, "
         "the interpreter's int/str conversion limit"
     )
-
-
-def _check_digit_limit(values):
-    """Raise ComputationLimit at the first of values (nonnegative ints)
-    that str() would refuse; reads none of them when the limit is off."""
-    bound = 10 ** sys.get_int_max_str_digits()  # 1 when the limit is off
-    if bound > 1 and any(v >= bound for v in values):
-        raise ComputationLimit(digit_limit_message())
 
 
 def _decimal(value):
@@ -160,7 +152,11 @@ def _encode_fields(fields, record):
 
 
 def _decode_fields(fields, cls, doc, context):
-    values = [decode(_get(doc, name, context), f"{context}.{name}") for name, _, decode in fields]
+    _get(doc, fields[0][0], context)  # an object, with the first field
+    try:
+        values = [decode(doc[name], f"{context}.{name}") for name, _, decode in fields]
+    except KeyError as exc:
+        raise DocumentError(f"{context}: missing field {exc.args[0]!r}") from None
     try:
         return cls(*values)
     except ValueError as exc:
@@ -201,37 +197,32 @@ _COMMON_COVER_FIELDS = (
 )
 
 
-def _or_none(encode, value):
-    return None if value is None else encode(value)
-
-
 def _encode_pairs(word):
     return [_encode_ints(pair) for pair in word.pairs]
 
 
-# the fields of each verdict, encoded and never decoded
-_VERDICT_FIELDS = {
-    EquivalenceVerdict: (
-        ("equivalent", bool, None),
-        ("conjugator", partial(_or_none, _encode_matrix), None),
-        ("canonical_a", _encode_pairs, None),
-        ("canonical_b", _encode_pairs, None),
-    ),
-    CommensurabilityVerdict: (
-        ("commensurable", bool, None),
-        ("minimal_exponents", partial(_or_none, _encode_ints), None),
-        ("squarefree_a", _encode_int, None),
-        ("squarefree_b", _encode_int, None),
-        ("squared_a", bool, None),
-        ("squared_b", bool, None),
-        ("certificate", partial(_or_none, partial(_encode_fields, _CERTIFICATE_FIELDS)), None),
-    ),
-}
-
-
 def encode_verdict(verdict):
     """The equiv or the commensurable document of a verdict."""
-    return _encode_fields(_VERDICT_FIELDS[type(verdict)], verdict)
+    if isinstance(verdict, EquivalenceVerdict):
+        conjugator = verdict.conjugator
+        return {
+            "equivalent": verdict.equivalent,
+            "conjugator": None if conjugator is None else _encode_matrix(conjugator),
+            "canonical_a": _encode_pairs(verdict.canonical_a),
+            "canonical_b": _encode_pairs(verdict.canonical_b),
+        }
+    exponents, certificate = verdict.minimal_exponents, verdict.certificate
+    return {
+        "commensurable": verdict.commensurable,
+        "minimal_exponents": None if exponents is None else _encode_ints(exponents),
+        "squarefree_a": _encode_int(verdict.squarefree_a),
+        "squarefree_b": _encode_int(verdict.squarefree_b),
+        "squared_a": verdict.squared_a,
+        "squared_b": verdict.squared_b,
+        "certificate": (
+            None if certificate is None else _encode_fields(_CERTIFICATE_FIELDS, certificate)
+        ),
+    }
 
 
 def encode_word(word):
@@ -302,20 +293,19 @@ def _decode_evidence(value, field):
     raise DocumentError(f"{field}.type: unknown evidence type {kind!r}")
 
 
-# encoded by the table; _decode_chain reads the fields in this order
-_LINK_FIELDS = (
-    ("kind", str, None),
-    ("source", _encode_model, None),
-    ("target", _encode_model, None),
-    ("evidence", _encode_evidence, None),
-)
-
-
 def encode_chain(chain):
     return {
         **_header(CHAIN_KIND),
         "endpoints": [_encode_model(m) for m in chain.endpoints],
-        "links": [_encode_fields(_LINK_FIELDS, link) for link in chain.links],
+        "links": [
+            {
+                "kind": link.kind,
+                "source": _encode_model(link.source),
+                "target": _encode_model(link.target),
+                "evidence": _encode_evidence(link.evidence),
+            }
+            for link in chain.links
+        ],
     }
 
 
@@ -326,7 +316,7 @@ def _decode_chain(doc):
     model (equal JSON decodes to an equal model). That is one == per
     link and per endpoint, against one raw model each, so the work stays
     linear. The links are read before the endpoints, each link's fields
-    in _LINK_FIELDS order, so the first bad field is reported."""
+    in ChainLink._fields order, so the first bad field is reported."""
     endpoints = _get(doc, "endpoints")
     if not isinstance(endpoints, list) or len(endpoints) != 2:
         raise DocumentError("endpoints: expected exactly two models")

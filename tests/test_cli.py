@@ -724,10 +724,10 @@ class TestOutputDigest:
     def test_decode_digest(self, tmp_path):
         """What decode_document makes of each single-leaf mutation of the
         documents that output_corpus.DECODE_CALLS write: the decoded
-        record's repr or the error message. Pinned where each of a chain's
-        models was still decoded on its own, link by link and endpoint by
-        endpoint, so reusing a decoded model moves no outcome."""
-        digest = "f2063a64aef94713490e0e4128f093234f136bcf665a6f77f352b907140cbeee"
+        record's repr, which shows every field, or the error message.
+        Reusing a decoded model across a chain's links and endpoints moved
+        no outcome of this corpus."""
+        digest = "d30a8f8fbb1f7432f38f541738303c704604996950406a9dc83e85a7f4364612"
         assert decode_digest(tmp_path) == (8552, digest)
 
     def test_long_word_digest(self, tmp_path):

@@ -470,13 +470,24 @@ class TestRecords:
         with pytest.raises(TypeError, match="unhashable"):
             hash(cert)
 
-    def test_certificate_repr_is_short(self):
-        """The repr names powers, det and indices only: the matrices'
-        entries could pass the int/str digit limit."""
+    def test_certificate_repr_lists_every_field_in_order(self):
+        """The shared record repr: every field, and an entry past the
+        int/str digit limit named by its size (printed in full when the
+        limit is off)."""
         cert = are_commensurable(A, companion(7)).certificate
-        assert repr(cert) == "CommensurabilityCertificate(powers=(2, 1), det=3, indices=(6, 1))"
+        assert repr(cert) == (
+            "CommensurabilityCertificate(base_a=HyperbolicMatrix(2, 1, 1, 1),"
+            " base_b=HyperbolicMatrix(0, 1, -1, 7), power_a=2, power_b=1,"
+            " intertwiner=Mat2(1, 1, -2, 1), intertwiner_det=3,"
+            " sublattice=Lattice2(a=3, b=1, d=1), stabilization=1,"
+            " index_over_a=6, index_over_b=1)"
+        )
         huge = replace(cert, base_a=Mat2(10**5000, 0, 0, 1))
-        assert repr(huge) == repr(cert)
+        limit = sys.get_int_max_str_digits()
+        entry = "an integer of 16610 bits" if 0 < limit <= 5000 else str(10**5000)
+        assert repr(huge) == repr(cert).replace(
+            "HyperbolicMatrix(2, 1, 1, 1)", f"Mat2({entry}, 0, 0, 1)"
+        )
 
     def test_verdict_compares_by_identity_and_is_hashable(self):
         first, second = are_commensurable(A, companion(7)), are_commensurable(A, companion(7))

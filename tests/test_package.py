@@ -167,7 +167,13 @@ def test_record_equality_hash_and_repr():
     RLWord: the repr, == and hash they had with written-out constructors."""
     verdict = are_commensurable(Mat2(2, 1, 1, 1), Mat2(0, 1, -1, 7))
     cert = verdict.certificate
-    assert repr(cert) == "CommensurabilityCertificate(powers=(2, 1), det=3, indices=(6, 1))"
+    assert repr(cert) == (
+        "CommensurabilityCertificate(base_a=HyperbolicMatrix(2, 1, 1, 1),"
+        " base_b=HyperbolicMatrix(0, 1, -1, 7), power_a=2, power_b=1,"
+        " intertwiner=Mat2(1, 1, -2, 1), intertwiner_det=3,"
+        " sublattice=Lattice2(a=3, b=1, d=1), stabilization=1,"
+        " index_over_a=6, index_over_b=1)"
+    )
     copy = CommensurabilityCertificate(*(getattr(cert, name) for name in cert._fields))
     assert copy == cert and cert.__hash__ is None
     assert repr(verdict).startswith(
@@ -289,6 +295,7 @@ def test_reprs_name_an_unprintable_integer_by_its_size():
     bits = f"an integer of {big.bit_length()} bits"
     assert repr(Mat2(big, 1, 1, 1)) == f"Mat2({bits}, 1, 1, 1)"
     assert repr(RLWord(((big, 1),))) == f"RLWord(pairs=(({bits}, 1),))"
+    assert str(RLWord(((big, 1), (2, big)))) == f"R^{bits} L^1 R^2 L^{bits}"
     with pytest.raises(ValueError) as caught:
         hnf(Mat2(big, big, 1, 1))
     assert str(caught.value) == f"Mat2({bits}, {bits}, 1, 1) has determinant 0"
@@ -304,7 +311,11 @@ def test_reprs_name_an_unprintable_integer_by_its_size():
     cert = are_commensurable(Mat2(2, 1, 1, 1), Mat2(0, 1, -1, 7)).certificate
     cert.power_a = cert.index_over_b = big
     assert repr(cert) == (
-        f"CommensurabilityCertificate(powers=({bits}, 1), det=3, indices=(6, {bits}))"
+        "CommensurabilityCertificate(base_a=HyperbolicMatrix(2, 1, 1, 1),"
+        f" base_b=HyperbolicMatrix(0, 1, -1, 7), power_a={bits}, power_b=1,"
+        " intertwiner=Mat2(1, 1, -2, 1), intertwiner_det=3,"
+        " sublattice=Lattice2(a=3, b=1, d=1), stabilization=1,"
+        f" index_over_a=6, index_over_b={bits})"
     )
 
 
@@ -312,8 +323,10 @@ def test_removed_names_stay_gone():
     """No matrix power, operator spelling, lattice membership test,
     lattice image, stored index or basis, negation, second matrix repr,
     folded exception, general kernel reduction, single-kind document
-    decoder, R or L constant, flat word exponent tuple or chi of a bare
-    signature is offered; A * A and A ** 2 are TypeErrors."""
+    decoder, R or L constant, flat word exponent tuple, chi of a bare
+    signature, short certificate repr or write-only field table is
+    offered, and no helper is kept away from its only caller; A * A and
+    A ** 2 are TypeErrors."""
     removed = [
         "mat_pow", "InvalidGenus", "SingularBasis", "NotUnimodular", "TraceMismatch",
         "lattice_image", "R", "L", "orbifold_euler_characteristic",
@@ -337,11 +350,49 @@ def test_removed_names_stay_gone():
     assert not hasattr(models, "_signature")
     # decode_document reads every kind of document
     assert not hasattr(serialize, "decode_certificate") and not hasattr(serialize, "decode_chain")
+    # the certificate takes the shared record repr, which shows every field
+    assert "__repr__" not in vars(CommensurabilityCertificate)
+    # a field table only where it both writes and reads its record
+    for name in ("_VERDICT_FIELDS", "_or_none", "_LINK_FIELDS"):
+        assert not hasattr(serialize, name), name
+    # each helper lives beside its only caller
+    assert not hasattr(serialize, "_check_digit_limit")
+    assert not hasattr(conjugacy, "_least_exponents")
     a = Mat2(2, 1, 1, 1)
     with pytest.raises(TypeError):
         a * a
     with pytest.raises(TypeError):
         a ** 2
+
+
+def test_private_names_crossing_modules():
+    """The private names one module imports from another: the shared
+    record base and integer text, the square-class and unit arithmetic
+    that commensurability and models share with conjugacy, and the
+    designated matrices that chain's digit-limit gate asks about. Any
+    other private helper lives beside its only caller."""
+    crossing = set()
+    for path in SOURCES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                crossing |= {
+                    f"{path.stem} <- {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")
+                }
+    assert crossing == {
+        "cli <- models._designated",
+        "commensurability <- conjugacy._block",
+        "commensurability <- conjugacy._shared_units",
+        "commensurability <- conjugacy._unit_divmod",
+        "commensurability <- linalg._Record",
+        "commensurability <- linalg._int_text",
+        "conjugacy <- linalg._Record",
+        "conjugacy <- linalg._int_text",
+        "models <- conjugacy._shared_units",
+        "models <- linalg._Record",
+        "models <- linalg._int_text",
+    }
 
 
 def test_imports_are_relative_or_stdlib():

@@ -508,15 +508,15 @@ class TestDecodeWork:
 
     def test_decode_tables_follow_record_fields(self):
         """Decoding builds each record by position, so each table lists
-        its record's _fields in order; a chain link's fields are read in
-        _LINK_FIELDS order."""
+        its record's _fields in order; _decode_chain reads a link's fields
+        by hand, in ChainLink._fields order."""
         for table, record in (
             (serialize._LATTICE_FIELDS, Lattice2),
             (serialize._CERTIFICATE_FIELDS, CommensurabilityCertificate),
             (serialize._COMMON_COVER_FIELDS, GeodesicCommonCover),
-            (serialize._LINK_FIELDS, ChainLink),
         ):
             assert tuple(name for name, _, _ in table) == record._fields
+        assert ChainLink._fields == ("kind", "source", "target", "evidence")
 
     def test_no_chi_summed_to_decode_or_reject_by_cone_points(self, monkeypatch):
         """A 1-link chain between two genus-0 orbifolds of three 3,001-digit
