@@ -9,17 +9,18 @@ closed orientable hyperbolic 2-orbifolds, surfaces included.
 
 All arithmetic is exact over arbitrary-precision integers and
 rationals. Every positive decision is backed by a certificate that an
-independent verifier re-checks from scratch.
+independent verifier (the verify module) re-checks from scratch.
 """
 
-__version__ = "0.19.1"
+__version__ = "0.20.0"
 
-from . import commensurability, conjugacy, errors, linalg, models
+from . import commensurability, conjugacy, errors, linalg, models, verify
 from .errors import *
 from .linalg import *
 from .conjugacy import *
 from .commensurability import *
 from .models import *
+from .verify import *
 
 __all__ = [
     "__version__",
@@ -28,4 +29,5 @@ __all__ = [
     *conjugacy.__all__,
     *commensurability.__all__,
     *models.__all__,
+    *verify.__all__,
 ]

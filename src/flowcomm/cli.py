@@ -38,7 +38,7 @@ import sys
 from itertools import accumulate
 from math import lcm
 
-from .commensurability import are_commensurable, verify_certificate
+from .commensurability import are_commensurable
 from .conjugacy import are_equivalent, rl_word
 from .errors import ComputationLimit, FlowcommError
 from .linalg import HyperbolicMatrix, Mat2
@@ -48,7 +48,6 @@ from .models import (
     Suspension,
     _designated,
     almost_commensurability_chain,
-    verify_chain,
 )
 from .serialize import (
     decode_document,
@@ -60,6 +59,7 @@ from .serialize import (
     encode_word,
     loads,
 )
+from .verify import verify_certificate, verify_chain
 
 __all__ = ["main", "run", "UsageError"]
 

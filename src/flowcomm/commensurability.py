@@ -11,13 +11,10 @@ expanding eigenvalues (t + u sqrt(D_0)) / 2, D_0 = gcd(D_a, D_b), are
 units of the order of discriminant D_0, so a Euclid on those units,
 not a search, finds the least common power. A positive verdict carries
 a CommensurabilityCertificate (an integer intertwiner, the sublattice
-it spans, covering indices) that verify_certificate re-checks from
-scratch. Neither the decision nor the verifier forms a power of an
-input, but the square M M that replaces one of trace < -2. Both take
-the intertwiners of a**i and b**j from a pair of matrices of the size
-of the inputs. The verifier tests lam_a**i == lam_b**j by the
-decision's unit division (conjugacy._unit_divmod), checked step by
-step against the Euclid on the stated exponents.
+it spans, covering indices). The decision forms no power of an input
+but the square M M that replaces one of trace < -2: it takes the
+intertwiner of a**i and b**j from a pair of matrices of the size of
+the inputs (_input_size_pair).
 """
 
 from operator import index as _as_int
@@ -40,7 +37,6 @@ __all__ = [
     "are_commensurable",
     "find_intertwiner",
     "stabilization_exponent",
-    "verify_certificate",
 ]
 
 
@@ -273,80 +269,10 @@ def are_commensurable(a, b):
         intertwiner=p,
         intertwiner_det=p.det(),
         sublattice=hnf(p),
-        stabilization=1,  # by theorem, see verify_certificate
+        stabilization=1,  # by theorem, see verify.verify_certificate
         index_over_a=i * abs(p.det()),
         index_over_b=j,
     )
     return CommensurabilityVerdict(
         True, (i, j), shared, shared, certificate, squared_a, squared_b
     )
-
-
-def _powers_meet(lam_a, lam_b, d0, power_a, power_b):
-    """lam_a**power_a == lam_b**power_b for units > 1 as in
-    _least_exponents, by a Euclid on the units that the exponents guide.
-
-    With g = gcd(power_a, power_b), the powers meet exactly when
-    lam_a = eta**(power_b / g) and lam_b = eta**(power_a / g) for a unit
-    eta. Then dividing the unit of exponent e by the unit of exponent f
-    (_unit_divmod) gives e // f and eta**(e % f), which is 1 exactly
-    when e % f = 0, and scaling the exponents by g keeps the quotients.
-    Conversely, when each step gives the exponents' quotient and the two
-    Euclids end together, running them back from the last divisor eta
-    rebuilds both units as those powers of eta. The units strictly
-    decrease, so the steps are bounded by their bits.
-    """
-    unit, e, divisor, f = lam_a, power_b, lam_b, power_a
-    while f and divisor != (2, 0):
-        q, rem = _unit_divmod(unit, divisor, d0)
-        if q != e // f:
-            return False
-        unit, e, divisor, f = divisor, f, rem, e % f
-    return f == 0 and divisor == (2, 0)
-
-
-def verify_certificate(cert):
-    """Re-check a certificate from scratch; (True, "ok") or (False, clause).
-
-    Uses only unit and matrix products and canonical lattice forms, none
-    of the search machinery that produced the certificate, and forms no
-    power: power_traces_equal is _powers_meet, and intertwining_identity
-    is X P = P Y on the input-size pair, which has the solutions of
-    a**i P = P b**j once the power traces agree. So the work is
-    polynomial in the certificate's bit size, whatever its powers.
-    """
-    for name, base in (("base_a", cert.base_a), ("base_b", cert.base_b)):
-        try:
-            HyperbolicMatrix.from_mat(base)
-        except NotHyperbolic:
-            return False, f"{name}_hyperbolic"
-    if cert.power_a < 1 or cert.power_b < 1:
-        return False, "powers_positive"
-    t_a, t_b = cert.base_a.trace(), cert.base_b.trace()
-    units = _shared_units(t_a, t_b)  # distinct classes share no power trace
-    if units is None:
-        return False, "power_traces_equal"
-    shared, u_a, u_b = units
-    if not _powers_meet((t_a, u_a), (t_b, u_b), shared, cert.power_a, cert.power_b):
-        return False, "power_traces_equal"
-    x, y = _input_size_pair(cert.base_a, cert.base_b, u_a, u_b)
-    p = cert.intertwiner
-    if mat_mul(x, p) != mat_mul(p, y):
-        return False, "intertwining_identity"
-    if p.det() == 0:
-        return False, "intertwiner_nonsingular"
-    if cert.intertwiner_det != p.det():
-        return False, "intertwiner_det_matches"
-    if cert.sublattice != hnf(p):
-        return False, "sublattice_matches_intertwiner"
-    if cert.stabilization < 1:
-        return False, "stabilization_positive"
-    # A1 P = P B1 and B1 Z^2 = Z^2 (A1, B1 the stated powers) give
-    # A1 (P Z^2) = P Z^2, so 1 is the only minimal exponent
-    if cert.stabilization != 1:
-        return False, "stabilization_minimal"
-    if cert.index_over_a != cert.power_a * abs(p.det()):
-        return False, "index_over_a"
-    if cert.index_over_b != cert.power_b:
-        return False, "index_over_b"
-    return True, "ok"

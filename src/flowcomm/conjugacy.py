@@ -18,10 +18,10 @@ period, so the work is quadratic in the length of a word that repeats no
 shorter period (32,002 steps on a 16,000-pair word).
 
 The division of units, the expanding eigenvalues, lives here
-(_unit_divmod): it counts the repetitions of a word's period, and
-commensurability steps with it both the Euclid that finds the least
-common power (_least_exponents) and the check of a certificate's stated
-powers (_powers_meet).
+(_unit_divmod): it counts the repetitions of a word's period,
+commensurability steps with it the Euclid that finds the least common
+power (_least_exponents), and verify the check of a certificate's
+stated powers (_powers_meet).
 
 SL2(Z) conjugacy is equivalence of the suspensions through an
 orientation-preserving torus map, and that is all are_equivalent
@@ -219,8 +219,8 @@ def rl_word(m):
     reps, rem = _unit_divmod((t, u_m), (tau, u_value), shared)
     # conj commutes with value, so it is +-value**k; its trace t > 2 and
     # lam_m = lam_value**reps give k = +-reps, and value**-reps has b < 0
-    conj = mat_mul(mat_mul(witness.inverse(), m), witness)
-    assert rem == (2, 0) and conj.b > 0 and mat_mul(conj, value) == mat_mul(value, conj)
+    assert rem == (2, 0) and (conj := mat_mul(mat_mul(witness.inverse(), m), witness)).b > 0
+    assert mat_mul(conj, value) == mat_mul(value, conj)
     word.pairs *= reps  # the period, checked once above, repeated
     return word, witness
 

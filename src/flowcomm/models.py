@@ -5,12 +5,11 @@ and geodesic flows on closed orientable hyperbolic 2-orbifolds, one
 signature (g; n_1, ..., n_k) with chi < 0, a surface being the case
 with no cone points. A surface and a (0; 2, 3, n) orbifold have a
 designated monodromy matrix; passing to the suspension of that matrix
-is an almost-equivalence, recorded as a citation-tagged link and never
-recomputed (the geometry behind the tags is trusted, not rebuilt).
-Suspension-suspension links carry a full commensurability certificate.
-Geodesic-geodesic links carry common-cover degree and
-Euler-characteristic arithmetic; the existence of the actual cover is
-likewise cited, the arithmetic is what gets verified.
+is an almost-equivalence, recorded as a citation-tagged link (the
+geometry behind the tags is cited, not rebuilt). Suspension-suspension
+links carry a full commensurability certificate, geodesic-geodesic
+links the degree and Euler-characteristic arithmetic of a common cover
+whose existence is likewise cited.
 
 almost_commensurability_chain joins any two models by one path of
 models, walked from m1 to m2: each endpoint's path runs to its
@@ -26,11 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import index as _as_int
 
-from .commensurability import (
-    CommensurabilityCertificate,
-    are_commensurable,
-    verify_certificate,
-)
+from .commensurability import are_commensurable
 from .conjugacy import _shared_units
 from .linalg import HyperbolicMatrix, Mat2, _Record, _int_text
 
@@ -48,7 +43,6 @@ __all__ = [
     "genus_model_matrix",
     "orbifold_common_cover",
     "almost_commensurability_chain",
-    "verify_chain",
 ]
 
 # Citation tags for the two almost-equivalence facts taken on trust.
@@ -282,85 +276,3 @@ def almost_commensurability_chain(m1, m2):
     path = left + right[::-1]
     links = [_link(source, target) for source, target in zip(path, path[1:])]
     return ChainCertificate(links=links, endpoints=(m1, m2))
-
-
-def _verify_almost_equivalence(link):
-    ends = (link.source, link.target)
-    for geodesic, suspension in (ends, ends[::-1]):
-        if isinstance(suspension, Suspension) and not isinstance(
-            geodesic, Suspension
-        ):
-            if _designated(geodesic) == (link.evidence, suspension.monodromy):
-                return True, "ok"
-            return False, "almost_equivalence_whitelist"
-    return False, "almost_equivalence_endpoints"
-
-
-def _verify_commensurability_link(link):
-    source, target = link.source, link.target
-    if isinstance(source, Suspension) and isinstance(target, Suspension):
-        cert = link.evidence
-        if not isinstance(cert, CommensurabilityCertificate):
-            return False, "certificate_missing"
-        if cert.base_a != source.monodromy or cert.base_b != target.monodromy:
-            return False, "certificate_endpoints"
-        ok, clause = verify_certificate(cert)
-        if not ok:
-            return False, f"certificate_invalid: {clause}"
-        return True, "ok"
-    if isinstance(source, GeodesicOrbifold) and isinstance(target, GeodesicOrbifold):
-        cover = link.evidence
-        if not isinstance(cover, GeodesicCommonCover):
-            return False, "cover_missing"
-        if cover.cover_genus < 2:
-            return False, "cover_genus"
-        if cover.degree_source < 1 or cover.degree_target < 1:
-            return False, "cover_degrees"
-        # one modulo per cone order, before any chi is summed: orders that
-        # pass are bounded by the degrees, and so is the lcm chi sums over
-        if any(cover.degree_source % n for n in source.cone_orders) or any(
-            cover.degree_target % n for n in target.cone_orders
-        ):
-            return False, "cover_cone_points"
-        if (
-            cover.euler_source != source.euler_characteristic()
-            or cover.euler_target != target.euler_characteristic()
-        ):
-            return False, "cover_euler_endpoints"
-        if cover.euler_cover != Fraction(2 - 2 * cover.cover_genus):
-            return False, "cover_euler_genus"
-        if (
-            cover.degree_source * cover.euler_source != cover.euler_cover
-            or cover.degree_target * cover.euler_target != cover.euler_cover
-        ):
-            return False, "cover_arithmetic"
-        return True, "ok"
-    return False, "commensurability_endpoints"
-
-
-def verify_chain(chain):
-    """Re-check a chain from scratch; (True, "ok") or (False, clause).
-
-    Endpoint continuity, the almost-equivalence whitelist, every
-    certificate, and all cover arithmetic are verified; clause names
-    are prefixed with the failing link's index."""
-    links = chain.links
-    if not links:
-        return False, "chain_nonempty"
-    if len(chain.endpoints) != 2:
-        return False, "endpoints_shape"
-    if links[0].source != chain.endpoints[0] or links[-1].target != chain.endpoints[1]:
-        return False, "endpoints_match"
-    for idx in range(len(links) - 1):
-        if links[idx].target != links[idx + 1].source:
-            return False, f"link {idx}: link_continuity"
-    for idx, link in enumerate(links):
-        if link.kind == ALMOST_EQUIVALENCE:
-            ok, clause = _verify_almost_equivalence(link)
-        elif link.kind == COMMENSURABILITY:
-            ok, clause = _verify_commensurability_link(link)
-        else:
-            ok, clause = False, "link_kind"
-        if not ok:
-            return False, f"link {idx}: {clause}"
-    return True, "ok"

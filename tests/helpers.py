@@ -456,3 +456,103 @@ def least_common_cover(sig_a, sig_b):
         if len(degrees) == 2:
             return (cover_genus, *degrees)
         cover_genus += 1
+
+
+def _compose(*perms):
+    """The permutation that applies perms from left to right; each is a
+    tuple p of the points 0..d-1 with p[i] the image of i."""
+    out = tuple(range(len(perms[0])))
+    for p in perms:
+        out = tuple(p[i] for i in out)
+    return out
+
+
+def _inverse_perm(p):
+    out = [0] * len(p)
+    for i, image in enumerate(p):
+        out[image] = i
+    return tuple(out)
+
+
+def _cycle_lengths(p):
+    seen, lengths = set(), []
+    for start in range(len(p)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i, length = p[i], length + 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def surface_cover_genus(genus, orders, handles, cones):
+    """Genus of the degree-d surface cover of the orbifold (genus;
+    orders) that permutations of d points describe, after checking that
+    they describe one; raises AssertionError if they do not.
+
+    handles holds the images (a_i, b_i) of the generators of the genus
+    and cones the images c_j of the loops around the cone points, as
+    _compose takes them. Checked: the relation
+    prod [a_i, b_i] prod c_j = 1, with [a, b] = a b a^-1 b^-1; every
+    cycle of c_j of length exactly n_j, so that the point stabiliser is
+    torsion free; and a transitive action, so that the cover is
+    connected. The genus is Riemann-Hurwitz's: over each cone point lie
+    as many points as c_j has cycles, so the cover has
+    chi = d (2 - 2 genus - k) + the number of cycles of all the c_j."""
+    perms = [p for pair in handles for p in pair] + list(cones)
+    d = len(perms[0])
+    assert len(handles) == genus and len(cones) == len(orders)
+    assert all(sorted(p) == list(range(d)) for p in perms)
+    word = [p for a, b in handles for p in (a, b, _inverse_perm(a), _inverse_perm(b))]
+    assert _compose(*word, *cones) == tuple(range(d)), "relation"
+    for c, n in zip(cones, orders):
+        assert set(_cycle_lengths(c)) == {n}, f"cycle lengths {n}"
+    reached, frontier = {0}, [0]
+    while frontier:
+        i = frontier.pop()
+        for p in perms:
+            if p[i] not in reached:
+                reached.add(p[i])
+                frontier.append(p[i])
+    assert len(reached) == d, "transitive"
+    chi = d * (2 - 2 * genus - len(orders)) + sum(len(_cycle_lengths(c)) for c in cones)
+    assert chi % 2 == 0
+    return (2 - chi) // 2
+
+
+# permutation certificates of surface covers, by (genus, cone orders,
+# degree): (handles, cones) as surface_cover_genus takes them, found by
+# a seeded random search
+SURFACE_COVERS = {
+    (0, (2, 2, 2, 2, 3), 6): (
+        (),
+        (
+            (1, 0, 3, 2, 5, 4),
+            (4, 2, 1, 5, 0, 3),
+            (1, 0, 3, 2, 5, 4),
+            (1, 0, 5, 4, 3, 2),
+            (5, 3, 1, 2, 0, 4),
+        ),
+    ),
+    (1, (2, 3), 12): (
+        (
+            (
+                (10, 7, 5, 4, 8, 9, 11, 1, 3, 2, 6, 0),
+                (9, 6, 5, 4, 10, 2, 3, 11, 0, 1, 7, 8),
+            ),
+        ),
+        (
+            (5, 9, 8, 10, 11, 0, 7, 6, 2, 1, 3, 4),
+            (9, 0, 3, 5, 10, 2, 4, 8, 11, 1, 6, 7),
+        ),
+    ),
+    (0, (2, 3, 18), 18): (
+        (),
+        (
+            (13, 6, 3, 2, 11, 7, 1, 5, 16, 15, 12, 4, 10, 0, 17, 9, 8, 14),
+            (14, 17, 7, 9, 8, 12, 2, 6, 13, 11, 1, 3, 15, 4, 16, 5, 0, 10),
+            (8, 12, 1, 4, 0, 9, 5, 3, 11, 2, 14, 15, 7, 16, 13, 10, 17, 6),
+        ),
+    ),
+}

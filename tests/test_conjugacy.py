@@ -2,7 +2,7 @@
 
 import random
 import tracemalloc
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -151,6 +151,29 @@ class TestReductionCycle:
             odd_periods += half % 2 == 1 and flat[:half] == flat[half:]
         assert signs == {True, False}
         assert 0 < odd_periods < cases
+
+    def test_period_matches_sympy(self):
+        """sympy's periodic continued fraction of the first root
+        (-b + sqrt(disc)) / 2a, its period doubled when of odd length, is
+        reduction_cycle's period up to rotation, on seeded forms with
+        entries in [-12, 12], a != 0 and disc > 0 not a square (sympy
+        takes about 10 ms a form, so the box is sampled)."""
+        pytest.importorskip("sympy")
+        from sympy.ntheory.continued_fraction import continued_fraction_periodic
+
+        rng, cases = random.Random(208), 0
+        while cases < 200:
+            a, b, c = (rng.randint(-12, 12) for _ in range(3))
+            disc = b * b - 4 * a * c
+            if a == 0 or disc <= 0 or isqrt(disc) ** 2 == disc:
+                continue
+            period = list(continued_fraction_periodic(-b, 2 * a, disc)[-1])
+            if len(period) % 2:
+                period *= 2
+            flat = [quo for block in reduction_cycle(a, b, c)[1] for quo in block]
+            rotations = [period[k:] + period[:k] for k in range(len(period))]
+            assert flat in rotations, (a, b, c)
+            cases += 1
 
     def test_rl_word_memory_is_not_quadratic(self):
         """The cycle keeps no value per quotient: rl_word's peak memory on
@@ -415,6 +438,38 @@ class TestUnitDivmod:
         for k in range(0, 14):
             unit, divisor, d0 = self.units(a, 2**k, 1)
             assert _unit_divmod(unit, divisor, d0) == (2**k, (2, 0))
+
+
+class TestSharedUnits:
+    def test_square_classes_match_sympy(self):
+        """_shared_units(t_a, t_b) is None exactly when t_a^2 - 4 and
+        t_b^2 - 4 have distinct squarefree parts, as sympy's factorint
+        gives them: seeded trace pairs, about a third of them t_a against
+        the trace of a power of a trace-t_a matrix, so that many share a
+        class."""
+        pytest.importorskip("sympy")
+        from sympy import factorint
+
+        def squarefree(n):
+            return prod(p for p, e in factorint(n).items() if e % 2)
+
+        def power_trace(t, k):
+            before, trace = 2, t  # trace(M^0), trace(M^1)
+            for _ in range(k - 1):
+                before, trace = trace, t * trace - before
+            return trace
+
+        rng, shared = random.Random(209), 0
+        for _ in range(3000):
+            t_a = rng.randint(3, 300)
+            if rng.random() < 0.3:
+                t_b = power_trace(t_a, rng.randint(1, 4))
+            else:
+                t_b = rng.randint(3, 300)
+            same = squarefree(t_a * t_a - 4) == squarefree(t_b * t_b - 4)
+            assert (_shared_units(t_a, t_b) is not None) == same, (t_a, t_b)
+            shared += same
+        assert 500 < shared < 2500
 
 
 class TestAreEquivalent:

@@ -31,14 +31,19 @@ from flowcomm import (
     orbifold_model_matrix,
     verify_chain,
 )
+from flowcomm.cli import _parse_model
 from flowcomm.serialize import dumps, encode_chain
 from helpers import (
+    SURFACE_COVERS,
+    _inverse_perm,
     hyperbolic_corpus,
     indented_text,
     least_common_cover,
     orbifold_chi,
     square_pow,
+    surface_cover_genus,
 )
+from output_corpus import MODELS
 
 A = HyperbolicMatrix(2, 1, 1, 1)
 
@@ -397,6 +402,52 @@ class TestConePointDivisibility:
 
 # suspensions, surfaces, (2,3,n) and general signatures, among them genus
 # >= 1 with cone points and four or more cone points
+class TestCitedCovers:
+    def test_smallest_corpus_covers_have_certificates(self):
+        """The cover sides that the output corpus's chains write, each a
+        (genus, cone orders, degree, cover genus), below degree 40 and
+        over an orbifold with cone points, are the sides of
+        SURFACE_COVERS, and each has a permutation certificate at exactly
+        that degree and genus. (A surface covers itself at degree 1. The
+        sides of degree 40, 48 and 84 and up need group constructions.)"""
+        written = set()
+        for i, a in enumerate(MODELS):
+            for b in MODELS[i:]:
+                chain = almost_commensurability_chain(_parse_model(a), _parse_model(b))
+                for link in chain.links:
+                    cover = link.evidence
+                    if isinstance(cover, GeodesicCommonCover):
+                        for model, degree in (
+                            (link.source, cover.degree_source),
+                            (link.target, cover.degree_target),
+                        ):
+                            written.add((model.genus, model.cone_orders, degree, cover.cover_genus))
+        small = {side for side in written if side[1] and side[2] < 40}
+        assert {side[:3] for side in small} == set(SURFACE_COVERS)
+        for genus, orders, degree, cover_genus in small:
+            handles, cones = SURFACE_COVERS[genus, orders, degree]
+            assert len(cones[0]) == degree
+            assert surface_cover_genus(genus, orders, handles, cones) == cover_genus
+
+    def test_checker_rejects_a_broken_certificate(self):
+        """Each check of surface_cover_genus fires: a cone permutation
+        with a cycle of the wrong length, a relation that fails, and an
+        intransitive action."""
+        handles, cones = SURFACE_COVERS[0, (2, 3, 18), 18]
+        assert surface_cover_genus(0, (2, 3, 18), handles, cones) == 2
+        with pytest.raises(AssertionError, match="cycle lengths 9"):
+            surface_cover_genus(0, (2, 3, 9), handles, cones)
+        # the 18-cycle inverted: every cycle length holds, the relation fails
+        inverted = _inverse_perm(cones[2])
+        with pytest.raises(AssertionError, match="relation"):
+            surface_cover_genus(0, (2, 3, 18), handles, (*cones[:2], inverted))
+        # two disjoint copies of the degree-6 certificate: all but transitivity holds
+        _, six = SURFACE_COVERS[0, (2, 2, 2, 2, 3), 6]
+        twice = tuple(c + tuple(i + 6 for i in c) for c in six)
+        with pytest.raises(AssertionError, match="transitive"):
+            surface_cover_genus(0, (2, 2, 2, 2, 3), (), twice)
+
+
 GENERAL_CORPUS = (
     [Suspension(Mat2(*m)) for m in hyperbolic_corpus(30, 6)]
     + [GeodesicOrbifold(g) for g in (2, 3, 4, 5)]

@@ -1,9 +1,9 @@
 """Package guards: the public names resolve, the package re-exports
 exactly its modules' public lists, the records share one constructor
 unless they validate, the source imports only the standard library and
-uses every name it imports, importing the console frontend loads none
-of the heavy introspection modules, and the test oracles import nothing
-from the package."""
+uses every name it imports, the verifier imports only its trust base,
+importing the console frontend loads none of the heavy introspection
+modules, and the test oracles import nothing from the package."""
 
 import ast
 import importlib
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import flowcomm
-from flowcomm import commensurability, conjugacy, errors, linalg, models, serialize
+from flowcomm import commensurability, conjugacy, errors, linalg, models, serialize, verify
 from flowcomm import (
     ChainLink,
     CommensurabilityCertificate,
@@ -41,7 +41,7 @@ from flowcomm import (
 INIT = Path(flowcomm.__file__)
 SOURCES = sorted(INIT.parent.glob("*.py"))
 # the modules the package re-exports, in the order it lists their names
-REEXPORTED = (errors, linalg, conjugacy, commensurability, models)
+REEXPORTED = (errors, linalg, conjugacy, commensurability, models, verify)
 HELPERS = Path(__file__).parent / "helpers.py"
 
 
@@ -368,9 +368,10 @@ def test_removed_names_stay_gone():
 def test_private_names_crossing_modules():
     """The private names one module imports from another: the shared
     record base and integer text, the square-class and unit arithmetic
-    that commensurability and models share with conjugacy, and the
-    designated matrices that chain's digit-limit gate asks about. Any
-    other private helper lives beside its only caller."""
+    that commensurability, models and verify share with conjugacy, the
+    input-size pair that verify shares with commensurability, and the
+    designated matrices that chain's digit-limit gate and verify ask
+    about. Any other private helper lives beside its only caller."""
     crossing = set()
     for path in SOURCES:
         for node in ast.walk(parse(path)):
@@ -392,7 +393,91 @@ def test_private_names_crossing_modules():
         "models <- conjugacy._shared_units",
         "models <- linalg._Record",
         "models <- linalg._int_text",
+        "verify <- commensurability._input_size_pair",
+        "verify <- conjugacy._shared_units",
+        "verify <- conjugacy._unit_divmod",
+        "verify <- models._designated",
     }
+
+
+# the verifier's trust base: every name verify.py imports
+VERIFY_IMPORTS = {
+    "fractions.Fraction",
+    ".commensurability.CommensurabilityCertificate",
+    ".commensurability._input_size_pair",
+    ".conjugacy._shared_units",
+    ".conjugacy._unit_divmod",
+    ".errors.NotHyperbolic",
+    ".linalg.HyperbolicMatrix",
+    ".linalg.hnf",
+    ".linalg.mat_mul",
+    ".models.ALMOST_EQUIVALENCE",
+    ".models.COMMENSURABILITY",
+    ".models.GeodesicCommonCover",
+    ".models.GeodesicOrbifold",
+    ".models.Suspension",
+    ".models._designated",
+}
+# the search that writes the documents verify.py checks
+SEARCH_NAMES = (
+    "reduction_cycle", "rl_word", "_least_rotation", "evaluate_word", "intertwiner_lattice",
+    "find_intertwiner", "are_commensurable", "_least_exponents", "are_equivalent",
+    "almost_commensurability_chain", "orbifold_common_cover", "_genus_step",
+)
+
+
+def test_verifier_imports_only_its_trust_base():
+    """verify.py imports exactly the names of its trust base, none
+    renamed, and spells none of the search functions, so no verdict of
+    the verifier can rest on the search it checks."""
+    tree = parse(Path(verify.__file__))
+    imported, spelled = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {f"import {alias.name} as {alias.asname}" for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {
+                f"{'.' * node.level}{node.module}.{alias.name}"
+                + (f" as {alias.asname}" if alias.asname else "")
+                for alias in node.names
+            }
+            spelled |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            spelled.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            spelled.add(node.attr)
+    assert imported == VERIFY_IMPORTS
+    assert spelled & set(SEARCH_NAMES) == set()
+
+
+def test_verifier_clauses_live_in_verify():
+    """Every (False, clause) verdict is formed in verify.py, and no other
+    module spells a clause unless it is also a record's field name (as
+    cover_genus names a field and the clause that checks it)."""
+
+    def rejections(path):
+        return {
+            node.elts[1].value
+            for node in ast.walk(parse(path))
+            if isinstance(node, ast.Tuple)
+            and len(node.elts) == 2
+            and isinstance(node.elts[0], ast.Constant)
+            and node.elts[0].value is False
+            and isinstance(node.elts[1], ast.Constant)
+            and isinstance(node.elts[1].value, str)
+        }
+
+    clauses = rejections(Path(verify.__file__))
+    assert {"intertwining_identity", "cover_arithmetic", "link_kind"} <= clauses
+    fields = {name for cls in records() for name in cls._fields}
+    for path in SOURCES:
+        if path.stem == "verify":
+            continue
+        assert rejections(path) == set(), path.name
+        constants = {
+            node.value for node in ast.walk(parse(path)) if isinstance(node, ast.Constant)
+        }
+        assert constants & clauses <= fields, path.name
 
 
 def test_imports_are_relative_or_stdlib():
