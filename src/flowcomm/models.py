@@ -129,21 +129,24 @@ class GeodesicCommonCover(_Record):
 
 class ChainLink(_Record):
     """One step of a chain between two models, each a Suspension or a
-    GeodesicOrbifold. kind is the str ALMOST_EQUIVALENCE (evidence: a
-    citation tag str) or COMMENSURABILITY (evidence: a
-    CommensurabilityCertificate between suspensions, or a
-    GeodesicCommonCover between geodesic models)."""
+    GeodesicOrbifold. kind is ALMOST_EQUIVALENCE (evidence: a citation
+    tag) or COMMENSURABILITY (evidence: a CommensurabilityCertificate
+    between suspensions, or a GeodesicCommonCover between geodesic
+    models); a decoded link's kind and tag may be any str, for verify."""
 
     __slots__ = _fields = ("kind", "source", "target", "evidence")
 
 
 class ChainCertificate(_Record):
-    """The links of a chain, walked from endpoints[0] to endpoints[1]."""
+    """The links of a chain, walked between its two endpoints, [0] to [1]."""
 
     __slots__ = _fields = ("links", "endpoints")
 
     def __init__(self, links: tuple, endpoints: tuple):
-        super().__init__(tuple(links), tuple(endpoints))
+        endpoints = tuple(endpoints)
+        if len(endpoints) != 2:
+            raise ValueError(f"a chain has two endpoints, got {len(endpoints)}")
+        super().__init__(tuple(links), endpoints)
 
 
 def orbifold_model_matrix(t):

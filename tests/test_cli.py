@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from flowcomm import (
     commensurability,
     conjugacy,
     linalg,
+    verify,
 )
 from flowcomm.cli import INTERNAL_ERROR, main, run
 from flowcomm.serialize import digit_limit_message
@@ -37,6 +39,7 @@ from helpers import (
 )
 from output_corpus import _VERSION_RE, MODELS, corpus_digest, decode_digest
 from test_models import GENERAL_CORPUS, count_chi_sums
+from test_package import rejections
 
 A_JSON = "[[2,1],[1,1]]"
 A_SEMI = "2,1;1,1"
@@ -613,33 +616,48 @@ def model_arg(model):
     return "orbifold:" + ",".join([f"g={model.genus}", *map(str, model.cone_orders)])
 
 
-class TestHostileDocuments:
-    """One hostile document per verifier or decoder branch that no other
-    test reaches; each is run through verify and pinned by its exit
-    code and its whole output."""
+def verify_edited(capsys, tmp_path, argv, edit):
+    """(exit code, stdout, stderr) of verify on the document that argv
+    writes, once edit has changed it in place."""
+    path = tmp_path / "doc.json"
+    assert run([*argv, "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    code = run(["verify", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
-    def _verify(self, capsys, tmp_path, argv, edit):
-        path = tmp_path / "doc.json"
-        assert run([*argv, "-o", str(path)]) == 0
-        doc = json.loads(path.read_text())
-        edit(doc)
-        path.write_text(json.dumps(doc))
-        code = run(["verify", str(path)])
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
+
+def replace_at(path, value):
+    """The edit that replaces the value at path, a key or index per level."""
+
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return edit
+
+
+class TestHostileDocuments:
+    """Hostile documents for verifier and decoder branches, each run
+    through verify and pinned by its exit code and its whole output;
+    TestEveryClauseReachable reaches every verifier clause again, from
+    one certificate and one chain."""
 
     def _chain_link(self, capsys, tmp_path, edit):
         def edit_link(doc):
             edit(doc["links"][0])
 
         argv = ["chain", "orbifold:2,4,5", "surface:g=2"]
-        return self._verify(capsys, tmp_path, argv, edit_link)
+        return verify_edited(capsys, tmp_path, argv, edit_link)
 
     def test_bases_in_distinct_square_classes(self, capsys, tmp_path):
         def edit(doc):
             doc["base_b"] = [["0", "1"], ["-1", "4"]]
 
-        result = self._verify(capsys, tmp_path, ["cover", A_JSON, F7], edit)
+        result = verify_edited(capsys, tmp_path, ["cover", A_JSON, F7], edit)
         assert result == (1, "rejected: power_traces_equal\n", "")
 
     def test_orbifold_link_without_a_cover(self, capsys, tmp_path):
@@ -683,14 +701,14 @@ class TestHostileDocuments:
         def edit_base(doc):
             doc["base_a"] = huge
 
-        result = self._verify(capsys, tmp_path, ["cover", A_JSON, F7], edit_base)
+        result = verify_edited(capsys, tmp_path, ["cover", A_JSON, F7], edit_base)
         assert result == (1, "rejected: base_a_hyperbolic\n", "")
 
         def edit_monodromy(doc):
             doc["links"][0]["source"]["monodromy"] = huge
 
         argv = ["chain", f"suspension:{A_SEMI}", "surface:g=2"]
-        result = self._verify(capsys, tmp_path, argv, edit_monodromy)
+        result = verify_edited(capsys, tmp_path, argv, edit_monodromy)
         assert result == (2, "", f"error: links[0].source: {HUGE_DET_MESSAGE}\n")
 
     def test_unknown_evidence_type(self, capsys, tmp_path):
@@ -705,8 +723,175 @@ class TestHostileDocuments:
             doc["links"] = {}
 
         argv = ["chain", "orbifold:2,4,5", "surface:g=2"]
-        result = self._verify(capsys, tmp_path, argv, edit)
+        result = verify_edited(capsys, tmp_path, argv, edit)
         assert result == (2, "", "error: links: expected a list of links\n")
+
+
+IDENTITY = [["1", "0"], ["0", "1"]]
+A_ENTRIES = [["2", "1"], ["1", "1"]]
+CITATION = {"type": "citation", "tag": GHYS_HASHIGUCHI}
+# the documents the clauses are reached from: a certificate, and a chain
+# whose link 0 is a citation, link 1 a certificate between suspensions
+# and link 3 a common cover of (0; 2, 3, 18), of degrees 144 and 114
+REACHED_FROM = {"cover": ["cover", A_JSON, F7], "chain": ["chain", "surface:g=2", "surface:g=3"]}
+COVER_EVIDENCE = ("links", 3, "evidence")
+# clause: (document, path to the one value replaced, value, what verify
+# prints after "rejected: ")
+REACHING = {
+    "base_a_hyperbolic": ("cover", ("base_a",), IDENTITY, "base_a_hyperbolic"),
+    "base_b_hyperbolic": ("cover", ("base_b",), IDENTITY, "base_b_hyperbolic"),
+    "powers_positive": ("cover", ("power_a",), "0", "powers_positive"),
+    "power_traces_equal": ("cover", ("base_b",), [["0", "1"], ["-1", "4"]], "power_traces_equal"),
+    "intertwining_identity": ("cover", ("intertwiner",), IDENTITY, "intertwining_identity"),
+    "intertwiner_nonsingular": (
+        "cover",
+        ("intertwiner",),
+        [["0", "0"], ["0", "0"]],
+        "intertwiner_nonsingular",
+    ),
+    "intertwiner_det_matches": ("cover", ("intertwiner_det",), "4", "intertwiner_det_matches"),
+    "sublattice_matches_intertwiner": (
+        "cover",
+        ("sublattice",),
+        {"a": "1", "b": "0", "d": "3"},
+        "sublattice_matches_intertwiner",
+    ),
+    "stabilization_positive": ("cover", ("stabilization",), "0", "stabilization_positive"),
+    "stabilization_minimal": ("cover", ("stabilization",), "2", "stabilization_minimal"),
+    "index_over_a": ("cover", ("index_over_a",), "7", "index_over_a"),
+    "index_over_b": ("cover", ("index_over_b",), "2", "index_over_b"),
+    "chain_nonempty": ("chain", ("links",), [], "chain_nonempty"),
+    "endpoints_match": ("chain", ("endpoints", 0, "genus"), "4", "endpoints_match"),
+    "link_continuity": (
+        "chain",
+        ("links", 0, "target", "monodromy"),
+        A_ENTRIES,
+        "link 0: link_continuity",
+    ),
+    "link_kind": ("chain", ("links", 0, "kind"), "equivalence", "link 0: link_kind"),
+    "almost_equivalence_whitelist": (
+        "chain",
+        ("links", 0, "evidence", "tag"),
+        "FOLKLORE",
+        "link 0: almost_equivalence_whitelist",
+    ),
+    "almost_equivalence_endpoints": (
+        "chain",
+        ("links", 3, "kind"),
+        "almost-equivalence",
+        "link 3: almost_equivalence_endpoints",
+    ),
+    "commensurability_endpoints": (
+        "chain",
+        ("links", 0, "kind"),
+        "commensurability",
+        "link 0: commensurability_endpoints",
+    ),
+    "certificate_missing": (
+        "chain",
+        ("links", 1, "evidence"),
+        CITATION,
+        "link 1: certificate_missing",
+    ),
+    "certificate_endpoints": (
+        "chain",
+        ("links", 1, "evidence", "base_a"),
+        A_ENTRIES,
+        "link 1: certificate_endpoints",
+    ),
+    "certificate_invalid": (
+        "chain",
+        ("links", 1, "evidence", "intertwiner_det"),
+        "4",
+        "link 1: certificate_invalid: intertwiner_det_matches",
+    ),
+    "cover_missing": ("chain", COVER_EVIDENCE, CITATION, "link 3: cover_missing"),
+    "cover_genus": ("chain", COVER_EVIDENCE + ("cover_genus",), "1", "link 3: cover_genus"),
+    "cover_degrees": ("chain", COVER_EVIDENCE + ("degree_source",), "0", "link 3: cover_degrees"),
+    "cover_cone_points": (
+        "chain",
+        COVER_EVIDENCE + ("degree_source",),
+        "145",
+        "link 3: cover_cone_points",
+    ),
+    "cover_euler_endpoints": (
+        "chain",
+        COVER_EVIDENCE + ("euler_source",),
+        "-1/8",
+        "link 3: cover_euler_endpoints",
+    ),
+    "cover_euler_genus": (
+        "chain",
+        COVER_EVIDENCE + ("euler_cover",),
+        "-14",
+        "link 3: cover_euler_genus",
+    ),
+    "cover_arithmetic": (
+        "chain",
+        COVER_EVIDENCE + ("degree_source",),
+        "288",
+        "link 3: cover_arithmetic",
+    ),
+}
+
+
+# the clauses verify.py formats: the two bases' _hyperbolic, and
+# link_continuity and certificate_invalid with a link index before them
+FORMATTED_CLAUSES = {
+    "base_a_hyperbolic",
+    "base_b_hyperbolic",
+    "link_continuity",
+    "certificate_invalid",
+}
+
+
+class TestEveryClauseReachable:
+    """For every clause that verify.py can return, one edited document
+    makes `flowcomm verify` print it with exit 1: the decoder rejects
+    only what no record can hold, so no clause is dead code."""
+
+    def test_table_covers_every_clause(self):
+        """Each (False, "<clause>") constant in verify.py and each clause
+        it formats."""
+        assert rejections(Path(verify.__file__)) | FORMATTED_CLAUSES == set(REACHING)
+
+    @pytest.mark.parametrize("clause", sorted(REACHING))
+    def test_clause_reached(self, capsys, tmp_path, clause):
+        name, path, value, rejection = REACHING[clause]
+        result = verify_edited(capsys, tmp_path, REACHED_FROM[name], replace_at(path, value))
+        assert result == (1, f"rejected: {rejection}\n", "")
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("links", 1, "kind"), 3, "links[1].kind: expected a string, got 3"),
+            (
+                ("links", 1, "evidence", "tag"),
+                None,
+                "links[1].evidence.tag: expected a string, got None",
+            ),
+            (
+                ("links", 1, "evidence", "type"),
+                "folklore",
+                "links[1].evidence.type: unknown evidence type 'folklore'",
+            ),
+            (
+                ("links", 1, "source", "type"),
+                "torus",
+                "links[1].source.type: unknown model type 'torus'",
+            ),
+            (("kind",), "chain", "kind: unknown document kind 'chain'"),
+            (("format_version",), "2", "format_version: expected '1', got '2'"),
+        ],
+        ids=["kind", "tag", "evidence_type", "model_type", "document_kind", "format_version"],
+    )
+    def test_what_no_record_holds_exits_two(self, capsys, tmp_path, path, value, message):
+        """The chain from orbifold:2,3,7 to surface:g=2, whose link 1 is a
+        citation, with one value that no record can hold: an input error,
+        not a rejection."""
+        argv = ["chain", "orbifold:2,3,7", "surface:g=2"]
+        result = verify_edited(capsys, tmp_path, argv, replace_at(path, value))
+        assert result == (2, "", f"error: {message}\n")
 
 
 class TestOutputDigest:
@@ -726,8 +911,10 @@ class TestOutputDigest:
         documents that output_corpus.DECODE_CALLS write: the decoded
         record's repr, which shows every field, or the error message.
         Reusing a decoded model across a chain's links and endpoints moved
-        no outcome of this corpus."""
-        digest = "d30a8f8fbb1f7432f38f541738303c704604996950406a9dc83e85a7f4364612"
+        no outcome of this corpus. Pinned where a link's kind and a
+        citation's tag decode as any string, so their string mutations
+        decode and the others are "expected a string" errors."""
+        digest = "b6211f7bd7f1e7e0c3e6d78774d6f8e4677af48b81c97512e0e6a400ba28ffa4"
         assert decode_digest(tmp_path) == (8552, digest)
 
     def test_long_word_digest(self, tmp_path):

@@ -288,7 +288,8 @@ def test_model_records_compare_and_hash_by_field(make, other):
 def test_model_records_differ_from_their_field_tuples():
     assert Suspension(A) != (A,)
     assert GeodesicOrbifold(2) != (2, ())
-    assert ChainCertificate([], []) != ((), ())
+    ends = (Suspension(A), Suspension(A))
+    assert ChainCertificate([], ends) != ((), ends)
 
 
 def surface_cover(g1, g2):
@@ -639,9 +640,13 @@ class TestVerifyChain:
         assert verify_chain(chain) == (False, "chain_nonempty")
 
     def test_endpoints_shape(self):
+        """A chain of one or three endpoints cannot be built, so
+        verify_chain never meets one."""
         base = self._surface_chain()
-        chain = ChainCertificate(links=base.links, endpoints=(GeodesicOrbifold(2),))
-        assert verify_chain(chain) == (False, "endpoints_shape")
+        for count in (1, 3):
+            endpoints = (base.endpoints * 2)[:count]
+            with pytest.raises(ValueError, match=f"^a chain has two endpoints, got {count}$"):
+                ChainCertificate(links=base.links, endpoints=endpoints)
 
     def test_endpoints_match(self):
         base = self._surface_chain()

@@ -2,10 +2,11 @@
 
 perfbench/oracle.py imports nothing from flowcomm and re-multiplies
 every certificate identity in plain integers. Here it judges every
-certificate and chain document that the output corpus writes, and the
-one-field tampers of each that oracle.tamper makes, and each verdict
-must be the one `flowcomm verify` gives. The oracle is loaded by its
-file path, without writing bytecode next to it.
+certificate and chain document that the output corpus writes, the
+one-field tampers of each that oracle.tamper makes, and each chain with
+one link kind or citation tag unknown, and each verdict must be the one
+`flowcomm verify` gives. The oracle is loaded by its file path,
+without writing bytecode next to it.
 """
 
 import importlib.util
@@ -80,4 +81,34 @@ def test_verify_agrees_with_the_independent_oracle(monkeypatch, tmp_path):
                 disagreements.append((doc["kind"], variants, code, clause))
             variants += 1
     assert (judged, left_out, variants) == (74, 30, 2424)
+    assert disagreements == []
+
+
+def test_unknown_kinds_and_tags_are_rejections(monkeypatch, tmp_path):
+    """Each judged chain with one link's kind set to "equivalence", or
+    one citation's tag to "FOLKLORE": the oracle calls each variant
+    invalid (chain_link_kind, chain_citation), so verify must exit 1,
+    a rejection, not 2, an input error."""
+    oracle = load_oracle(monkeypatch)
+    counts, disagreements = {"kind": 0, "tag": 0}, []
+    path = tmp_path / "judged.json"
+    for text in corpus_documents(tmp_path):
+        doc = json.loads(text)
+        if "links" not in doc or surface_orbifold_cover(doc):
+            continue
+        for link in doc["links"]:
+            edits = [("kind", link, "equivalence")]
+            if link["evidence"]["type"] == "citation":
+                edits.append(("tag", link["evidence"], "FOLKLORE"))
+            for field, node, value in edits:
+                kept, node[field] = node[field], value
+                variant = json.dumps(doc)
+                node[field] = kept
+                path.write_text(variant, encoding="utf-8")
+                code = run(["verify", "--quiet", str(path)])
+                clause = oracle.check_document(variant)
+                if code != 1 or clause is None:
+                    disagreements.append((field, code, clause))
+                counts[field] += 1
+    assert counts == {"kind": 113, "tag": 55}
     assert disagreements == []

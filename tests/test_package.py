@@ -17,6 +17,7 @@ import pytest
 import flowcomm
 from flowcomm import commensurability, conjugacy, errors, linalg, models, serialize, verify
 from flowcomm import (
+    ChainCertificate,
     ChainLink,
     CommensurabilityCertificate,
     CommensurabilityVerdict,
@@ -226,6 +227,7 @@ def test_matrix_and_lattice_reprs_evaluate_back():
         # outside the precondition: t^2 - 4 det = (a.a - a.d)^2 is a square
         (lambda: intertwiner_lattice(Mat2(2, 1, 0, 1), Mat2(1, 0, 1, 2)), "a has lower-left entry 0"),
         (lambda: genus_model_matrix(1), "genus must be >= 2, got 1"),
+        (lambda: ChainCertificate((), ()), "a chain has two endpoints, got 0"),
     ],
     ids=[
         "inverse",
@@ -234,6 +236,7 @@ def test_matrix_and_lattice_reprs_evaluate_back():
         "intertwiner_rank",
         "intertwiner_lower_left",
         "genus",
+        "chain_endpoints",
     ],
 )
 def test_wrong_argument_raises_plain_value_error(call, message):
@@ -450,23 +453,24 @@ def test_verifier_imports_only_its_trust_base():
     assert spelled & set(SEARCH_NAMES) == set()
 
 
+def rejections(path):
+    """The clause of every (False, "<clause>") tuple in a source file."""
+    return {
+        node.elts[1].value
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Tuple)
+        and len(node.elts) == 2
+        and isinstance(node.elts[0], ast.Constant)
+        and node.elts[0].value is False
+        and isinstance(node.elts[1], ast.Constant)
+        and isinstance(node.elts[1].value, str)
+    }
+
+
 def test_verifier_clauses_live_in_verify():
     """Every (False, clause) verdict is formed in verify.py, and no other
     module spells a clause unless it is also a record's field name (as
     cover_genus names a field and the clause that checks it)."""
-
-    def rejections(path):
-        return {
-            node.elts[1].value
-            for node in ast.walk(parse(path))
-            if isinstance(node, ast.Tuple)
-            and len(node.elts) == 2
-            and isinstance(node.elts[0], ast.Constant)
-            and node.elts[0].value is False
-            and isinstance(node.elts[1], ast.Constant)
-            and isinstance(node.elts[1].value, str)
-        }
-
     clauses = rejections(Path(verify.__file__))
     assert {"intertwining_identity", "cover_arithmetic", "link_kind"} <= clauses
     fields = {name for cls in records() for name in cls._fields}

@@ -213,17 +213,31 @@ class TestChainDocuments:
         assert evidence["degree_target"] == "24"
 
     def test_unknown_citation_tag(self):
-        chain = sample_chains()[0]
-        doc = encode_chain(chain)
+        """Any string decodes as a tag, and the verifier rejects one it
+        does not know; a tag that is not a string does not decode."""
+        doc = encode_chain(sample_chains()[0])
         doc["links"][0]["evidence"]["tag"] = "FOLKLORE"
-        with pytest.raises(DocumentError):
+        chain = decode_document(doc)
+        assert chain.links[0].evidence == "FOLKLORE"
+        assert verify_chain(chain) == (False, "link 0: almost_equivalence_whitelist")
+        doc["links"][0]["evidence"]["tag"] = 7
+        with pytest.raises(DocumentError) as excinfo:
             decode_document(doc)
+        assert str(excinfo.value) == "links[0].evidence.tag: expected a string, got 7"
 
     def test_unknown_link_kind(self):
+        """Any string decodes as a link kind, and the verifier rejects
+        one it does not know; a kind that is not a string does not decode."""
         doc = encode_chain(sample_chains()[0])
         doc["links"][0]["kind"] = "almost-isomorphism"
-        with pytest.raises(DocumentError):
+        chain = decode_document(doc)
+        assert chain.links[0].kind == "almost-isomorphism"
+        assert verify_chain(chain) == (False, "link 0: link_kind")
+        doc["links"][0]["kind"] = ["almost-equivalence"]
+        with pytest.raises(DocumentError) as excinfo:
             decode_document(doc)
+        expected = "links[0].kind: expected a string, got ['almost-equivalence']"
+        assert str(excinfo.value) == expected
 
     def test_unknown_model_type(self):
         doc = encode_chain(sample_chains()[0])
