@@ -32,6 +32,18 @@ CHAIN_RUNGS = (4, 8, 10, 12, 16)
 # orders of this many digits, drawn from this seed (as in CI)
 HOSTILE_ORDERS = (200, 4000, 14)
 
+# the --trace metrics the report keeps: each dotted one is
+# module.function.measure, named where flowcomm defines the function;
+# one that a run does not record is left out
+TRACED = ("interp_floor_s", "import_s",
+          "cli.run.total_s", "cli.run.self_s", "commensurability.are_commensurable.total_s",
+          "commensurability.find_intertwiner.total_s",
+          "verify.verify_certificate.calls", "verify.verify_certificate.total_s",
+          "verify.verify_certificate.self_s", "linalg.mat_mul.calls",
+          "models.almost_commensurability_chain.total_s", "serialize.encode_chain.total_s",
+          "serialize.dumps.total_s", "serialize.dumps.bytes",
+          "serialize.decode_document.total_s", "verify.verify_chain.total_s")
+
 # the start of each timer script, run inside a checkout's interpreter
 PRELUDE = r"""
 import json, sys, time
@@ -258,21 +270,12 @@ def each_run(path, metrics):
 
 
 def trace(compare, parent_path, change_path):
-    picked = ("interp_floor_s", "import_s",
-              "cli.run.total_s", "cli.run.self_s", "commensurability.are_commensurable.total_s",
-              "commensurability.find_intertwiner.total_s",
-              "commensurability.verify_certificate.calls",
-              "commensurability.verify_certificate.total_s",
-              "commensurability.verify_certificate.self_s", "linalg.mat_mul.calls",
-              "models.almost_commensurability_chain.total_s", "serialize.encode_chain.total_s",
-              "serialize.dumps.total_s", "serialize.dumps.bytes",
-              "serialize.decode_document.total_s", "models.verify_chain.total_s")
     out = {}
     for side, path in (("parent", parent_path), ("change", change_path)):
         ((workload, by_seed),) = compare.load_runs(path).items()
         (values,) = by_seed.values()
         out["workload"] = workload
-        out[side] = {m: round(values[m], 5) for m in picked if m in values}
+        out[side] = {m: round(values[m], 5) for m in TRACED if m in values}
     return out
 
 

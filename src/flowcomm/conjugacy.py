@@ -117,8 +117,9 @@ def reduction_cycle(a, b, c):
     """Continued fraction of the first root x = (-b + sqrt(disc)) / 2a of
     the binary quadratic form a x^2 + b xy + c y^2, disc = b^2 - 4ac.
 
-    Needs a != 0 and disc > 0 not a square. Steps x_i = (n_i 1; 1 0) .
-    x_{i+1}, n_i = floor(x_i), in det-1 blocks _block(n_i, n_{i+1}).
+    Needs disc > 0 not a square (so a != 0), or raises ValueError. Steps
+    x_i = (n_i 1; 1 0) . x_{i+1}, n_i = floor(x_i), in det-1 blocks
+    _block(n_i, n_{i+1}).
     Returns (w, blocks, least_at): det w is 1 and x = w . y (Moebius
     action) for the first reduced complete quotient y (y > 1, conjugate
     in (-1, 0)) after whole blocks; blocks is the tuple of y's quotients
@@ -130,7 +131,10 @@ def reduction_cycle(a, b, c):
     """
     # x_i = (p + sqrt(disc)) / q with disc = p^2 + q q_prev
     p, q, q_prev = -b, 2 * a, -2 * c
-    s = isqrt(p * p + q * q_prev)
+    disc = p * p + q * q_prev
+    s = isqrt(max(disc, 0))
+    if s * s >= disc:
+        raise ValueError(f"discriminant {_int_text(disc)} is not a positive non-square")
 
     def step():
         nonlocal p, q, q_prev

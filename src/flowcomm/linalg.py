@@ -1,12 +1,12 @@
 """Exact 2x2 integer linear algebra: matrices, sublattices, intertwiners.
 
 Everything is arbitrary-precision (Python ints). Lattices of finite index
-in Z^2 are kept in a canonical Hermite form so that lattice equality is
-plain equality of the (a, b, d) triple. No decision or verification
-forms a matrix power but the square M M that commensurability takes of
-an input of trace < -2 (see conjugacy and commensurability), so none is
-offered. A wrong argument (a singular basis, a determinant other than
-+-1, traces that differ) raises ValueError.
+in Z^2 are kept in the canonical Hermite form that hnf returns, so that
+lattice equality is plain equality of the (a, b, d) triple. No decision or
+verification forms a matrix power but the square M M that commensurability
+takes of an input of trace < -2 (see conjugacy and commensurability), so
+none is offered. A wrong argument (a singular basis, a determinant other
+than +-1, unequal traces or determinants) raises ValueError.
 """
 
 from fractions import Fraction
@@ -171,26 +171,13 @@ def mat_mul(x, y):
 
 
 class Lattice2(_Record):
-    """Finite-index sublattice of Z^2 in canonical Hermite form.
-
-    Canonical basis columns are (a, 0) and (b, d) with a >= 1, d >= 1,
-    0 <= b < a. Two Lattice2 values are equal as lattices iff their
-    triples are equal.
+    """Finite-index sublattice of Z^2 in canonical Hermite form, as hnf
+    returns it: basis columns (a, 0) and (b, d) with a >= 1, d >= 1 and
+    0 <= b < a, so two canonical values are equal as lattices iff their
+    triples are. Nothing checks a decoded triple but verify, against hnf.
     """
 
     __slots__ = _fields = ("a", "b", "d")
-
-    def __init__(self, a, b, d):
-        a = _as_int(a)
-        b = _as_int(b)
-        d = _as_int(d)
-        if a < 1 or d < 1:
-            raise ValueError(
-                f"diagonal entries must be positive, got a={_int_text(a)}, d={_int_text(d)}"
-            )
-        if not 0 <= b < a:
-            raise ValueError(f"offset b={_int_text(b)} outside [0, {_int_text(a)})")
-        super().__init__(a, b, d)
 
 
 def _xgcd(x, y):
@@ -242,29 +229,31 @@ def _congruence_basis(alpha, beta, m):
 def intertwiner_lattice(a, b):
     """Basis (K1, K2) of the integer solutions P of a*P = P*b.
 
-    a and b must share one trace t and one determinant delta, with
-    t^2 - 4 delta not a square (two hyperbolic matrices of one trace,
-    or the pair that commensurability._input_size_pair forms). Then the
-    solutions form a rank-2 lattice. Differing traces raise
-    ValueError: for two such irreducible characteristic polynomials
-    the only solution is 0. So does any other pair whose solutions do
-    not have rank 2, and a pair with a.c = 0, where t^2 - 4 delta =
-    (a.a - a.d)^2 is a square. The returned basis is saturated: every
-    integer solution is an integer combination of K1 and K2.
+    a and b must share one trace and one determinant, and a.c must not
+    be 0, as holds when t^2 - 4 det is not a square; any other pair
+    raises ValueError. The solutions form a rank-2 lattice, and the
+    basis is saturated: every integer solution is an integer
+    combination of K1 and K2.
 
     With P = (p, q; r, s) and c = a.c, the bottom row of a*P = P*b reads
     c p = (b.a - a.d) r + b.c s and c q = b.b r + (b.d - a.d) s. So P is
     an integer solution of the bottom row exactly when (r, s) meets two
     congruences mod |c|; the second is solved in the first one's basis.
-    The bottom row's solutions have rank 2 and hold every solution of
-    a*P = P*b, so when those have rank 2 as well the top row holds on
-    the whole lattice: two products check that it does.
+    Those solutions have rank 2 and hold every solution of a*P = P*b.
+    One trace and one determinant give one characteristic polynomial,
+    and a is not scalar, so the rational solutions of a*P = P*b have
+    dimension 2 too (a's centraliser when b is similar to a, two columns
+    in the kernel of a - b when b is scalar): the bottom row's lattice is
+    the solution lattice. Differing determinants leave the polynomials at
+    most one shared root, so the solutions have rank at most 1.
     """
     if a.trace() != b.trace():
         raise ValueError(f"traces {_int_text(a.trace())} and {_int_text(b.trace())} differ")
     c = a.c
     if c == 0:
         raise ValueError("a has lower-left entry 0, so t^2 - 4 det is a square")
+    if a.det() != b.det():
+        raise ValueError(f"determinants {_int_text(a.det())} and {_int_text(b.det())} differ")
     alpha, beta = b.a - a.d, b.c  # c p = alpha r + beta s
     gamma, delta = b.b, b.d - a.d  # c q = gamma r + delta s
     m = abs(c)
@@ -276,11 +265,5 @@ def intertwiner_lattice(a, b):
         (gamma * e1[0] + delta * e1[1]) % m, (gamma * e2[0] + delta * e2[1]) % m, m
     ):
         r, s = x * e1[0] + y * e2[0], x * e1[1] + y * e2[1]
-        p = Mat2((alpha * r + beta * s) // c, (gamma * r + delta * s) // c, r, s)
-        if mat_mul(a, p) != mat_mul(p, b):
-            raise ValueError(
-                "kernel rank 0, expected 2; determinants differ"
-                " or t^2 - 4 det is a square?"
-            )
-        mats.append(p)
+        mats.append(Mat2((alpha * r + beta * s) // c, (gamma * r + delta * s) // c, r, s))
     return tuple(mats)

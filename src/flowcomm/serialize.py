@@ -20,10 +20,11 @@ The decoder rejects, with a DocumentError naming the field, only what
 no record can hold: an unknown document, model or evidence type,
 another format version, a missing field, a non-string where a string
 is required, a malformed number or one past the int/str digit limit,
-or a value a record's own checks reject (a monodromy that is not
-hyperbolic, a signature with chi >= 0). A link's kind and a citation's
-tag may be any string: verify judges them. Encoding an integer past
-the digit limit raises ComputationLimit.
+or a value that Suspension, GeodesicOrbifold or the two endpoints
+reject (a monodromy that is not hyperbolic, a signature with chi >= 0).
+A link's kind and a citation's tag may be any string, and a sublattice
+any three integers: verify judges them. Encoding an integer past the
+digit limit raises ComputationLimit.
 
 A chain's models are each decoded once: a link's source repeats the
 previous link's target, and the endpoints the first source and the last
@@ -151,10 +152,7 @@ def _decode_fields(fields, cls, doc, context):
         values = [decode(doc[name], f"{context}.{name}") for name, _, decode in fields]
     except KeyError as exc:
         raise DocumentError(f"{context}: missing field {exc.args[0]!r}") from None
-    try:
-        return cls(*values)
-    except ValueError as exc:
-        raise DocumentError(f"{context}: {exc}") from exc
+    return cls(*values)
 
 
 # (name, encode, decode) of each field, a number's codec named by its shape,

@@ -1,7 +1,9 @@
 """Smoke test of scripts/bench_report.py: its two timer scripts run on
 this checkout, one rung each with small hostile inputs, so a public name
-they use cannot leave the package unnoticed."""
+they use cannot leave the package unnoticed, and each traced metric it
+keeps names a function where the package defines it."""
 
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -34,3 +36,15 @@ def test_chain_timer():
     assert row["n"] == 4 and row["document_bytes"] > 0
     # three random 50-digit cone orders divide no cover degree of the link
     assert out["hostile_result"] == [False, "link 0: cover_cone_points"]
+
+
+def test_traced_metrics_name_their_home_modules():
+    """Each dotted metric that the report keeps is module.function.measure,
+    with the function defined in flowcomm.<module>, where the tracer
+    looks for it: a span named after a module the function has left
+    would never be recorded."""
+    for metric in bench_report.TRACED:
+        if "." in metric:
+            module_name, function, _ = metric.split(".")
+            module = importlib.import_module(f"flowcomm.{module_name}")
+            assert getattr(module, function).__module__ == module.__name__, metric

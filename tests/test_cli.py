@@ -862,6 +862,64 @@ class TestEveryClauseReachable:
         assert result == (1, f"rejected: {rejection}\n", "")
 
     @pytest.mark.parametrize(
+        "name, path, rejection",
+        [
+            ("cover", ("sublattice",), "sublattice_matches_intertwiner"),
+            (
+                "chain",
+                ("links", 1, "evidence", "sublattice"),
+                "link 1: certificate_invalid: sublattice_matches_intertwiner",
+            ),
+        ],
+        ids=["certificate", "chain_link"],
+    )
+    @pytest.mark.parametrize(
+        "key, value",
+        [("b", None), ("a", "0"), ("b", "-1")],  # None: b takes a's value
+        ids=["b_is_a", "a_zero", "b_negative"],
+    )
+    def test_non_canonical_sublattice(self, capsys, tmp_path, name, path, rejection, key, value):
+        """A sublattice triple off the canonical form (b = a, a = 0 or
+        b = -1) decodes, and verify rejects it as unequal to hnf(P)."""
+
+        def edit(doc):
+            for step in path:
+                doc = doc[step]
+            doc[key] = doc["a"] if value is None else value
+
+        result = verify_edited(capsys, tmp_path, REACHED_FROM[name], edit)
+        assert result == (1, f"rejected: {rejection}\n", "")
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            pytest.param("1", "certificate.sublattice: expected an object", id="not_an_object"),
+            pytest.param(
+                {"a": "3", "b": "1"},
+                "certificate.sublattice: missing field 'd'",
+                id="missing_entry",
+            ),
+            pytest.param(
+                {"a": 3, "b": "1", "d": "1"},
+                "certificate.sublattice.a: expected a decimal-string integer, got 3",
+                id="native_number",
+            ),
+            pytest.param(
+                {"a": "3", "b": TOO_LONG, "d": "1"},
+                f"certificate.sublattice.b: {digit_limit_message()}",
+                id="past_digit_limit",
+                marks=pytest.mark.skipif(DIGIT_LIMIT == 0, reason="int/str digit limit disabled"),
+            ),
+        ],
+    )
+    def test_malformed_sublattice_exits_two(self, capsys, tmp_path, value, message):
+        """A sublattice that is not an object of three decimal-string
+        integers within the digit limit is an input error."""
+        edit = replace_at(("sublattice",), value)
+        result = verify_edited(capsys, tmp_path, REACHED_FROM["cover"], edit)
+        assert result == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "path, value, message",
         [
             (("links", 1, "kind"), 3, "links[1].kind: expected a string, got 3"),
@@ -913,8 +971,10 @@ class TestOutputDigest:
         Reusing a decoded model across a chain's links and endpoints moved
         no outcome of this corpus. Pinned where a link's kind and a
         citation's tag decode as any string, so their string mutations
-        decode and the others are "expected a string" errors."""
-        digest = "b6211f7bd7f1e7e0c3e6d78774d6f8e4677af48b81c97512e0e6a400ba28ffa4"
+        decode and the others are "expected a string" errors, and where a
+        sublattice decodes as any three integers, so a mutation that makes
+        its triple non-canonical decodes too."""
+        digest = "fa9771db41588b2390737d9b047f075ace44fe8fac117b860de534b070c4f128"
         assert decode_digest(tmp_path) == (8552, digest)
 
     def test_long_word_digest(self, tmp_path):

@@ -5,6 +5,7 @@ from math import isqrt
 
 import pytest
 
+from flowcomm import linalg
 from flowcomm import (
     HyperbolicMatrix,
     Lattice2,
@@ -171,15 +172,14 @@ class TestHyperbolicMatrix:
 
 
 class TestLattice2:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Lattice2(0, 0, 1)
-        with pytest.raises(ValueError):
-            Lattice2(1, 0, 0)
-        with pytest.raises(ValueError):
-            Lattice2(2, 2, 1)
-        with pytest.raises(ValueError):
-            Lattice2(2, -1, 1)
+    def test_holds_any_triple(self):
+        """Lattice2 checks nothing: hnf builds the canonical triples, and
+        verify compares a decoded one with hnf of its intertwiner, so a
+        non-canonical triple is held as it stands and equals no hnf."""
+        for triple in ((0, 0, 1), (1, 0, 0), (2, 2, 1), (2, -1, 1)):
+            lat = Lattice2(*triple)
+            assert (lat.a, lat.b, lat.d) == triple
+        assert Lattice2(2, 2, 1) != hnf(Mat2(2, 2, 0, 1)) == Lattice2(2, 0, 1)
 
 
 class TestHnf:
@@ -194,6 +194,7 @@ class TestHnf:
                 continue
             lat = hnf(m)
             assert lat.a * lat.d == abs(m.det())
+            assert lat.a >= 1 and lat.d >= 1 and 0 <= lat.b < lat.a  # canonical
 
     def test_worked_example(self):
         lat = hnf(Mat2(1, 1, -2, 1))
@@ -384,9 +385,58 @@ class TestIntertwinerLattice:
 
     def test_determinant_mismatch(self):
         """One trace, determinants 1 and 0: only P = 0 intertwines."""
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^determinants 1 and 0 differ$"):
             intertwiner_lattice(Mat2(2, 1, 1, 1), Mat2(1, 2, 1, 2))
         assert column_kernel((2, 1, 1, 1), (1, 2, 1, 2)) == []
+
+    def test_rank_two_exactly_when_determinants_agree(self):
+        """Seeded same-trace pairs with entries in [-4, 4] and a.c != 0,
+        square t^2 - 4 det included: intertwiner_lattice raises exactly
+        when the determinants differ, where the oracle finds rank at most
+        1; otherwise each basis matrix intertwines and the basis spans
+        the oracle lattice."""
+        span = range(-4, 5)
+        matrices = [(p, q, r, s) for p in span for q in span for r in span for s in span]
+        by_trace, by_char = {}, {}
+        for m in matrices:
+            by_trace.setdefault(trace(m), []).append(m)
+            by_char.setdefault((trace(m), det(m)), []).append(m)
+        lower_left = [m for m in matrices if m[2]]
+        rng = random.Random(38)
+        counts = {"differ": 0, "agree": 0, "square": 0}
+        for i in range(3000):
+            a = rng.choice(lower_left)
+            # every other b shares a's determinant too, so both cases occur
+            b = rng.choice(by_char[trace(a), det(a)] if i % 2 else by_trace[trace(a)])
+            if det(a) != det(b):
+                counts["differ"] += 1
+                with pytest.raises(ValueError, match="^determinants .* differ$"):
+                    intertwiner_lattice(Mat2(*a), Mat2(*b))
+                assert len(column_kernel(a, b)) <= 1, (a, b)
+                continue
+            counts["agree"] += 1
+            disc = trace(a) ** 2 - 4 * det(a)
+            counts["square"] += disc >= 0 and isqrt(disc) ** 2 == disc
+            basis = [k.entries() for k in intertwiner_lattice(Mat2(*a), Mat2(*b))]
+            for k in basis:
+                assert mul(a, k) == mul(k, b), (a, b, k)
+            assert same_lattice(basis, column_kernel(a, b)), (a, b)
+        assert min(counts.values()) >= 300, counts
+
+    def test_forms_no_product(self, monkeypatch):
+        """No mat_mul call: the bottom row's lattice is the answer."""
+        calls = []
+        monkeypatch.setattr(linalg, "mat_mul", lambda x, y: calls.append(1))
+        pairs = [
+            ((2, 1, 1, 1), mul(mul(inverse((1, 1, 0, 1)), (2, 1, 1, 1)), (1, 1, 0, 1))),
+            input_size_pair((2, 1, 1, 1), (0, 1, -1, 7)),
+            ((1, 2, 1, 0), (1, 2, 1, 0)),
+        ]
+        for x, y in pairs:
+            assert len(intertwiner_lattice(Mat2(*x), Mat2(*y))) == 2
+        with pytest.raises(ValueError):
+            intertwiner_lattice(Mat2(2, 1, 1, 1), Mat2(1, 2, 1, 2))
+        assert calls == []
 
 
 def _box(radius):

@@ -3,8 +3,9 @@
 perfbench/oracle.py imports nothing from flowcomm and re-multiplies
 every certificate identity in plain integers. Here it judges every
 certificate and chain document that the output corpus writes, the
-one-field tampers of each that oracle.tamper makes, and each chain with
-one link kind or citation tag unknown, and each verdict must be the one
+one-field tampers of each that oracle.tamper makes, each chain with one
+link kind or citation tag unknown, and each certificate or certificate
+link with a non-canonical sublattice, and each verdict must be the one
 `flowcomm verify` gives. The oracle is loaded by its file path,
 without writing bytecode next to it.
 """
@@ -111,4 +112,40 @@ def test_unknown_kinds_and_tags_are_rejections(monkeypatch, tmp_path):
                     disagreements.append((field, code, clause))
                 counts[field] += 1
     assert counts == {"kind": 113, "tag": 55}
+    assert disagreements == []
+
+
+def test_non_canonical_sublattices_are_rejections(monkeypatch, tmp_path):
+    """Each judged certificate (38), and each certificate link of each
+    judged chain (36), with its sublattice made non-canonical (b = a,
+    a = 0 or b = -1; 222 variants): the oracle calls each variant
+    invalid (sublattice_index), so verify must exit 1, a rejection, not
+    2, an input error."""
+    oracle = load_oracle(monkeypatch)
+    counts, variants, disagreements = {"certificate": 0, "link": 0}, 0, []
+    path = tmp_path / "judged.json"
+    for text in corpus_documents(tmp_path):
+        doc = json.loads(text)
+        if surface_orbifold_cover(doc):
+            continue
+        if "links" in doc:
+            bodies = [link["evidence"] for link in doc["links"]]
+            bodies = [body for body in bodies if body["type"] == "certificate"]
+            counts["link"] += len(bodies)
+        else:
+            bodies = [doc]
+            counts["certificate"] += 1
+        for body in bodies:
+            lattice = body["sublattice"]
+            for key, value in (("b", lattice["a"]), ("a", "0"), ("b", "-1")):
+                kept, lattice[key] = lattice[key], value
+                variant = json.dumps(doc)
+                lattice[key] = kept
+                path.write_text(variant, encoding="utf-8")
+                code = run(["verify", "--quiet", str(path)])
+                clause = oracle.check_document(variant)
+                if code != 1 or clause not in ("sublattice_index", "chain_sublattice_index"):
+                    disagreements.append((key, value, code, clause))
+                variants += 1
+    assert (counts, variants) == ({"certificate": 38, "link": 36}, 222)
     assert disagreements == []

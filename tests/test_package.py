@@ -32,11 +32,13 @@ from flowcomm import (
     almost_commensurability_chain,
     are_commensurable,
     are_equivalent,
+    find_intertwiner,
     genus_model_matrix,
     hnf,
     intertwiner_lattice,
     orbifold_common_cover,
     orbifold_model_matrix,
+    reduction_cycle,
 )
 
 INIT = Path(flowcomm.__file__)
@@ -106,6 +108,7 @@ def test_reexports_are_the_module_lists():
 
 
 SHARED_CONSTRUCTOR = (
+    Lattice2,
     CommensurabilityCertificate,
     CommensurabilityVerdict,
     EquivalenceVerdict,
@@ -122,7 +125,7 @@ def records(cls=linalg._Record):
 
 def test_only_validating_records_write_a_constructor():
     own = {cls.__name__ for cls in records() if "__init__" in vars(cls)}
-    assert own == {"Lattice2", "RLWord", "Suspension", "GeodesicOrbifold", "ChainCertificate"}
+    assert own == {"RLWord", "Suspension", "GeodesicOrbifold", "ChainCertificate"}
     assert {cls for cls in records() if "__init__" not in vars(cls)} == set(SHARED_CONSTRUCTOR)
 
 
@@ -223,9 +226,17 @@ def test_matrix_and_lattice_reprs_evaluate_back():
         (lambda: Mat2(2, 0, 0, 2).inverse(), "determinant 4 is not +-1"),
         (lambda: hnf(Mat2(2, 4, 1, 2)), "Mat2(2, 4, 1, 2) has determinant 0"),
         (lambda: intertwiner_lattice(Mat2(2, 1, 1, 1), Mat2(5, 2, 2, 1)), "traces 3 and 6 differ"),
-        (lambda: intertwiner_lattice(Mat2(2, 1, 1, 1), Mat2(1, 2, 1, 2)), "kernel rank 0, expected 2"),
+        (lambda: intertwiner_lattice(Mat2(2, 1, 1, 1), Mat2(1, 2, 1, 2)), "determinants 1 and 0 differ"),
         # outside the precondition: t^2 - 4 det = (a.a - a.d)^2 is a square
         (lambda: intertwiner_lattice(Mat2(2, 1, 0, 1), Mat2(1, 0, 1, 2)), "a has lower-left entry 0"),
+        (lambda: reduction_cycle(1, 0, -1), "discriminant 4 is not a positive non-square"),
+        (lambda: reduction_cycle(0, 1, 1), "discriminant 1 is not a positive non-square"),
+        (lambda: reduction_cycle(1, 0, 1), "discriminant -4 is not a positive non-square"),
+        # t^2 - 4 det = 9 is a square, so det P is a form with a zero
+        (
+            lambda: find_intertwiner(Mat2(1, 2, 1, 0), Mat2(1, 2, 1, 0)),
+            "discriminant 9 is not a positive non-square",
+        ),
         (lambda: genus_model_matrix(1), "genus must be >= 2, got 1"),
         (lambda: ChainCertificate((), ()), "a chain has two endpoints, got 0"),
     ],
@@ -233,8 +244,12 @@ def test_matrix_and_lattice_reprs_evaluate_back():
         "inverse",
         "hnf",
         "intertwiner_traces",
-        "intertwiner_rank",
+        "intertwiner_determinants",
         "intertwiner_lower_left",
+        "reduction_square",
+        "reduction_leading_zero",
+        "reduction_negative",
+        "find_intertwiner_square",
         "genus",
         "chain_endpoints",
     ],
@@ -250,7 +265,7 @@ def test_wrong_argument_raises_plain_value_error(call, message):
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int/str digit limit disabled")
 def test_messages_name_an_unprintable_integer_by_its_size():
-    """A determinant, trace, genus, cone order, lattice entry or word
+    """A determinant, trace, discriminant, genus, cone order or word
     exponent that str() would refuse is named by its sign and bit size,
     so that raising the error cannot itself raise."""
     big = 10 ** (sys.get_int_max_str_digits() + 1)
@@ -282,11 +297,11 @@ def test_messages_name_an_unprintable_integer_by_its_size():
         genus_model_matrix(-big)
     with pytest.raises(flowcomm.NotHyperbolic, match=f"^trace {negative_bits} is not > 2$"):
         orbifold_model_matrix(-big)
-    diagonal = f"^diagonal entries must be positive, got a={negative_bits}, d=1$"
-    with pytest.raises(ValueError, match=diagonal):
-        Lattice2(-big, 0, 1)
-    with pytest.raises(ValueError, match=rf"^offset b={trace_bits} outside \[0, 3\)$"):
-        Lattice2(3, big, 1)
+    with pytest.raises(ValueError, match=f"^determinants -1 and {negative_bits} differ$"):
+        intertwiner_lattice(Mat2(big, 1, 1, 0), Mat2(big, big, 1, 0))
+    disc_bits = f"an integer of {(4 * big * big).bit_length()} bits"
+    with pytest.raises(ValueError, match=f"^discriminant {disc_bits} is not a positive"):
+        reduction_cycle(1, 0, -big * big)
 
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int/str digit limit disabled")

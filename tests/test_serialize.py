@@ -17,6 +17,7 @@ from flowcomm import (
     Lattice2,
     almost_commensurability_chain,
     are_commensurable,
+    verify_certificate,
     verify_chain,
 )
 from flowcomm.serialize import (
@@ -139,10 +140,13 @@ class TestCertificateDocuments:
             decode_document(doc)
 
     def test_bad_lattice(self):
+        """A non-canonical triple decodes as it stands, and verify
+        rejects it as unequal to hnf(P)."""
         doc = encode_certificate(sample_certificate())
         doc["sublattice"] = {"a": "3", "b": "5", "d": "1"}
-        with pytest.raises(DocumentError):
-            decode_document(doc)
+        cert = decode_document(doc)
+        assert cert.sublattice == Lattice2(3, 5, 1)
+        assert verify_certificate(cert) == (False, "sublattice_matches_intertwiner")
 
 
 MATRIX = "expected a 2x2 matrix of decimal strings"
