@@ -12,7 +12,7 @@ rationals. Every positive decision is backed by a certificate that an
 independent verifier (the verify module) re-checks from scratch.
 """
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"
 
 from . import commensurability, conjugacy, errors, linalg, models, verify
 from .errors import *

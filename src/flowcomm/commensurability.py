@@ -47,9 +47,10 @@ class CommensurabilityCertificate(_Record):
     intertwiner P satisfies A1 P = P B1 (A1, B1 the stated powers);
     sublattice is the canonical form of the lattice P spans, fixed by
     A1**stabilization; the two indices describe the common cover over
-    each suspension. base_a, base_b and intertwiner are Mat2 values,
-    sublattice a Lattice2, and the other fields ints. Compared field by
-    field, and not hashable.
+    each suspension. derive computes the last five fields from the
+    first five. base_a, base_b and intertwiner are Mat2 values,
+    sublattice a Lattice2, the rest ints. Compared field by field, and
+    not hashable.
     """
 
     __slots__ = _fields = (
@@ -65,6 +66,16 @@ class CommensurabilityCertificate(_Record):
         "index_over_b",
     )
     __hash__ = None
+
+    @classmethod
+    def derive(cls, base_a, base_b, power_a, power_b, intertwiner):
+        """The certificate of these five fields, the rest following: det P,
+        hnf(P) (P nonsingular), 1, power_a |det P| and power_b."""
+        det = intertwiner.det()
+        # A1 P = P B1 and B1 Z^2 = Z^2 (A1, B1 the stated powers) give
+        # A1 (P Z^2) = P Z^2, so 1 is the only minimal exponent
+        derived = det, hnf(intertwiner), 1, power_a * abs(det), power_b
+        return cls(base_a, base_b, power_a, power_b, intertwiner, *derived)
 
 
 class CommensurabilityVerdict(_Record):
@@ -261,18 +272,7 @@ def are_commensurable(a, b):
     shared, u_a, u_b = units
     i, j = _least_exponents((t_a, u_a), (t_b, u_b), shared)
     p = find_intertwiner(*_input_size_pair(a1, b1, u_a, u_b))
-    certificate = CommensurabilityCertificate(
-        base_a=a1,
-        base_b=b1,
-        power_a=i,
-        power_b=j,
-        intertwiner=p,
-        intertwiner_det=p.det(),
-        sublattice=hnf(p),
-        stabilization=1,  # by theorem, see verify.verify_certificate
-        index_over_a=i * abs(p.det()),
-        index_over_b=j,
-    )
+    certificate = CommensurabilityCertificate.derive(a1, b1, i, j, p)
     return CommensurabilityVerdict(
         True, (i, j), shared, shared, certificate, squared_a, squared_b
     )

@@ -114,8 +114,8 @@ class GeodesicCommonCover(_Record):
     two geodesic models. Existence of the covering surface is cited;
     the recorded arithmetic (degree x chi = chi of cover, and each
     degree a multiple of its side's cone orders) is the machine-checked
-    part. The genus and the two degrees are ints, the three Euler
-    characteristics Fractions."""
+    part, which derive computes from the genus and the two models' chi.
+    The genus and the two degrees are ints, the three chi Fractions."""
 
     __slots__ = _fields = (
         "cover_genus",
@@ -125,6 +125,16 @@ class GeodesicCommonCover(_Record):
         "euler_target",
         "euler_cover",
     )
+
+    @classmethod
+    def derive(cls, cover_genus, euler_source, euler_target):
+        """The cover of genus cover_genus over models of these chi: chi of
+        the cover is 2 - 2 cover_genus, each degree that over a model's
+        chi, exact (an int when whole, else a Fraction that no int equals)."""
+        euler_cover = Fraction(2 - 2 * cover_genus)
+        degrees = (euler_cover / euler_source, euler_cover / euler_target)
+        degrees = (d.numerator if d.denominator == 1 else d for d in degrees)
+        return cls(cover_genus, *degrees, euler_source, euler_target, euler_cover)
 
 
 class ChainLink(_Record):
@@ -190,16 +200,8 @@ def orbifold_common_cover(source, target):
     against these conditions."""
     chi_s = source.euler_characteristic()
     chi_t = target.euler_characteristic()
-    sheets = lcm(_genus_step(source, chi_s), _genus_step(target, chi_t))
-    genus = sheets + 1
-    return GeodesicCommonCover(
-        cover_genus=genus,
-        degree_source=int(sheets * -2 / chi_s),
-        degree_target=int(sheets * -2 / chi_t),
-        euler_source=chi_s,
-        euler_target=chi_t,
-        euler_cover=Fraction(2 - 2 * genus),
-    )
+    genus = lcm(_genus_step(source, chi_s), _genus_step(target, chi_t)) + 1
+    return GeodesicCommonCover.derive(genus, chi_s, chi_t)
 
 
 def _designated(model):

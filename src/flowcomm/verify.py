@@ -5,18 +5,17 @@ They trust the almost-equivalences that the citation tags
 GHYS_HASHIGUCHI (a surface) and BIRKHOFF_SECTION_23N (a (0; 2, 3, n)
 orbifold) name, with the matrices of models._designated; the existence
 of a surface cover of the checked degrees and Euler characteristics
-(Edmonds, Ewing and Kulkarni, Invent. Math. 69, 1982); and the unit
-arithmetic (conjugacy._shared_units, _unit_divmod), input-size pair
-(commensurability._input_size_pair), matrix product and canonical
-lattice form (linalg.mat_mul, hnf) that they import, and nothing else.
+(Edmonds, Ewing and Kulkarni, Invent. Math. 69, 1982); the fields the
+two records' derive methods compute (with linalg.hnf); and the unit
+arithmetic (conjugacy._shared_units, _unit_divmod), input-size pair and
+matrix product (commensurability._input_size_pair, linalg.mat_mul)
+that they import, and nothing else.
 """
-
-from fractions import Fraction
 
 from .commensurability import CommensurabilityCertificate, _input_size_pair
 from .conjugacy import _shared_units, _unit_divmod
 from .errors import NotHyperbolic
-from .linalg import HyperbolicMatrix, hnf, mat_mul
+from .linalg import HyperbolicMatrix, mat_mul
 from .models import (
     ALMOST_EQUIVALENCE,
     COMMENSURABILITY,
@@ -52,6 +51,16 @@ def _powers_meet(lam_a, lam_b, d0, power_a, power_b):
     return f == 0 and divisor == (2, 0)
 
 
+def _first_difference(stated, derived):
+    """(True, "ok") when stated equals derived, else (False, name) of the
+    first field, in _fields order, that differs."""
+    if stated != derived:
+        for name in derived._fields:
+            if getattr(stated, name) != getattr(derived, name):
+                return False, name
+    return True, "ok"
+
+
 def verify_certificate(cert):
     """Re-check a certificate from scratch; (True, "ok") or (False, clause).
 
@@ -60,7 +69,8 @@ def verify_certificate(cert):
     power: power_traces_equal is _powers_meet, and intertwining_identity
     is X P = P Y on the input-size pair, which has the solutions of
     a**i P = P b**j once the power traces agree. So the work is
-    polynomial in the certificate's bit size, whatever its powers.
+    polynomial in the certificate's bit size, whatever its powers. The
+    first field unequal to CommensurabilityCertificate.derive's is named.
     """
     for name, base in (("base_a", cert.base_a), ("base_b", cert.base_b)):
         try:
@@ -82,21 +92,8 @@ def verify_certificate(cert):
         return False, "intertwining_identity"
     if p.det() == 0:
         return False, "intertwiner_nonsingular"
-    if cert.intertwiner_det != p.det():
-        return False, "intertwiner_det_matches"
-    if cert.sublattice != hnf(p):
-        return False, "sublattice_matches_intertwiner"
-    if cert.stabilization < 1:
-        return False, "stabilization_positive"
-    # A1 P = P B1 and B1 Z^2 = Z^2 (A1, B1 the stated powers) give
-    # A1 (P Z^2) = P Z^2, so 1 is the only minimal exponent
-    if cert.stabilization != 1:
-        return False, "stabilization_minimal"
-    if cert.index_over_a != cert.power_a * abs(p.det()):
-        return False, "index_over_a"
-    if cert.index_over_b != cert.power_b:
-        return False, "index_over_b"
-    return True, "ok"
+    primary = cert.base_a, cert.base_b, cert.power_a, cert.power_b, p
+    return _first_difference(cert, CommensurabilityCertificate.derive(*primary))
 
 
 def _verify_almost_equivalence(link):
@@ -137,19 +134,8 @@ def _verify_commensurability_link(link):
             cover.degree_target % n for n in target.cone_orders
         ):
             return False, "cover_cone_points"
-        if (
-            cover.euler_source != source.euler_characteristic()
-            or cover.euler_target != target.euler_characteristic()
-        ):
-            return False, "cover_euler_endpoints"
-        if cover.euler_cover != Fraction(2 - 2 * cover.cover_genus):
-            return False, "cover_euler_genus"
-        if (
-            cover.degree_source * cover.euler_source != cover.euler_cover
-            or cover.degree_target * cover.euler_target != cover.euler_cover
-        ):
-            return False, "cover_arithmetic"
-        return True, "ok"
+        chis = source.euler_characteristic(), target.euler_characteristic()
+        return _first_difference(cover, GeodesicCommonCover.derive(cover.cover_genus, *chis))
     return False, "commensurability_endpoints"
 
 
@@ -157,8 +143,9 @@ def verify_chain(chain):
     """Re-check a chain from scratch; (True, "ok") or (False, clause).
 
     Endpoint continuity, the almost-equivalence whitelist, every
-    certificate, and all cover arithmetic are verified; clause names
-    are prefixed with the failing link's index."""
+    certificate, and all cover arithmetic (a cover's fields are derive's
+    from its genus and its link's models) are verified; clause names are
+    prefixed with the failing link's index."""
     links = chain.links
     if not links:
         return False, "chain_nonempty"

@@ -142,7 +142,9 @@ def reference_verify(fields):
     The check that forms a**i and b**j and tests a**i P = P b**j and
     a**i L = L on them, as flowcomm 0.8.0 did, so its time grows with
     the stated powers. Sublattice equality is mutual containment, not a
-    Hermite form. Precondition: the powers are small enough to form.
+    Hermite form. A wrong derived field is named by the field, as
+    verify_certificate names it. Precondition: the powers are small
+    enough to form.
     """
     base_a, base_b, power_a, power_b, p, det_p, (la, lb, ld), stab, index_a, index_b = fields
     for name, m in (("base_a", base_a), ("base_b", base_b)):
@@ -158,14 +160,14 @@ def reference_verify(fields):
     if det(p) == 0:
         return False, "intertwiner_nonsingular"
     if det_p != det(p):
-        return False, "intertwiner_det_matches"
+        return False, "intertwiner_det"
     lattice = (la, lb, 0, ld)
     if not (_lattice_within(lattice, _columns(p)) and _lattice_within(p, _columns(lattice))):
-        return False, "sublattice_matches_intertwiner"
+        return False, "sublattice"
     if stab < 1:
-        return False, "stabilization_positive"
+        return False, "stabilization"
     if stab != 1:
-        return False, "stabilization_minimal"
+        return False, "stabilization"
     if not _lattice_within(lattice, _columns(mul(a1, lattice))):
         return False, "lattice_stabilized"
     if index_a != power_a * abs(det(p)):

@@ -703,7 +703,7 @@ class TestVerifyChain:
         chain = ChainCertificate(links=tuple(links), endpoints=base.endpoints)
         assert verify_chain(chain) == (
             False,
-            "link 1: certificate_invalid: intertwiner_det_matches",
+            "link 1: certificate_invalid: intertwiner_det",
         )
 
     def test_certificate_endpoint_mismatch(self):
@@ -723,13 +723,14 @@ class TestVerifyChain:
 
     def test_mutated_cover_arithmetic(self):
         """A source degree moved by the lcm 42 of (2, 3, 7) keeps its cone
-        points and breaks the arithmetic; moved by 1 it breaks both, and
-        the cone points, checked first, are reported."""
+        points and breaks the arithmetic, so it differs from the derived
+        degree; moved by 1 it breaks both, and the cone points, checked
+        first, are reported."""
         base = almost_commensurability_chain(
             GeodesicOrbifold(0, (2, 3, 7)), GeodesicOrbifold(0, (2, 3, 12))
         )
         cover = base.links[0].evidence
-        for shift, clause in ((42, "cover_arithmetic"), (1, "cover_cone_points")):
+        for shift, clause in ((42, "degree_source"), (1, "cover_cone_points")):
             mutated = GeodesicCommonCover(
                 cover_genus=cover.cover_genus,
                 degree_source=cover.degree_source + shift,
@@ -757,7 +758,29 @@ class TestVerifyChain:
         )
         links = (relink(base.links[0], evidence=mutated),)
         chain = ChainCertificate(links=links, endpoints=base.endpoints)
-        assert verify_chain(chain) == (False, "link 0: cover_euler_genus")
+        assert verify_chain(chain) == (False, "link 0: degree_source")
+
+    def test_degree_that_is_not_whole(self):
+        """A genus-4 cover of (0; 2, 3, 7) and the genus-3 surface, with
+        both true chi: its degree is 252 over the orbifold and
+        -6 / -4 = 3/2 over the surface, which no int degree equals, so
+        the stated 1 is rejected (truncating 3/2 would accept it)."""
+        source, target = GeodesicOrbifold(0, (2, 3, 7)), GeodesicOrbifold(3)
+        cover = GeodesicCommonCover(
+            cover_genus=4,
+            degree_source=252,
+            degree_target=1,
+            euler_source=Fraction(-1, 42),
+            euler_target=Fraction(-4),
+            euler_cover=Fraction(-6),
+        )
+        assert (cover.euler_source, cover.euler_target) == (
+            source.euler_characteristic(),
+            target.euler_characteristic(),
+        )
+        link = ChainLink(COMMENSURABILITY, source, target, cover)
+        chain = ChainCertificate(links=(link,), endpoints=(source, target))
+        assert verify_chain(chain) == (False, "link 0: degree_target")
 
     def test_cover_between_mixed_kinds(self):
         """A surface and an orbifold may share a cover link, as long as
@@ -770,7 +793,7 @@ class TestVerifyChain:
         base = almost_commensurability_chain(GeodesicOrbifold(0, (2, 3, 7)), orbifold)
         links = (relink(base.links[0], source=surface),)
         chain = ChainCertificate(links=links, endpoints=(surface, orbifold))
-        assert verify_chain(chain) == (False, "link 0: cover_euler_endpoints")
+        assert verify_chain(chain) == (False, "link 0: degree_source")
         link = ChainLink(COMMENSURABILITY, surface, Suspension(A), GHYS_HASHIGUCHI)
         chain = ChainCertificate(links=(link,), endpoints=(surface, Suspension(A)))
         assert verify_chain(chain) == (False, "link 0: commensurability_endpoints")

@@ -420,14 +420,12 @@ def test_private_names_crossing_modules():
 
 # the verifier's trust base: every name verify.py imports
 VERIFY_IMPORTS = {
-    "fractions.Fraction",
     ".commensurability.CommensurabilityCertificate",
     ".commensurability._input_size_pair",
     ".conjugacy._shared_units",
     ".conjugacy._unit_divmod",
     ".errors.NotHyperbolic",
     ".linalg.HyperbolicMatrix",
-    ".linalg.hnf",
     ".linalg.mat_mul",
     ".models.ALMOST_EQUIVALENCE",
     ".models.COMMENSURABILITY",
@@ -444,13 +442,28 @@ SEARCH_NAMES = (
 )
 
 
+def derive_method(module, record):
+    """The syntax tree of record.derive, read from module's source."""
+    for cls in parse(Path(module.__file__)).body:
+        if isinstance(cls, ast.ClassDef) and cls.name == record:
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "derive":
+                    return node
+    raise AssertionError(f"no {record}.derive in {module.__name__}")
+
+
 def test_verifier_imports_only_its_trust_base():
     """verify.py imports exactly the names of its trust base, none
-    renamed, and spells none of the search functions, so no verdict of
-    the verifier can rest on the search it checks."""
+    renamed, and neither it nor the two derive methods it calls spell
+    any of the search functions, so no verdict of the verifier can rest
+    on the search it checks."""
     tree = parse(Path(verify.__file__))
     imported, spelled = set(), set()
-    for node in ast.walk(tree):
+    derives = (
+        derive_method(commensurability, "CommensurabilityCertificate"),
+        derive_method(models, "GeodesicCommonCover"),
+    )
+    for node in (node for root in (tree, *derives) for node in ast.walk(root)):
         if isinstance(node, ast.Import):
             imported |= {f"import {alias.name} as {alias.asname}" for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
@@ -466,6 +479,36 @@ def test_verifier_imports_only_its_trust_base():
             spelled.add(node.attr)
     assert imported == VERIFY_IMPORTS
     assert spelled & set(SEARCH_NAMES) == set()
+
+
+def test_derive_rebuilds_every_written_record():
+    """Every certificate of the reference-agreement corpus, and every
+    certificate and cover of the chains between the general corpus's
+    models, equals derive of its primary fields: the writers build
+    through derive, so verify's derived values are the writers' own."""
+    from test_commensurability import TestReferenceAgreement
+    from test_models import GENERAL_CORPUS
+
+    def primary(cert):
+        return cert.base_a, cert.base_b, cert.power_a, cert.power_b, cert.intertwiner
+
+    certificates = list(TestReferenceAgreement.corpus())
+    covers = []
+    for m1 in GENERAL_CORPUS:
+        for m2 in GENERAL_CORPUS:
+            for link in almost_commensurability_chain(m1, m2).links:
+                if isinstance(link.evidence, CommensurabilityCertificate):
+                    certificates.append(link.evidence)
+                elif isinstance(link.evidence, GeodesicCommonCover):
+                    covers.append(link)
+    for cert in certificates:
+        assert cert == CommensurabilityCertificate.derive(*primary(cert)), cert
+    for link in covers:
+        cover = link.evidence
+        chis = link.source.euler_characteristic(), link.target.euler_characteristic()
+        assert cover == GeodesicCommonCover.derive(cover.cover_genus, *chis), link
+        assert type(cover.degree_source) is type(cover.degree_target) is int
+    assert len(certificates) > 2000 and len(covers) > 1500
 
 
 def rejections(path):
@@ -487,7 +530,7 @@ def test_verifier_clauses_live_in_verify():
     module spells a clause unless it is also a record's field name (as
     cover_genus names a field and the clause that checks it)."""
     clauses = rejections(Path(verify.__file__))
-    assert {"intertwining_identity", "cover_arithmetic", "link_kind"} <= clauses
+    assert {"intertwining_identity", "cover_cone_points", "link_kind"} <= clauses
     fields = {name for cls in records() for name in cls._fields}
     for path in SOURCES:
         if path.stem == "verify":

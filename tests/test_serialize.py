@@ -146,7 +146,7 @@ class TestCertificateDocuments:
         doc["sublattice"] = {"a": "3", "b": "5", "d": "1"}
         cert = decode_document(doc)
         assert cert.sublattice == Lattice2(3, 5, 1)
-        assert verify_certificate(cert) == (False, "sublattice_matches_intertwiner")
+        assert verify_certificate(cert) == (False, "sublattice")
 
 
 MATRIX = "expected a 2x2 matrix of decimal strings"
